@@ -6,7 +6,7 @@ flag overrides (``--seed``, ``--threads``, ``--alpha``, ``--out``) and writes
 its outputs into the ``--out`` directory.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error, 4 numerical
-failure, 1 unexpected crash.
+failure.  Any other exit (1, with a traceback) is a defect.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ from .splines import (
 )
 from .tabular import fmt, write_csv, write_json
 from .tuning import cv_error_surface, select_distribution, write_surface_csv
-
-
-def _build(factory, *args, **kwargs):
-    """Construct a validated object, mapping ValueError onto ConfigError."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _field(obj: dict, key: str, context: str):
@@ -106,30 +98,28 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _matrix_candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
+def _candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
     raw = cfg.get("candidates")
     if raw is None:
-        return (_build(CandidateModel, "full", tuple(range(p))),)
+        return (CandidateModel("full", tuple(range(p))),)
     out = []
     for i, entry in enumerate(raw):
         if isinstance(entry, dict):
             out.append(
-                _build(
-                    CandidateModel,
+                CandidateModel(
                     _field(entry, "id", f"candidates[{i}]"),
                     tuple(_field(entry, "columns", f"candidates[{i}]")),
                 )
             )
         else:
-            out.append(_build(CandidateModel, i, tuple(entry)))
+            out.append(CandidateModel(i, tuple(entry)))
     return tuple(out)
 
 
 def _selector(cfg: dict, candidates) -> SelectorConfig:
     lam = cfg.get("lambda_grid")
     lam = tuple(default_lambda_grid()) if lam is None else tuple(float(v) for v in lam)
-    return _build(
-        SelectorConfig,
+    return SelectorConfig(
         candidates=candidates,
         lambda_grid=lam,
         criterion=cfg.get("criterion", "gcv"),
@@ -149,7 +139,7 @@ def _load_train_matrix(cfg: dict) -> Dataset:
     y, X, names = load_matrix_csv(_require(cfg, "train_csv"))
     if y is None:
         raise ConfigError("train_csv must carry a leading 'y' column")
-    return _build(Dataset, y, X, column_names=names)
+    return Dataset(y, X, column_names=names)
 
 
 def _load_targets_matrix(cfg: dict, p: int):
@@ -175,31 +165,25 @@ def _demand_inputs(cfg: dict):
         dom = (min(values) - 0.5, max(values) + 0.5)
     hb = cfg.get("hour_basis", {"n_basis": 1, "degree": 3})
     tb = cfg.get("temp_basis", {"n_basis": 6, "degree": 3})
-    spec = _build(
-        DemandModelSpec,
+    spec = DemandModelSpec(
         t_lags=int(cfg.get("t_lags", 1)),
-        hour_basis=_build(
-            SplineBasisSpec.uniform_cyclic,
+        hour_basis=SplineBasisSpec.uniform_cyclic(
             int(hb.get("degree", 3)),
             int(_field(hb, "n_basis", "hour_basis")),
             0.0,
             24.0,
         ),
-        temp_basis=_build(
-            SplineBasisSpec.uniform,
+        temp_basis=SplineBasisSpec.uniform(
             int(tb.get("degree", 3)),
             int(_field(tb, "n_basis", "temp_basis")),
             float(dom[0]),
             float(dom[1]),
         ),
     )
-    raw = cfg.get("candidates", "structural")
-    if raw == "structural":
+    if cfg.get("candidates", "structural") == "structural":
         candidates = structural_candidates(spec)
     else:
-        candidates = tuple(
-            _build(CandidateModel, entry["id"], tuple(entry["columns"])) for entry in raw
-        )
+        candidates = _candidates(cfg, spec.p)
     targets = _demand_targets(cfg)
     window = int(cfg.get("window_days", 15))
     if window < spec.t_lags + 1:
@@ -241,7 +225,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> int:
     if mode == "matrix":
         data = _load_train_matrix(cfg)
         x_targets, truths = _load_targets_matrix(cfg, data.p)
-        selector = _selector(cfg, _matrix_candidates(cfg, data.p))
+        selector = _selector(cfg, _candidates(cfg, data.p))
         rows, surface, dist = run_matrix_fit(
             data,
             x_targets,
@@ -292,15 +276,14 @@ def cmd_fit(cfg: dict, outdir: Path) -> int:
 def cmd_predict(cfg: dict, outdir: Path) -> int:
     mode = _mode(cfg)
     dist_cfg = _require(cfg, "distribution")
-    dist = _build(
-        ResamplingDistribution,
+    dist = ResamplingDistribution(
         gamma=float(_field(dist_cfg, "gamma", "distribution")),
         sigma2=float(_field(dist_cfg, "sigma2", "distribution")),
     )
     if mode == "matrix":
         data = _load_train_matrix(cfg)
         x_targets, truths = _load_targets_matrix(cfg, data.p)
-        selector = _selector(cfg, _matrix_candidates(cfg, data.p))
+        selector = _selector(cfg, _candidates(cfg, data.p))
         rows = run_matrix_eval(
             data,
             x_targets,
@@ -350,7 +333,7 @@ def cmd_select_dist(cfg: dict, outdir: Path) -> int:
             "distribution per rolling window inside 'fit'"
         )
     data = _load_train_matrix(cfg)
-    selector = _selector(cfg, _matrix_candidates(cfg, data.p))
+    selector = _selector(cfg, _candidates(cfg, data.p))
     grid = resolve_cv_grid(_cv_cfg(cfg), data, derive_seed(cfg["seed"], 1, 0))
     surface = cv_error_surface(data, grid, selector, threads=cfg["threads"])
     dist = select_distribution(surface)
@@ -379,7 +362,7 @@ def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
     gamma = float(_require(cfg, "gamma"))
     data = _load_train_matrix(cfg)
     x_targets, truths = _load_targets_matrix(cfg, data.p)
-    selector = _selector(cfg, _matrix_candidates(cfg, data.p))
+    selector = _selector(cfg, _candidates(cfg, data.p))
     curve = run_sigma_sweep(
         data,
         x_targets,
@@ -416,8 +399,7 @@ def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
 
 def cmd_simulate(cfg: dict, outdir: Path) -> int:
     study_cfg = dict(cfg.get("study", {}))
-    study = _build(
-        StudyConfig,
+    study = StudyConfig(
         n=int(study_cfg.get("n", 30)),
         true_model_j=int(study_cfg.get("true_model_j", 2)),
         noise_sd=float(study_cfg.get("noise_sd", 5.0)),
@@ -492,7 +474,8 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, outdir)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # library constructors validate config values by raising ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IngestionError as exc:

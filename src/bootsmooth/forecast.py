@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import norm
 
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError, IngestionError, NumericalError
 from .rng import derive_seed
 from .selection import (
     CandidateModel,
@@ -178,6 +178,7 @@ def evaluate_fixed_distribution(
 
     Returns a dict of per-target arrays: ``prediction``, ``lower``,
     ``upper``, ``ridge_prediction``, ``ridge_lower``, ``ridge_upper``.
+    Raises ``NumericalError`` when any of them is not finite.
     """
     x_targets = np.atleast_2d(np.asarray(x_targets, dtype=float))
     fit = pbs_fit(data, dist, b, selector, eval_seed, threads=threads)
@@ -200,16 +201,22 @@ def evaluate_fixed_distribution(
             for x in x_targets
         ]
     )
-    return {
+    out = {
         "prediction": pred,
         "lower": pred - hw,
         "upper": pred + hw,
         "ridge_prediction": ridge_pred,
         "ridge_lower": ridge_pred - ridge_hw,
         "ridge_upper": ridge_pred + ridge_hw,
-        "fit": fit,
-        "baseline": baseline,
     }
+    for key, values in out.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericalError(
+                f"target {bad[0]}: {key} is {values[bad[0]]} at "
+                f"sigma2={dist.sigma2!r}, gamma={dist.gamma!r}"
+            )
+    return {**out, "fit": fit, "baseline": baseline}
 
 
 def resolve_cv_grid(cv_cfg: dict, data: Dataset, seed: int) -> CvGrid:

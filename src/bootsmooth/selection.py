@@ -2,7 +2,7 @@
 
 OLS, ridge and GCV all run through one SVD workspace per candidate submatrix,
 so scoring a single response vector and scoring a whole block of bootstrap
-responses follow identical arithmetic.  ``select_fit`` minimises the
+response vectors follow identical arithmetic.  ``select_fit`` minimises the
 configured criterion over every (candidate, lambda) pair with a deterministic
 tie-break: fewer columns first, then smaller lambda, then lower model id.
 """
@@ -172,7 +172,6 @@ class _DesignScorer:
         self.columns = np.asarray(columns, dtype=int)
         self.n, self.k = X_sub.shape
         U, s, Vt = np.linalg.svd(X_sub, full_matrices=False)
-        self.X_sub = X_sub
         self.U = U
         self.s = s
         self.s2 = s * s
@@ -228,6 +227,37 @@ class _DesignScorer:
         rss = w @ sq + perp
         return self.n * rss / (denom * denom)
 
+    def fit(self, data: Dataset, lam: float) -> FitResult:
+        """Ridge fit of ``data.y``, embedded in the full p-space."""
+        coef = np.zeros(data.p)
+        coef[self.columns] = self.coef_block(data.y[:, None], lam)[:, 0]
+        resid = data.y - data.X @ coef
+        return FitResult(coef, self.model.id, lam, float(resid @ resid))
+
+
+def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndarray]:
+    """Partition ``range(n)`` into K blocks with sizes differing by at most 1.
+
+    ``mode="random"`` permutes indices with the seeded generator before
+    splitting; ``mode="contiguous"`` keeps index order (time-ordered data).
+    Blocks are returned with sorted indices.
+    """
+    if not 2 <= k <= n:
+        raise ValueError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
+    if mode == "random":
+        order = generator(seed).permutation(n)
+    elif mode == "contiguous":
+        order = np.arange(n)
+    else:
+        raise ValueError(f"unknown fold mode {mode!r}")
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    blocks, start = [], 0
+    for s in sizes:
+        blocks.append(np.sort(order[start : start + s]))
+        start += s
+    return blocks
+
 
 def _id_key(model_id) -> tuple:
     # ints and strings both order deterministically without cross-type compares
@@ -273,18 +303,8 @@ class _PairSelector:
 
     def _build_fold_workspaces(self):
         n = self.data.n
-        k = self.config.cv_folds
-        if k > n:
-            raise ValueError(f"cv_folds={k} exceeds n={n}")
-        perm = generator(self.config.cv_seed).permutation(n)
-        sizes = np.full(k, n // k)
-        sizes[: n % k] += 1
-        blocks, start = [], 0
-        for s in sizes:
-            blocks.append(np.sort(perm[start : start + s]))
-            start += s
         self._fold_ws = []
-        for va in blocks:
+        for va in kfold_split(n, self.config.cv_folds, self.config.cv_seed):
             tr = np.setdiff1d(np.arange(n), va)
             ws = []
             for sc in self.scorers:
@@ -351,14 +371,9 @@ class _PairSelector:
         sc = self.scorers[int(self.pair_scorer_index[pair_idx])]
         return sc.model.id, float(self.pair_lambda[pair_idx])
 
-    def fit_result(self, pair_idx: int, y: np.ndarray) -> FitResult:
+    def fit_result(self, pair_idx: int) -> FitResult:
         sc = self.scorers[int(self.pair_scorer_index[pair_idx])]
-        lam = float(self.pair_lambda[pair_idx])
-        beta_sub = sc.coef_block(y[:, None], lam)[:, 0]
-        coef = np.zeros(self.data.p)
-        coef[sc.columns] = beta_sub
-        resid = y - sc.X_sub @ beta_sub
-        return FitResult(coef, sc.model.id, lam, float(resid @ resid))
+        return sc.fit(self.data, float(self.pair_lambda[pair_idx]))
 
 
 _FULL_MODEL_ID = "full"
@@ -377,9 +392,7 @@ def ols_fit(data: Dataset) -> FitResult:
     """
     sc = _DesignScorer.for_data(data, _full_model(data))
     sc.require_full_rank("ols_fit")
-    beta = sc.coef_block(data.y[:, None], 0.0)[:, 0]
-    resid = data.y - data.X @ beta
-    return FitResult(beta, _FULL_MODEL_ID, 0.0, float(resid @ resid))
+    return sc.fit(data, 0.0)
 
 
 def unbiased_variance(data: Dataset, fit: FitResult) -> float:
@@ -407,11 +420,7 @@ def ridge_fit(data: Dataset, model: CandidateModel, lam: float) -> FitResult:
     sc = _DesignScorer.for_data(data, model)
     if lam == 0.0:
         sc.require_full_rank("ridge_fit at lambda=0")
-    beta_sub = sc.coef_block(data.y[:, None], lam)[:, 0]
-    coef = np.zeros(data.p)
-    coef[sc.columns] = beta_sub
-    resid = data.y - sc.X_sub @ beta_sub
-    return FitResult(coef, model.id, lam, float(resid @ resid))
+    return sc.fit(data, lam)
 
 
 def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
@@ -436,7 +445,7 @@ def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
     """
     sel = _PairSelector(data, config)
     idx = int(sel.best_index(data.y[:, None])[0])
-    return sel.fit_result(idx, data.y)
+    return sel.fit_result(idx)
 
 
 def ridge_prediction_variance(

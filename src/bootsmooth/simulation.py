@@ -8,7 +8,6 @@ estimation error, and the per-cell model-selection frequencies are recorded.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .selection import (
     default_lambda_grid,
     select_fit,
 )
-from .smoothing import ResamplingDistribution, pbs_fit
+from .smoothing import ResamplingDistribution, _map_tasks, pbs_fit
 from .tabular import fmt, parse_float, read_csv, write_csv
 
 _N_FEATURES = 20
@@ -178,7 +177,6 @@ def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
                     config.b,
                     selector,
                     derive_seed(config.master_seed, _TAG_CELL, r, i, j),
-                    store_responses=False,
                 )
                 sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
                 counts = np.zeros(_N_MODELS)
@@ -186,14 +184,7 @@ def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
                     counts[id_to_slot[mid]] += 1.0
                 freqs[r, i, j] = counts / config.b
 
-    if threads > 1 and config.reps > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_rep, r) for r in range(config.reps)]
-            for fut in futures:
-                fut.result()
-    else:
-        for r in range(config.reps):
-            run_rep(r)
+    _map_tasks(run_rep, config.reps, threads)
 
     return StudyResult(
         sigma2_sweep=config.sigma2_sweep,

@@ -1,10 +1,11 @@
 """Parametric bootstrap smoothing of a model-selection pipeline.
 
-Bootstrap responses are drawn from ``N(gamma * X b_ols + (1 - gamma) * y,
-sigma2 I)``, the full (model, lambda) selection is rerun on every replicate,
-and the replicate coefficient vectors are averaged.  The module also provides
-the delta-method variance of the smoothed prediction in two algebraically
-equivalent forms and the resulting prediction interval.
+Bootstrap response vectors are drawn from
+``N(gamma * X b_ols + (1 - gamma) * y, sigma2 I)``, the full (model, lambda)
+selection is rerun on every replicate, and the replicate coefficient vectors
+are averaged.  The module also provides the delta-method variance of the
+smoothed prediction in two algebraically equivalent forms and the resulting
+prediction interval.
 
 Replicates are processed in fixed-size chunks whose layout never depends on
 the worker count, so serial and threaded runs produce bit-identical results.
@@ -12,8 +13,10 @@ the worker count, so serial and threaded runs produce bit-identical results.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import concurrent.futures
+import os
 from dataclasses import dataclass, field
+
 import numpy as np
 from scipy.stats import norm
 
@@ -53,8 +56,8 @@ class ResamplingDistribution:
         s2 = float(self.sigma2)
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {g}")
-        if not s2 >= 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {s2}")
+        if not 0.0 <= s2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {s2}")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "sigma2", s2)
 
@@ -66,7 +69,6 @@ class ReplicateRecord:
     model_id: object
     lam: float
     coefficients: np.ndarray
-    y_star: np.ndarray | None
 
 
 @dataclass
@@ -74,18 +76,18 @@ class PbsFit:
     """Smoothed coefficients plus the per-replicate records behind them.
 
     ``coefficients`` stacks the replicate coefficient vectors (B x p);
-    ``beta_pbs`` is their arithmetic mean.  ``responses`` is the (B x n)
-    stack of bootstrap responses, or ``None`` when the fit was run with
-    ``store_responses=False``; in that case ``cross_moment`` (the centered
-    response/coefficient cross moment) carries the sufficient statistics for
-    the delta-method covariance.
+    ``beta_pbs`` is their arithmetic mean.  The bootstrap response vectors
+    are not kept: ``cross_moment`` (the response/coefficient cross moment,
+    centered at ``mean_vector`` and ``center_coefficients``) and
+    ``ybar_star`` are the sufficient statistics of the delta-method
+    covariance.  The vectors themselves are
+    ``draw_replicates(mean_vector, sigma2, B, seed)``.
     """
 
     beta_pbs: np.ndarray
     coefficients: np.ndarray
     model_ids: list
     lambdas: np.ndarray
-    responses: np.ndarray | None
     cross_moment: np.ndarray
     ybar_star: np.ndarray
     mean_vector: np.ndarray
@@ -102,12 +104,7 @@ class PbsFit:
     @property
     def replicates(self) -> list[ReplicateRecord]:
         return [
-            ReplicateRecord(
-                self.model_ids[b],
-                float(self.lambdas[b]),
-                self.coefficients[b],
-                None if self.responses is None else self.responses[b],
-            )
+            ReplicateRecord(self.model_ids[b], float(self.lambdas[b]), self.coefficients[b])
             for b in range(self.B)
         ]
 
@@ -187,6 +184,25 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
     return _draw_block(mean, sd, seed, 0, B).T
 
 
+def _map_tasks(fn, n_tasks: int, workers: int) -> None:
+    """Run ``fn(i)`` for every ``i < n_tasks`` on at most ``workers`` threads.
+
+    Tasks deposit their results by index, so the output never depends on
+    the schedule.  The pool is capped at the task and CPU counts, and every
+    future is read, so a task's exception reaches the caller: the first in
+    task order, as in a serial run.
+    """
+    workers = min(workers, n_tasks, os.cpu_count() or 1)
+    if workers <= 1:
+        for i in range(n_tasks):
+            fn(i)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, i) for i in range(n_tasks)]
+    for fut in futures:
+        fut.result()
+
+
 def pbs_fit(
     data: Dataset,
     dist: ResamplingDistribution,
@@ -195,7 +211,6 @@ def pbs_fit(
     seed: int,
     *,
     threads: int = 1,
-    store_responses: bool = True,
     mean_coefficients: np.ndarray | None = None,
 ) -> PbsFit:
     """Run the full selection pipeline on B bootstrap replicates and average.
@@ -214,9 +229,6 @@ def pbs_fit(
         Master seed; replicate b uses the substream (seed, b).
     threads : int
         Worker threads.  Output is bit-identical for any value.
-    store_responses : bool
-        When False, bootstrap responses are not retained and downstream
-        covariances use the accumulated sufficient statistics instead.
     mean_coefficients : ndarray, optional
         Override for the coefficients defining the resampling mean (used by
         cross-validation when the OLS fit is shared across folds instead of
@@ -241,7 +253,6 @@ def pbs_fit(
     coeffs = np.empty((B, p))
     lambdas = np.empty(B)
     model_ids: list = [None] * B
-    responses = np.empty((B, n)) if store_responses else None
     ysum_parts = np.empty((len(bounds), n))
     cross_parts = np.empty((len(bounds), n, p))
 
@@ -255,21 +266,12 @@ def pbs_fit(
             mid, lam = sel.pair_info(int(pi))
             model_ids[lo + t] = mid
             lambdas[lo + t] = lam
-        if responses is not None:
-            responses[lo:hi] = Y.T
         u = Y - mean[:, None]
         c = C - base[:, None]
         ysum_parts[ci] = Y.sum(axis=1)
         cross_parts[ci] = u @ c.T
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_chunk, ci) for ci in range(len(bounds))]
-            for fut in futures:
-                fut.result()
-    else:
-        for ci in range(len(bounds)):
-            run_chunk(ci)
+    _map_tasks(run_chunk, len(bounds), threads)
 
     # Reductions in fixed chunk order: identical for any worker count.
     ybar = ysum_parts.sum(axis=0) / B
@@ -280,7 +282,6 @@ def pbs_fit(
         coefficients=coeffs,
         model_ids=model_ids,
         lambdas=lambdas,
-        responses=responses,
         cross_moment=cross,
         ybar_star=ybar,
         mean_vector=mean,
@@ -302,22 +303,6 @@ def pbs_predict(fit: PbsFit, x_new: np.ndarray) -> float:
     return float(x_new @ fit.beta_pbs)
 
 
-def _cov_vector(fit: PbsFit, x_new: np.ndarray) -> np.ndarray:
-    """Empirical covariance (1/B) sum_b (mu_b - mu_pbs)(y*_b - ybar*); (n,).
-
-    Uses the stored responses when available, otherwise the centered
-    sufficient statistics accumulated during the fit; the two paths agree to
-    rounding.
-    """
-    mu_pbs = float(x_new @ fit.beta_pbs)
-    if fit.responses is not None:
-        mu = fit.coefficients @ x_new
-        return ((fit.responses - fit.ybar_star).T @ (mu - mu_pbs)) / fit.B
-    cbar_x = float((fit.beta_pbs - fit.center_coefficients) @ x_new)
-    ubar = fit.ybar_star - fit.mean_vector
-    return fit.cross_moment @ x_new - cbar_x * ubar
-
-
 def _finalize_variance(value: float, context: str) -> float:
     if value < 0.0:
         if value >= -_VARIANCE_CLAMP:
@@ -329,16 +314,17 @@ def _finalize_variance(value: float, context: str) -> float:
     return float(value)
 
 
-def _check_variance_inputs(fit: PbsFit, data: Dataset, x_new: np.ndarray) -> np.ndarray:
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.shape != (data.p,):
-        raise ValueError(f"x_new must have shape ({data.p},), got {x_new.shape}")
+def _check_variance_inputs(fit: PbsFit, data: Dataset, x_rows: np.ndarray) -> np.ndarray:
+    """``x_rows`` as an (m, p) float array; refuses the degenerate sigma2 = 0."""
+    x_rows = np.asarray(x_rows, dtype=float)
+    if x_rows.ndim != 2 or x_rows.shape[1] != data.p:
+        raise ValueError(f"target rows must have shape (m, {data.p}), got {x_rows.shape}")
     if fit.distribution.sigma2 == 0.0:
         raise NumericalError(
             "sigma2 = 0 is the degenerate resampling mode: replicates are "
             "constant and the delta-method variance is undefined"
         )
-    return x_new
+    return x_rows
 
 
 def smoothed_variance(fit: PbsFit, data: Dataset, x_new: np.ndarray) -> float:
@@ -346,24 +332,17 @@ def smoothed_variance(fit: PbsFit, data: Dataset, x_new: np.ndarray) -> float:
 
     Computes ``cov' {gamma H + (1-gamma) I}^2 cov / sigma2`` with
     ``H = X (X'X)^-1 X'`` and ``cov`` the empirical covariance between
-    replicate predictions and replicate responses.  At ``gamma = 1`` this
+    replicate predictions and replicate response vectors.  At ``gamma = 1`` this
     coincides with the Gram form (:func:`smoothed_variance_via_gram`) because
     ``H`` is idempotent.
     """
-    x_new = _check_variance_inputs(fit, data, x_new)
-    return float(smoothed_variances(fit, data, x_new[None, :])[0])
+    x_new = np.asarray(x_new, dtype=float)
+    return float(smoothed_variances(fit, data, x_new[None, ...])[0])
 
 
 def smoothed_variances(fit: PbsFit, data: Dataset, x_rows: np.ndarray) -> np.ndarray:
     """Projector-form delta-method variance for each row of ``x_rows``; (m,)."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    if x_rows.ndim != 2 or x_rows.shape[1] != data.p:
-        raise ValueError(f"x_rows must have shape (m, {data.p})")
-    if fit.distribution.sigma2 == 0.0:
-        raise NumericalError(
-            "sigma2 = 0 is the degenerate resampling mode: replicates are "
-            "constant and the delta-method variance is undefined"
-        )
+    x_rows = _check_variance_inputs(fit, data, x_rows)
     cov = _cov_matrix(fit, x_rows)
     sc = _DesignScorer.for_data(data, _full_model(data))
     sc.require_full_rank("smoothed_variance")
@@ -377,11 +356,11 @@ def smoothed_variances(fit: PbsFit, data: Dataset, x_rows: np.ndarray) -> np.nda
 
 
 def _cov_matrix(fit: PbsFit, x_rows: np.ndarray) -> np.ndarray:
-    """Covariance vectors for each target row, stacked as columns; (n, m)."""
-    mu_pbs = x_rows @ fit.beta_pbs
-    if fit.responses is not None:
-        mu = fit.coefficients @ x_rows.T
-        return (fit.responses - fit.ybar_star).T @ (mu - mu_pbs[None, :]) / fit.B
+    """Empirical covariances ``(1/B) sum_b (mu_b - mu_pbs)(y*_b - ybar*)``.
+
+    One (n,) column per target row; (n, m).  Read off the centered
+    sufficient statistics accumulated during the fit.
+    """
     cbar_x = x_rows @ (fit.beta_pbs - fit.center_coefficients)
     ubar = fit.ybar_star - fit.mean_vector
     return fit.cross_moment @ x_rows.T - np.outer(ubar, cbar_x)
@@ -391,11 +370,11 @@ def smoothed_variance_via_gram(fit: PbsFit, data: Dataset, x_new: np.ndarray) ->
     """Delta-method variance routed through the Gram inverse.
 
     Computes ``c' (X'X)^-1 c / sigma2`` with ``c = X' cov``, the covariance
-    taken against ``X' y*_b`` instead of the raw responses.  Matches
+    taken against ``X' y*_b`` instead of the raw response vectors.  Matches
     :func:`smoothed_variance` at ``gamma = 1``.
     """
-    x_new = _check_variance_inputs(fit, data, x_new)
-    cov = _cov_vector(fit, x_new)
+    x_rows = _check_variance_inputs(fit, data, np.asarray(x_new, dtype=float)[None, ...])
+    cov = _cov_matrix(fit, x_rows)[:, 0]
     sc = _DesignScorer.for_data(data, _full_model(data))
     sc.require_full_rank("smoothed_variance_via_gram")
     c = data.X.T @ cov

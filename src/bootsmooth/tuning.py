@@ -9,16 +9,15 @@ parallel schedule.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularDesignError
-from .rng import derive_seed, generator
-from .selection import Dataset, SelectorConfig, ols_fit, unbiased_variance
-from .smoothing import ResamplingDistribution, pbs_fit
+from .errors import NumericalError, SingularDesignError
+from .rng import derive_seed
+from .selection import Dataset, SelectorConfig, kfold_split, ols_fit, unbiased_variance
+from .smoothing import ResamplingDistribution, _map_tasks, pbs_fit
 from .tabular import fmt, parse_float, read_csv, write_csv
 
 DEFAULT_GAMMA_CANDIDATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -72,30 +71,6 @@ class CvSurface:
     gamma_candidates: tuple[float, ...]
     folds: list[np.ndarray]
     selected: tuple[float, float]
-
-
-def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndarray]:
-    """Partition ``range(n)`` into K blocks with sizes differing by at most 1.
-
-    ``mode="random"`` permutes indices with the seeded generator before
-    splitting; ``mode="contiguous"`` keeps index order (time-ordered data).
-    Blocks are returned with sorted indices.
-    """
-    if not 2 <= k <= n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    if mode == "random":
-        order = generator(seed).permutation(n)
-    elif mode == "contiguous":
-        order = np.arange(n)
-    else:
-        raise ValueError(f"unknown fold mode {mode!r}")
-    sizes = np.full(k, n // k)
-    sizes[: n % k] += 1
-    blocks, start = [], 0
-    for s in sizes:
-        blocks.append(np.sort(order[start : start + s]))
-        start += s
-    return blocks
 
 
 def cv_cell_error(
@@ -155,8 +130,8 @@ def cv_error_surface(
     ]
     parts = np.empty((grid.k, t, s))
 
-    def run_cell(cell: tuple[int, int, int]) -> None:
-        k, i, j = cell
+    def run_cell(c: int) -> None:
+        k, i, j = cells[c]
         dist = ResamplingDistribution(
             gamma=grid.gamma_candidates[j], sigma2=grid.sigma2_candidates[i]
         )
@@ -171,14 +146,7 @@ def cv_error_surface(
             mean_coefficients=mean_coefficients,
         )
 
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_cell, c) for c in cells]
-            for fut in futures:
-                fut.result()
-    else:
-        for c in cells:
-            run_cell(c)
+    _map_tasks(run_cell, len(cells), threads)
 
     errors = parts.sum(axis=0)
     selected = _argmin_pair(errors, grid.sigma2_candidates, grid.gamma_candidates)
@@ -194,6 +162,13 @@ def cv_error_surface(
 def _argmin_pair(
     errors: np.ndarray, sigma2s: tuple[float, ...], gammas: tuple[float, ...]
 ) -> tuple[float, float]:
+    bad = np.argwhere(~np.isfinite(errors))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericalError(
+            f"CV error at (sigma2={sigma2s[i]!r}, gamma={gammas[j]!r}) is "
+            f"{errors[i, j]}, not a finite number"
+        )
     best = errors.min()
     ties = np.argwhere(errors == best)
     pairs = [(sigma2s[i], gammas[j]) for i, j in ties]

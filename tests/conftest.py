@@ -18,6 +18,7 @@ from bootsmooth import (
     Dataset,
     SelectorConfig,
     bspline_basis,
+    draw_replicates,
     gcv_score,
 )
 
@@ -75,13 +76,24 @@ def brute_force_select(data: Dataset, config: SelectorConfig):
     return best[1], best[2]
 
 
+def redrawn_responses(fit) -> np.ndarray:
+    """The fit's bootstrap responses, regenerated from its seed; (B, n)."""
+    return draw_replicates(fit.mean_vector, fit.distribution.sigma2, fit.B, fit.seed)
+
+
 def dense_smoothed_variance(fit, data: Dataset, x_new: np.ndarray) -> float:
-    """Delta-method variance with explicit {gamma H + (1-gamma) I}^2."""
+    """Delta-method variance with explicit {gamma H + (1-gamma) I}^2.
+
+    The covariance is a plain loop over the redrawn responses, not the
+    fit's sufficient statistics.
+    """
+    responses = redrawn_responses(fit)
+    ybar = responses.mean(axis=0)
     mu = fit.coefficients @ x_new
     mu_pbs = float(x_new @ fit.beta_pbs)
     cov = np.zeros(data.n)
     for b in range(fit.B):
-        cov += (mu[b] - mu_pbs) * (fit.responses[b] - fit.ybar_star)
+        cov += (mu[b] - mu_pbs) * (responses[b] - ybar)
     cov /= fit.B
     H = data.X @ np.linalg.inv(data.X.T @ data.X) @ data.X.T
     g = fit.distribution.gamma

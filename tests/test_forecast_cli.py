@@ -349,6 +349,28 @@ class TestDemandCommand:
         row = read_report(out / "report.csv")[0]
         assert (float(row["sigma2"]), float(row["gamma"])) == (4.0, 0.5)
 
+    def test_explicit_candidates(self, tmp_path):
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+        base = {
+            "mode": "demand",
+            "demand_csv": str(dpath),
+            "temperature_csv": str(tpath),
+            "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+            "temp_basis": {"n_basis": 4, "degree": 2},
+            "lambda_grid": [0.0, 1.0],
+            "b": 20,
+            "cv": {"k": 3, "sigma2_candidates": [4.0], "gamma_candidates": [1.0], "b_inner": 10},
+        }
+        out = tmp_path / "out"
+        cfg = dict(base, candidates=[[0, 1], [0, 1, 2, 3, 4]])
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert len(read_report(out / "report.csv")) == 1
+        for bad in ([{"columns": [0, 1]}], [{"id": "lags"}]):
+            cfg = dict(base, candidates=bad)
+            code = main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+            assert code == 2, bad
+
     def test_select_dist_rejects_demand_mode(self, tmp_path):
         cfg = {"mode": "demand", "demand_csv": "x.csv", "temperature_csv": "t.csv"}
         assert main(["select-dist", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
@@ -448,6 +470,36 @@ class TestExitCodes:
             "cv": {"k": 2, "sigma2_candidates": [1.0], "gamma_candidates": [1.0], "b_inner": 5},
         }
         assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("fit", {"lambda_grid": [0, "x"]}),
+            ("fit", {"cv": {"k": 21, "sigma2_candidates": [1.0], "b_inner": 5}}),
+            ("fit", {"cv": "oops"}),
+            ("fit", {"candidates": [[0, 3]]}),
+            ("sweep-sigma", {"sigma2_sweep": [1, "x"], "gamma": 1.0}),
+            ("fit", {"seed": -1}),
+        ],
+        ids=["lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed"],
+    )
+    def test_bad_values_exit_2_with_one_line(
+        self, tmp_path, matrix_files, capsys, command, override
+    ):
+        cfg = {**base_matrix_config(*matrix_files), **override}
+        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_finite_interval_exits_4(self, tmp_path, matrix_files, capsys):
+        cfg = base_matrix_config(*matrix_files)
+        cfg["cv"] = dict(cfg["cv"], sigma2_candidates=[1e300])
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: target 0: ")
+        assert not (out / "report.csv").exists()
 
     def test_bad_alpha_flag(self, tmp_path, matrix_files):
         train, targets = matrix_files

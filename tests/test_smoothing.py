@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import dense_smoothed_variance, make_instance, z_quantile_bisect
+from conftest import (
+    dense_smoothed_variance,
+    make_instance,
+    redrawn_responses,
+    z_quantile_bisect,
+)
 
 from bootsmooth import (
     CandidateModel,
@@ -24,6 +29,7 @@ from bootsmooth import (
     smoothed_variance,
     smoothed_variance_via_gram,
 )
+from bootsmooth.smoothing import _map_tasks
 
 
 def small_selector(p, lambda_grid=(0.0, 0.1, 1.0)):
@@ -47,7 +53,6 @@ def handmade_fit(coefficients, responses, mean_vector, distribution, center=None
         coefficients=coefficients,
         model_ids=[1] * B,
         lambdas=np.zeros(B),
-        responses=responses,
         cross_moment=u.T @ c / B,
         ybar_star=ybar,
         mean_vector=np.asarray(mean_vector, dtype=float),
@@ -57,6 +62,35 @@ def handmade_fit(coefficients, responses, mean_vector, distribution, center=None
         seed=0,
         B=B,
     )
+
+
+class TestResamplingDistribution:
+    def test_non_finite_sigma2_rejected(self):
+        for s2 in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="sigma2 must be finite"):
+                ResamplingDistribution(gamma=0.5, sigma2=s2)
+
+
+class TestMapTasks:
+    def test_every_task_runs_once(self):
+        seen = np.zeros(50, dtype=int)
+
+        def bump(i):
+            seen[i] += 1
+
+        for workers in (1, 4):
+            seen[:] = 0
+            _map_tasks(bump, 50, workers)
+            assert seen.tolist() == [1] * 50
+
+    def test_first_failure_in_task_order_is_raised(self):
+        def fail(i):
+            if i in (7, 30):
+                raise ValueError(f"task {i}")
+
+        for workers in (1, 4):
+            with pytest.raises(ValueError, match="task 7"):
+                _map_tasks(fail, 50, workers)
 
 
 class TestResamplingMean:
@@ -141,7 +175,7 @@ class TestPbsFit:
         fit = pbs_fit(data, ResamplingDistribution(gamma=0.3, sigma2=2.0), 150, cfg, seed=2)
         recomputed = sum(rec.coefficients for rec in fit.replicates) / fit.B
         np.testing.assert_allclose(fit.beta_pbs, recomputed, atol=1e-12)
-        ybar = sum(rec.y_star for rec in fit.replicates) / fit.B
+        ybar = sum(redrawn_responses(fit)) / fit.B
         np.testing.assert_allclose(fit.ybar_star, ybar, atol=1e-12)
 
     def test_replicates_match_draw_replicates(self, rng):
@@ -150,7 +184,13 @@ class TestPbsFit:
         dist = ResamplingDistribution(gamma=0.4, sigma2=1.5)
         fit = pbs_fit(data, dist, 40, cfg, seed=13)
         mean = resampling_mean(data, ols_fit(data), 0.4)
-        np.testing.assert_array_equal(fit.responses, draw_replicates(mean, 1.5, 40, 13))
+        np.testing.assert_array_equal(fit.mean_vector, mean)
+        # the sufficient statistics are those of the redrawn responses
+        responses = draw_replicates(mean, 1.5, 40, 13)
+        u = responses - mean[None, :]
+        c = fit.coefficients - fit.center_coefficients[None, :]
+        np.testing.assert_allclose(fit.ybar_star, responses.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(fit.cross_moment, u.T @ c / 40, rtol=1e-10, atol=1e-12)
 
     def test_bitwise_reproducible_and_thread_invariant(self, rng):
         data = make_instance(rng, 12, 4)
@@ -162,22 +202,22 @@ class TestPbsFit:
         for other in fits[1:]:
             np.testing.assert_array_equal(fits[0].beta_pbs, other.beta_pbs)
             np.testing.assert_array_equal(fits[0].coefficients, other.coefficients)
-            np.testing.assert_array_equal(fits[0].responses, other.responses)
+            np.testing.assert_array_equal(fits[0].ybar_star, other.ybar_star)
             np.testing.assert_array_equal(fits[0].cross_moment, other.cross_moment)
             assert fits[0].model_ids == other.model_ids
 
     def test_sufficient_statistics_path_matches(self, rng):
+        # the variance read off the sufficient statistics equals the dense
+        # oracle built from the redrawn responses, at gamma 0, 0.5 and 1
         data = make_instance(rng, 12, 4)
         cfg = small_selector(4)
-        dist = ResamplingDistribution(gamma=0.5, sigma2=2.0)
-        full = pbs_fit(data, dist, 90, cfg, seed=3, store_responses=True)
-        slim = pbs_fit(data, dist, 90, cfg, seed=3, store_responses=False)
-        assert slim.responses is None
-        np.testing.assert_array_equal(full.beta_pbs, slim.beta_pbs)
         x = rng.standard_normal(4)
-        assert smoothed_variance(full, data, x) == pytest.approx(
-            smoothed_variance(slim, data, x), abs=1e-12, rel=1e-9
-        )
+        for gamma in (0.0, 0.5, 1.0):
+            dist = ResamplingDistribution(gamma=gamma, sigma2=2.0)
+            fit = pbs_fit(data, dist, 90, cfg, seed=3)
+            assert smoothed_variance(fit, data, x) == pytest.approx(
+                dense_smoothed_variance(fit, data, x), abs=1e-12, rel=1e-9
+            ), gamma
 
     def test_replicate_fits_match_public_ridge_fit(self, rng):
         # each stored row reproduces ridge_fit at the stored (model, lambda)
@@ -185,9 +225,10 @@ class TestPbsFit:
         cfg = small_selector(4)
         fit = pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=2.0), 20, cfg, seed=33)
         by_id = {c.id: c for c in cfg.candidates}
+        responses = redrawn_responses(fit)
         for b in range(fit.B):
             single = ridge_fit(
-                Dataset(fit.responses[b], data.X),
+                Dataset(responses[b], data.X),
                 by_id[fit.model_ids[b]],
                 float(fit.lambdas[b]),
             )
@@ -207,8 +248,9 @@ class TestPbsFit:
             cv_seed=2,
         )
         fit = pbs_fit(data, ResamplingDistribution(gamma=0.5, sigma2=1.0), 8, cfg, seed=4)
+        responses = redrawn_responses(fit)
         for b in range(fit.B):
-            single = select_fit(Dataset(fit.responses[b], data.X), cfg)
+            single = select_fit(Dataset(responses[b], data.X), cfg)
             assert (fit.model_ids[b], fit.lambdas[b]) == (single.model_id, single.lam)
 
     def test_selection_failure_names_replicate(self, rng):
@@ -329,7 +371,6 @@ class TestSmoothedVariance:
                 16000,
                 sel,
                 seed=5,
-                store_responses=False,
             )
             assert smoothed_variance(fit, data, x_new) == pytest.approx(
                 analytic, rel=0.10

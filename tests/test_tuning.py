@@ -9,6 +9,7 @@ from bootsmooth import (
     CvGrid,
     CvSurface,
     Dataset,
+    NumericalError,
     ResamplingDistribution,
     SelectorConfig,
     SingularDesignError,
@@ -213,6 +214,17 @@ class TestSelectDistribution:
         )
         dist = select_distribution(surface)
         assert (dist.sigma2, dist.gamma) == (1.0, 0.1)
+
+    def test_nan_cell_is_named(self):
+        surface = CvSurface(
+            errors=np.array([[2.0, 1.0], [np.nan, 4.0]]),
+            sigma2_candidates=(0.5, 1.5),
+            gamma_candidates=(0.0, 1.0),
+            folds=[],
+            selected=(0.5, 1.0),
+        )
+        with pytest.raises(NumericalError, match=r"sigma2=1\.5, gamma=0\.0\) is nan"):
+            select_distribution(surface)
 
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(25):
