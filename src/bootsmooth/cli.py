@@ -43,6 +43,37 @@ from .tabular import fmt, write_csv, write_json
 from .tuning import cv_error_surface, select_distribution, write_surface_csv
 
 
+_JSON_TYPES = {
+    "an integer": (int,),
+    "a number": (int, float),
+    "a JSON list": (list,),
+    "a JSON object": (dict,),
+    "true or false": (bool,),
+    "a string or an integer": (str, int),
+    "a string": (str,),
+}
+
+
+def _typed(value, kind: str, name: str):
+    """``value`` when it has the JSON type ``kind``; a bool is not an integer or number."""
+    types = _JSON_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(_typed(value, "a number", name))
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range for a float, got {value}") from None
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    items = enumerate(_typed(value, "a JSON list", name))
+    return tuple(_number(v, f"{name}[{i}]") for i, v in items)
+
+
 def _field(obj: dict, key: str, context: str):
     try:
         return obj[key]
@@ -74,13 +105,12 @@ def _common(cfg: dict, args) -> dict:
     cfg.setdefault("threads", 1)
     cfg.setdefault("alpha", 0.05)
     cfg.setdefault("b", 200)
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
-    if not isinstance(cfg["threads"], int) or cfg["threads"] < 1:
+    _typed(cfg["seed"], "an integer", "seed")
+    if _typed(cfg["threads"], "an integer", "threads") < 1:
         raise ConfigError("threads must be an integer >= 1")
-    if not 0.0 < float(cfg["alpha"]) < 1.0:
+    if not 0.0 < _number(cfg["alpha"], "alpha") < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {cfg['alpha']}")
-    if not isinstance(cfg["b"], int) or cfg["b"] < 1:
+    if _typed(cfg["b"], "an integer", "b") < 1:
         raise ConfigError("b must be an integer >= 1")
     return cfg
 
@@ -98,52 +128,69 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
+def _path(cfg: dict, key: str) -> str:
+    return _typed(_require(cfg, key), "a string", key)
+
+
 def _candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
     raw = cfg.get("candidates")
     if raw is None:
         return (CandidateModel("full", tuple(range(p))),)
     out = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_typed(raw, "a JSON list", "candidates")):
+        name, model_id = f"candidates[{i}]", i
         if isinstance(entry, dict):
-            out.append(
-                CandidateModel(
-                    _field(entry, "id", f"candidates[{i}]"),
-                    tuple(_field(entry, "columns", f"candidates[{i}]")),
-                )
-            )
-        else:
-            out.append(CandidateModel(i, tuple(entry)))
+            model_id = _typed(_field(entry, "id", name), "a string or an integer", f"{name}.id")
+            entry = _field(entry, "columns", name)
+            name += ".columns"
+        columns = _typed(entry, "a JSON list", name)
+        cols = [_typed(c, "an integer", f"{name}[{j}]") for j, c in enumerate(columns)]
+        out.append(CandidateModel(model_id, tuple(cols)))
     return tuple(out)
 
 
-def _selector(cfg: dict, candidates) -> SelectorConfig:
+def _lambda_grid(cfg: dict) -> tuple[float, ...] | None:
     lam = cfg.get("lambda_grid")
-    lam = tuple(default_lambda_grid()) if lam is None else tuple(float(v) for v in lam)
+    return None if lam is None else _numbers(lam, "lambda_grid")
+
+
+def _selector(cfg: dict, candidates) -> SelectorConfig:
+    lam = _lambda_grid(cfg)
     return SelectorConfig(
         candidates=candidates,
-        lambda_grid=lam,
+        lambda_grid=tuple(default_lambda_grid()) if lam is None else lam,
         criterion=cfg.get("criterion", "gcv"),
-        cv_folds=int(cfg.get("criterion_folds", 5)),
+        cv_folds=_typed(cfg.get("criterion_folds", 5), "an integer", "criterion_folds"),
     )
 
 
 def _cv_cfg(cfg: dict) -> dict:
-    cv = dict(cfg.get("cv", {}))
+    cv = dict(_typed(cfg.get("cv", {}), "a JSON object", "cv"))
     cv.setdefault("b_inner", cfg["b"])
-    if not isinstance(cv["b_inner"], int) or cv["b_inner"] < 1:
+    for key in ("k", "sigma2_count", "b_inner"):
+        if key in cv:
+            _typed(cv[key], "an integer", f"cv.{key}")
+    if "refit_ols_per_block" in cv:
+        _typed(cv["refit_ols_per_block"], "true or false", "cv.refit_ols_per_block")
+    for key in ("sigma2_candidates", "gamma_candidates"):
+        if cv.get(key) is not None:
+            cv[key] = _numbers(cv[key], f"cv.{key}")
+    if "sigma2_span" in cv:
+        cv["sigma2_span"] = _number(cv["sigma2_span"], "cv.sigma2_span")
+    if cv["b_inner"] < 1:
         raise ConfigError("cv.b_inner must be an integer >= 1")
     return cv
 
 
 def _load_train_matrix(cfg: dict) -> Dataset:
-    y, X, names = load_matrix_csv(_require(cfg, "train_csv"))
+    y, X, names = load_matrix_csv(_path(cfg, "train_csv"))
     if y is None:
         raise ConfigError("train_csv must carry a leading 'y' column")
     return Dataset(y, X, column_names=names)
 
 
 def _load_targets_matrix(cfg: dict, p: int):
-    y, X, _ = load_matrix_csv(_require(cfg, "targets_csv"))
+    y, X, _ = load_matrix_csv(_path(cfg, "targets_csv"))
     if X.shape[1] != p:
         raise ConfigError(
             f"targets_csv has {X.shape[1]} feature columns, training data has {p}"
@@ -152,9 +199,18 @@ def _load_targets_matrix(cfg: dict, p: int):
     return X, truths
 
 
+def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
+    basis = _typed(cfg.get(key, {"n_basis": default_n_basis}), "a JSON object", key)
+    degree = _typed(basis.get("degree", 3), "an integer", f"{key}.degree")
+    return degree, _typed(_field(basis, "n_basis", key), "an integer", f"{key}.n_basis")
+
+
 def _demand_inputs(cfg: dict):
-    demand = load_demand_csv(_require(cfg, "demand_csv"))
-    temps = load_temperature_csv(_require(cfg, "temperature_csv"))
+    for key in ("criterion", "criterion_folds"):
+        if key in cfg:
+            raise ConfigError(f"'{key}' applies to matrix mode only; demand mode selects by GCV")
+    demand = load_demand_csv(_path(cfg, "demand_csv"))
+    temps = load_temperature_csv(_path(cfg, "temperature_csv"))
     dom = cfg.get("temp_domain")
     auto_domain = dom is None
     if auto_domain:
@@ -163,21 +219,13 @@ def _demand_inputs(cfg: dict):
         if not values:
             raise ConfigError("temperature file holds no rows")
         dom = (min(values) - 0.5, max(values) + 0.5)
-    hb = cfg.get("hour_basis", {"n_basis": 1, "degree": 3})
-    tb = cfg.get("temp_basis", {"n_basis": 6, "degree": 3})
+    elif len(_numbers(dom, "temp_domain")) != 2:
+        raise ConfigError("temp_domain must be [lo, hi]")
     spec = DemandModelSpec(
-        t_lags=int(cfg.get("t_lags", 1)),
-        hour_basis=SplineBasisSpec.uniform_cyclic(
-            int(hb.get("degree", 3)),
-            int(_field(hb, "n_basis", "hour_basis")),
-            0.0,
-            24.0,
-        ),
+        t_lags=_typed(cfg.get("t_lags", 1), "an integer", "t_lags"),
+        hour_basis=SplineBasisSpec.uniform_cyclic(*_basis_ints(cfg, "hour_basis", 1), 0.0, 24.0),
         temp_basis=SplineBasisSpec.uniform(
-            int(tb.get("degree", 3)),
-            int(_field(tb, "n_basis", "temp_basis")),
-            float(dom[0]),
-            float(dom[1]),
+            *_basis_ints(cfg, "temp_basis", 6), float(dom[0]), float(dom[1])
         ),
     )
     if cfg.get("candidates", "structural") == "structural":
@@ -185,7 +233,7 @@ def _demand_inputs(cfg: dict):
     else:
         candidates = _candidates(cfg, spec.p)
     targets = _demand_targets(cfg)
-    window = int(cfg.get("window_days", 15))
+    window = _typed(cfg.get("window_days", 15), "an integer", "window_days")
     if window < spec.t_lags + 1:
         raise ConfigError(f"window_days must exceed t_lags={spec.t_lags}")
     return demand, temps, spec, candidates, targets, window, auto_domain
@@ -197,11 +245,11 @@ def _demand_targets(cfg: dict) -> list:
     raw = _require(cfg, "targets")
     pairs = []
     if isinstance(raw, dict):
-        for d in _field(raw, "dates", "targets"):
-            for h in _field(raw, "hours", "targets"):
+        for d in _typed(_field(raw, "dates", "targets"), "a JSON list", "targets.dates"):
+            for h in _typed(_field(raw, "hours", "targets"), "a JSON list", "targets.hours"):
                 pairs.append((d, h))
     else:
-        for i, entry in enumerate(raw):
+        for i, entry in enumerate(_typed(raw, "a JSON list", "targets")):
             pairs.append(
                 (_field(entry, "date", f"targets[{i}]"), _field(entry, "hour", f"targets[{i}]"))
             )
@@ -211,8 +259,7 @@ def _demand_targets(cfg: dict) -> list:
             day = _dt.date.fromisoformat(str(d))
         except ValueError:
             raise ConfigError(f"bad target date {d!r}") from None
-        h = int(h)
-        if not 1 <= h <= 24:
+        if not 1 <= _typed(h, "an integer", "target hour") <= 24:
             raise ConfigError(f"target hour must be in 1..24, got {h}")
         out.append((day, h))
     if not out:
@@ -257,7 +304,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> int:
             targets,
             window,
             candidates,
-            cfg.get("lambda_grid"),
+            _lambda_grid(cfg),
             _cv_cfg(cfg),
             cfg["b"],
             float(cfg["alpha"]),
@@ -277,8 +324,8 @@ def cmd_predict(cfg: dict, outdir: Path) -> int:
     mode = _mode(cfg)
     dist_cfg = _require(cfg, "distribution")
     dist = ResamplingDistribution(
-        gamma=float(_field(dist_cfg, "gamma", "distribution")),
-        sigma2=float(_field(dist_cfg, "sigma2", "distribution")),
+        gamma=_number(_field(dist_cfg, "gamma", "distribution"), "distribution.gamma"),
+        sigma2=_number(_field(dist_cfg, "sigma2", "distribution"), "distribution.sigma2"),
     )
     if mode == "matrix":
         data = _load_train_matrix(cfg)
@@ -304,7 +351,7 @@ def cmd_predict(cfg: dict, outdir: Path) -> int:
             targets,
             window,
             candidates,
-            cfg.get("lambda_grid"),
+            _lambda_grid(cfg),
             None,
             cfg["b"],
             float(cfg["alpha"]),
@@ -356,10 +403,10 @@ def cmd_select_dist(cfg: dict, outdir: Path) -> int:
 def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
     if _mode(cfg) != "matrix":
         raise ConfigError("sweep-sigma runs on matrix-mode data")
-    sweep = [float(v) for v in _require(cfg, "sigma2_sweep")]
+    sweep = _numbers(_require(cfg, "sigma2_sweep"), "sigma2_sweep")
     if not sweep:
         raise ConfigError("sigma2_sweep must be nonempty")
-    gamma = float(_require(cfg, "gamma"))
+    gamma = _number(_require(cfg, "gamma"), "gamma")
     data = _load_train_matrix(cfg)
     x_targets, truths = _load_targets_matrix(cfg, data.p)
     selector = _selector(cfg, _candidates(cfg, data.p))
@@ -398,21 +445,16 @@ def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_simulate(cfg: dict, outdir: Path) -> int:
-    study_cfg = dict(cfg.get("study", {}))
+    study_cfg = _typed(cfg.get("study", {}), "a JSON object", "study")
+    ints = {"n": 30, "true_model_j": 2, "reps": 100, "b": cfg["b"]}
+    kwargs = {k: _typed(study_cfg.get(k, v), "an integer", f"study.{k}") for k, v in ints.items()}
+    for key in ("sigma2_sweep", "gamma_sweep", "lambda_grid"):
+        if study_cfg.get(key) is not None:
+            kwargs[key] = _numbers(study_cfg[key], f"study.{key}")
     study = StudyConfig(
-        n=int(study_cfg.get("n", 30)),
-        true_model_j=int(study_cfg.get("true_model_j", 2)),
-        noise_sd=float(study_cfg.get("noise_sd", 5.0)),
-        reps=int(study_cfg.get("reps", 100)),
-        b=int(study_cfg.get("b", cfg["b"])),
-        sigma2_sweep=tuple(study_cfg["sigma2_sweep"])
-        if "sigma2_sweep" in study_cfg
-        else StudyConfig().sigma2_sweep,
-        gamma_sweep=tuple(study_cfg["gamma_sweep"])
-        if "gamma_sweep" in study_cfg
-        else StudyConfig().gamma_sweep,
-        lambda_grid=tuple(study_cfg["lambda_grid"]) if "lambda_grid" in study_cfg else None,
+        noise_sd=_number(study_cfg.get("noise_sd", 5.0), "study.noise_sd"),
         master_seed=cfg["seed"],
+        **kwargs,
     )
     result = run_study(study, threads=cfg["threads"])
     mse_path, freq_path = write_study_csvs(result, outdir)
@@ -428,7 +470,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> int:
         "mse_csv": mse_path.name,
         "freq_csv": freq_path.name,
     }
-    if cfg.get("svg"):
+    if _typed(cfg.get("svg", False), "true or false", "svg"):
         svg_path = outdir / "study_mse.svg"
         render_mse_svg(result, svg_path)
         summary["svg"] = svg_path.name

@@ -1,15 +1,15 @@
 """Linear-model estimation and joint (model, ridge penalty) selection.
 
 OLS, ridge and GCV all run through one SVD workspace per candidate submatrix,
-so scoring a single response vector and scoring a whole block of bootstrap
-response vectors follow identical arithmetic.  ``select_fit`` minimises the
+built once per dataset, so scoring one response vector and a whole block of
+bootstrap responses follow identical arithmetic.  ``select_fit`` minimises the
 configured criterion over every (candidate, lambda) pair with a deterministic
 tie-break: fewer columns first, then smaller lambda, then lower model id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,17 +37,18 @@ class Dataset:
     """Response vector ``y`` (length n) and design matrix ``X`` (n x p).
 
     Entries must be finite and the row count of ``X`` must equal the length
-    of ``y``.  Instances are immutable value objects shared freely across
-    threads.
+    of ``y``.  ``y`` and ``X`` are read-only copies of the caller's arrays;
+    instances and the workspaces they memoise are shared freely across threads.
     """
 
     y: np.ndarray
     X: np.ndarray
     column_names: tuple[str, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        X = np.asarray(self.X, dtype=float)
+        y = np.array(self.y, dtype=float, ndmin=1)
+        X = np.array(self.X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
         if y.ndim != 1:
@@ -61,6 +62,8 @@ class Dataset:
             raise ValueError("y contains non-finite entries")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite entries")
+        y.setflags(write=False)
+        X.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         if self.column_names is not None:
@@ -76,6 +79,10 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    def _derived(self, key, build):
+        """``build()`` memoised under ``key``; racing threads get the first one stored."""
+        return self._memo[key] if key in self._memo else self._memo.setdefault(key, build())
 
 
 @dataclass(frozen=True)
@@ -124,7 +131,7 @@ class SelectorConfig:
         grid = tuple(float(l) for l in self.lambda_grid)
         if len(grid) == 0:
             raise ValueError("lambda_grid must be nonempty")
-        if any(l < 0 for l in grid):
+        if any(not l >= 0 for l in grid):
             raise ValueError("lambda_grid entries must be >= 0")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be sorted ascending")
@@ -187,7 +194,9 @@ class _DesignScorer:
             raise ValueError(
                 f"model {model.id!r}: column index {int(cols.max())} out of range for p={data.p}"
             )
-        return cls(data.X[:, cols], model, cols)
+        # the id's type is part of the key: 1, 1.0 and True are equal ids
+        key = ("scorer", type(model.id), model)
+        return data._derived(key, lambda: cls(data.X[:, cols], model, cols))
 
     def require_full_rank(self, context: str) -> None:
         if self.n < self.k:
@@ -206,26 +215,28 @@ class _DesignScorer:
         f = self.s / (self.s2 + lam)
         return self.V @ (f[:, None] * (self.U.T @ Y))
 
-    def gcv_prep(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column sufficient statistics for GCV at any lambda."""
+    def lambda_table(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """GCV weights ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,) and validity (L,).
+
+        ``d = s^2 / (s^2 + lam)`` over the r = min(n, k) singular values is
+        exactly 1 at lambda = 0.  A lambda is scoreable when the trace exceeds
+        ``n * _TRACE_EPS`` and, at lambda = 0, the design has full column rank.
+        """
+        lam = np.asarray(grid, dtype=float)[:, None]
+        d = np.divide(self.s2, self.s2 + lam, out=np.ones((len(lam), self.s2.size)), where=lam > 0)
+        denom = self.n - d.sum(axis=1)
+        valid = (denom > self.n * _TRACE_EPS) & ((lam[:, 0] > 0.0) | self.full_rank)
+        return (1.0 - d) ** 2, denom, valid
+
+    def gcv_scores(self, Y: np.ndarray, w, denom, valid) -> np.ndarray:
+        """GCV ``n RSS / tr(I - H)^2`` per lambda-table row; (L, B), +inf where invalid."""
         UtY = self.U.T @ Y
         sq = UtY * UtY
         perp = np.einsum("ij,ij->j", Y, Y) - sq.sum(axis=0)
         np.maximum(perp, 0.0, out=perp)
-        return sq, perp
-
-    def gcv_from_prep(self, sq: np.ndarray, perp: np.ndarray, lam: float) -> np.ndarray:
-        """GCV scores ``n RSS(lam) / tr(I - H(lam))^2`` per response column."""
-        d = self.s2 / (self.s2 + lam)
-        denom = self.n - float(d.sum())
-        if denom <= self.n * _TRACE_EPS:
-            raise DegenerateScoreError(
-                f"model {self.model.id!r} at lambda={lam:g}: tr(I - H) = {denom:.3e} "
-                "leaves no residual degrees of freedom"
-            )
-        w = (1.0 - d) ** 2
-        rss = w @ sq + perp
-        return self.n * rss / (denom * denom)
+        out = np.full((len(denom), Y.shape[1]), np.inf)
+        out[valid] = self.n * (w[valid] @ sq + perp) / (denom * denom)[valid, None]
+        return out
 
     def fit(self, data: Dataset, lam: float) -> FitResult:
         """Ridge fit of ``data.y``, embedded in the full p-space."""
@@ -259,6 +270,12 @@ def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndar
     return blocks
 
 
+def _training_block(data: Dataset, folds: list[np.ndarray], held: int) -> Dataset:
+    """Rows outside fold ``held``, memoised on ``data`` (kept for its lifetime)."""
+    rows = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != held]))
+    return data._derived(("rows", rows.tobytes()), lambda: Dataset(data.y[rows], data.X[rows]))
+
+
 def _id_key(model_id) -> tuple:
     # ints and strings both order deterministically without cross-type compares
     if isinstance(model_id, bool):
@@ -280,26 +297,20 @@ class _PairSelector:
         self.data = data
         self.config = config
         self.scorers = [_DesignScorer.for_data(data, m) for m in config.candidates]
-        pairs = []
-        for si, sc in enumerate(self.scorers):
-            for lam in config.lambda_grid:
-                pairs.append((sc.k, float(lam), _id_key(sc.model.id), si))
-        pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-        self.pair_scorer_index = np.array([t[3] for t in pairs], dtype=int)
-        self.pair_lambda = np.array([t[1] for t in pairs], dtype=float)
-        self.n_pairs = len(pairs)
-        self.pair_valid = np.ones(self.n_pairs, dtype=bool)
-        for pi in range(self.n_pairs):
-            sc = self.scorers[self.pair_scorer_index[pi]]
-            lam = self.pair_lambda[pi]
-            if lam == 0.0 and not sc.full_rank:
-                self.pair_valid[pi] = False
-                continue
-            d = sc.s2 / (sc.s2 + lam) if lam > 0.0 else np.ones_like(sc.s2)
-            if sc.n - float(d.sum()) <= sc.n * _TRACE_EPS:
-                self.pair_valid[pi] = False
+        grid = config.lambda_grid
+        self.tables = [sc.lambda_table(grid) for sc in self.scorers]
+        # ``order`` stably sorts row si * L + li (candidate si, lambda li) into tie-break order
+        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in self.scorers for lam in grid]
+        self.order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+        self.pair_scorer_index, lam_index = np.divmod(self.order, len(grid))
+        self.pair_lambda = np.asarray(grid)[lam_index]
         if self.config.criterion == "kfold":
             self._build_fold_workspaces()
+
+    @classmethod
+    def for_data(cls, data: Dataset, config: SelectorConfig) -> "_PairSelector":
+        key = ("selector", tuple(type(m.id) for m in config.candidates), config)
+        return data._derived(key, lambda: cls(data, config))
 
     def _build_fold_workspaces(self):
         n = self.data.n
@@ -314,21 +325,12 @@ class _PairSelector:
             self._fold_ws.append(ws)
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
-        """Score matrix (n_pairs, B) in tie-break order; invalid pairs +inf."""
-        out = np.full((self.n_pairs, Y.shape[1]), np.inf)
+        """Score matrix (pairs, B) in tie-break order; invalid pairs +inf."""
         if self.config.criterion == "gcv":
-            preps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for pi in range(self.n_pairs):
-                if not self.pair_valid[pi]:
-                    continue
-                si = int(self.pair_scorer_index[pi])
-                sc = self.scorers[si]
-                if si not in preps:
-                    preps[si] = sc.gcv_prep(Y)
-                sq, perp = preps[si]
-                out[pi] = sc.gcv_from_prep(sq, perp, self.pair_lambda[pi])
-            return out
-        for pi in range(self.n_pairs):
+            blocks = [sc.gcv_scores(Y, *t) for sc, t in zip(self.scorers, self.tables)]
+            return np.vstack(blocks)[self.order]
+        out = np.full((len(self.order), Y.shape[1]), np.inf)
+        for pi in range(len(self.order)):
             si = int(self.pair_scorer_index[pi])
             lam = self.pair_lambda[pi]
             err = np.zeros(Y.shape[1])
@@ -366,10 +368,6 @@ class _PairSelector:
             beta = sc.coef_block(Y[:, cols_b], self.pair_lambda[pi])
             out[np.ix_(sc.columns, cols_b)] = beta
         return out
-
-    def pair_info(self, pair_idx: int) -> tuple[object, float]:
-        sc = self.scorers[int(self.pair_scorer_index[pair_idx])]
-        return sc.model.id, float(self.pair_lambda[pair_idx])
 
     def fit_result(self, pair_idx: int) -> FitResult:
         sc = self.scorers[int(self.pair_scorer_index[pair_idx])]
@@ -431,8 +429,13 @@ def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
     sc = _DesignScorer.for_data(data, model)
     if lam == 0.0:
         sc.require_full_rank("gcv_score at lambda=0")
-    sq, perp = sc.gcv_prep(data.y[:, None])
-    return float(sc.gcv_from_prep(sq, perp, lam)[0])
+    w, denom, valid = sc.lambda_table((lam,))
+    if not valid[0]:
+        raise DegenerateScoreError(
+            f"model {model.id!r} at lambda={lam:g}: tr(I - H) = {denom[0]:.3e} "
+            "leaves no residual degrees of freedom"
+        )
+    return float(sc.gcv_scores(data.y[:, None], w, denom, valid)[0, 0])
 
 
 def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
@@ -443,7 +446,7 @@ def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
     raised.  Ties break toward fewer columns, then smaller lambda, then lower
     model id.
     """
-    sel = _PairSelector(data, config)
+    sel = _PairSelector.for_data(data, config)
     idx = int(sel.best_index(data.y[:, None])[0])
     return sel.fit_result(idx)
 

@@ -246,7 +246,7 @@ def pbs_fit(
         raise ValueError(f"mean_coefficients must have shape ({data.p},)")
     mean = _mix_mean(data, base, dist.gamma)
     sd = float(np.sqrt(dist.sigma2))
-    sel = _PairSelector(data, selector)
+    sel = _PairSelector.for_data(data, selector)
 
     n, p = data.n, data.p
     bounds = [(lo, min(lo + REPLICATE_CHUNK, B)) for lo in range(0, B, REPLICATE_CHUNK)]
@@ -262,10 +262,8 @@ def pbs_fit(
         idx = sel.best_index(Y, offset=lo)
         C = sel.coefficients_block(idx, Y)
         coeffs[lo:hi] = C.T
-        for t, pi in enumerate(idx):
-            mid, lam = sel.pair_info(int(pi))
-            model_ids[lo + t] = mid
-            lambdas[lo + t] = lam
+        model_ids[lo:hi] = [sel.scorers[si].model.id for si in sel.pair_scorer_index[idx]]
+        lambdas[lo:hi] = sel.pair_lambda[idx]
         u = Y - mean[:, None]
         c = C - base[:, None]
         ysum_parts[ci] = Y.sum(axis=1)

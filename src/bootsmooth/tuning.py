@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, SingularDesignError
 from .rng import derive_seed
-from .selection import Dataset, SelectorConfig, kfold_split, ols_fit, unbiased_variance
+from .selection import Dataset, SelectorConfig, _training_block, kfold_split, ols_fit, unbiased_variance
 from .smoothing import ResamplingDistribution, _map_tasks, pbs_fit
 from .tabular import fmt, parse_float, read_csv, write_csv
 
@@ -91,8 +91,7 @@ def cv_cell_error(
     derived seed.
     """
     held = folds[fold_index]
-    train = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != fold_index]))
-    train_data = Dataset(data.y[train], data.X[train])
+    train_data = _training_block(data, folds, fold_index)
     try:
         fit = pbs_fit(
             train_data,

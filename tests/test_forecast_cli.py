@@ -371,6 +371,40 @@ class TestDemandCommand:
             code = main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
             assert code == 2, bad
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    @pytest.mark.parametrize("key, value", [("criterion", "kfold"), ("criterion_folds", 3)])
+    def test_matrix_only_keys_are_refused(self, tmp_path, capsys, command, key, value):
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+        cfg = {
+            "mode": "demand",
+            "demand_csv": str(dpath),
+            "temperature_csv": str(tpath),
+            "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+            "distribution": {"sigma2": 4.0, "gamma": 0.5},
+            key: value,
+        }
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: '{key}' applies to matrix mode only")
+        assert err.count("\n") == 1
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("demand_csv", None), ("temperature_csv", 0)])
+    def test_non_string_paths_are_refused(self, tmp_path, capsys, key, value):
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+        cfg = {
+            "mode": "demand",
+            "demand_csv": str(dpath),
+            "temperature_csv": str(tpath),
+            "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+            key: value,
+        }
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be a string, got {json.dumps(value)}\n"
+
     def test_select_dist_rejects_demand_mode(self, tmp_path):
         cfg = {"mode": "demand", "demand_csv": "x.csv", "temperature_csv": "t.csv"}
         assert main(["select-dist", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
@@ -480,8 +514,29 @@ class TestExitCodes:
             ("fit", {"candidates": [[0, 3]]}),
             ("sweep-sigma", {"sigma2_sweep": [1, "x"], "gamma": 1.0}),
             ("fit", {"seed": -1}),
+            ("fit", {"cv": 5}),
+            ("fit", {"lambda_grid": 5}),
+            ("fit", {"candidates": [1, 2]}),
+            ("fit", {"alpha": None}),
+            ("fit", {"criterion_folds": [3]}),
+            ("fit", {"b": True}),
+            ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "gamma_candidates": 0.5}}),
+            ("fit", {"seed": True}),
+            ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "refit_ols_per_block": "false"}}),
+            ("fit", {"cv": {"k": 2.7, "sigma2_candidates": [1.0]}}),
+            ("fit", {"lambda_grid": [0, float("nan")]}),
+            ("fit", {"lambda_grid": [0, 10**400]}),
+            ("fit", {"candidates": [{"id": [1], "columns": [0]}]}),
+            ("fit", {"train_csv": None}),
+            ("predict", {"targets_csv": 0, "distribution": {"sigma2": 1.0, "gamma": 1.0}}),
         ],
-        ids=["lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed"],
+        ids=[
+            "lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed",
+            "cv_number", "lambda_grid_number", "candidate_number", "alpha_null",
+            "criterion_folds_list", "b_bool", "gamma_candidates_number", "seed_bool",
+            "refit_string", "cv_k_float", "lambda_nan", "lambda_overflow",
+            "candidate_id_list", "train_csv_null", "targets_csv_int",
+        ],
     )
     def test_bad_values_exit_2_with_one_line(
         self, tmp_path, matrix_files, capsys, command, override

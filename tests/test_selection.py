@@ -19,6 +19,7 @@ from bootsmooth import (
     select_fit,
     unbiased_variance,
 )
+from bootsmooth.selection import _id_key, _PairSelector
 
 
 class TestDataset:
@@ -31,6 +32,16 @@ class TestDataset:
             Dataset(np.array([1.0, np.nan]), np.ones((2, 1)))
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.ones(2), np.array([[1.0], [np.inf]]))
+
+    def test_arrays_are_read_only_copies(self):
+        y, X = np.ones(3), np.eye(3)
+        data = Dataset(y, X)
+        with pytest.raises(ValueError, match="read-only"):
+            data.X[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.y[0] = 2.0
+        X[0, 0] = y[0] = 5.0  # the caller's arrays stay writable
+        assert data.X[0, 0] == 1.0 and data.y[0] == 1.0
 
     def test_candidate_validation(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -267,6 +278,75 @@ class TestSelectFit:
                 candidates=(CandidateModel("m", (0,)), CandidateModel("m", (1,))),
                 lambda_grid=(0.0,),
             )
+
+
+class TestPairScores:
+    # A repeated lambda and two candidates with identical columns but
+    # different ids: every (candidate, lambda) row needs its own score.
+    CANDIDATES = (
+        CandidateModel("b", (0, 1)),
+        CandidateModel(7, (0, 1, 2, 3)),
+        CandidateModel("a", (0, 1)),
+    )
+    GRID = (0.0, 0.5, 0.5, 3.0)
+
+    def test_every_row_equals_gcv_score(self, rng):
+        data = make_instance(rng, 10, 4)
+        sel = _PairSelector(data, SelectorConfig(candidates=self.CANDIDATES, lambda_grid=self.GRID))
+        scores = sel.scores(np.column_stack([data.y, 2.0 * data.y]))
+        rows = sorted(
+            (int(si), float(lam)) for si, lam in zip(sel.pair_scorer_index, sel.pair_lambda)
+        )
+        assert rows == sorted((si, lam) for si in range(3) for lam in self.GRID)
+        for row, (si, lam) in enumerate(zip(sel.pair_scorer_index, sel.pair_lambda)):
+            expected = gcv_score(data, self.CANDIDATES[si], lam)
+            assert scores[row, 0] == pytest.approx(expected, rel=1e-12), row
+            assert scores[row, 1] == pytest.approx(4.0 * expected, rel=1e-12), row
+        keys = [
+            (len(self.CANDIDATES[si].columns), lam, _id_key(self.CANDIDATES[si].id))
+            for si, lam in zip(sel.pair_scorer_index, sel.pair_lambda)
+        ]
+        assert keys == sorted(keys)
+
+    def test_select_fit_follows_the_tie_break(self, rng):
+        for _ in range(10):
+            data = make_instance(rng, 10, 4)
+            cfg = SelectorConfig(candidates=self.CANDIDATES, lambda_grid=self.GRID)
+            fit = select_fit(data, cfg)
+            assert fit.model_id != "b"  # "a" scores identically and sorts first
+            assert (fit.model_id, fit.lam) == brute_force_select(data, cfg)
+
+    def test_equal_ids_of_other_types_keep_their_own_workspaces(self, rng):
+        data = make_instance(rng, 10, 2)
+        for model_id in (1, 1.0, True):
+            cfg = SelectorConfig((CandidateModel(model_id, (0, 1)),), (0.5,))
+            assert type(select_fit(data, cfg).model_id) is type(model_id)
+
+    def test_unscoreable_rows_are_infinite(self):
+        # n = k = 2: lambda = 0 saturates; lambda > 0 leaves a positive trace
+        data = Dataset(np.array([1.0, 2.0]), np.eye(2))
+        cfg = SelectorConfig(candidates=(CandidateModel("m", (0, 1)),), lambda_grid=(0.0, 1.0))
+        scores = _PairSelector(data, cfg).scores(data.y[:, None])[:, 0]
+        assert scores[0] == np.inf
+        assert scores[1] == pytest.approx(gcv_score(data, cfg.candidates[0], 1.0), rel=1e-12)
+
+    def test_wide_candidate_scores_at_positive_lambda(self, rng):
+        # n = 3 rows, k = 5 columns: three singular values, no lambda = 0 fit
+        data = make_instance(rng, 3, 5)
+        wide, narrow = CandidateModel("w", tuple(range(5))), CandidateModel("n", (0, 1))
+        cfg = SelectorConfig(candidates=(wide, narrow), lambda_grid=(0.0, 0.5, 3.0))
+        for lam in (0.5, 3.0):
+            assert gcv_score(data, wide, lam) == pytest.approx(dense_gcv(data, wide, lam), rel=1e-9)
+        with pytest.raises(SingularDesignError):
+            gcv_score(data, wide, 0.0)
+        sel = _PairSelector(data, cfg)
+        scores = sel.scores(data.y[:, None])[:, 0]
+        for row, (si, lam) in enumerate(zip(sel.pair_scorer_index, sel.pair_lambda)):
+            if si == 0:
+                expected = np.inf if lam == 0.0 else gcv_score(data, wide, lam)
+                assert scores[row] == pytest.approx(expected, rel=1e-12), row
+        fit = select_fit(data, cfg)
+        assert (fit.model_id, fit.lam) == brute_force_select(data, cfg)
 
 
 class TestRidgePredictionVariance:

@@ -1,5 +1,8 @@
 """Cross-validated resampling-distribution selection."""
 
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 from conftest import make_instance
@@ -164,6 +167,33 @@ class TestCvSurface:
         b = cv_error_surface(data, grid, selector, threads=4)
         np.testing.assert_array_equal(a.errors, b.errors)
         assert a.selected == b.selected
+
+    def test_shared_workspaces_under_thread_contention(self, rng):
+        # More threads than cores, switching every microsecond, all building
+        # the same fold workspaces of one fresh Dataset at once.
+        data = make_instance(rng, 15, 3)
+        selector = selector_for(3)
+        folds = kfold_split(data.n, 3, seed=4)
+        dist = ResamplingDistribution(gamma=0.5, sigma2=2.0)
+
+        def cell(d, c):
+            return cv_cell_error(d, folds, c % 3, dist, 20, selector, seed=c % 3)
+
+        serial = [cell(Dataset(data.y, data.X), c) for c in range(3)]
+        shared = Dataset(data.y, data.X)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(cell, shared, c) for c in range(24)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[c % 3] for c in range(24)]
+        # one memoised training block per fold, each with one selector
+        blocks = [v for key, v in shared._memo.items() if key[0] == "rows"]
+        assert len(blocks) == 3
+        assert all(sum(key[0] == "selector" for key in b._memo) == 1 for b in blocks)
 
     def test_rank_failure_names_fold(self, rng):
         # 6 rows, 5 columns: dropping a fold of 2 leaves 4 rows < 5 columns
