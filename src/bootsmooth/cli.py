@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, IngestionError, NumericalError
 from .forecast import (
     ForecastReport,
@@ -515,7 +517,10 @@ def main(argv=None) -> int:
         cfg = _common(_load_config(args.config), args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir)
+        # Floating-point warnings would land on stderr ahead of the one-line
+        # message; a non-finite result is refused where it leaves the engine.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, outdir)
     except (ConfigError, ValueError) as exc:
         # library constructors validate config values by raising ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError, IngestionError, NumericalError
 from .rng import derive_seed
@@ -33,6 +32,7 @@ from .smoothing import (
     pbs_fit,
     residual_variance_pbs,
     smoothed_variances,
+    two_sided_z,
 )
 from .splines import (
     DemandModelSpec,
@@ -180,10 +180,10 @@ def evaluate_fixed_distribution(
     ``upper``, ``ridge_prediction``, ``ridge_lower``, ``ridge_upper``.
     Raises ``NumericalError`` when any of them is not finite.
     """
+    z = two_sided_z(alpha)
     x_targets = np.atleast_2d(np.asarray(x_targets, dtype=float))
     fit = pbs_fit(data, dist, b, selector, eval_seed, threads=threads)
     rvar = residual_variance_pbs(fit, data)
-    z = float(norm.ppf(1.0 - alpha / 2.0))
     sv = smoothed_variances(fit, data, x_targets)
     pred = x_targets @ fit.beta_pbs
     hw = z * np.sqrt(sv + rvar)

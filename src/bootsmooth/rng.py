@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy loads its random module lazily; every command draws, so load it with
+# the package rather than inside the first draw.
+import numpy.random
+
 
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     """Seed sequence for the stream addressed by ``(seed, path)``."""

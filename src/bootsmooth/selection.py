@@ -362,7 +362,7 @@ class _PairSelector:
     def coefficients_block(self, pair_idx: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Full-p coefficient columns for per-column selected pairs; (p, B)."""
         out = np.zeros((self.data.p, Y.shape[1]))
-        for pi in np.unique(pair_idx):
+        for pi in np.flatnonzero(np.bincount(pair_idx)):
             cols_b = np.nonzero(pair_idx == pi)[0]
             sc = self.scorers[int(self.pair_scorer_index[pi])]
             beta = sc.coef_block(Y[:, cols_b], self.pair_lambda[pi])

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
 from .rng import derive_seed, generator
 from .selection import (
     CandidateModel,
@@ -186,13 +187,24 @@ def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
 
     _map_tasks(run_rep, config.reps, threads)
 
-    return StudyResult(
+    result = StudyResult(
         sigma2_sweep=config.sigma2_sweep,
         gamma_sweep=config.gamma_sweep,
         mse=sq_err.mean(axis=0),
         selection_freq=freqs.mean(axis=0),
         ridge_baseline_mse=float(base_err.mean()),
     )
+    if not np.isfinite(result.ridge_baseline_mse):
+        raise NumericalError(f"ridge baseline MSE is {result.ridge_baseline_mse}")
+    for key, values in (("MSE", result.mse), ("selection share", result.selection_freq)):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0][:2]
+            raise NumericalError(
+                f"{key} is {values[tuple(bad[0])]} at "
+                f"sigma2={config.sigma2_sweep[i]!r}, gamma={config.gamma_sweep[j]!r}"
+            )
+    return result
 
 
 def write_study_csvs(result: StudyResult, out_dir: str | Path) -> tuple[Path, Path]:

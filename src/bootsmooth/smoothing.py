@@ -14,11 +14,12 @@ the worker count, so serial and threaded runs produce bit-identical results.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import os
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DegreesOfFreedomError, NumericalError
 from .rng import generator
@@ -190,7 +191,8 @@ def _map_tasks(fn, n_tasks: int, workers: int) -> None:
     Tasks deposit their results by index, so the output never depends on
     the schedule.  The pool is capped at the task and CPU counts, and every
     future is read, so a task's exception reaches the caller: the first in
-    task order, as in a serial run.
+    task order, as in a serial run.  Each task runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in the workers.
     """
     workers = min(workers, n_tasks, os.cpu_count() or 1)
     if workers <= 1:
@@ -198,7 +200,7 @@ def _map_tasks(fn, n_tasks: int, workers: int) -> None:
             fn(i)
         return
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i) for i in range(n_tasks)]
+        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n_tasks)]
     for fut in futures:
         fut.result()
 
@@ -391,6 +393,19 @@ def residual_variance_pbs(fit: PbsFit, data: Dataset) -> float:
     return float(r @ r) / (data.n - data.p)
 
 
+def two_sided_z(alpha: float) -> float:
+    """Standard-normal quantile ``z_{alpha/2}``, the upper ``alpha/2`` point.
+
+    Taken from the lower tail, ``-Phi^{-1}(alpha/2)``: ``alpha/2`` is exact,
+    while rounding ``1 - alpha/2`` would cost relative accuracy in ``z`` as
+    ``alpha`` gets small (about 3e-12 at ``alpha = 1e-6``).
+    """
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return -NormalDist().inv_cdf(alpha / 2.0)
+
+
 def prediction_interval(
     fit: PbsFit, data: Dataset, x_new: np.ndarray, alpha: float
 ) -> PredictionInterval:
@@ -401,16 +416,13 @@ def prediction_interval(
     prediction and the residual component estimates the new observation's
     noise variance.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    z = two_sided_z(alpha)
     x_new = np.asarray(x_new, dtype=float)
     sv = smoothed_variance(fit, data, x_new)
     rv = residual_variance_pbs(fit, data)
-    z = float(norm.ppf(1.0 - alpha / 2.0))
     return PredictionInterval(
         center=pbs_predict(fit, x_new),
         half_width=z * float(np.sqrt(sv + rv)),
-        level=1.0 - alpha,
+        level=1.0 - float(alpha),
         variance_components={"smoothing": sv, "residual": rv},
     )

@@ -2,7 +2,7 @@
 
 Oracles here deliberately avoid the library's solve paths: dense hat
 matrices via explicit inversion, normal-equation solves via explicit
-inverses, and normal quantiles via erf bisection.
+inverses, and normal quantiles via erf and erfc bisection.
 """
 
 from __future__ import annotations
@@ -43,6 +43,22 @@ def z_quantile_bisect(alpha: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if cdf(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def z_upper_tail_bisect(alpha: float) -> float:
+    """z_{alpha/2} by bisection on the upper tail ``erfc(z / sqrt(2)) = alpha``.
+
+    The tail is compared directly, so no ``1 - alpha/2`` is ever rounded and
+    the root stays accurate to a few ulp for small alpha.
+    """
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) > alpha:
             lo = mid
         else:
             hi = mid

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import synth_weekday_demand, write_demand_files
 
+import bootsmooth
 from bootsmooth import (
     CandidateModel,
     Dataset,
@@ -49,6 +54,19 @@ def matrix_files(tmp_path, rng):
     write_matrix_csv(train, X, y)
     write_matrix_csv(targets, Xt, yt)
     return train, targets
+
+
+def run_python(cwd, *args):
+    """Run ``python *args`` with this checkout's package on the path.
+
+    A fresh interpreter shows what a user sees: pytest records warnings
+    instead of printing them, and its own imports fill ``sys.modules``.
+    """
+    src = Path(bootsmooth.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 def base_matrix_config(train, targets):
@@ -157,6 +175,17 @@ class TestFitCommand:
         summary8 = json.loads((out8 / "summary.json").read_text())
         summary1.pop("threads"), summary8.pop("threads")
         assert summary1 == summary8
+
+    def test_fit_does_not_import_scipy(self, tmp_path, matrix_files):
+        cfg_path = write_config(tmp_path, base_matrix_config(*matrix_files))
+        code = (
+            "import sys\n"
+            "import bootsmooth.cli\n"
+            f"code = bootsmooth.cli.main(['fit', '--config', {str(cfg_path)!r}, '--out', 'o'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        proc = run_python(tmp_path, "-c", code)
+        assert (proc.returncode, proc.stdout) == (0, "0 False\n"), proc.stderr
 
 
 class TestPredictCommand:
@@ -555,6 +584,14 @@ class TestExitCodes:
         assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("numerical error: target 0: ")
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("sigma2", [1e306, 1e307])
+    def test_overflow_exits_4_with_one_line(self, tmp_path, sigma2):
+        cfg = {"seed": 0, "study": {"n": 23, "reps": 2, "b": 20, "sigma2_sweep": [sigma2]}}
+        args = ["--config", str(write_config(tmp_path, cfg)), "--threads", "2"]
+        proc = run_python(tmp_path, "-m", "bootsmooth", "simulate", *args, "--out", "o")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numerical error: ") and proc.stderr.count("\n") == 1
 
     def test_bad_alpha_flag(self, tmp_path, matrix_files):
         train, targets = matrix_files

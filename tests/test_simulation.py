@@ -1,10 +1,14 @@
 """Monte Carlo study harness: generators, sweep accumulation, emission."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from bootsmooth import (
     Dataset,
+    NumericalError,
     ResamplingDistribution,
     SelectorConfig,
     StudyConfig,
@@ -19,6 +23,7 @@ from bootsmooth import (
     true_coefficients,
     write_study_csvs,
 )
+from bootsmooth import simulation
 from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
 
 
@@ -148,6 +153,29 @@ class TestRunStudy:
         )
         res = run_study(cfg)
         assert res.freq_at(1.0, 1.0)[3] >= res.freq_at(100.0, 1.0)[3]
+
+    @pytest.mark.parametrize(
+        "name, field, message",
+        [
+            ("pbs_fit", "beta_pbs", "MSE is inf at sigma2=1.0, gamma=0.0"),
+            ("select_fit", "coefficients", "ridge baseline MSE is inf"),
+        ],
+        ids=["mse", "ridge_baseline"],
+    )
+    def test_overflowing_error_raises(self, monkeypatch, name, field, message):
+        original = getattr(simulation, name)
+
+        def huge(*args, **kwargs):
+            fit = original(*args, **kwargs)
+            return dataclasses.replace(fit, **{field: np.full_like(getattr(fit, field), 1e200)})
+
+        monkeypatch.setattr(simulation, name, huge)
+        cfg = StudyConfig(
+            n=23, reps=1, b=10, sigma2_sweep=(1.0,), gamma_sweep=(0.0,), lambda_grid=(0.0, 1.0)
+        )
+        # as under the CLI, which silences floating-point warnings
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=re.escape(message)):
+            run_study(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

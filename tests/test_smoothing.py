@@ -7,6 +7,7 @@ from conftest import (
     make_instance,
     redrawn_responses,
     z_quantile_bisect,
+    z_upper_tail_bisect,
 )
 
 from bootsmooth import (
@@ -29,7 +30,7 @@ from bootsmooth import (
     smoothed_variance,
     smoothed_variance_via_gram,
 )
-from bootsmooth.smoothing import _map_tasks
+from bootsmooth.smoothing import _map_tasks, two_sided_z
 
 
 def small_selector(p, lambda_grid=(0.0, 0.1, 1.0)):
@@ -91,6 +92,16 @@ class TestMapTasks:
         for workers in (1, 4):
             with pytest.raises(ValueError, match="task 7"):
                 _map_tasks(fail, 50, workers)
+
+    def test_workers_keep_the_callers_errstate(self):
+        seen = [None] * 8
+
+        def record(i):
+            seen[i] = np.geterr()["over"]
+
+        with np.errstate(over="ignore"):
+            _map_tasks(record, 8, 4)
+        assert seen == ["ignore"] * 8
 
 
 class TestResamplingMean:
@@ -449,6 +460,16 @@ class TestPredictionInterval:
         assert pi.half_width == pytest.approx(1.959964, abs=1e-5)
         pi50 = prediction_interval(fit, data, np.zeros(1), 0.5)
         assert pi50.half_width == pytest.approx(0.674490, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.1, 0.05, 0.01, 1e-6])
+    def test_z_matches_upper_tail_oracle(self, alpha):
+        oracle = z_upper_tail_bisect(alpha)
+        assert abs(two_sided_z(alpha) - oracle) <= 1e-14 * oracle
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_z_refuses_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            two_sided_z(alpha)
 
     def test_quantile_oracle_on_real_fit(self, rng):
         data = make_instance(rng, 12, 4)

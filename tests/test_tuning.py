@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 from conftest import make_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootsmooth import (
     CandidateModel,
@@ -66,15 +68,21 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(5, 6, seed=0)
 
-    def test_partition_property_random_sizes(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(4, 40))
-            k = int(rng.integers(2, n + 1))
-            folds = kfold_split(n, k, seed=int(rng.integers(0, 1000)))
-            sizes = [len(f) for f in folds]
-            assert max(sizes) - min(sizes) <= 1
-            union = np.sort(np.concatenate(folds))
-            np.testing.assert_array_equal(union, np.arange(n))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(("random", "contiguous")),
+        data=st.data(),
+    )
+    def test_partition_property_random_sizes(self, n, seed, mode, data):
+        k = data.draw(st.integers(2, n))
+        folds = kfold_split(n, k, seed=seed, mode=mode)
+        sizes = [len(f) for f in folds]
+        assert len(folds) == k
+        assert max(sizes) - min(sizes) <= 1
+        # every row is held out exactly once
+        np.testing.assert_array_equal(np.sort(np.concatenate(folds)), np.arange(n))
 
 
 class TestCvSurface:
