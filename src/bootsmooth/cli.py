@@ -287,7 +287,6 @@ def cmd_fit(cfg: dict, outdir: Path) -> int:
             threads=cfg["threads"],
         )
         surface_path = outdir / "surface.csv"
-        write_surface_csv(surface, surface_path)
         report = ForecastReport(
             rows=rows,
             alpha=float(cfg["alpha"]),
@@ -317,8 +316,12 @@ def cmd_fit(cfg: dict, outdir: Path) -> int:
         report = ForecastReport(
             rows=rows, alpha=float(cfg["alpha"]), seed=cfg["seed"], b=cfg["b"], mode=mode
         )
+    # the summary refuses non-finite accuracies, so it is computed before any file is written
+    summary = report_summary(report, "fit", cfg["threads"])
+    if mode == "matrix":
+        write_surface_csv(surface, surface_path)
     write_report_csv(report, outdir / "report.csv")
-    write_json(outdir / "summary.json", report_summary(report, "fit", cfg["threads"]))
+    write_json(outdir / "summary.json", summary)
     return 0
 
 
@@ -370,8 +373,9 @@ def cmd_predict(cfg: dict, outdir: Path) -> int:
         mode=mode,
         selected=(dist.sigma2, dist.gamma),
     )
+    summary = report_summary(report, "predict", cfg["threads"])
     write_report_csv(report, outdir / "report.csv")
-    write_json(outdir / "summary.json", report_summary(report, "predict", cfg["threads"]))
+    write_json(outdir / "summary.json", summary)
     return 0
 
 

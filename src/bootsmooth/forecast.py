@@ -95,36 +95,34 @@ class ForecastReport:
     selected: tuple[float, float] | None = None
     surface_path: str | None = None
 
-    def _with_truth(self) -> list[TargetRow]:
-        return [r for r in self.rows if r.truth is not None]
+    def _mean_over_truth(self, name: str, term) -> float | None:
+        """Mean of ``term(row)`` over rows with a truth; ``NumericalError`` if not finite."""
+        rows = [r for r in self.rows if r.truth is not None]
+        if not rows:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.mean([term(r) for r in rows]))
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} over the targets with a truth is {value}")
+        return value
 
     @property
     def mspe(self) -> float | None:
-        rows = self._with_truth()
-        if not rows:
-            return None
-        return float(np.mean([(r.prediction - r.truth) ** 2 for r in rows]))
+        return self._mean_over_truth("mspe", lambda r: np.square(r.prediction - r.truth))
 
     @property
     def mspe_ridge(self) -> float | None:
-        rows = self._with_truth()
-        if not rows:
-            return None
-        return float(np.mean([(r.ridge_prediction - r.truth) ** 2 for r in rows]))
+        return self._mean_over_truth(
+            "mspe_ridge", lambda r: np.square(r.ridge_prediction - r.truth)
+        )
 
     @property
     def coverage(self) -> float | None:
-        rows = self._with_truth()
-        if not rows:
-            return None
-        return float(np.mean([1.0 if r.covered else 0.0 for r in rows]))
+        return self._mean_over_truth("coverage", lambda r: float(r.covered))
 
     @property
     def coverage_ridge(self) -> float | None:
-        rows = self._with_truth()
-        if not rows:
-            return None
-        return float(np.mean([1.0 if r.ridge_covered else 0.0 for r in rows]))
+        return self._mean_over_truth("coverage_ridge", lambda r: float(r.ridge_covered))
 
 
 def load_matrix_csv(path: str | Path):

@@ -112,7 +112,11 @@ class SelectorConfig:
     """Candidate set, penalty grid and scoring criterion for ``select_fit``.
 
     ``criterion`` is ``"gcv"`` (closed form, default) or ``"kfold"`` (summed
-    squared held-out error over ``cv_folds`` seeded random folds).
+    squared held-out error over ``cv_folds`` seeded random folds).  Both score
+    a candidate's whole lambda grid per product on memoised workspaces, kfold
+    on the training block of each of its folds.  kfold needs at least
+    ``cv_folds`` rows in the dataset it selects on; under CV tuning that
+    dataset is a tuning fold's training block, smaller than the full data.
     """
 
     candidates: tuple[CandidateModel, ...]
@@ -238,6 +242,19 @@ class _DesignScorer:
         out[valid] = self.n * (w[valid] @ sq + perp) / (denom * denom)[valid, None]
         return out
 
+    def heldout_table(self, X_va: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``X_va V`` on this design's columns, ``s / (s^2 + lam)`` (L, r) and validity (L,)."""
+        lam = np.asarray(grid, dtype=float)[:, None]
+        valid = (lam[:, 0] > 0.0) | self.full_rank  # lambda = 0 needs full column rank
+        f = np.zeros((len(lam), self.s.size))
+        np.divide(self.s, self.s2 + lam, out=f, where=valid[:, None])
+        return X_va[:, self.columns] @ self.V, f, valid
+
+    def heldout_errors(self, Y_tr, Y_va, XvaV, f, valid) -> np.ndarray:
+        """Squared ``Y_va`` error of ridge fits to ``Y_tr``; (L, B), +inf where invalid."""
+        resid = Y_va - XvaV @ (f[:, :, None] * (self.U.T @ Y_tr))
+        return np.where(valid[:, None], np.einsum("lij,lij->lj", resid, resid), np.inf)
+
     def fit(self, data: Dataset, lam: float) -> FitResult:
         """Ridge fit of ``data.y``, embedded in the full p-space."""
         coef = np.zeros(data.p)
@@ -298,54 +315,43 @@ class _PairSelector:
         self.config = config
         self.scorers = [_DesignScorer.for_data(data, m) for m in config.candidates]
         grid = config.lambda_grid
-        self.tables = [sc.lambda_table(grid) for sc in self.scorers]
+        if config.criterion == "gcv":
+            self.tables = [sc.lambda_table(grid) for sc in self.scorers]
+        else:
+            if config.cv_folds > data.n:
+                raise ValueError(
+                    f"cv_folds={config.cv_folds} exceeds the {data.n} rows of the dataset it "
+                    "selects on (in CV tuning, a training block smaller than the full data)"
+                )
+            folds = kfold_split(data.n, config.cv_folds, config.cv_seed)
+            self.folds = []  # (training rows, held-out rows, [(workspace, *table)] per candidate)
+            for i, va in enumerate(folds):
+                block = _training_block(data, folds, i)
+                ws = [_DesignScorer.for_data(block, m) for m in config.candidates]
+                tables = [(sc, *sc.heldout_table(data.X[va], grid)) for sc in ws]
+                self.folds.append((np.setdiff1d(np.arange(data.n), va), va, tables))
         # ``order`` stably sorts row si * L + li (candidate si, lambda li) into tie-break order
         keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in self.scorers for lam in grid]
         self.order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
         self.pair_scorer_index, lam_index = np.divmod(self.order, len(grid))
         self.pair_lambda = np.asarray(grid)[lam_index]
-        if self.config.criterion == "kfold":
-            self._build_fold_workspaces()
 
     @classmethod
     def for_data(cls, data: Dataset, config: SelectorConfig) -> "_PairSelector":
         key = ("selector", tuple(type(m.id) for m in config.candidates), config)
         return data._derived(key, lambda: cls(data, config))
 
-    def _build_fold_workspaces(self):
-        n = self.data.n
-        self._fold_ws = []
-        for va in kfold_split(n, self.config.cv_folds, self.config.cv_seed):
-            tr = np.setdiff1d(np.arange(n), va)
-            ws = []
-            for sc in self.scorers:
-                Xtr = self.data.X[np.ix_(tr, sc.columns)]
-                Xva = self.data.X[np.ix_(va, sc.columns)]
-                ws.append((_DesignScorer(Xtr, sc.model, sc.columns), Xva, tr, va))
-            self._fold_ws.append(ws)
-
     def scores(self, Y: np.ndarray) -> np.ndarray:
         """Score matrix (pairs, B) in tie-break order; invalid pairs +inf."""
         if self.config.criterion == "gcv":
             blocks = [sc.gcv_scores(Y, *t) for sc, t in zip(self.scorers, self.tables)]
-            return np.vstack(blocks)[self.order]
-        out = np.full((len(self.order), Y.shape[1]), np.inf)
-        for pi in range(len(self.order)):
-            si = int(self.pair_scorer_index[pi])
-            lam = self.pair_lambda[pi]
-            err = np.zeros(Y.shape[1])
-            ok = True
-            for ws in self._fold_ws:
-                sc_tr, X_va, tr, va = ws[si]
-                if lam == 0.0 and not sc_tr.full_rank:
-                    ok = False
-                    break
-                beta = sc_tr.coef_block(Y[tr], lam)
-                resid = Y[va] - X_va @ beta
-                err += np.einsum("ij,ij->j", resid, resid)
-            if ok:
-                out[pi] = err
-        return out
+        else:
+            # summed over folds; a pair unusable on any fold stays +inf
+            blocks = sum(
+                np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
+                for tr, va, tables in self.folds
+            )
+        return np.vstack(blocks)[self.order]
 
     def best_index(self, Y: np.ndarray, offset: int = 0) -> np.ndarray:
         """Tie-broken argmin pair index per response column."""

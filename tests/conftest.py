@@ -76,6 +76,25 @@ def dense_gcv(data: Dataset, model: CandidateModel, lam: float) -> float:
     return n * float(resid @ resid) / tr**2
 
 
+def dense_kfold_error(data: Dataset, model: CandidateModel, lam: float, folds) -> float:
+    """Summed held-out squared error over ``folds``, each fold solved by explicit inverse.
+
+    +inf when lam = 0 and some fold's training rows leave the columns rank
+    deficient, as no unpenalised fit exists there.
+    """
+    Xj = data.X[:, list(model.columns)]
+    k = Xj.shape[1]
+    err = 0.0
+    for va in folds:
+        tr = np.setdiff1d(np.arange(data.n), va)
+        if lam == 0.0 and np.linalg.matrix_rank(Xj[tr]) < k:
+            return math.inf
+        beta = np.linalg.inv(Xj[tr].T @ Xj[tr] + lam * np.eye(k)) @ Xj[tr].T @ data.y[tr]
+        resid = data.y[va] - Xj[va] @ beta
+        err += float(resid @ resid)
+    return err
+
+
 def brute_force_select(data: Dataset, config: SelectorConfig):
     """Exhaustive (model, lambda) scan with the documented tie-break."""
     best = None

@@ -176,6 +176,38 @@ class TestFitCommand:
         summary1.pop("threads"), summary8.pop("threads")
         assert summary1 == summary8
 
+    def test_kfold_criterion_fit(self, tmp_path, matrix_files):
+        cfg = base_matrix_config(*matrix_files)
+        cfg.update(candidates=[[0], [0, 1], [0, 1, 2]], criterion="kfold", criterion_folds=3)
+        cfg_path = write_config(tmp_path, cfg)
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        assert main(["fit", "--config", str(cfg_path), "--threads", "1", "--out", str(out1)]) == 0
+        assert main(["fit", "--config", str(cfg_path), "--threads", "2", "--out", str(out2)]) == 0
+        rows = read_report(out1 / "report.csv")
+        assert len(rows) == 6
+        for key in ("prediction", "lower", "upper", "ridge_prediction", "ridge_lower", "ridge_upper"):
+            assert all(np.isfinite(float(r[key])) for r in rows), key
+        for name in ("report.csv", "surface.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        summary1 = json.loads((out1 / "summary.json").read_text())
+        summary2 = json.loads((out2 / "summary.json").read_text())
+        summary1.pop("threads"), summary2.pop("threads")
+        assert summary1 == summary2
+
+    def test_kfold_folds_above_a_training_block_exit_2(self, tmp_path, rng, capsys):
+        # 30 rows in cv.k = 5 tuning folds: each training block holds 24 rows
+        X = rng.uniform(-3.0, 3.0, size=(30, 3))
+        train, targets = tmp_path / "train.csv", tmp_path / "targets.csv"
+        write_matrix_csv(train, X, X[:, 0] + rng.standard_normal(30))
+        write_matrix_csv(targets, X[:2])
+        cfg = base_matrix_config(train, targets)
+        cfg.update(criterion="kfold", criterion_folds=30)
+        cfg["cv"] = dict(cfg["cv"], k=5)
+        code = main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cv_folds=30 exceeds the 24 rows") and err.count("\n") == 1
+
     def test_fit_does_not_import_scipy(self, tmp_path, matrix_files):
         cfg_path = write_config(tmp_path, base_matrix_config(*matrix_files))
         code = (
@@ -584,6 +616,26 @@ class TestExitCodes:
         assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("numerical error: target 0: ")
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("fit", {}),
+            ("predict", {"distribution": {"sigma2": 1.0, "gamma": 0.5}}),
+            ("sweep-sigma", {"sigma2_sweep": [1.0], "gamma": 0.5}),
+        ],
+    )
+    def test_overflowing_mspe_exits_4_and_writes_nothing(
+        self, tmp_path, matrix_files, rng, capsys, command, extra
+    ):
+        targets = tmp_path / "huge_truth.csv"
+        write_matrix_csv(targets, rng.uniform(-3.0, 3.0, size=(3, 3)), np.array([1.0, 1e200, -1.0]))
+        cfg = {**base_matrix_config(matrix_files[0], targets), **extra}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: mspe") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("sigma2", [1e306, 1e307])
     def test_overflow_exits_4_with_one_line(self, tmp_path, sigma2):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import brute_force_select, dense_gcv, make_instance
+from conftest import brute_force_select, dense_gcv, dense_kfold_error, make_instance
 
 from bootsmooth import (
     CandidateModel,
@@ -13,6 +13,7 @@ from bootsmooth import (
     SelectorConfig,
     SingularDesignError,
     gcv_score,
+    kfold_split,
     ols_fit,
     ridge_fit,
     ridge_prediction_variance,
@@ -307,6 +308,31 @@ class TestPairScores:
             for si, lam in zip(sel.pair_scorer_index, sel.pair_lambda)
         ]
         assert keys == sorted(keys)
+
+    def test_every_kfold_row_equals_the_dense_oracle(self, rng):
+        # 8 rows in 4 folds leave 6 training rows.  Column 7 is nonzero on row 0
+        # only, so the training block that holds row 0 out has a zero column; the
+        # 7-column candidate has more columns than any training block has rows.
+        X = np.column_stack([rng.uniform(-3.0, 3.0, size=(8, 7)), np.eye(8)[:, 0]])
+        data = Dataset(X[:, :2] @ np.array([1.0, -2.0]) + rng.standard_normal(8), X)
+        candidates = self.CANDIDATES[::2] + (
+            CandidateModel("spike", (0, 7)),
+            CandidateModel("wide", tuple(range(7))),
+        )
+        cfg = SelectorConfig(candidates, self.GRID, criterion="kfold", cv_folds=4, cv_seed=3)
+        Y = np.column_stack([data.y, rng.standard_normal(8)])
+        sel = _PairSelector(data, cfg)
+        scores = sel.scores(Y)
+        folds = kfold_split(8, 4, seed=3)
+        for row, (si, lam) in enumerate(zip(sel.pair_scorer_index, sel.pair_lambda)):
+            for j in range(2):
+                expected = dense_kfold_error(Dataset(Y[:, j], X), candidates[si], lam, folds)
+                assert scores[row, j] == pytest.approx(expected, rel=1e-12), (row, j)
+        rows = zip(sel.pair_scorer_index, sel.pair_lambda, scores[:, 0])
+        at_zero = {candidates[si].id: s for si, lam, s in rows if lam == 0.0}
+        assert at_zero["spike"] == at_zero["wide"] == np.inf
+        assert np.isfinite(at_zero["a"]) and at_zero["a"] == at_zero["b"]
+        assert np.all(np.isfinite(scores[sel.pair_lambda > 0.0]))
 
     def test_select_fit_follows_the_tie_break(self, rng):
         for _ in range(10):

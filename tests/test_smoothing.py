@@ -9,6 +9,8 @@ from conftest import (
     z_quantile_bisect,
     z_upper_tail_bisect,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootsmooth import (
     CandidateModel,
@@ -274,25 +276,25 @@ class TestPbsFit:
 
 
 class TestGammaInvariance:
-    def test_ridge_fits_ignore_gamma_in_the_mean(self, rng):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.sampled_from((0.0, 0.3, 1.0)),
+        lam=st.sampled_from((0.0, 1.0, 100.0)),
+        cols=st.sets(st.integers(0, 5), min_size=1),
+    )
+    def test_ridge_fits_ignore_gamma_in_the_mean(self, seed, gamma, lam, cols):
         # fits from gamma-mixed responses equal fits from y + eps for any submodel
-        for _ in range(30):
-            data = make_instance(rng, 12, 6)
-            beta_ols = ols_fit(data).coefficients
-            eps = rng.standard_normal(12)
-            gamma = float(rng.choice([0.0, 0.3, 1.0]))
-            lam = float(rng.choice([0.0, 1.0, 100.0]))
-            k = int(rng.integers(1, 7))
-            cols = tuple(sorted(rng.choice(6, size=k, replace=False).tolist()))
-            model = CandidateModel("sub", cols)
-            y_star = gamma * (data.X @ beta_ols) + (1.0 - gamma) * data.y + eps
-            fit_star = ridge_fit(Dataset(y_star, data.X), model, lam)
-            fit_plain = ridge_fit(Dataset(data.y + eps, data.X), model, lam)
-            denom = max(np.linalg.norm(fit_plain.coefficients), 1e-12)
-            assert (
-                np.linalg.norm(fit_star.coefficients - fit_plain.coefficients) / denom
-                < 1e-9
-            )
+        rng = np.random.default_rng(seed)
+        data = make_instance(rng, 12, 6)
+        beta_ols = ols_fit(data).coefficients
+        eps = rng.standard_normal(12)
+        model = CandidateModel("sub", tuple(sorted(cols)))
+        y_star = gamma * (data.X @ beta_ols) + (1.0 - gamma) * data.y + eps
+        fit_star = ridge_fit(Dataset(y_star, data.X), model, lam)
+        fit_plain = ridge_fit(Dataset(data.y + eps, data.X), model, lam)
+        denom = max(np.linalg.norm(fit_plain.coefficients), 1e-12)
+        assert np.linalg.norm(fit_star.coefficients - fit_plain.coefficients) / denom < 1e-9
 
 
 class TestPbsPredict:
