@@ -63,14 +63,13 @@ rows = bs.run_demand_fit(
     spec,
     targets,
     window_days=20,
-    candidates=bs.structural_candidates(spec),
-    lambda_grid=(0.0, 0.1, 1.0, 10.0),
-    cv_cfg={
-        "k": 3,
-        "sigma2_candidates": (2.0, 9.0, 36.0),
-        "gamma_candidates": (0.0, 0.5, 1.0),
-        "b_inner": 50,
-    },
+    selector=bs.SelectorConfig(bs.structural_candidates(spec), (0.0, 0.1, 1.0, 10.0)),
+    grid=bs.CvGrid(
+        k=3,
+        sigma2_candidates=(2.0, 9.0, 36.0),
+        gamma_candidates=(0.0, 0.5, 1.0),
+        b_inner=50,
+    ),
     b=200,
     alpha=0.1,
     seed=1,

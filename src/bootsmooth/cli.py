@@ -14,16 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, IngestionError, NumericalError
 from .forecast import (
+    TAG_CV,
     ForecastReport,
     load_matrix_csv,
     report_summary,
-    resolve_cv_grid,
     run_demand_fit,
     run_matrix_eval,
     run_matrix_fit,
@@ -31,7 +32,7 @@ from .forecast import (
     structural_candidates,
     write_report_csv,
 )
-from .selection import CandidateModel, Dataset, SelectorConfig, default_lambda_grid
+from .selection import CandidateModel, Dataset, SelectorConfig
 from .simulation import StudyConfig, render_mse_svg, run_study, write_study_csvs
 from .smoothing import ResamplingDistribution
 from .rng import derive_seed
@@ -41,39 +42,94 @@ from .splines import (
     load_demand_csv,
     load_temperature_csv,
 )
-from .tabular import fmt, write_csv, write_json
-from .tuning import cv_error_surface, select_distribution, write_surface_csv
+from .tabular import fmt, iso_date, write_csv, write_json
+from .tuning import CvGrid, cv_error_surface, select_distribution, write_surface_csv
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings every command takes: the config's top-level seed, threads, alpha and b."""
+
+    seed: int = 0
+    threads: int = 1
+    alpha: float = 0.05
+    b: int = 200
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ConfigError("threads must be an integer >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.b < 1:
+            raise ConfigError("b must be an integer >= 1")
+
+
+# The JSON form of each type a config value is read as: the field types of
+# the dataclasses below, plus the containers of the hand-read values.
 _JSON_TYPES = {
-    "an integer": (int,),
-    "a number": (int, float),
-    "a JSON list": (list,),
-    "a JSON object": (dict,),
-    "true or false": (bool,),
-    "a string or an integer": (str, int),
-    "a string": (str,),
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "bool": ("true or false", (bool,)),
+    "str": ("a string", (str,)),
+    "str | int": ("a string or an integer", (str, int)),
+    "list": ("a JSON list", (list,)),
+    "dict": ("a JSON object", (dict,)),
 }
 
+# The config keys of each config object read into a dataclass.  A key names
+# its field, except as _FIELD_NAMES says.
+_RUN_KEYS = ("seed", "threads", "alpha", "b")
+_SELECTOR_KEYS = ("lambda_grid", "criterion", "criterion_folds")
+_CV_KEYS = (
+    "k", "sigma2_candidates", "sigma2_count", "sigma2_span", "gamma_candidates",
+    "b_inner", "fold_mode", "refit_ols_per_block",
+)
+_STUDY_KEYS = ("n", "true_model_j", "noise_sd", "reps", "b", "sigma2_sweep", "gamma_sweep", "lambda_grid")
+_DISTRIBUTION_KEYS = ("gamma", "sigma2")
+_FIELD_NAMES = {"criterion_folds": "cv_folds"}
 
-def _typed(value, kind: str, name: str):
-    """``value`` when it has the JSON type ``kind``; a bool is not an integer or number."""
-    types = _JSON_TYPES[kind]
+
+def _value(value, kind: str, name: str):
+    """``value`` read as the type ``kind``, named ``name`` in errors.
+
+    ``X | None`` admits null; nothing else does.  A bool is not an integer
+    or a number, a number is read as a float and ``tuple[float, ...]`` as a
+    tuple of floats.
+    """
+    if kind.endswith(" | None"):
+        if value is None:
+            return None
+        kind = kind[: -len(" | None")]
+    if kind == "tuple[float, ...]":
+        items = enumerate(_value(value, "list", name))
+        return tuple(_value(v, "float", f"{name}[{i}]") for i, v in items)
+    described, types = _JSON_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ConfigError(f"{name} must be {kind}, got {json.dumps(value)}")
+        raise ConfigError(f"{name} must be {described}, got {json.dumps(value)}")
+    if kind == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is out of range for a float, got {value}") from None
     return value
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(_typed(value, "a number", name))
-    except OverflowError:
-        raise ConfigError(f"{name} is out of range for a float, got {value}") from None
+def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
+    """``cls(**given, ...)`` with each of ``keys`` in the config object ``raw`` read as its field's type.
 
-
-def _numbers(value, name: str) -> tuple[float, ...]:
-    items = enumerate(_typed(value, "a JSON list", name))
-    return tuple(_number(v, f"{name}[{i}]") for i, v in items)
+    An absent key leaves its field to ``given`` or to the field's default;
+    with neither it is a missing key.
+    """
+    prefix = f"{name}." if name else ""
+    raw = _value(raw, "dict", name)
+    by_name = {f.name: f for f in fields(cls)}
+    for key in keys:
+        f = by_name[_FIELD_NAMES.get(key, key)]
+        if key in raw:
+            given[f.name] = _value(raw[key], f.type, prefix + key)
+        elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{name}: missing key '{key}'")
+    return cls(**given)
 
 
 def _field(obj: dict, key: str, context: str):
@@ -89,6 +145,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -96,25 +154,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _common(cfg: dict, args) -> dict:
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
-    cfg.setdefault("alpha", 0.05)
-    cfg.setdefault("b", 200)
-    _typed(cfg["seed"], "an integer", "seed")
-    if _typed(cfg["threads"], "an integer", "threads") < 1:
-        raise ConfigError("threads must be an integer >= 1")
-    if not 0.0 < _number(cfg["alpha"], "alpha") < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {cfg['alpha']}")
-    if _typed(cfg["b"], "an integer", "b") < 1:
-        raise ConfigError("b must be an integer >= 1")
-    return cfg
+def _run_config(cfg: dict, args) -> RunConfig:
+    flags = {key: getattr(args, key) for key in ("seed", "threads", "alpha")}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    return _read(RunConfig, {**cfg, **overrides}, "", _RUN_KEYS)
 
 
 def _mode(cfg: dict) -> str:
@@ -131,7 +174,7 @@ def _require(cfg: dict, key: str) -> object:
 
 
 def _path(cfg: dict, key: str) -> str:
-    return _typed(_require(cfg, key), "a string", key)
+    return _value(_require(cfg, key), "str", key)
 
 
 def _candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
@@ -139,49 +182,24 @@ def _candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
     if raw is None:
         return (CandidateModel("full", tuple(range(p))),)
     out = []
-    for i, entry in enumerate(_typed(raw, "a JSON list", "candidates")):
+    for i, entry in enumerate(_value(raw, "list", "candidates")):
         name, model_id = f"candidates[{i}]", i
         if isinstance(entry, dict):
-            model_id = _typed(_field(entry, "id", name), "a string or an integer", f"{name}.id")
+            model_id = _value(_field(entry, "id", name), "str | int", f"{name}.id")
             entry = _field(entry, "columns", name)
             name += ".columns"
-        columns = _typed(entry, "a JSON list", name)
-        cols = [_typed(c, "an integer", f"{name}[{j}]") for j, c in enumerate(columns)]
+        columns = _value(entry, "list", name)
+        cols = [_value(c, "int", f"{name}[{j}]") for j, c in enumerate(columns)]
         out.append(CandidateModel(model_id, tuple(cols)))
     return tuple(out)
 
 
-def _lambda_grid(cfg: dict) -> tuple[float, ...] | None:
-    lam = cfg.get("lambda_grid")
-    return None if lam is None else _numbers(lam, "lambda_grid")
-
-
 def _selector(cfg: dict, candidates) -> SelectorConfig:
-    lam = _lambda_grid(cfg)
-    return SelectorConfig(
-        candidates=candidates,
-        lambda_grid=tuple(default_lambda_grid()) if lam is None else lam,
-        criterion=cfg.get("criterion", "gcv"),
-        cv_folds=_typed(cfg.get("criterion_folds", 5), "an integer", "criterion_folds"),
-    )
+    return _read(SelectorConfig, cfg, "", _SELECTOR_KEYS, candidates=candidates)
 
 
-def _cv_cfg(cfg: dict) -> dict:
-    cv = dict(_typed(cfg.get("cv", {}), "a JSON object", "cv"))
-    cv.setdefault("b_inner", cfg["b"])
-    for key in ("k", "sigma2_count", "b_inner"):
-        if key in cv:
-            _typed(cv[key], "an integer", f"cv.{key}")
-    if "refit_ols_per_block" in cv:
-        _typed(cv["refit_ols_per_block"], "true or false", "cv.refit_ols_per_block")
-    for key in ("sigma2_candidates", "gamma_candidates"):
-        if cv.get(key) is not None:
-            cv[key] = _numbers(cv[key], f"cv.{key}")
-    if "sigma2_span" in cv:
-        cv["sigma2_span"] = _number(cv["sigma2_span"], "cv.sigma2_span")
-    if cv["b_inner"] < 1:
-        raise ConfigError("cv.b_inner must be an integer >= 1")
-    return cv
+def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
+    return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
 def _load_train_matrix(cfg: dict) -> Dataset:
@@ -202,9 +220,9 @@ def _load_targets_matrix(cfg: dict, p: int):
 
 
 def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
-    basis = _typed(cfg.get(key, {"n_basis": default_n_basis}), "a JSON object", key)
-    degree = _typed(basis.get("degree", 3), "an integer", f"{key}.degree")
-    return degree, _typed(_field(basis, "n_basis", key), "an integer", f"{key}.n_basis")
+    basis = _value(cfg.get(key, {"n_basis": default_n_basis}), "dict", key)
+    degree = _value(basis.get("degree", 3), "int", f"{key}.degree")
+    return degree, _value(_field(basis, "n_basis", key), "int", f"{key}.n_basis")
 
 
 def _demand_inputs(cfg: dict):
@@ -221,47 +239,45 @@ def _demand_inputs(cfg: dict):
         if not values:
             raise ConfigError("temperature file holds no rows")
         dom = (min(values) - 0.5, max(values) + 0.5)
-    elif len(_numbers(dom, "temp_domain")) != 2:
-        raise ConfigError("temp_domain must be [lo, hi]")
+    else:
+        dom = _value(dom, "tuple[float, ...]", "temp_domain")
+        if len(dom) != 2:
+            raise ConfigError("temp_domain must be [lo, hi]")
     spec = DemandModelSpec(
-        t_lags=_typed(cfg.get("t_lags", 1), "an integer", "t_lags"),
+        t_lags=_value(cfg.get("t_lags", 1), "int", "t_lags"),
         hour_basis=SplineBasisSpec.uniform_cyclic(*_basis_ints(cfg, "hour_basis", 1), 0.0, 24.0),
-        temp_basis=SplineBasisSpec.uniform(
-            *_basis_ints(cfg, "temp_basis", 6), float(dom[0]), float(dom[1])
-        ),
+        temp_basis=SplineBasisSpec.uniform(*_basis_ints(cfg, "temp_basis", 6), *dom),
     )
     if cfg.get("candidates", "structural") == "structural":
         candidates = structural_candidates(spec)
     else:
         candidates = _candidates(cfg, spec.p)
     targets = _demand_targets(cfg)
-    window = _typed(cfg.get("window_days", 15), "an integer", "window_days")
+    window = _value(cfg.get("window_days", 15), "int", "window_days")
     if window < spec.t_lags + 1:
         raise ConfigError(f"window_days must exceed t_lags={spec.t_lags}")
-    return demand, temps, spec, candidates, targets, window, auto_domain
+    return demand, temps, spec, _selector(cfg, candidates), targets, window, auto_domain
 
 
 def _demand_targets(cfg: dict) -> list:
-    import datetime as _dt
-
     raw = _require(cfg, "targets")
     pairs = []
     if isinstance(raw, dict):
-        for d in _typed(_field(raw, "dates", "targets"), "a JSON list", "targets.dates"):
-            for h in _typed(_field(raw, "hours", "targets"), "a JSON list", "targets.hours"):
+        for d in _value(_field(raw, "dates", "targets"), "list", "targets.dates"):
+            for h in _value(_field(raw, "hours", "targets"), "list", "targets.hours"):
                 pairs.append((d, h))
     else:
-        for i, entry in enumerate(_typed(raw, "a JSON list", "targets")):
+        for i, entry in enumerate(_value(raw, "list", "targets")):
             pairs.append(
                 (_field(entry, "date", f"targets[{i}]"), _field(entry, "hour", f"targets[{i}]"))
             )
     out = []
     for d, h in pairs:
         try:
-            day = _dt.date.fromisoformat(str(d))
+            day = iso_date(_value(d, "str", "target date"))
         except ValueError:
             raise ConfigError(f"bad target date {d!r}") from None
-        if not 1 <= _typed(h, "an integer", "target hour") <= 24:
+        if not 1 <= _value(h, "int", "target hour") <= 24:
             raise ConfigError(f"target hour must be in 1..24, got {h}")
         out.append((day, h))
     if not out:
@@ -269,117 +285,64 @@ def _demand_targets(cfg: dict) -> list:
     return out
 
 
-def cmd_fit(cfg: dict, outdir: Path) -> int:
+def _forecast(
+    command: str, cfg: dict, run: RunConfig, outdir: Path, dist: ResamplingDistribution | None
+) -> int:
+    """Fit and predict the targets: CV-tuned when ``dist`` is None, else at ``dist``."""
     mode = _mode(cfg)
+    surface = None
     if mode == "matrix":
         data = _load_train_matrix(cfg)
         x_targets, truths = _load_targets_matrix(cfg, data.p)
         selector = _selector(cfg, _candidates(cfg, data.p))
-        rows, surface, dist = run_matrix_fit(
-            data,
-            x_targets,
-            truths,
-            selector,
-            _cv_cfg(cfg),
-            cfg["b"],
-            float(cfg["alpha"]),
-            cfg["seed"],
-            threads=cfg["threads"],
-        )
-        surface_path = outdir / "surface.csv"
-        report = ForecastReport(
-            rows=rows,
-            alpha=float(cfg["alpha"]),
-            seed=cfg["seed"],
-            b=cfg["b"],
-            mode=mode,
-            selected=(dist.sigma2, dist.gamma),
-            surface_path=surface_path.name,
-        )
+        if dist is None:
+            rows, surface, dist = run_matrix_fit(
+                data, x_targets, truths, selector, _cv_grid(cfg, run), run.b, run.alpha, run.seed,
+                threads=run.threads,
+            )
+        else:
+            rows = run_matrix_eval(
+                data, x_targets, truths, dist, selector, run.b, run.alpha, run.seed,
+                threads=run.threads,
+            )
     else:
-        demand, temps, spec, candidates, targets, window, auto_dom = _demand_inputs(cfg)
+        demand, temps, spec, selector, targets, window, auto_dom = _demand_inputs(cfg)
+        grid = _cv_grid(cfg, run) if dist is None else None
         rows = run_demand_fit(
-            demand,
-            temps,
-            spec,
-            targets,
-            window,
-            candidates,
-            _lambda_grid(cfg),
-            _cv_cfg(cfg),
-            cfg["b"],
-            float(cfg["alpha"]),
-            cfg["seed"],
-            threads=cfg["threads"],
-            auto_temp_domain=auto_dom,
-        )
-        report = ForecastReport(
-            rows=rows, alpha=float(cfg["alpha"]), seed=cfg["seed"], b=cfg["b"], mode=mode
-        )
-    # the summary refuses non-finite accuracies, so it is computed before any file is written
-    summary = report_summary(report, "fit", cfg["threads"])
-    if mode == "matrix":
-        write_surface_csv(surface, surface_path)
-    write_report_csv(report, outdir / "report.csv")
-    write_json(outdir / "summary.json", summary)
-    return 0
-
-
-def cmd_predict(cfg: dict, outdir: Path) -> int:
-    mode = _mode(cfg)
-    dist_cfg = _require(cfg, "distribution")
-    dist = ResamplingDistribution(
-        gamma=_number(_field(dist_cfg, "gamma", "distribution"), "distribution.gamma"),
-        sigma2=_number(_field(dist_cfg, "sigma2", "distribution"), "distribution.sigma2"),
-    )
-    if mode == "matrix":
-        data = _load_train_matrix(cfg)
-        x_targets, truths = _load_targets_matrix(cfg, data.p)
-        selector = _selector(cfg, _candidates(cfg, data.p))
-        rows = run_matrix_eval(
-            data,
-            x_targets,
-            truths,
-            dist,
-            selector,
-            cfg["b"],
-            float(cfg["alpha"]),
-            cfg["seed"],
-            threads=cfg["threads"],
-        )
-    else:
-        demand, temps, spec, candidates, targets, window, auto_dom = _demand_inputs(cfg)
-        rows = run_demand_fit(
-            demand,
-            temps,
-            spec,
-            targets,
-            window,
-            candidates,
-            _lambda_grid(cfg),
-            None,
-            cfg["b"],
-            float(cfg["alpha"]),
-            cfg["seed"],
-            threads=cfg["threads"],
-            dist_override=dist,
-            auto_temp_domain=auto_dom,
+            demand, temps, spec, targets, window, selector, grid, run.b, run.alpha, run.seed,
+            threads=run.threads, dist_override=dist, auto_temp_domain=auto_dom,
         )
     report = ForecastReport(
         rows=rows,
-        alpha=float(cfg["alpha"]),
-        seed=cfg["seed"],
-        b=cfg["b"],
+        alpha=run.alpha,
+        seed=run.seed,
+        b=run.b,
         mode=mode,
-        selected=(dist.sigma2, dist.gamma),
+        selected=None if dist is None else (dist.sigma2, dist.gamma),
+        surface_path=None if surface is None else "surface.csv",
     )
-    summary = report_summary(report, "predict", cfg["threads"])
+    # the summary refuses non-finite accuracies, so it is computed before any file is written
+    summary = report_summary(report, command, run.threads)
+    if surface is not None:
+        write_surface_csv(surface, outdir / "surface.csv")
     write_report_csv(report, outdir / "report.csv")
     write_json(outdir / "summary.json", summary)
     return 0
 
 
-def cmd_select_dist(cfg: dict, outdir: Path) -> int:
+def cmd_fit(cfg: dict, run: RunConfig, outdir: Path) -> int:
+    return _forecast("fit", cfg, run, outdir, None)
+
+
+def cmd_predict(cfg: dict, run: RunConfig, outdir: Path) -> int:
+    _mode(cfg)  # a bad mode is reported ahead of a bad distribution
+    dist = _read(
+        ResamplingDistribution, _require(cfg, "distribution"), "distribution", _DISTRIBUTION_KEYS
+    )
+    return _forecast("predict", cfg, run, outdir, dist)
+
+
+def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
     if _mode(cfg) != "matrix":
         raise ConfigError(
             "select-dist runs on matrix-mode data; demand-mode fits select a "
@@ -387,8 +350,8 @@ def cmd_select_dist(cfg: dict, outdir: Path) -> int:
         )
     data = _load_train_matrix(cfg)
     selector = _selector(cfg, _candidates(cfg, data.p))
-    grid = resolve_cv_grid(_cv_cfg(cfg), data, derive_seed(cfg["seed"], 1, 0))
-    surface = cv_error_surface(data, grid, selector, threads=cfg["threads"])
+    grid = replace(_cv_grid(cfg, run), seed=derive_seed(run.seed, TAG_CV, 0))
+    surface = cv_error_surface(data, grid, selector, threads=run.threads)
     dist = select_distribution(surface)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
@@ -396,8 +359,8 @@ def cmd_select_dist(cfg: dict, outdir: Path) -> int:
         {
             "command": "select-dist",
             "mode": "matrix",
-            "seed": cfg["seed"],
-            "threads": cfg["threads"],
+            "seed": run.seed,
+            "threads": run.threads,
             "selected_sigma2": dist.sigma2,
             "selected_gamma": dist.gamma,
             "surface_csv": "surface.csv",
@@ -406,13 +369,13 @@ def cmd_select_dist(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
+def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
     if _mode(cfg) != "matrix":
         raise ConfigError("sweep-sigma runs on matrix-mode data")
-    sweep = _numbers(_require(cfg, "sigma2_sweep"), "sigma2_sweep")
+    sweep = _value(_require(cfg, "sigma2_sweep"), "tuple[float, ...]", "sigma2_sweep")
     if not sweep:
         raise ConfigError("sigma2_sweep must be nonempty")
-    gamma = _number(_require(cfg, "gamma"), "gamma")
+    gamma = _value(_require(cfg, "gamma"), "float", "gamma")
     data = _load_train_matrix(cfg)
     x_targets, truths = _load_targets_matrix(cfg, data.p)
     selector = _selector(cfg, _candidates(cfg, data.p))
@@ -423,10 +386,10 @@ def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
         sweep,
         gamma,
         selector,
-        cfg["b"],
-        float(cfg["alpha"]),
-        cfg["seed"],
-        threads=cfg["threads"],
+        run.b,
+        run.alpha,
+        run.seed,
+        threads=run.threads,
     )
     write_csv(
         outdir / "sweep.csv",
@@ -439,10 +402,10 @@ def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
             "command": "sweep-sigma",
             "mode": "matrix",
             "gamma": gamma,
-            "seed": cfg["seed"],
-            "threads": cfg["threads"],
-            "alpha": float(cfg["alpha"]),
-            "b": cfg["b"],
+            "seed": run.seed,
+            "threads": run.threads,
+            "alpha": run.alpha,
+            "b": run.b,
             "n_points": len(curve),
             "sweep_csv": "sweep.csv",
         },
@@ -450,19 +413,11 @@ def cmd_sweep_sigma(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def cmd_simulate(cfg: dict, outdir: Path) -> int:
-    study_cfg = _typed(cfg.get("study", {}), "a JSON object", "study")
-    ints = {"n": 30, "true_model_j": 2, "reps": 100, "b": cfg["b"]}
-    kwargs = {k: _typed(study_cfg.get(k, v), "an integer", f"study.{k}") for k, v in ints.items()}
-    for key in ("sigma2_sweep", "gamma_sweep", "lambda_grid"):
-        if study_cfg.get(key) is not None:
-            kwargs[key] = _numbers(study_cfg[key], f"study.{key}")
-    study = StudyConfig(
-        noise_sd=_number(study_cfg.get("noise_sd", 5.0), "study.noise_sd"),
-        master_seed=cfg["seed"],
-        **kwargs,
+def cmd_simulate(cfg: dict, run: RunConfig, outdir: Path) -> int:
+    study = _read(
+        StudyConfig, cfg.get("study", {}), "study", _STUDY_KEYS, b=run.b, master_seed=run.seed
     )
-    result = run_study(study, threads=cfg["threads"])
+    result = run_study(study, threads=run.threads)
     mse_path, freq_path = write_study_csvs(result, outdir)
     summary = {
         "command": "simulate",
@@ -470,13 +425,13 @@ def cmd_simulate(cfg: dict, outdir: Path) -> int:
         "true_model_j": study.true_model_j,
         "reps": study.reps,
         "b": study.b,
-        "seed": cfg["seed"],
-        "threads": cfg["threads"],
+        "seed": run.seed,
+        "threads": run.threads,
         "ridge_baseline_mse": result.ridge_baseline_mse,
         "mse_csv": mse_path.name,
         "freq_csv": freq_path.name,
     }
-    if _typed(cfg.get("svg", False), "true or false", "svg"):
+    if _value(cfg.get("svg", False), "bool", "svg"):
         svg_path = outdir / "study_mse.svg"
         render_mse_svg(result, svg_path)
         summary["svg"] = svg_path.name
@@ -518,13 +473,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _common(_load_config(args.config), args)
+        cfg = _load_config(args.config)
+        run = _run_config(cfg, args)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror or exc}") from None
         # Floating-point warnings would land on stderr ahead of the one-line
         # message; a non-finite result is refused where it leaves the engine.
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](cfg, outdir)
+            return _COMMANDS[args.command](cfg, run, outdir)
     except (ConfigError, ValueError) as exc:
         # library constructors validate config values by raising ValueError
         print(f"config error: {exc}", file=sys.stderr)

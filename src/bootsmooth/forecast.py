@@ -8,7 +8,6 @@ sweep point reproduces a standalone run with the matching derived seed.
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,7 +20,6 @@ from .selection import (
     CandidateModel,
     Dataset,
     SelectorConfig,
-    default_lambda_grid,
     ols_fit,
     ridge_prediction_variance,
     select_fit,
@@ -41,15 +39,8 @@ from .splines import (
     build_demand_design,
     demand_feature_row,
 )
-from .tabular import fmt, write_csv
-from .tuning import (
-    DEFAULT_GAMMA_CANDIDATES,
-    CvGrid,
-    CvSurface,
-    cv_error_surface,
-    default_sigma2_candidates,
-    select_distribution,
-)
+from .tabular import csv_rows, fmt, write_csv
+from .tuning import CvGrid, CvSurface, cv_error_surface, select_distribution
 
 TAG_EVAL = 0
 TAG_CV = 1
@@ -130,8 +121,7 @@ def load_matrix_csv(path: str | Path):
 
     Returns ``(y_or_None, X, feature_names)``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or not header:
             raise IngestionError(f"{path}:1: empty file or missing header")
@@ -217,27 +207,6 @@ def evaluate_fixed_distribution(
     return {**out, "fit": fit, "baseline": baseline}
 
 
-def resolve_cv_grid(cv_cfg: dict, data: Dataset, seed: int) -> CvGrid:
-    """Build a CvGrid from config, deriving sigma2 candidates when absent."""
-    sigma2 = cv_cfg.get("sigma2_candidates")
-    if sigma2 is None:
-        sigma2 = default_sigma2_candidates(
-            data,
-            count=int(cv_cfg.get("sigma2_count", 50)),
-            span=float(cv_cfg.get("sigma2_span", 100.0)),
-        )
-    gamma = cv_cfg.get("gamma_candidates", DEFAULT_GAMMA_CANDIDATES)
-    return CvGrid(
-        sigma2_candidates=tuple(sigma2),
-        gamma_candidates=tuple(gamma),
-        k=int(cv_cfg.get("k", 5)),
-        b_inner=int(cv_cfg["b_inner"]),
-        seed=seed,
-        fold_mode=cv_cfg.get("fold_mode", "random"),
-        refit_ols_per_block=bool(cv_cfg.get("refit_ols_per_block", True)),
-    )
-
-
 def _rows_from_eval(
     labels, ev, truths, dist: ResamplingDistribution
 ) -> list[TargetRow]:
@@ -292,14 +261,17 @@ def run_matrix_fit(
     x_targets: np.ndarray,
     truths,
     selector: SelectorConfig,
-    cv_cfg: dict,
+    grid: CvGrid,
     b: int,
     alpha: float,
     seed: int,
     threads: int = 1,
 ) -> tuple[list[TargetRow], CvSurface, ResamplingDistribution]:
-    """CV-select the resampling distribution on ``data``, then evaluate."""
-    grid = resolve_cv_grid(cv_cfg, data, derive_seed(seed, TAG_CV, 0))
+    """CV-select the resampling distribution on ``data``, then evaluate.
+
+    The CV runs on ``grid`` with its seed replaced by ``(seed, 1, 0)``.
+    """
+    grid = replace(grid, seed=derive_seed(seed, TAG_CV, 0))
     surface = cv_error_surface(data, grid, selector, threads=threads)
     dist = select_distribution(surface)
     rows = run_matrix_eval(
@@ -355,9 +327,8 @@ def run_demand_fit(
     spec: DemandModelSpec,
     targets: list[tuple[_dt.date, int]],
     window_days: int,
-    candidates: tuple[CandidateModel, ...],
-    lambda_grid,
-    cv_cfg: dict | None,
+    selector: SelectorConfig,
+    grid: CvGrid | None,
     b: int,
     alpha: float,
     seed: int,
@@ -367,24 +338,23 @@ def run_demand_fit(
 ) -> list[TargetRow]:
     """Rolling same-weekday forecasts with per-target CV distribution choice.
 
-    Target t gets CV seed ``(seed, 1, t)`` and evaluation seed
-    ``(seed, 0, t)``.  With ``dist_override`` the CV step is skipped and the
+    Target t runs the CV on ``grid`` with its seed replaced by
+    ``(seed, 1, t)``, and evaluates with seed ``(seed, 0, t)``.  With
+    ``dist_override`` the CV step is skipped (``grid`` may be None) and the
     given distribution is used for every target.  When ``auto_temp_domain``
     is set the temperature knots are respecified over each window's observed
     range (see :func:`window_spec`).  Truth is read from the demand table
     when the target is present in it.
     """
-    lam = tuple(default_lambda_grid()) if lambda_grid is None else tuple(lambda_grid)
     rows: list[TargetRow] = []
     for ti, (day, hour) in enumerate(targets):
         window = same_weekday_window(demand.dates, day, window_days)
         wspec = window_spec(spec, temps, window, day) if auto_temp_domain else spec
         data = build_demand_design(demand, temps, wspec, hour, window)
         x_t = demand_feature_row(demand, temps, wspec, hour, window, day)
-        selector = SelectorConfig(candidates=candidates, lambda_grid=lam)
         if dist_override is None:
-            grid = resolve_cv_grid(cv_cfg, data, derive_seed(seed, TAG_CV, ti))
-            surface = cv_error_surface(data, grid, selector, threads=threads)
+            target_grid = replace(grid, seed=derive_seed(seed, TAG_CV, ti))
+            surface = cv_error_surface(data, target_grid, selector, threads=threads)
             dist = select_distribution(surface)
         else:
             dist = dist_override

@@ -111,6 +111,7 @@ class CandidateModel:
 class SelectorConfig:
     """Candidate set, penalty grid and scoring criterion for ``select_fit``.
 
+    ``lambda_grid`` None means :func:`default_lambda_grid`.
     ``criterion`` is ``"gcv"`` (closed form, default) or ``"kfold"`` (summed
     squared held-out error over ``cv_folds`` seeded random folds).  Both score
     a candidate's whole lambda grid per product on memoised workspaces, kfold
@@ -120,7 +121,7 @@ class SelectorConfig:
     """
 
     candidates: tuple[CandidateModel, ...]
-    lambda_grid: tuple[float, ...]
+    lambda_grid: tuple[float, ...] | None = None
     criterion: str = "gcv"
     cv_folds: int = 5
     cv_seed: int = 0
@@ -132,7 +133,8 @@ class SelectorConfig:
         ids = [c.id for c in cands]
         if len(set(ids)) != len(ids):
             raise ValueError("candidate model ids must be unique")
-        grid = tuple(float(l) for l in self.lambda_grid)
+        lam = default_lambda_grid() if self.lambda_grid is None else self.lambda_grid
+        grid = tuple(float(l) for l in lam)
         if len(grid) == 0:
             raise ValueError("lambda_grid must be nonempty")
         if any(not l >= 0 for l in grid):

@@ -8,7 +8,7 @@ estimation error, and the per-cell model-selection frequencies are recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from .selection import (
     CandidateModel,
     Dataset,
     SelectorConfig,
-    default_lambda_grid,
     select_fit,
 )
 from .smoothing import ResamplingDistribution, _map_tasks, pbs_fit
@@ -34,12 +33,8 @@ _TAG_RESPONSE = 1
 _TAG_CELL = 2
 
 
-def _default_sigma2_sweep() -> tuple[float, ...]:
-    return tuple(float(v) ** 2 for v in np.arange(1.0, 10.0 + 1e-9, 0.2))
-
-
-def _default_gamma_sweep() -> tuple[float, ...]:
-    return (0.0, 0.2, 0.5, 1.0)
+_DEFAULT_SIGMA2_SWEEP = tuple(float(v) ** 2 for v in np.arange(1.0, 10.0 + 1e-9, 0.2))
+_DEFAULT_GAMMA_SWEEP = (0.0, 0.2, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,8 @@ class StudyConfig:
 
     Desk-scale defaults (reps=100, B=200) keep a full sweep in the minutes
     range; scale up via the fields.  ``n`` must exceed 21 so the intercept
-    plus 20 features stay estimable.
+    plus 20 features stay estimable.  A sweep left None is the default
+    sweep; ``lambda_grid`` None is the selector's default grid.
     """
 
     n: int = 30
@@ -56,8 +52,8 @@ class StudyConfig:
     noise_sd: float = 5.0
     reps: int = 100
     b: int = 200
-    sigma2_sweep: tuple[float, ...] = field(default_factory=_default_sigma2_sweep)
-    gamma_sweep: tuple[float, ...] = field(default_factory=_default_gamma_sweep)
+    sigma2_sweep: tuple[float, ...] | None = None
+    gamma_sweep: tuple[float, ...] | None = None
     lambda_grid: tuple[float, ...] | None = None
     master_seed: int = 0
 
@@ -72,8 +68,9 @@ class StudyConfig:
             raise ValueError("b must be >= 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
-        s2 = tuple(float(v) for v in self.sigma2_sweep)
-        gs = tuple(float(v) for v in self.gamma_sweep)
+        s2 = _DEFAULT_SIGMA2_SWEEP if self.sigma2_sweep is None else self.sigma2_sweep
+        gs = _DEFAULT_GAMMA_SWEEP if self.gamma_sweep is None else self.gamma_sweep
+        s2, gs = tuple(float(v) for v in s2), tuple(float(v) for v in gs)
         if not s2 or not gs:
             raise ValueError("sweeps must be nonempty")
         if any(v <= 0 for v in s2):
@@ -151,10 +148,7 @@ def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
     independent tasks; accumulation happens in replication order, so the
     result is identical for any ``threads``.
     """
-    lam_grid = (
-        tuple(default_lambda_grid()) if config.lambda_grid is None else config.lambda_grid
-    )
-    selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=lam_grid)
+    selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=config.lambda_grid)
     t, s = len(config.sigma2_sweep), len(config.gamma_sweep)
     sq_err = np.empty((config.reps, t, s))
     freqs = np.empty((config.reps, t, s, _N_MODELS))

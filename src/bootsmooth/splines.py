@@ -8,7 +8,6 @@ loaders for the demand and temperature schemas live here too.
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .selection import Dataset
+from .tabular import csv_rows, iso_date
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class DemandTable:
 
 def _parse_date(path, lineno: int, text: str) -> _dt.date:
     try:
-        return _dt.date.fromisoformat(text)
+        return iso_date(text)
     except ValueError:
         raise IngestionError(f"{path}:{lineno}: bad ISO date {text!r}") from None
 
@@ -236,8 +236,7 @@ def _parse_date(path, lineno: int, text: str) -> _dt.date:
 def load_demand_csv(path: str | Path) -> DemandTable:
     """Load ``date,hour,demand`` rows; strict schema with line-numbered errors."""
     values: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["date", "hour", "demand"]:
             raise IngestionError(f"{path}:1: header must be 'date,hour,demand'")
@@ -267,8 +266,7 @@ def load_demand_csv(path: str | Path) -> DemandTable:
 def load_temperature_csv(path: str | Path) -> dict:
     """Load ``date,mean_temp`` rows into a date -> temperature mapping."""
     temps: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["date", "mean_temp"]:
             raise IngestionError(f"{path}:1: header must be 'date,mean_temp'")

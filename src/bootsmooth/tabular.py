@@ -8,11 +8,16 @@ bytes do not depend on the platform.
 from __future__ import annotations
 
 import csv
+import datetime as _dt
 import json
+import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IngestionError
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def fmt(x: float) -> str:
@@ -28,9 +33,28 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
             writer.writerow(list(row))
 
 
+@contextmanager
+def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """Rows of the UTF-8 CSV file ``path``.
+
+    A file that is missing, a directory, unreadable, not UTF-8 text or not
+    CSV (a field over the csv module's size limit) is an ``IngestionError``
+    naming the path.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            yield reader
+    except OSError as exc:
+        raise IngestionError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -50,3 +74,15 @@ def parse_float(path: str | Path, lineno: int, field: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise IngestionError(f"{path}:{lineno}: field '{field}' is not a number: {text!r}") from None
+
+
+def iso_date(text: str) -> _dt.date:
+    """The date ``text`` written ``YYYY-MM-DD``; ``ValueError`` for any other form.
+
+    ``date.fromisoformat`` alone also takes forms such as ``20240101`` and
+    ``2024-W01-1`` from Python 3.11 on, so it would accept different input
+    on different Python versions.
+    """
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return _dt.date.fromisoformat(text)

@@ -9,7 +9,7 @@ parallel schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,31 +23,38 @@ from .tabular import fmt, parse_float, read_csv, write_csv
 DEFAULT_GAMMA_CANDIDATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CvGrid:
     """Candidate grid and fold layout for resampling-distribution selection.
 
-    ``fold_mode`` is ``"random"`` (seeded permutation) or ``"contiguous"``
-    (blocks in index order, for time-ordered data).  When
-    ``refit_ols_per_block`` is False the full-data OLS coefficients define
-    every training block's resampling mean instead of a per-block refit.
+    When ``sigma2_candidates`` is None, :func:`cv_error_surface` derives
+    them from its data by :func:`default_sigma2_candidates` with
+    ``sigma2_count`` and ``sigma2_span``.  ``fold_mode`` is ``"random"``
+    (seeded permutation) or ``"contiguous"`` (blocks in index order, for
+    time-ordered data).  When ``refit_ols_per_block`` is False the full-data
+    OLS coefficients define every training block's resampling mean instead
+    of a per-block refit.
     """
 
-    sigma2_candidates: tuple[float, ...]
-    gamma_candidates: tuple[float, ...]
-    k: int
+    sigma2_candidates: tuple[float, ...] | None = None
+    gamma_candidates: tuple[float, ...] = DEFAULT_GAMMA_CANDIDATES
+    k: int = 5
     b_inner: int
-    seed: int
+    seed: int = 0
     fold_mode: str = "random"
     refit_ols_per_block: bool = True
+    sigma2_count: int = 50
+    sigma2_span: float = 100.0
 
     def __post_init__(self):
-        s2 = tuple(float(v) for v in self.sigma2_candidates)
+        if self.sigma2_candidates is not None:
+            s2 = tuple(float(v) for v in self.sigma2_candidates)
+            if len(s2) < 1:
+                raise ValueError("at least one sigma2 candidate is required")
+            if any(not np.isfinite(v) or v <= 0 for v in s2):
+                raise ValueError("sigma2 candidates must be finite and > 0")
+            object.__setattr__(self, "sigma2_candidates", s2)
         gs = tuple(float(v) for v in self.gamma_candidates)
-        if len(s2) < 1:
-            raise ValueError("at least one sigma2 candidate is required")
-        if any(not np.isfinite(v) or v <= 0 for v in s2):
-            raise ValueError("sigma2 candidates must be finite and > 0")
         if len(gs) < 1:
             raise ValueError("at least one gamma candidate is required")
         if any(not 0.0 <= g <= 1.0 for g in gs):
@@ -58,7 +65,6 @@ class CvGrid:
             raise ValueError(f"b_inner must be >= 1, got {self.b_inner}")
         if self.fold_mode not in ("random", "contiguous"):
             raise ValueError(f"unknown fold_mode {self.fold_mode!r}")
-        object.__setattr__(self, "sigma2_candidates", s2)
         object.__setattr__(self, "gamma_candidates", gs)
 
 
@@ -116,6 +122,9 @@ def cv_error_surface(
     results are deposited by index and summed over folds in fold order, so
     the surface does not depend on the evaluation schedule.
     """
+    if grid.sigma2_candidates is None:
+        sigma2s = default_sigma2_candidates(data, grid.sigma2_count, grid.sigma2_span)
+        grid = replace(grid, sigma2_candidates=sigma2s)
     folds = kfold_split(data.n, grid.k, grid.seed, grid.fold_mode)
     mean_coefficients = None
     if not grid.refit_ols_per_block:
@@ -215,13 +224,15 @@ def default_sigma2_candidates(data: Dataset, count: int = 50, span: float = 100.
     ``count`` values spanning ``[s2_ub / span, s2_ub * span]``.  Raises when
     the residual variance is zero (exact fit), since the grid would collapse.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not 0.0 < span < np.inf:
+        raise ValueError(f"span must be finite and > 0, got {span}")
     s2_ub = unbiased_variance(data, ols_fit(data))
     if s2_ub <= 0.0:
         raise ValueError(
             "unbiased residual variance is zero; supply sigma2 candidates explicitly"
         )
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if count == 1:
         return (float(s2_ub),)
     lo, hi = np.log10(s2_ub / span), np.log10(s2_ub * span)

@@ -273,14 +273,13 @@ def test_criterion_8_demand_protocol_tracks_ridge_baseline(tmp_path):
             spec,
             targets,
             20,
-            structural_candidates(spec),
-            (0.0, 0.1, 1.0, 10.0),
-            {
-                "k": 3,
-                "sigma2_candidates": (4.0, 16.0, 64.0),
-                "gamma_candidates": (0.0, 1.0),
-                "b_inner": 20,
-            },
+            SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0, 10.0)),
+            CvGrid(
+                k=3,
+                sigma2_candidates=(4.0, 16.0, 64.0),
+                gamma_candidates=(0.0, 1.0),
+                b_inner=20,
+            ),
             60,
             0.05,
             seed=s,

@@ -14,6 +14,7 @@ from conftest import synth_weekday_demand, write_demand_files
 import bootsmooth
 from bootsmooth import (
     CandidateModel,
+    CvGrid,
     Dataset,
     ResamplingDistribution,
     SelectorConfig,
@@ -25,7 +26,6 @@ from bootsmooth import (
     run_study,
 )
 from bootsmooth.cli import main
-from bootsmooth.forecast import resolve_cv_grid
 from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
 from bootsmooth.tabular import fmt
 
@@ -319,9 +319,7 @@ class TestSelectDistCommand:
         selector = SelectorConfig(
             candidates=(CandidateModel("full", (0, 1, 2)),), lambda_grid=(0.0, 0.1, 1.0)
         )
-        grid = resolve_cv_grid(
-            {**cfg["cv"], "b_inner": 25}, data, derive_seed(7, 1, 0)
-        )
+        grid = CvGrid(**cfg["cv"], seed=derive_seed(7, 1, 0))
         surface = cv_error_surface(data, grid, selector)
         from bootsmooth import read_surface_csv
 
@@ -390,6 +388,52 @@ class TestDemandCommand:
             cfg = dict(base, targets=targets)
             code = main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
             assert code == 2, targets
+
+    @pytest.mark.parametrize("form", ["integer", "compact", "week"])
+    def test_target_date_must_be_a_yyyy_mm_dd_string(self, tmp_path, capsys, form):
+        # Python >= 3.11's date.fromisoformat reads the compact and week forms
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+        year, week, weekday = dates[-1].isocalendar()
+        date = {
+            "integer": int(dates[-1].strftime("%Y%m%d")),
+            "compact": dates[-1].strftime("%Y%m%d"),
+            "week": f"{year}-W{week:02d}-{weekday}",
+        }[form]
+        cfg = {
+            "mode": "demand",
+            "demand_csv": str(dpath),
+            "temperature_csv": str(tpath),
+            "targets": [{"date": date, "hour": 9}],
+            "distribution": {"sigma2": 4.0, "gamma": 0.5},
+        }
+        out = tmp_path / "o"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("csv_key", ["demand_csv", "temperature_csv"])
+    @pytest.mark.parametrize("form", ["%Y%m%d", "%G-W%V-%u"])
+    def test_csv_dates_must_be_yyyy_mm_dd(self, tmp_path, capsys, csv_key, form):
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+        other = dates[0].strftime(form)
+        if csv_key == "demand_csv":
+            demand_rows = [(other, *demand_rows[0][1:]), *demand_rows[1:]]
+        else:
+            temp_rows = [(other, *temp_rows[0][1:]), *temp_rows[1:]]
+        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+        cfg = {
+            "mode": "demand",
+            "demand_csv": str(dpath),
+            "temperature_csv": str(tpath),
+            "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+            "distribution": {"sigma2": 4.0, "gamma": 0.5},
+        }
+        out = tmp_path / "o"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+        path = dpath if csv_key == "demand_csv" else tpath
+        assert capsys.readouterr().err == f"ingestion error: {path}:2: bad ISO date {other!r}\n"
 
     def test_demand_predict_with_fixed_distribution(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=8)
@@ -590,13 +634,16 @@ class TestExitCodes:
             ("fit", {"candidates": [{"id": [1], "columns": [0]}]}),
             ("fit", {"train_csv": None}),
             ("predict", {"targets_csv": 0, "distribution": {"sigma2": 1.0, "gamma": 1.0}}),
+            ("fit", {"cv": {"k": 4, "sigma2_span": 0}}),
+            ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "gamma_candidates": None}}),
         ],
         ids=[
             "lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed",
             "cv_number", "lambda_grid_number", "candidate_number", "alpha_null",
             "criterion_folds_list", "b_bool", "gamma_candidates_number", "seed_bool",
             "refit_string", "cv_k_float", "lambda_nan", "lambda_overflow",
-            "candidate_id_list", "train_csv_null", "targets_csv_int",
+            "candidate_id_list", "train_csv_null", "targets_csv_int", "sigma2_span_zero",
+            "gamma_candidates_null",
         ],
     )
     def test_bad_values_exit_2_with_one_line(
@@ -608,6 +655,49 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8", "field_too_long"])
+    @pytest.mark.parametrize("key", ["train_csv", "targets_csv", "demand_csv", "temperature_csv"])
+    def test_unreadable_input_exits_3_naming_the_path(
+        self, tmp_path, matrix_files, capsys, key, fault
+    ):
+        if key in ("train_csv", "targets_csv"):
+            cfg = base_matrix_config(*matrix_files)
+        else:
+            dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+            dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+            cfg = {
+                "mode": "demand",
+                "demand_csv": str(dpath),
+                "temperature_csv": str(tpath),
+                "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+                "distribution": {"sigma2": 4.0, "gamma": 0.5},
+            }
+        bad = tmp_path / "bad_input"
+        if fault == "directory":
+            bad.mkdir()
+        elif fault == "not_utf8":
+            bad.write_bytes(Path(cfg[key]).read_bytes().replace(b"\n", b"\xff\n", 1))
+        elif fault == "field_too_long":
+            bad.write_bytes(Path(cfg[key]).read_bytes().replace(b"\n", b"," + b"1" * 200_000 + b"\n", 2))
+        cfg = {**cfg, key: str(bad), "distribution": {"sigma2": 4.0, "gamma": 0.5}}
+        code = main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"ingestion error: {bad}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fault", ["config_directory", "out_under_a_file"])
+    def test_unusable_config_or_out_path_exits_2(self, tmp_path, matrix_files, capsys, fault):
+        config = write_config(tmp_path, base_matrix_config(*matrix_files))
+        out = tmp_path / "o"
+        if fault == "config_directory":
+            config = tmp_path / "config_dir"
+            config.mkdir()
+        else:
+            out = config / "o"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_non_finite_interval_exits_4(self, tmp_path, matrix_files, capsys):
         cfg = base_matrix_config(*matrix_files)
