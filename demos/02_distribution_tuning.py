@@ -39,7 +39,7 @@ grid = bs.CvGrid(
     b_inner=100,
     seed=11,
 )
-surface = bs.cv_error_surface(train, grid, selector, threads=4)
+surface = bs.cv_error_surface(train, grid, selector)
 tuned = bs.select_distribution(surface)
 print("CV error surface (rows sigma2, cols gamma):")
 with np.printoptions(precision=1, suppress=True):

@@ -22,7 +22,7 @@ config = bs.StudyConfig(
 )
 print(f"running {config.reps} replications over "
       f"{len(config.sigma2_sweep)}x{len(config.gamma_sweep)} cells ...")
-result = bs.run_study(config, threads=4)
+result = bs.run_study(config)
 
 print(f"\nGCV-ridge baseline estimation MSE: {result.ridge_baseline_mse:.3f}")
 print("smoothed-estimator MSE by cell (rows sigma2, cols gamma):")

@@ -48,7 +48,11 @@ from .tuning import CvGrid, cv_error_surface, select_distribution, write_surface
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings every command takes: the config's top-level seed, threads, alpha and b."""
+    """Settings every command takes: the config's top-level seed, threads, alpha and b.
+
+    Every run is serial.  ``threads`` is checked and written to
+    ``summary.json``; it reaches nothing else.
+    """
 
     seed: int = 0
     threads: int = 1
@@ -297,20 +301,18 @@ def _forecast(
         selector = _selector(cfg, _candidates(cfg, data.p))
         if dist is None:
             rows, surface, dist = run_matrix_fit(
-                data, x_targets, truths, selector, _cv_grid(cfg, run), run.b, run.alpha, run.seed,
-                threads=run.threads,
+                data, x_targets, truths, selector, _cv_grid(cfg, run), run.b, run.alpha, run.seed
             )
         else:
             rows = run_matrix_eval(
-                data, x_targets, truths, dist, selector, run.b, run.alpha, run.seed,
-                threads=run.threads,
+                data, x_targets, truths, dist, selector, run.b, run.alpha, run.seed
             )
     else:
         demand, temps, spec, selector, targets, window, auto_dom = _demand_inputs(cfg)
         grid = _cv_grid(cfg, run) if dist is None else None
         rows = run_demand_fit(
             demand, temps, spec, targets, window, selector, grid, run.b, run.alpha, run.seed,
-            threads=run.threads, dist_override=dist, auto_temp_domain=auto_dom,
+            dist_override=dist, auto_temp_domain=auto_dom,
         )
     report = ForecastReport(
         rows=rows,
@@ -351,7 +353,7 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
     data = _load_train_matrix(cfg)
     selector = _selector(cfg, _candidates(cfg, data.p))
     grid = replace(_cv_grid(cfg, run), seed=derive_seed(run.seed, TAG_CV, 0))
-    surface = cv_error_surface(data, grid, selector, threads=run.threads)
+    surface = cv_error_surface(data, grid, selector)
     dist = select_distribution(surface)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
@@ -389,7 +391,6 @@ def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
         run.b,
         run.alpha,
         run.seed,
-        threads=run.threads,
     )
     write_csv(
         outdir / "sweep.csv",
@@ -417,7 +418,7 @@ def cmd_simulate(cfg: dict, run: RunConfig, outdir: Path) -> int:
     study = _read(
         StudyConfig, cfg.get("study", {}), "study", _STUDY_KEYS, b=run.b, master_seed=run.seed
     )
-    result = run_study(study, threads=run.threads)
+    result = run_study(study)
     mse_path, freq_path = write_study_csvs(result, outdir)
     summary = {
         "command": "simulate",
@@ -464,7 +465,9 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=None, help="override worker threads")
+        sp.add_argument(
+            "--threads", type=int, default=None, help="override the threads value echoed to summary.json"
+        )
         sp.add_argument("--alpha", type=float, default=None, help="override interval alpha")
         sp.add_argument("--out", default=".", help="output directory")
     return parser

@@ -160,7 +160,6 @@ def evaluate_fixed_distribution(
     selector: SelectorConfig,
     alpha: float,
     eval_seed: int,
-    threads: int = 1,
 ):
     """Bootstrap-smoothed predictions/intervals plus the ridge baseline.
 
@@ -170,7 +169,7 @@ def evaluate_fixed_distribution(
     """
     z = two_sided_z(alpha)
     x_targets = np.atleast_2d(np.asarray(x_targets, dtype=float))
-    fit = pbs_fit(data, dist, b, selector, eval_seed, threads=threads)
+    fit = pbs_fit(data, dist, b, selector, eval_seed)
     rvar = residual_variance_pbs(fit, data)
     sv = smoothed_variances(fit, data, x_targets)
     pred = x_targets @ fit.beta_pbs
@@ -238,7 +237,6 @@ def run_matrix_eval(
     b: int,
     alpha: float,
     seed: int,
-    threads: int = 1,
     point_index: int = 0,
 ) -> list[TargetRow]:
     """Fixed-distribution matrix-mode evaluation; one sweep point."""
@@ -250,7 +248,6 @@ def run_matrix_eval(
         selector,
         alpha,
         derive_seed(seed, TAG_EVAL, point_index),
-        threads=threads,
     )
     labels = [str(i) for i in range(x_targets.shape[0])]
     return _rows_from_eval(labels, ev, truths, dist)
@@ -265,17 +262,16 @@ def run_matrix_fit(
     b: int,
     alpha: float,
     seed: int,
-    threads: int = 1,
 ) -> tuple[list[TargetRow], CvSurface, ResamplingDistribution]:
     """CV-select the resampling distribution on ``data``, then evaluate.
 
     The CV runs on ``grid`` with its seed replaced by ``(seed, 1, 0)``.
     """
     grid = replace(grid, seed=derive_seed(seed, TAG_CV, 0))
-    surface = cv_error_surface(data, grid, selector, threads=threads)
+    surface = cv_error_surface(data, grid, selector)
     dist = select_distribution(surface)
     rows = run_matrix_eval(
-        data, x_targets, truths, dist, selector, b, alpha, seed, threads, point_index=0
+        data, x_targets, truths, dist, selector, b, alpha, seed, point_index=0
     )
     return rows, surface, dist
 
@@ -332,7 +328,6 @@ def run_demand_fit(
     b: int,
     alpha: float,
     seed: int,
-    threads: int = 1,
     dist_override: ResamplingDistribution | None = None,
     auto_temp_domain: bool = True,
 ) -> list[TargetRow]:
@@ -354,7 +349,7 @@ def run_demand_fit(
         x_t = demand_feature_row(demand, temps, wspec, hour, window, day)
         if dist_override is None:
             target_grid = replace(grid, seed=derive_seed(seed, TAG_CV, ti))
-            surface = cv_error_surface(data, target_grid, selector, threads=threads)
+            surface = cv_error_surface(data, target_grid, selector)
             dist = select_distribution(surface)
         else:
             dist = dist_override
@@ -366,7 +361,6 @@ def run_demand_fit(
             selector,
             alpha,
             derive_seed(seed, TAG_EVAL, ti),
-            threads=threads,
         )
         truth = demand.values.get((day, int(hour)))
         rows.extend(
@@ -385,7 +379,6 @@ def run_sigma_sweep(
     b: int,
     alpha: float,
     seed: int,
-    threads: int = 1,
 ) -> list[dict]:
     """Accuracy curve over a sigma2 list at fixed gamma.
 
@@ -398,7 +391,7 @@ def run_sigma_sweep(
     for i, s2 in enumerate(sigma2_sweep):
         dist = ResamplingDistribution(gamma=gamma, sigma2=float(s2))
         rows = run_matrix_eval(
-            data, x_targets, truths, dist, selector, b, alpha, seed, threads, point_index=i
+            data, x_targets, truths, dist, selector, b, alpha, seed, point_index=i
         )
         rep = ForecastReport(rows=rows, alpha=alpha, seed=seed, b=b, mode="matrix")
         curve.append(

@@ -3,8 +3,8 @@
 Every randomized routine in the package derives its stream from a master seed
 plus an integer path, using a counter-based bit generator (Philox).  Streams
 are therefore fully determined by ``(seed, path)`` and independent of call
-order, chunking, or worker count, which is what makes parallel runs
-bit-for-bit reproducible.
+order and chunking, which is what makes any one cell, replicate or
+replication reproducible on its own.
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ class Dataset:
     """Response vector ``y`` (length n) and design matrix ``X`` (n x p).
 
     Entries must be finite and the row count of ``X`` must equal the length
-    of ``y``.  ``y`` and ``X`` are read-only copies of the caller's arrays;
-    instances and the workspaces they memoise are shared freely across threads.
+    of ``y``.  ``y`` and ``X`` are read-only copies of the caller's arrays, so
+    the workspaces an instance memoises stay valid for its lifetime.
     """
 
     y: np.ndarray
@@ -81,8 +81,10 @@ class Dataset:
         return self.X.shape[1]
 
     def _derived(self, key, build):
-        """``build()`` memoised under ``key``; racing threads get the first one stored."""
-        return self._memo[key] if key in self._memo else self._memo.setdefault(key, build())
+        """``build()`` memoised under ``key``."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .selection import (
     SelectorConfig,
     select_fit,
 )
-from .smoothing import ResamplingDistribution, _map_tasks, pbs_fit
-from .tabular import fmt, parse_float, read_csv, write_csv
+from .smoothing import ResamplingDistribution, pbs_fit
+from .tabular import fmt, parse_float, read_csv, write_csv, write_text
 
 _N_FEATURES = 20
 _N_MODELS = 4
@@ -66,8 +66,8 @@ class StudyConfig:
             raise ValueError("reps must be >= 1")
         if self.b < 1:
             raise ValueError("b must be >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         s2 = _DEFAULT_SIGMA2_SWEEP if self.sigma2_sweep is None else self.sigma2_sweep
         gs = _DEFAULT_GAMMA_SWEEP if self.gamma_sweep is None else self.gamma_sweep
         s2, gs = tuple(float(v) for v in s2), tuple(float(v) for v in gs)
@@ -139,14 +139,15 @@ def nested_candidates() -> tuple[CandidateModel, ...]:
     )
 
 
-def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
+def run_study(config: StudyConfig) -> StudyResult:
     """Monte Carlo sweep over the (sigma2, gamma) grid.
 
     Replication r draws a fresh design and response from streams
     ``(master_seed, 0, r)`` and ``(master_seed, 1, r)``; the cell (r, i, j)
-    fit uses seed ``derive_seed(master_seed, 2, r, i, j)``.  Replications are
-    independent tasks; accumulation happens in replication order, so the
-    result is identical for any ``threads``.
+    fit uses seed ``derive_seed(master_seed, 2, r, i, j)``.  Results are
+    averaged over replications in replication order.  A generated response
+    that is not finite (``noise_sd`` too large) is a ``NumericalError``
+    naming its replication.
     """
     selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=config.lambda_grid)
     t, s = len(config.sigma2_sweep), len(config.gamma_sweep)
@@ -156,11 +157,16 @@ def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
     beta_true = np.concatenate([[1.0], true_coefficients(config.true_model_j)])
     id_to_slot = {j: j - 1 for j in range(1, _N_MODELS + 1)}
 
-    def run_rep(r: int) -> None:
+    for r in range(config.reps):
         X = generate_design(config.n, _N_FEATURES, derive_seed(config.master_seed, _TAG_DESIGN, r))
         y = generate_response(
             X, config.true_model_j, config.noise_sd, derive_seed(config.master_seed, _TAG_RESPONSE, r)
         )
+        if not np.all(np.isfinite(y)):
+            raise NumericalError(
+                f"replication {r}: the generated response is not finite "
+                f"(noise_sd={config.noise_sd!r})"
+            )
         data = Dataset(y, np.column_stack([np.ones(config.n), X]))
         baseline = select_fit(data, selector)
         base_err[r] = float(np.sum((baseline.coefficients - beta_true) ** 2))
@@ -178,8 +184,6 @@ def run_study(config: StudyConfig, threads: int = 1) -> StudyResult:
                 for mid in fit.model_ids:
                     counts[id_to_slot[mid]] += 1.0
                 freqs[r, i, j] = counts / config.b
-
-    _map_tasks(run_rep, config.reps, threads)
 
     result = StudyResult(
         sigma2_sweep=config.sigma2_sweep,
@@ -297,4 +301,4 @@ def render_mse_svg(result: StudyResult, path: str | Path) -> None:
             f'fill="{color}">g={g:g}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

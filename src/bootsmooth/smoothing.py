@@ -7,15 +7,13 @@ are averaged.  The module also provides the delta-method variance of the
 smoothed prediction in two algebraically equivalent forms and the resulting
 prediction interval.
 
-Replicates are processed in fixed-size chunks whose layout never depends on
-the worker count, so serial and threaded runs produce bit-identical results.
+Replicates are processed serially in fixed-size chunks whose results are
+reduced in chunk order, so the GEMM shapes and the summation order, and with
+them the output bytes, depend only on the inputs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
-import os
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -33,8 +31,8 @@ from .selection import (
     ols_fit,
 )
 
-# Replicates per task.  Fixed (never derived from the worker count) so that
-# the same GEMM shapes occur for any parallelism level.
+# Replicates per chunk.  A constant: the chunk layout fixes the GEMM shapes
+# and the order of the partial sums, and with them the output bytes.
 REPLICATE_CHUNK = 64
 
 # Negative variances larger than this magnitude indicate a bug, not rounding.
@@ -171,8 +169,8 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
     """B rows drawn from ``N(mean, sigma2 I)``, reproducible from ``seed``.
 
     Replicate ``b`` consumes its own counter-based stream derived from
-    ``(seed, b)``, so the result is independent of chunking or parallel
-    scheduling.  ``sigma2 = 0`` returns ``mean`` in every row exactly.
+    ``(seed, b)``, so the result is independent of chunking.  ``sigma2 = 0``
+    returns ``mean`` in every row exactly.
     """
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 1:
@@ -185,26 +183,6 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
     return _draw_block(mean, sd, seed, 0, B).T
 
 
-def _map_tasks(fn, n_tasks: int, workers: int) -> None:
-    """Run ``fn(i)`` for every ``i < n_tasks`` on at most ``workers`` threads.
-
-    Tasks deposit their results by index, so the output never depends on
-    the schedule.  The pool is capped at the task and CPU counts, and every
-    future is read, so a task's exception reaches the caller: the first in
-    task order, as in a serial run.  Each task runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds in the workers.
-    """
-    workers = min(workers, n_tasks, os.cpu_count() or 1)
-    if workers <= 1:
-        for i in range(n_tasks):
-            fn(i)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n_tasks)]
-    for fut in futures:
-        fut.result()
-
-
 def pbs_fit(
     data: Dataset,
     dist: ResamplingDistribution,
@@ -212,7 +190,6 @@ def pbs_fit(
     selector: SelectorConfig,
     seed: int,
     *,
-    threads: int = 1,
     mean_coefficients: np.ndarray | None = None,
 ) -> PbsFit:
     """Run the full selection pipeline on B bootstrap replicates and average.
@@ -229,8 +206,6 @@ def pbs_fit(
         Candidate models and penalty grid applied to every replicate.
     seed : int
         Master seed; replicate b uses the substream (seed, b).
-    threads : int
-        Worker threads.  Output is bit-identical for any value.
     mean_coefficients : ndarray, optional
         Override for the coefficients defining the resampling mean (used by
         cross-validation when the OLS fit is shared across folds instead of
@@ -258,8 +233,7 @@ def pbs_fit(
     ysum_parts = np.empty((len(bounds), n))
     cross_parts = np.empty((len(bounds), n, p))
 
-    def run_chunk(ci: int) -> None:
-        lo, hi = bounds[ci]
+    for ci, (lo, hi) in enumerate(bounds):
         Y = _draw_block(mean, sd, seed, lo, hi)
         idx = sel.best_index(Y, offset=lo)
         C = sel.coefficients_block(idx, Y)
@@ -271,9 +245,8 @@ def pbs_fit(
         ysum_parts[ci] = Y.sum(axis=1)
         cross_parts[ci] = u @ c.T
 
-    _map_tasks(run_chunk, len(bounds), threads)
-
-    # Reductions in fixed chunk order: identical for any worker count.
+    # Per-chunk partial sums, reduced in chunk order; summing in any other
+    # order would change the output bytes.
     ybar = ysum_parts.sum(axis=0) / B
     cross = cross_parts.sum(axis=0) / B
     beta_pbs = coeffs.mean(axis=0)

@@ -2,7 +2,8 @@
 
 Reals are written with 17 significant digits so that ``float(fmt(x)) == x``
 for every finite double; line terminators are fixed to ``"\\n"`` so output
-bytes do not depend on the platform.
+bytes do not depend on the platform.  Every output file is written here, and
+one that cannot be written is a ``ConfigError`` naming it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import json
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import IngestionError
+from .errors import ConfigError, IngestionError
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -25,8 +26,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextmanager
+def _output(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open for writing text, untranslated; an ``OSError`` names the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
@@ -64,9 +75,14 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def parse_float(path: str | Path, lineno: int, field: str, text: str) -> float:

@@ -2,9 +2,8 @@
 
 K-fold CV over a (sigma2, gamma) candidate grid: each cell reruns the whole
 bootstrap-smoothing pipeline on the training block and accumulates squared
-held-out prediction error.  Cells are independent tasks with their own
-derived seeds, so the surface is reproducible cell by cell and under any
-parallel schedule.
+held-out prediction error.  Each cell has its own derived seed, so any cell
+of the surface can be recomputed on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import NumericalError, SingularDesignError
 from .rng import derive_seed
 from .selection import Dataset, SelectorConfig, _training_block, kfold_split, ols_fit, unbiased_variance
-from .smoothing import ResamplingDistribution, _map_tasks, pbs_fit
+from .smoothing import ResamplingDistribution, pbs_fit
 from .tabular import fmt, parse_float, read_csv, write_csv
 
 DEFAULT_GAMMA_CANDIDATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -113,14 +112,11 @@ def cv_cell_error(
     return float(resid @ resid)
 
 
-def cv_error_surface(
-    data: Dataset, grid: CvGrid, selector: SelectorConfig, threads: int = 1
-) -> CvSurface:
+def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> CvSurface:
     """K-fold CV error over the full (sigma2, gamma) candidate grid.
 
-    Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``;
-    results are deposited by index and summed over folds in fold order, so
-    the surface does not depend on the evaluation schedule.
+    Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``; the
+    cell errors are summed over folds in fold order.
     """
     if grid.sigma2_candidates is None:
         sigma2s = default_sigma2_candidates(data, grid.sigma2_count, grid.sigma2_span)
@@ -130,31 +126,20 @@ def cv_error_surface(
     if not grid.refit_ols_per_block:
         mean_coefficients = ols_fit(data).coefficients
     t, s = len(grid.sigma2_candidates), len(grid.gamma_candidates)
-    cells = [
-        (k, i, j)
-        for k in range(grid.k)
-        for i in range(t)
-        for j in range(s)
-    ]
     parts = np.empty((grid.k, t, s))
-
-    def run_cell(c: int) -> None:
-        k, i, j = cells[c]
-        dist = ResamplingDistribution(
-            gamma=grid.gamma_candidates[j], sigma2=grid.sigma2_candidates[i]
-        )
-        parts[k, i, j] = cv_cell_error(
-            data,
-            folds,
-            k,
-            dist,
-            grid.b_inner,
-            selector,
-            derive_seed(grid.seed, k, i, j),
-            mean_coefficients=mean_coefficients,
-        )
-
-    _map_tasks(run_cell, len(cells), threads)
+    for k in range(grid.k):
+        for i, sigma2 in enumerate(grid.sigma2_candidates):
+            for j, gamma in enumerate(grid.gamma_candidates):
+                parts[k, i, j] = cv_cell_error(
+                    data,
+                    folds,
+                    k,
+                    ResamplingDistribution(gamma=gamma, sigma2=sigma2),
+                    grid.b_inner,
+                    selector,
+                    derive_seed(grid.seed, k, i, j),
+                    mean_coefficients=mean_coefficients,
+                )
 
     errors = parts.sum(axis=0)
     selected = _argmin_pair(errors, grid.sigma2_candidates, grid.gamma_candidates)
@@ -203,7 +188,6 @@ def select_sigma2_cv(
     seed: int,
     selector: SelectorConfig,
     fold_mode: str = "random",
-    threads: int = 1,
 ) -> tuple[CvSurface, ResamplingDistribution]:
     """Variance-only variant: gamma pinned at 1, CV over sigma2 alone."""
     grid = CvGrid(
@@ -214,7 +198,7 @@ def select_sigma2_cv(
         seed=seed,
         fold_mode=fold_mode,
     )
-    surface = cv_error_surface(data, grid, selector, threads=threads)
+    surface = cv_error_surface(data, grid, selector)
     return surface, select_distribution(surface)
 
 

@@ -132,7 +132,7 @@ def test_criterion_4_study_trends_at_desk_scale():
         gamma_sweep=(0.0, 0.5, 1.0),
         master_seed=2024,
     )
-    res = run_study(cfg, threads=4)
+    res = run_study(cfg)
     # (a) selection frequencies live on the simplex
     assert np.all(res.selection_freq >= 0.0)
     assert np.abs(res.selection_freq.sum(axis=2) - 1.0).max() < 1e-12

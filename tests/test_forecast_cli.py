@@ -209,15 +209,20 @@ class TestFitCommand:
         assert err.startswith("config error: cv_folds=30 exceeds the 24 rows") and err.count("\n") == 1
 
     def test_fit_does_not_import_scipy(self, tmp_path, matrix_files):
+        # nor, after a fit and a simulate, the thread pool or its logging
         cfg_path = write_config(tmp_path, base_matrix_config(*matrix_files))
+        sim_path = write_config(
+            tmp_path, {"study": {"n": 23, "reps": 1, "b": 5, "sigma2_sweep": [1.0]}}, "sim.json"
+        )
         code = (
             "import sys\n"
             "import bootsmooth.cli\n"
-            f"code = bootsmooth.cli.main(['fit', '--config', {str(cfg_path)!r}, '--out', 'o'])\n"
-            "print(code, 'scipy' in sys.modules)\n"
+            f"fit = bootsmooth.cli.main(['fit', '--config', {str(cfg_path)!r}, '--out', 'o'])\n"
+            f"sim = bootsmooth.cli.main(['simulate', '--config', {str(sim_path)!r}, '--out', 's'])\n"
+            "print(fit, sim, [m in sys.modules for m in ('scipy', 'concurrent.futures', 'logging')])\n"
         )
         proc = run_python(tmp_path, "-c", code)
-        assert (proc.returncode, proc.stdout) == (0, "0 False\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "0 0 [False, False, False]\n"), proc.stderr
 
 
 class TestPredictCommand:
@@ -636,6 +641,8 @@ class TestExitCodes:
             ("predict", {"targets_csv": 0, "distribution": {"sigma2": 1.0, "gamma": 1.0}}),
             ("fit", {"cv": {"k": 4, "sigma2_span": 0}}),
             ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "gamma_candidates": None}}),
+            ("simulate", {"study": {"noise_sd": float("nan")}}),
+            ("simulate", {"study": {"noise_sd": float("inf")}}),
         ],
         ids=[
             "lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed",
@@ -643,7 +650,7 @@ class TestExitCodes:
             "criterion_folds_list", "b_bool", "gamma_candidates_number", "seed_bool",
             "refit_string", "cv_k_float", "lambda_nan", "lambda_overflow",
             "candidate_id_list", "train_csv_null", "targets_csv_int", "sigma2_span_zero",
-            "gamma_candidates_null",
+            "gamma_candidates_null", "noise_sd_nan", "noise_sd_infinity",
         ],
     )
     def test_bad_values_exit_2_with_one_line(
@@ -699,6 +706,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("fit", "surface.csv"),
+            ("fit", "report.csv"),
+            ("fit", "summary.json"),
+            ("predict", "report.csv"),
+            ("predict", "summary.json"),
+            ("select-dist", "surface.csv"),
+            ("select-dist", "summary.json"),
+            ("sweep-sigma", "sweep.csv"),
+            ("sweep-sigma", "summary.json"),
+            ("simulate", "study_mse.csv"),
+            ("simulate", "study_freq.csv"),
+            ("simulate", "study_mse.svg"),
+            ("simulate", "summary.json"),
+        ],
+    )
+    def test_unwritable_output_exits_2_naming_the_file(
+        self, tmp_path, matrix_files, capsys, command, name
+    ):
+        cfg = {
+            **base_matrix_config(*matrix_files),
+            "distribution": {"sigma2": 1.0, "gamma": 0.5},
+            "sigma2_sweep": [1.0],
+            "gamma": 0.5,
+            "svg": True,
+            "study": {"n": 23, "reps": 1, "b": 5, "sigma2_sweep": [1.0], "gamma_sweep": [1.0]},
+        }
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: cannot write {out / name}: ") and err.count("\n") == 1
+
     def test_non_finite_interval_exits_4(self, tmp_path, matrix_files, capsys):
         cfg = base_matrix_config(*matrix_files)
         cfg["cv"] = dict(cfg["cv"], sigma2_candidates=[1e300])
@@ -727,13 +770,21 @@ class TestExitCodes:
         assert err.startswith("numerical error: mspe") and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("sigma2", [1e306, 1e307])
-    def test_overflow_exits_4_with_one_line(self, tmp_path, sigma2):
-        cfg = {"seed": 0, "study": {"n": 23, "reps": 2, "b": 20, "sigma2_sweep": [sigma2]}}
+    @pytest.mark.parametrize(
+        "study, message",
+        [
+            ({"sigma2_sweep": [1e306]}, "numerical error: "),
+            ({"sigma2_sweep": [1e307]}, "numerical error: "),
+            ({"noise_sd": 1e308}, "numerical error: replication 0: "),
+        ],
+        ids=["1e+306", "1e+307", "noise_sd_1e308"],
+    )
+    def test_overflow_exits_4_with_one_line(self, tmp_path, study, message):
+        cfg = {"seed": 0, "study": {"n": 23, "reps": 2, "b": 20, **study}}
         args = ["--config", str(write_config(tmp_path, cfg)), "--threads", "2"]
         proc = run_python(tmp_path, "-m", "bootsmooth", "simulate", *args, "--out", "o")
         assert proc.returncode == 4
-        assert proc.stderr.startswith("numerical error: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
     def test_bad_alpha_flag(self, tmp_path, matrix_files):
         train, targets = matrix_files

@@ -139,8 +139,8 @@ class TestRunStudy:
             n=23, reps=3, b=20, sigma2_sweep=(1.0,), gamma_sweep=(0.0, 1.0),
             lambda_grid=(0.0, 1.0), master_seed=5,
         )
-        a = run_study(cfg, threads=1)
-        b = run_study(cfg, threads=4)
+        a = run_study(cfg)
+        b = run_study(cfg)
         np.testing.assert_array_equal(a.mse, b.mse)
         np.testing.assert_array_equal(a.selection_freq, b.selection_freq)
         assert a.ridge_baseline_mse == b.ridge_baseline_mse
@@ -184,6 +184,9 @@ class TestRunStudy:
             StudyConfig(true_model_j=5)
         with pytest.raises(ValueError):
             StudyConfig(sigma2_sweep=(0.0,))
+        for noise_sd in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+                StudyConfig(noise_sd=noise_sd)
 
 
 class TestEmission:

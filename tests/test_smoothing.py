@@ -32,7 +32,7 @@ from bootsmooth import (
     smoothed_variance,
     smoothed_variance_via_gram,
 )
-from bootsmooth.smoothing import _map_tasks, two_sided_z
+from bootsmooth.smoothing import two_sided_z
 
 
 def small_selector(p, lambda_grid=(0.0, 0.1, 1.0)):
@@ -72,38 +72,6 @@ class TestResamplingDistribution:
         for s2 in (np.inf, np.nan, -1.0):
             with pytest.raises(ValueError, match="sigma2 must be finite"):
                 ResamplingDistribution(gamma=0.5, sigma2=s2)
-
-
-class TestMapTasks:
-    def test_every_task_runs_once(self):
-        seen = np.zeros(50, dtype=int)
-
-        def bump(i):
-            seen[i] += 1
-
-        for workers in (1, 4):
-            seen[:] = 0
-            _map_tasks(bump, 50, workers)
-            assert seen.tolist() == [1] * 50
-
-    def test_first_failure_in_task_order_is_raised(self):
-        def fail(i):
-            if i in (7, 30):
-                raise ValueError(f"task {i}")
-
-        for workers in (1, 4):
-            with pytest.raises(ValueError, match="task 7"):
-                _map_tasks(fail, 50, workers)
-
-    def test_workers_keep_the_callers_errstate(self):
-        seen = [None] * 8
-
-        def record(i):
-            seen[i] = np.geterr()["over"]
-
-        with np.errstate(over="ignore"):
-            _map_tasks(record, 8, 4)
-        assert seen == ["ignore"] * 8
 
 
 class TestResamplingMean:
@@ -209,8 +177,9 @@ class TestPbsFit:
         data = make_instance(rng, 12, 4)
         cfg = small_selector(4)
         dist = ResamplingDistribution(gamma=0.6, sigma2=3.0)
+        # a rerun on the warm Dataset and a run on a fresh one
         fits = [
-            pbs_fit(data, dist, 130, cfg, seed=21, threads=t) for t in (1, 1, 4, 8)
+            pbs_fit(d, dist, 130, cfg, seed=21) for d in (data, data, Dataset(data.y, data.X))
         ]
         for other in fits[1:]:
             np.testing.assert_array_equal(fits[0].beta_pbs, other.beta_pbs)
