@@ -42,7 +42,7 @@ from .splines import (
     load_demand_csv,
     load_temperature_csv,
 )
-from .tabular import fmt, iso_date, write_csv, write_json
+from .tabular import fmt, iso_date, staged_outputs, write_csv, write_json
 from .tuning import CvGrid, cv_error_surface, select_distribution, write_surface_csv
 
 
@@ -485,8 +485,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror or exc}") from None
         # Floating-point warnings would land on stderr ahead of the one-line
         # message; a non-finite result is refused where it leaves the engine.
-        with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](cfg, run, outdir)
+        # The outputs appear together, once the last one is written.
+        with np.errstate(all="ignore"), staged_outputs(outdir) as staging:
+            return _COMMANDS[args.command](cfg, run, staging)
     except (ConfigError, ValueError) as exc:
         # library constructors validate config values by raising ValueError
         print(f"config error: {exc}", file=sys.stderr)

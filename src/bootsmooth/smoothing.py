@@ -14,13 +14,14 @@ them the output bytes, depend only on the inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DegreesOfFreedomError, NumericalError
-from .rng import generator
+from .rng import ReplicateStreams
 from .selection import (
     Dataset,
     FitResult,
@@ -34,6 +35,11 @@ from .selection import (
 # Replicates per chunk.  A constant: the chunk layout fixes the GEMM shapes
 # and the order of the partial sums, and with them the output bytes.
 REPLICATE_CHUNK = 64
+
+# Replicate b's generator: the chunk's one generator re-keyed to stream
+# (seed, b).  Every replicate's stream set-up is one call through this name,
+# which bench/tracer.py wraps to count them.
+generator = ReplicateStreams.generator
 
 # Negative variances larger than this magnitude indicate a bug, not rounding.
 _VARIANCE_CLAMP = 1e-12
@@ -160,9 +166,21 @@ def _draw_block(mean: np.ndarray, sd: float, seed: int, lo: int, hi: int) -> np.
     """Columns lo..hi-1 of the replicate matrix; replicate b owns stream (seed, b)."""
     n = mean.shape[0]
     out = np.empty((n, hi - lo))
+    streams = ReplicateStreams(seed, lo, hi)
     for t in range(hi - lo):
-        out[:, t] = mean + sd * generator(seed, lo + t).standard_normal(n)
+        out[:, t] = mean + sd * generator(streams, lo + t).standard_normal(n)
     return out
+
+
+def _replicate_count(B) -> int:
+    """``B`` as an int; a ``ValueError`` unless it is an integer >= 1."""
+    try:
+        count = operator.index(B)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"B must be an integer >= 1, got {B!r}")
+    return count
 
 
 def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.ndarray:
@@ -175,10 +193,12 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 1:
         raise ValueError("mean must be a vector")
-    if not sigma2 >= 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    sigma2 = float(sigma2)
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
+    B = _replicate_count(B)
     sd = float(np.sqrt(sigma2))
     return _draw_block(mean, sd, seed, 0, B).T
 
@@ -211,8 +231,7 @@ def pbs_fit(
         cross-validation when the OLS fit is shared across folds instead of
         refit per block).
     """
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    B = _replicate_count(B)
     beta_ols = ols_fit(data)
     base = (
         beta_ols.coefficients

@@ -3,15 +3,20 @@
 Reals are written with 17 significant digits so that ``float(fmt(x)) == x``
 for every finite double; line terminators are fixed to ``"\\n"`` so output
 bytes do not depend on the platform.  Every output file is written here, and
-one that cannot be written is a ``ConfigError`` naming it.
+one that cannot be written is a ``ConfigError`` naming it.  A command writes
+its files through :func:`staged_outputs`, so it leaves all of them or none.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import errno
 import json
+import os
 import re
+import shutil
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -34,6 +39,37 @@ def _output(path: str | Path) -> Iterator[TextIO]:
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def staged_outputs(outdir: str | Path) -> Iterator[Path]:
+    """A staging directory inside ``outdir`` whose files move to ``outdir`` on success.
+
+    The block writes its files into the yielded directory under their final
+    names.  When it ends without an error, each file is renamed into
+    ``outdir``, replacing a file of that name.  Every final name is checked
+    before the first rename, so an error in the block or a final name taken
+    by a directory leaves ``outdir`` as it was.  The staging directory is
+    removed in every case.
+    """
+    outdir = Path(outdir)
+    try:
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=outdir))
+    except OSError as exc:
+        raise ConfigError(f"cannot write in {outdir}: {exc.strerror or exc}") from None
+    try:
+        yield staging
+        names = sorted(os.listdir(staging))
+        for name in names:
+            if (outdir / name).is_dir():
+                raise ConfigError(f"cannot write {outdir / name}: {os.strerror(errno.EISDIR)}")
+        for name in names:
+            try:
+                os.replace(staging / name, outdir / name)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {outdir / name}: {exc.strerror or exc}") from None
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

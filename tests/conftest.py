@@ -116,6 +116,22 @@ def redrawn_responses(fit) -> np.ndarray:
     return draw_replicates(fit.mean_vector, fit.distribution.sigma2, fit.B, fit.seed)
 
 
+def per_replicate_draws(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.ndarray:
+    """Replicate responses built one fresh generator at a time; (B, n).
+
+    Replicate ``b`` draws from ``Generator(Philox(SeedSequence(seed,
+    spawn_key=(b,))))``, built directly from numpy rather than through
+    ``bootsmooth.rng``.
+    """
+    mean = np.asarray(mean, dtype=float)
+    sd = float(np.sqrt(sigma2))
+    out = np.empty((B, mean.shape[0]))
+    for b in range(B):
+        seq = np.random.SeedSequence(int(seed), spawn_key=(b,))
+        out[b] = mean + sd * np.random.Generator(np.random.Philox(seq)).standard_normal(mean.shape[0])
+    return out
+
+
 def dense_smoothed_variance(fit, data: Dataset, x_new: np.ndarray) -> float:
     """Delta-method variance with explicit {gamma H + (1-gamma) I}^2.
 

@@ -87,6 +87,18 @@ def base_matrix_config(train, targets):
     }
 
 
+def every_command_config(matrix_files) -> dict:
+    """A matrix-mode config that every command accepts."""
+    return {
+        **base_matrix_config(*matrix_files),
+        "distribution": {"sigma2": 1.0, "gamma": 0.5},
+        "sigma2_sweep": [1.0],
+        "gamma": 0.5,
+        "svg": True,
+        "study": {"n": 23, "reps": 1, "b": 5, "sigma2_sweep": [1.0], "gamma_sweep": [1.0]},
+    }
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
@@ -727,20 +739,42 @@ class TestExitCodes:
     def test_unwritable_output_exits_2_naming_the_file(
         self, tmp_path, matrix_files, capsys, command, name
     ):
-        cfg = {
-            **base_matrix_config(*matrix_files),
-            "distribution": {"sigma2": 1.0, "gamma": 0.5},
-            "sigma2_sweep": [1.0],
-            "gamma": 0.5,
-            "svg": True,
-            "study": {"n": 23, "reps": 1, "b": 5, "sigma2_sweep": [1.0], "gamma_sweep": [1.0]},
-        }
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)
-        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        config = write_config(tmp_path, every_command_config(matrix_files))
+        code = main([command, "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: cannot write {out / name}: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == [name]
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            ("fit", ["report.csv", "summary.json", "surface.csv"]),
+            ("predict", ["report.csv", "summary.json"]),
+            ("select-dist", ["surface.csv", "summary.json"]),
+            ("sweep-sigma", ["sweep.csv", "summary.json"]),
+            ("simulate", ["study_freq.csv", "study_mse.csv", "study_mse.svg", "summary.json"]),
+        ],
+    )
+    def test_outputs_appear_all_or_none(self, tmp_path, matrix_files, capsys, command, outputs):
+        config = str(write_config(tmp_path, every_command_config(matrix_files)))
+        good = tmp_path / "good"
+        assert main([command, "--config", config, "--out", str(good)]) == 0
+        assert sorted(p.name for p in good.iterdir()) == sorted(outputs)
+        # a late write fails: nothing new appears and an earlier output stays as it was
+        bad = tmp_path / "bad"
+        (bad / "summary.json").mkdir(parents=True)
+        earlier = bad / outputs[0]
+        earlier.write_text("an earlier run\n")
+        capsys.readouterr()
+        assert main([command, "--config", config, "--out", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {bad / 'summary.json'}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in bad.iterdir()) == sorted([outputs[0], "summary.json"])
+        assert earlier.read_text() == "an earlier run\n"
 
     def test_non_finite_interval_exits_4(self, tmp_path, matrix_files, capsys):
         cfg = base_matrix_config(*matrix_files)

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     dense_smoothed_variance,
     make_instance,
+    per_replicate_draws,
     redrawn_responses,
     z_quantile_bisect,
     z_upper_tail_bisect,
@@ -21,6 +22,7 @@ from bootsmooth import (
     ResamplingDistribution,
     SelectionFailureError,
     SelectorConfig,
+    derive_seed,
     draw_replicates,
     ols_fit,
     pbs_fit,
@@ -32,6 +34,7 @@ from bootsmooth import (
     smoothed_variance,
     smoothed_variance_via_gram,
 )
+from bootsmooth import smoothing
 from bootsmooth.smoothing import two_sided_z
 
 
@@ -125,6 +128,29 @@ class TestDrawReplicates:
         with pytest.raises(ValueError):
             draw_replicates(np.zeros(3), 1.0, 0, seed=0)
 
+    @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sigma2_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+            draw_replicates(np.zeros(3), sigma2, 2, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            draw_replicates(np.array([0.0, bad, 1.0]), 1.0, 2, 0)
+
+    @pytest.mark.parametrize("B", [2.5, "3", None])
+    def test_non_integer_b_rejected(self, B):
+        with pytest.raises(ValueError, match="B must be an integer >= 1"):
+            draw_replicates(np.zeros(3), 1.0, B, 0)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1, derive_seed(5, 3, 1)])
+    @pytest.mark.parametrize("B", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("sigma2", [0.0, 2.5])
+    def test_bytes_match_per_replicate_generators(self, seed, B, sigma2):
+        mean = np.linspace(-2.0, 3.0, 7)
+        got = draw_replicates(mean, sigma2, B, seed)
+        assert got.tobytes() == per_replicate_draws(mean, sigma2, B, seed).tobytes()
+
     def test_replicate_streams_do_not_depend_on_b(self):
         # replicate b owns stream (seed, b), so growing B extends the list
         # without disturbing earlier replicates
@@ -172,6 +198,24 @@ class TestPbsFit:
         c = fit.coefficients - fit.center_coefficients[None, :]
         np.testing.assert_allclose(fit.ybar_star, responses.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(fit.cross_moment, u.T @ c / 40, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 13, derive_seed(9, 2, 4)])
+    @pytest.mark.parametrize("sigma2", [0.0, 1.7])
+    def test_draws_match_per_replicate_generators(self, rng, monkeypatch, seed, sigma2):
+        blocks = []
+        draw_block = smoothing._draw_block
+
+        def recording(*args):
+            blocks.append(draw_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(smoothing, "_draw_block", recording)
+        data = make_instance(rng, 9, 3)
+        fit = pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=sigma2), 130, small_selector(3), seed)
+        assert [block.shape[1] for block in blocks] == [64, 64, 2]
+        drawn = np.concatenate(blocks, axis=1).T
+        want = per_replicate_draws(fit.mean_vector, sigma2, 130, seed)
+        assert drawn.tobytes() == want.tobytes()
 
     def test_bitwise_reproducible_and_thread_invariant(self, rng):
         data = make_instance(rng, 12, 4)
