@@ -218,10 +218,13 @@ class _DesignScorer:
                 f"{self.gram_rcond:.3e} < {RCOND_MIN:g} (k={self.k} columns)"
             )
 
-    def coef_block(self, Y: np.ndarray, lam: float) -> np.ndarray:
-        """Ridge coefficients ``(X'X + lam I)^-1 X'Y`` per column of Y; (k, B)."""
-        f = self.s / (self.s2 + lam)
-        return self.V @ (f[:, None] * (self.U.T @ Y))
+    def coef_block(self, Y: np.ndarray, lam) -> np.ndarray:
+        """Ridge coefficients ``(X'X + lam I)^-1 X'Y`` per column of Y; (k, B).
+
+        ``lam`` is one penalty for every column or a (B,) array, one per column.
+        """
+        f = self.s[:, None] / (self.s2[:, None] + lam)
+        return self.V @ (f * (self.U.T @ Y))
 
     def lambda_table(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """GCV weights ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,) and validity (L,).
@@ -370,13 +373,17 @@ class _PairSelector:
         return idx
 
     def coefficients_block(self, pair_idx: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Full-p coefficient columns for per-column selected pairs; (p, B)."""
+        """Full-p coefficient columns for per-column selected pairs; (p, B).
+
+        One ridge solve per selected candidate, each column at its own lambda.
+        """
         out = np.zeros((self.data.p, Y.shape[1]))
-        for pi in np.flatnonzero(np.bincount(pair_idx)):
-            cols_b = np.nonzero(pair_idx == pi)[0]
-            sc = self.scorers[int(self.pair_scorer_index[pi])]
-            beta = sc.coef_block(Y[:, cols_b], self.pair_lambda[pi])
-            out[np.ix_(sc.columns, cols_b)] = beta
+        scorer_idx = self.pair_scorer_index[pair_idx]
+        for si in np.flatnonzero(np.bincount(scorer_idx)):
+            cols_b = np.flatnonzero(scorer_idx == si)
+            sc = self.scorers[si]
+            lam = self.pair_lambda[pair_idx[cols_b]]
+            out[sc.columns[:, None], cols_b] = sc.coef_block(Y[:, cols_b], lam)
         return out
 
     def fit_result(self, pair_idx: int) -> FitResult:
@@ -415,6 +422,14 @@ def unbiased_variance(data: Dataset, fit: FitResult) -> float:
     return float(fit.residual_ss) / (data.n - data.p)
 
 
+def _penalty(lam) -> float:
+    """``lam`` as a float; a ``ValueError`` if it is negative or NaN."""
+    lam = float(lam)
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    return lam
+
+
 def ridge_fit(data: Dataset, model: CandidateModel, lam: float) -> FitResult:
     """Ridge fit ``(X_j'X_j + lam I)^-1 X_j' y`` on the model's columns.
 
@@ -422,9 +437,7 @@ def ridge_fit(data: Dataset, model: CandidateModel, lam: float) -> FitResult:
     ``model.columns``.  ``lam = 0`` requires the submatrix to be full column
     rank.
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    lam = _penalty(lam)
     sc = _DesignScorer.for_data(data, model)
     if lam == 0.0:
         sc.require_full_rank("ridge_fit at lambda=0")
@@ -433,9 +446,7 @@ def ridge_fit(data: Dataset, model: CandidateModel, lam: float) -> FitResult:
 
 def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
     """Generalized cross-validation score ``n RSS(lam) / tr(I - H(lam))^2``."""
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    lam = _penalty(lam)
     sc = _DesignScorer.for_data(data, model)
     if lam == 0.0:
         sc.require_full_rank("gcv_score at lambda=0")
@@ -471,10 +482,14 @@ def ridge_prediction_variance(
     columns.  This is the no-smoothing baseline variance used for comparison
     intervals.
     """
+    lam = _penalty(lam)
+    sigma2 = float(sigma2)
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     x_new = np.asarray(x_new, dtype=float)
     if x_new.shape != (data.p,):
         raise ValueError(f"x_new must have shape ({data.p},), got {x_new.shape}")
     sc = _DesignScorer.for_data(data, model)
     vx = sc.V.T @ x_new[sc.columns]
-    g = sc.s / (sc.s2 + float(lam))
-    return float(sigma2) * float(np.sum((g * vx) ** 2))
+    g = sc.s / (sc.s2 + lam)
+    return sigma2 * float(np.sum((g * vx) ** 2))

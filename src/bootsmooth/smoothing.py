@@ -164,11 +164,13 @@ def resampling_mean(data: Dataset, beta_ols: FitResult, gamma: float) -> np.ndar
 
 def _draw_block(mean: np.ndarray, sd: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """Columns lo..hi-1 of the replicate matrix; replicate b owns stream (seed, b)."""
-    n = mean.shape[0]
-    out = np.empty((n, hi - lo))
+    # Each replicate fills one contiguous row; one pass transposes the chunk.
+    Z = np.empty((hi - lo, mean.shape[0]))
     streams = ReplicateStreams(seed, lo, hi)
     for t in range(hi - lo):
-        out[:, t] = mean + sd * generator(streams, lo + t).standard_normal(n)
+        generator(streams, lo + t).standard_normal(out=Z[t])
+    out = np.multiply(Z.T, sd, order="C")
+    out += mean[:, None]
     return out
 
 

@@ -95,6 +95,15 @@ def dense_kfold_error(data: Dataset, model: CandidateModel, lam: float, folds) -
     return err
 
 
+def normal_equation_coefficients(X: np.ndarray, columns, lam: float, y: np.ndarray) -> np.ndarray:
+    """Ridge coefficients ``inv(X_j'X_j + lam I) X_j' y``, exact zeros off ``columns``; (p,)."""
+    cols = list(columns)
+    Xj = X[:, cols]
+    beta = np.zeros(X.shape[1])
+    beta[cols] = np.linalg.inv(Xj.T @ Xj + lam * np.eye(len(cols))) @ (Xj.T @ y)
+    return beta
+
+
 def brute_force_select(data: Dataset, config: SelectorConfig):
     """Exhaustive (model, lambda) scan with the documented tie-break."""
     best = None

@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import brute_force_select, dense_gcv, dense_kfold_error, make_instance
+from conftest import (
+    brute_force_select,
+    dense_gcv,
+    dense_kfold_error,
+    make_instance,
+    normal_equation_coefficients,
+)
 
 from bootsmooth import (
     CandidateModel,
@@ -20,7 +26,7 @@ from bootsmooth import (
     select_fit,
     unbiased_variance,
 )
-from bootsmooth.selection import _id_key, _PairSelector
+from bootsmooth.selection import _DesignScorer, _id_key, _PairSelector
 
 
 class TestDataset:
@@ -146,6 +152,12 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             ridge_fit(data, CandidateModel("m", (0,)), -0.1)
 
+    def test_nan_lambda_rejected(self, rng):
+        # NaN used to fail later, as "coefficients contain non-finite entries"
+        data = make_instance(rng, 5, 2)
+        with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
+            ridge_fit(data, CandidateModel("m", (0,)), float("nan"))
+
 
 class TestGcvScore:
     def test_saturated_fit_raises(self):
@@ -169,6 +181,13 @@ class TestGcvScore:
         assert gcv_score(data, model, lam) == pytest.approx(
             dense_gcv(data, model, lam), rel=1e-10
         )
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_negative_or_nan_lambda_rejected(self, rng, lam):
+        # NaN used to pass the sign check and score as lambda = 0
+        data = make_instance(rng, 10, 4)
+        with pytest.raises(ValueError, match=f"lam must be >= 0, got {lam}"):
+            gcv_score(data, CandidateModel("m", (0, 1, 2, 3)), lam)
 
     def test_invariant_under_column_permutation(self, rng):
         for _ in range(20):
@@ -387,3 +406,100 @@ class TestRidgePredictionVariance:
         assert ridge_prediction_variance(data, model, lam, x, s2) == pytest.approx(
             dense, rel=1e-10
         )
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_negative_or_nan_lambda_rejected(self, rng, lam):
+        data = make_instance(rng, 10, 3)
+        with pytest.raises(ValueError, match=f"lam must be >= 0, got {lam}"):
+            ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), lam, np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("sigma2", [-2.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_sigma2_rejected(self, rng, sigma2):
+        # sigma2 = -2 used to come back as a negative variance
+        data = make_instance(rng, 10, 3)
+        with pytest.raises(ValueError, match=f"sigma2 must be finite and >= 0, got {sigma2}"):
+            ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), 0.5, np.ones(3), sigma2)
+
+
+class TestCoefficientsBlock:
+    # Nested candidates on a well-conditioned 40 x 6 design.  Responses whose
+    # signal scale spans four decades select lambda = 0 on strong columns and
+    # every larger penalty on weak ones, mixed within each 64-column chunk.
+    CANDIDATES = (
+        CandidateModel("s", (0, 1)),
+        CandidateModel("m", (0, 1, 2, 3)),
+        CandidateModel("f", (0, 1, 2, 3, 4, 5)),
+    )
+    GRID = (0.0, 1.0, 10.0, 100.0, 1000.0)
+
+    @staticmethod
+    def responses(seed: int, B: int):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2.0, 2.0, size=(40, 6))
+        scale = np.logspace(-2.0, 2.0, 130)[rng.permutation(130)][:B]
+        signal = X @ np.array([1.0, -1.5, 0.8, 0.5, 0.3, 0.2])
+        Y = signal[:, None] * scale[None, :] + rng.standard_normal((40, B))
+        return Dataset(rng.standard_normal(40), X), Y
+
+    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
+    @pytest.mark.parametrize("B", [1, 63, 64, 65, 130])
+    def test_every_column_matches_the_normal_equation_oracle(self, criterion, B):
+        data, Y = self.responses(7, B)
+        cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, cv_folds=5, cv_seed=1)
+        sel = _PairSelector(data, cfg)
+        idx = sel.best_index(Y)
+        C = sel.coefficients_block(idx, Y)
+        assert C.shape == (6, B)
+        for b in range(B):
+            model = self.CANDIDATES[sel.pair_scorer_index[idx[b]]]
+            want = normal_equation_coefficients(data.X, model.columns, sel.pair_lambda[idx[b]], Y[:, b])
+            off = np.setdiff1d(np.arange(6), model.columns)
+            assert np.all(C[off, b] == 0.0), b
+            assert np.max(np.abs(C[:, b] - want)) <= 1e-9 * np.max(np.abs(want)), b
+
+    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
+    def test_one_chunk_mixes_lambda_zero_with_positive_lambdas(self, criterion):
+        # guards the instance above: one solve per candidate must serve
+        # lambda = 0 and several lambda > 0 columns at once
+        data, Y = self.responses(7, 64)
+        cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, cv_folds=5, cv_seed=1)
+        sel = _PairSelector(data, cfg)
+        idx = sel.best_index(Y)
+        full = sel.pair_scorer_index[idx] == 2
+        lams = set(sel.pair_lambda[idx][full].tolist())
+        assert 0.0 in lams and len(lams - {0.0}) >= 2
+
+    def test_per_column_lambda_equals_the_scalar_call(self, rng):
+        data = make_instance(rng, 20, 5)
+        sc = _DesignScorer.for_data(data, CandidateModel("m", (0, 2, 3)))
+        Y = rng.standard_normal((20, 9))
+        for lam in (0.0, 0.37, 250.0):
+            per_column = sc.coef_block(Y, np.full(9, lam))
+            assert per_column.tobytes() == sc.coef_block(Y, lam).tobytes()
+
+
+class TestScalarLambdaBytes:
+    """Single-response fits keep the bytes of the scalar-lambda solve."""
+
+    @staticmethod
+    def scalar_solve(data: Dataset, model: CandidateModel, lam: float) -> np.ndarray:
+        # one factor vector s / (s^2 + lam) for the one response column
+        sc = _DesignScorer.for_data(data, model)
+        f = sc.s / (sc.s2 + lam)
+        coef = np.zeros(data.p)
+        coef[sc.columns] = (sc.V @ (f[:, None] * (sc.U.T @ data.y[:, None])))[:, 0]
+        return coef
+
+    def test_fits_equal_the_scalar_solve(self):
+        data = make_instance(np.random.default_rng(2024), 15, 5)
+        full = CandidateModel("full", tuple(range(5)))
+        sub = CandidateModel("sub", (1, 3, 4))
+        for model, lam in ((full, 0.0), (sub, 0.0), (sub, 0.8), (full, 12.5)):
+            want = self.scalar_solve(data, model, lam).tobytes()
+            assert _DesignScorer.for_data(data, model).fit(data, lam).coefficients.tobytes() == want
+            assert ridge_fit(data, model, lam).coefficients.tobytes() == want
+        assert ols_fit(data).coefficients.tobytes() == self.scalar_solve(data, full, 0.0).tobytes()
+        cfg = SelectorConfig((sub, full), (0.0, 0.1, 3.0, 50.0))
+        fit = select_fit(data, cfg)
+        model = {"sub": sub, "full": full}[fit.model_id]
+        assert fit.coefficients.tobytes() == self.scalar_solve(data, model, fit.lam).tobytes()

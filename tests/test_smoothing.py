@@ -151,6 +151,13 @@ class TestDrawReplicates:
         got = draw_replicates(mean, sigma2, B, seed)
         assert got.tobytes() == per_replicate_draws(mean, sigma2, B, seed).tobytes()
 
+    def test_draw_block_is_a_c_contiguous_n_by_chunk_block(self):
+        mean = np.linspace(-2.0, 3.0, 7)
+        block = smoothing._draw_block(mean, 1.5, 5, 64, 100)
+        assert block.shape == (7, 36)
+        assert block.flags.c_contiguous
+        assert block.tobytes() == per_replicate_draws(mean, 2.25, 100, 5)[64:].T.tobytes()
+
     def test_replicate_streams_do_not_depend_on_b(self):
         # replicate b owns stream (seed, b), so growing B extends the list
         # without disturbing earlier replicates
