@@ -59,7 +59,6 @@ from .simulation import (
 from .smoothing import (
     PbsFit,
     PredictionInterval,
-    ReplicateRecord,
     ResamplingDistribution,
     draw_replicates,
     pbs_fit,

@@ -140,6 +140,9 @@ def load_matrix_csv(path: str | Path):
                 vals = [float(v) for v in row]
             except ValueError:
                 raise IngestionError(f"{path}:{lineno}: non-numeric field") from None
+            bad = next((name for name, v in zip(header, vals) if not np.isfinite(v)), None)
+            if bad is not None:
+                raise IngestionError(f"{path}:{lineno}: {bad} must be finite")
             if has_y:
                 ys.append(vals[0])
                 rows.append(vals[1:])

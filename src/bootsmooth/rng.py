@@ -8,13 +8,16 @@ replication reproducible on its own.
 
 Bootstrap replicate ``b`` still owns stream ``(seed, b)``: Philox keyed by
 ``SeedSequence(seed, spawn_key=(b,)).generate_state(2, np.uint64)``, counter
-at zero.  A replicate chunk does not build that seed sequence once per
-replicate.  :func:`replicate_keys` computes the keys of the whole chunk in
-one pass, and :class:`ReplicateStreams` re-keys one generator per replicate.
-A Philox stream is fully defined by its key and counter (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so the draws are
-the same bytes.  ``tests/test_rng.py`` pins the keys to numpy's
-``SeedSequence`` (NEP 19), so a numpy release that changes it fails there.
+at zero.  A fit does not build that seed sequence once per replicate.
+:class:`ReplicateStreams` holds the keys of all its replicates, computed in
+one pass by :func:`replicate_keys`, and re-keys one generator per replicate.
+The seed's part of the key comes from the pool of numpy's own
+``SeedSequence(seed)``; only the spawn word and the output hash are computed
+here, as array arithmetic.  A Philox stream is fully defined by its key and
+counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), so the draws are the same bytes.  ``tests/test_rng.py`` pins the
+keys to numpy's ``SeedSequence`` (NEP 19), so a numpy release that changes
+it fails there.
 """
 
 from __future__ import annotations
@@ -60,9 +63,8 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(seed_sequence(seed, *path).generate_state(1, np.uint64)[0])
 
 
-# The helpers below take 32-bit words as Python ints or as uint64 arrays
-# and mask every product back to 32 bits, as SeedSequence's uint32
-# arithmetic wraps.
+# The helpers below take 32-bit words as uint64 arrays and mask every
+# product back to 32 bits, as SeedSequence's uint32 arithmetic wraps.
 
 
 def _hash(value, hash_const, mult: int):
@@ -89,47 +91,29 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     """The pool of ``SeedSequence(seed, spawn_key=(b,))`` before ``b`` is mixed in.
 
-    Returns the four pool words and the hash constant at that point; neither
-    depends on ``b``.  A spawn key pads the seed's words to the pool size
-    with zeros; words beyond the pool size are mixed in after the pool's
-    cross-mix, as the spawn word is.
+    Returns the four pool words (uint64) and the hash constant at that point;
+    neither depends on ``b``.  A spawn key pads the seed's words with zeros
+    up to the pool size, and ``SeedSequence(seed)`` hashes zeros into the
+    pool once it runs out of words, so the pool is that of
+    ``SeedSequence(seed)``.  Filling and cross-mixing the pool take 16
+    hashes, and each seed word beyond the pool size 4 more.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hash(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hash(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hash(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    words = max(1, (seed.bit_length() + 31) // 32)
+    hashes = 16 + 4 * max(0, words - _POOL_SIZE)
+    return pool, (_INIT_A * pow(_MULT_A, hashes, 1 << 32)) & _MASK32
 
 
 def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     """Philox keys of the streams ``(seed, b)`` for ``b`` in ``lo..hi-1``; (hi-lo, 2) uint64.
 
     Row ``b - lo`` equals ``SeedSequence(int(seed), spawn_key=(b,))
-    .generate_state(2, np.uint64)``.  The seed's part of the pool is mixed
-    once; only the spawn word ``b`` and the output hash run per replicate,
-    as array arithmetic over the chunk.  A spawn word ``b >= 2**32`` would
+    .generate_state(2, np.uint64)``.  The seed's pool is taken once; only
+    the spawn word ``b`` and the output hash run per replicate, as array
+    arithmetic over the range.  A spawn word ``b >= 2**32`` would
     take two words in ``SeedSequence``; it is refused.
     """
     lo, hi = int(lo), int(hi)
@@ -141,7 +125,7 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     b = np.arange(lo, hi, dtype=np.uint64)[:, None]
     # The spawn word is hashed into each pool word in turn, one hash each.
     value, _ = _hash(b, _pool_consts(hash_const, _MULT_A), _MULT_A)
-    words = _mix(np.array(pool, dtype=np.uint64), value)
+    words = _mix(pool, value)
     # generate_state(2, np.uint64): each pool word hashed once, paired low word first.
     words, _ = _hash(words, _pool_consts(_INIT_B, _MULT_B), _MULT_B)
     return words[:, 0::2] | (words[:, 1::2] << 32)

@@ -169,10 +169,11 @@ class FitResult:
         if not np.all(np.isfinite(coef)):
             raise ValueError("coefficients contain non-finite entries")
         object.__setattr__(self, "coefficients", coef)
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.residual_ss < 0:
-            raise ValueError("residual_ss must be >= 0")
+        # NaN fails both comparisons, so it is refused too.
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not self.residual_ss >= 0:
+            raise ValueError(f"residual_ss must be >= 0, got {self.residual_ss}")
 
 
 class _DesignScorer:
@@ -430,6 +431,16 @@ def _penalty(lam) -> float:
     return lam
 
 
+def _feature_row(x_new, p: int) -> np.ndarray:
+    """``x_new`` as a finite (p,) float vector; a ``ValueError`` otherwise."""
+    x_new = np.asarray(x_new, dtype=float)
+    if x_new.shape != (p,):
+        raise ValueError(f"x_new must have shape ({p},), got {x_new.shape}")
+    if not np.isfinite(x_new).all():
+        raise ValueError("x_new contains non-finite entries")
+    return x_new
+
+
 def ridge_fit(data: Dataset, model: CandidateModel, lam: float) -> FitResult:
     """Ridge fit ``(X_j'X_j + lam I)^-1 X_j' y`` on the model's columns.
 
@@ -486,9 +497,7 @@ def ridge_prediction_variance(
     sigma2 = float(sigma2)
     if not 0.0 <= sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.shape != (data.p,):
-        raise ValueError(f"x_new must have shape ({data.p},), got {x_new.shape}")
+    x_new = _feature_row(x_new, data.p)
     sc = _DesignScorer.for_data(data, model)
     vx = sc.V.T @ x_new[sc.columns]
     g = sc.s / (sc.s2 + lam)

@@ -7,15 +7,17 @@ are averaged.  The module also provides the delta-method variance of the
 smoothed prediction in two algebraically equivalent forms and the resulting
 prediction interval.
 
-Replicates are processed serially in fixed-size chunks whose results are
-reduced in chunk order, so the GEMM shapes and the summation order, and with
-them the output bytes, depend only on the inputs.
+A fit builds the random streams of all its replicates once and processes
+the replicates serially in fixed-size chunks.  Each chunk's response sums
+and cross moments are added to running totals in chunk order, so the GEMM
+shapes and the summation order, and with them the output bytes, depend only
+on the inputs.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -28,15 +30,16 @@ from .selection import (
     SelectorConfig,
     _DesignScorer,
     _PairSelector,
+    _feature_row,
     _full_model,
     ols_fit,
 )
 
 # Replicates per chunk.  A constant: the chunk layout fixes the GEMM shapes
-# and the order of the partial sums, and with them the output bytes.
+# and the order of the running sums, and with them the output bytes.
 REPLICATE_CHUNK = 64
 
-# Replicate b's generator: the chunk's one generator re-keyed to stream
+# Replicate b's generator: the fit's one generator re-keyed to stream
 # (seed, b).  Every replicate's stream set-up is one call through this name,
 # which bench/tracer.py wraps to count them.
 generator = ReplicateStreams.generator
@@ -67,23 +70,15 @@ class ResamplingDistribution:
         object.__setattr__(self, "sigma2", s2)
 
 
-@dataclass(frozen=True)
-class ReplicateRecord:
-    """Per-replicate bookkeeping retained by :class:`PbsFit`."""
-
-    model_id: object
-    lam: float
-    coefficients: np.ndarray
-
-
 @dataclass
 class PbsFit:
-    """Smoothed coefficients plus the per-replicate records behind them.
+    """Smoothed coefficients plus the per-replicate fits behind them.
 
     ``coefficients`` stacks the replicate coefficient vectors (B x p);
-    ``beta_pbs`` is their arithmetic mean.  The bootstrap response vectors
-    are not kept: ``cross_moment`` (the response/coefficient cross moment,
-    centered at ``mean_vector`` and ``center_coefficients``) and
+    ``beta_pbs`` is their arithmetic mean.  Replicate ``b`` selected model
+    ``model_ids[b]`` with penalty ``lambdas[b]``.  The bootstrap response
+    vectors are not kept: ``cross_moment`` (the response/coefficient cross
+    moment, centered at ``mean_vector`` and ``center_coefficients``) and
     ``ybar_star`` are the sufficient statistics of the delta-method
     covariance.  The vectors themselves are
     ``draw_replicates(mean_vector, sigma2, B, seed)``.
@@ -100,27 +95,11 @@ class PbsFit:
     beta_ols: np.ndarray
     distribution: ResamplingDistribution
     seed: int
-    B: int = field(default=0)
-
-    def __post_init__(self):
-        if self.B == 0:
-            self.B = self.coefficients.shape[0]
-
-    @property
-    def replicates(self) -> list[ReplicateRecord]:
-        return [
-            ReplicateRecord(self.model_ids[b], float(self.lambdas[b]), self.coefficients[b])
-            for b in range(self.B)
-        ]
+    B: int
 
     def replicate_predictions(self, x_new: np.ndarray) -> np.ndarray:
         """Per-replicate predictions ``x_new' beta_b``; (B,)."""
-        x_new = np.asarray(x_new, dtype=float)
-        if x_new.shape != (self.coefficients.shape[1],):
-            raise ValueError(
-                f"x_new must have shape ({self.coefficients.shape[1]},), got {x_new.shape}"
-            )
-        return self.coefficients @ x_new
+        return self.coefficients @ _feature_row(x_new, self.coefficients.shape[1])
 
 
 @dataclass(frozen=True)
@@ -133,12 +112,13 @@ class PredictionInterval:
     variance_components: dict
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half_width must be >= 0")
+        # Written so that NaN fails each check.
+        if not self.half_width >= 0:
+            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
         for key in ("smoothing", "residual"):
-            if self.variance_components.get(key, 0.0) < 0:
+            if not self.variance_components.get(key, 0.0) >= 0:
                 raise ValueError(f"variance component {key!r} must be >= 0")
 
     @property
@@ -162,11 +142,12 @@ def resampling_mean(data: Dataset, beta_ols: FitResult, gamma: float) -> np.ndar
     return _mix_mean(data, beta_ols.coefficients, gamma)
 
 
-def _draw_block(mean: np.ndarray, sd: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Columns lo..hi-1 of the replicate matrix; replicate b owns stream (seed, b)."""
+def _draw_block(
+    mean: np.ndarray, sd: float, streams: ReplicateStreams, lo: int, hi: int
+) -> np.ndarray:
+    """Columns lo..hi-1 of the replicate matrix; replicate b owns ``streams``' stream b."""
     # Each replicate fills one contiguous row; one pass transposes the chunk.
     Z = np.empty((hi - lo, mean.shape[0]))
-    streams = ReplicateStreams(seed, lo, hi)
     for t in range(hi - lo):
         generator(streams, lo + t).standard_normal(out=Z[t])
     out = np.multiply(Z.T, sd, order="C")
@@ -202,7 +183,7 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     B = _replicate_count(B)
     sd = float(np.sqrt(sigma2))
-    return _draw_block(mean, sd, seed, 0, B).T
+    return _draw_block(mean, sd, ReplicateStreams(seed, 0, B), 0, B).T
 
 
 def pbs_fit(
@@ -246,16 +227,18 @@ def pbs_fit(
     sd = float(np.sqrt(dist.sigma2))
     sel = _PairSelector.for_data(data, selector)
 
-    n, p = data.n, data.p
-    bounds = [(lo, min(lo + REPLICATE_CHUNK, B)) for lo in range(0, B, REPLICATE_CHUNK)]
-    coeffs = np.empty((B, p))
+    streams = ReplicateStreams(seed, 0, B)
+    coeffs = np.empty((B, data.p))
     lambdas = np.empty(B)
     model_ids: list = [None] * B
-    ysum_parts = np.empty((len(bounds), n))
-    cross_parts = np.empty((len(bounds), n, p))
+    # Running sums, added to in chunk order; any other order would change
+    # the output bytes.
+    ysum = np.zeros(data.n)
+    cross = np.zeros((data.n, data.p))
 
-    for ci, (lo, hi) in enumerate(bounds):
-        Y = _draw_block(mean, sd, seed, lo, hi)
+    for lo in range(0, B, REPLICATE_CHUNK):
+        hi = min(lo + REPLICATE_CHUNK, B)
+        Y = _draw_block(mean, sd, streams, lo, hi)
         idx = sel.best_index(Y, offset=lo)
         C = sel.coefficients_block(idx, Y)
         coeffs[lo:hi] = C.T
@@ -263,21 +246,16 @@ def pbs_fit(
         lambdas[lo:hi] = sel.pair_lambda[idx]
         u = Y - mean[:, None]
         c = C - base[:, None]
-        ysum_parts[ci] = Y.sum(axis=1)
-        cross_parts[ci] = u @ c.T
+        ysum += Y.sum(axis=1)
+        cross += u @ c.T
 
-    # Per-chunk partial sums, reduced in chunk order; summing in any other
-    # order would change the output bytes.
-    ybar = ysum_parts.sum(axis=0) / B
-    cross = cross_parts.sum(axis=0) / B
-    beta_pbs = coeffs.mean(axis=0)
     return PbsFit(
-        beta_pbs=beta_pbs,
+        beta_pbs=coeffs.mean(axis=0),
         coefficients=coeffs,
         model_ids=model_ids,
         lambdas=lambdas,
-        cross_moment=cross,
-        ybar_star=ybar,
+        cross_moment=cross / B,
+        ybar_star=ysum / B,
         mean_vector=mean,
         center_coefficients=np.array(base, copy=True),
         beta_ols=np.array(beta_ols.coefficients, copy=True),
@@ -289,12 +267,7 @@ def pbs_fit(
 
 def pbs_predict(fit: PbsFit, x_new: np.ndarray) -> float:
     """Smoothed prediction ``x_new' beta_pbs``."""
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.shape != (fit.beta_pbs.shape[0],):
-        raise ValueError(
-            f"x_new must have shape ({fit.beta_pbs.shape[0]},), got {x_new.shape}"
-        )
-    return float(x_new @ fit.beta_pbs)
+    return float(_feature_row(x_new, fit.beta_pbs.shape[0]) @ fit.beta_pbs)
 
 
 def _finalize_variance(value: float, context: str) -> float:
@@ -309,10 +282,12 @@ def _finalize_variance(value: float, context: str) -> float:
 
 
 def _check_variance_inputs(fit: PbsFit, data: Dataset, x_rows: np.ndarray) -> np.ndarray:
-    """``x_rows`` as an (m, p) float array; refuses the degenerate sigma2 = 0."""
+    """``x_rows`` as a finite (m, p) float array; refuses the degenerate sigma2 = 0."""
     x_rows = np.asarray(x_rows, dtype=float)
     if x_rows.ndim != 2 or x_rows.shape[1] != data.p:
         raise ValueError(f"target rows must have shape (m, {data.p}), got {x_rows.shape}")
+    if not np.isfinite(x_rows).all():
+        raise ValueError("target rows contain non-finite entries")
     if fit.distribution.sigma2 == 0.0:
         raise NumericalError(
             "sigma2 = 0 is the degenerate resampling mode: replicates are "

@@ -613,6 +613,32 @@ class TestExitCodes:
         }
         assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2 + 1
 
+    @pytest.mark.parametrize(
+        "key, row, column, value",
+        [
+            ("train_csv", 3, "y", "inf"),
+            ("train_csv", 2, "x1", "nan"),
+            ("targets_csv", 2, "x0", "nan"),
+            ("targets_csv", 4, "x2", "-inf"),
+        ],
+    )
+    def test_non_finite_matrix_field_exits_3(
+        self, tmp_path, matrix_files, capsys, key, row, column, value
+    ):
+        # inf in a training y used to exit 2, NaN in a target feature exit 4
+        cfg = base_matrix_config(*matrix_files)
+        path = Path(cfg[key])
+        lines = path.read_text().splitlines()
+        fields = lines[row - 1].split(",")
+        fields[lines[0].split(",").index(column)] = value
+        lines[row - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        cfg["distribution"] = {"sigma2": 1.0, "gamma": 0.5}
+        code = main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"ingestion error: {path}:{row}: {column} must be finite\n"
+
     def test_numerical_error(self, tmp_path, rng):
         train = tmp_path / "train.csv"
         write_matrix_csv(train, rng.standard_normal((3, 5)), rng.standard_normal(3))

@@ -15,6 +15,7 @@ from bootsmooth import (
     Dataset,
     DegenerateScoreError,
     DegreesOfFreedomError,
+    FitResult,
     SelectionFailureError,
     SelectorConfig,
     SingularDesignError,
@@ -102,6 +103,22 @@ class TestUnbiasedVariance:
         data = Dataset(np.array([1.0, 2.0]), np.eye(2))
         with pytest.raises(DegreesOfFreedomError):
             unbiased_variance(data, ols_fit(data))
+
+
+class TestFitResult:
+    @pytest.mark.parametrize(
+        "lam, residual_ss, message",
+        [
+            (float("nan"), 1.0, "lam must be >= 0, got nan"),
+            (-1.0, 1.0, "lam must be >= 0, got -1.0"),
+            (0.5, float("nan"), "residual_ss must be >= 0, got nan"),
+            (0.5, -1.0, "residual_ss must be >= 0, got -1.0"),
+        ],
+    )
+    def test_negative_or_nan_fields_rejected(self, lam, residual_ss, message):
+        # NaN used to pass both sign checks
+        with pytest.raises(ValueError, match=message):
+            FitResult(np.zeros(2), "m", lam, residual_ss)
 
 
 class TestRidgeFit:
@@ -419,6 +436,15 @@ class TestRidgePredictionVariance:
         data = make_instance(rng, 10, 3)
         with pytest.raises(ValueError, match=f"sigma2 must be finite and >= 0, got {sigma2}"):
             ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), 0.5, np.ones(3), sigma2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_x_new_rejected(self, rng, bad):
+        # a NaN entry used to come back as a NaN variance
+        data = make_instance(rng, 12, 3)
+        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
+            ridge_prediction_variance(
+                data, CandidateModel("m", (0, 1, 2)), 0.5, np.array([bad, 1.0, 0.0]), 1.0
+            )
 
 
 class TestCoefficientsBlock:

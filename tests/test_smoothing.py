@@ -19,6 +19,7 @@ from bootsmooth import (
     DegreesOfFreedomError,
     NumericalError,
     PbsFit,
+    PredictionInterval,
     ResamplingDistribution,
     SelectionFailureError,
     SelectorConfig,
@@ -33,8 +34,10 @@ from bootsmooth import (
     ridge_fit,
     smoothed_variance,
     smoothed_variance_via_gram,
+    smoothed_variances,
 )
 from bootsmooth import smoothing
+from bootsmooth.rng import ReplicateStreams
 from bootsmooth.smoothing import two_sided_z
 
 
@@ -153,7 +156,7 @@ class TestDrawReplicates:
 
     def test_draw_block_is_a_c_contiguous_n_by_chunk_block(self):
         mean = np.linspace(-2.0, 3.0, 7)
-        block = smoothing._draw_block(mean, 1.5, 5, 64, 100)
+        block = smoothing._draw_block(mean, 1.5, ReplicateStreams(5, 0, 100), 64, 100)
         assert block.shape == (7, 36)
         assert block.flags.c_contiguous
         assert block.tobytes() == per_replicate_draws(mean, 2.25, 100, 5)[64:].T.tobytes()
@@ -187,7 +190,7 @@ class TestPbsFit:
         data = make_instance(rng, 14, 4)
         cfg = small_selector(4)
         fit = pbs_fit(data, ResamplingDistribution(gamma=0.3, sigma2=2.0), 150, cfg, seed=2)
-        recomputed = sum(rec.coefficients for rec in fit.replicates) / fit.B
+        recomputed = sum(fit.coefficients) / fit.B
         np.testing.assert_allclose(fit.beta_pbs, recomputed, atol=1e-12)
         ybar = sum(redrawn_responses(fit)) / fit.B
         np.testing.assert_allclose(fit.ybar_star, ybar, atol=1e-12)
@@ -223,6 +226,20 @@ class TestPbsFit:
         drawn = np.concatenate(blocks, axis=1).T
         want = per_replicate_draws(fit.mean_vector, sigma2, 130, seed)
         assert drawn.tobytes() == want.tobytes()
+
+    def test_one_stream_set_per_fit(self, rng, monkeypatch):
+        built = []
+
+        class CountedStreams(ReplicateStreams):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(smoothing, "ReplicateStreams", CountedStreams)
+        data = make_instance(rng, 9, 3)
+        pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=1.7), 130, small_selector(3), 6)
+        # one set for all three chunks (64, 64, 2)
+        assert built == [(6, 0, 130)]
 
     def test_bitwise_reproducible_and_thread_invariant(self, rng):
         data = make_instance(rng, 12, 4)
@@ -346,8 +363,40 @@ class TestPbsPredict:
         with pytest.raises(ValueError):
             pbs_predict(fit, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_x_new_rejected(self, rng, bad):
+        data = make_instance(rng, 12, 3)
+        fit = pbs_fit(
+            data, ResamplingDistribution(gamma=0.2, sigma2=1.0), 5, small_selector(3), seed=6
+        )
+        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
+            pbs_predict(fit, np.array([1.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_replicate_predictions_refuse_non_finite_x_new(self, rng, bad):
+        data = make_instance(rng, 12, 3)
+        fit = pbs_fit(
+            data, ResamplingDistribution(gamma=0.2, sigma2=1.0), 5, small_selector(3), seed=6
+        )
+        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
+            fit.replicate_predictions(np.array([0.0, 1.0, bad]))
+
 
 class TestSmoothedVariance:
+    @pytest.mark.parametrize(
+        "variance", [smoothed_variances, smoothed_variance, smoothed_variance_via_gram]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_target_rows_rejected(self, rng, variance, bad):
+        # a NaN entry used to come back as a NaN variance
+        data = make_instance(rng, 12, 3)
+        fit = pbs_fit(
+            data, ResamplingDistribution(gamma=0.7, sigma2=1.0), 20, small_selector(3), seed=8
+        )
+        x = np.array([1.0, bad, 0.5])
+        with pytest.raises(ValueError, match="target rows contain non-finite entries"):
+            variance(fit, data, x[None, :] if variance is smoothed_variances else x)
+
     def test_zero_covariance_gives_zero(self, rng):
         data = make_instance(rng, 10, 3)
         fit = pbs_fit(
@@ -527,6 +576,28 @@ class TestPredictionInterval:
             y = base + scale * np.array([-1.0, 0.0, 1.0])
             widths.append(prediction_interval(fit, Dataset(y, X), np.zeros(1), 0.1).half_width)
         assert widths == sorted(widths)
+
+    def test_non_finite_x_new_rejected(self, rng):
+        data = make_instance(rng, 12, 3)
+        fit = pbs_fit(
+            data, ResamplingDistribution(gamma=0.8, sigma2=1.0), 5, small_selector(3), seed=1
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            prediction_interval(fit, data, np.array([np.nan, 0.0, 1.0]), 0.1)
+
+    @pytest.mark.parametrize(
+        "half_width, components, message",
+        [
+            (float("nan"), {"smoothing": 1.0, "residual": 1.0}, "half_width must be >= 0"),
+            (-1.0, {"smoothing": 1.0, "residual": 1.0}, "half_width must be >= 0"),
+            (1.0, {"smoothing": float("nan"), "residual": 1.0}, "'smoothing' must be >= 0"),
+            (1.0, {"smoothing": 1.0, "residual": float("nan")}, "'residual' must be >= 0"),
+        ],
+    )
+    def test_nan_or_negative_fields_refused(self, half_width, components, message):
+        # NaN used to pass each sign check
+        with pytest.raises(ValueError, match=message):
+            PredictionInterval(0.0, half_width, 0.9, components)
 
     def test_alpha_domain(self, rng):
         data = make_instance(rng, 10, 3)
