@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, IngestionError, NumericalError
 from .forecast import (
-    TAG_CV,
     ForecastReport,
     load_matrix_csv,
     report_summary,
@@ -30,12 +29,12 @@ from .forecast import (
     run_matrix_fit,
     run_sigma_sweep,
     structural_candidates,
+    tune_distribution,
     write_report_csv,
 )
 from .selection import CandidateModel, Dataset, SelectorConfig
 from .simulation import StudyConfig, render_mse_svg, run_study, write_study_csvs
 from .smoothing import ResamplingDistribution
-from .rng import derive_seed
 from .splines import (
     DemandModelSpec,
     SplineBasisSpec,
@@ -43,7 +42,7 @@ from .splines import (
     load_temperature_csv,
 )
 from .tabular import fmt, iso_date, staged_outputs, write_csv, write_json
-from .tuning import CvGrid, cv_error_surface, select_distribution, write_surface_csv
+from .tuning import CvGrid, write_surface_csv
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,10 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
 
 
 def _load_train_matrix(cfg: dict) -> Dataset:
-    y, X, names = load_matrix_csv(_path(cfg, "train_csv"))
+    y, X, _ = load_matrix_csv(_path(cfg, "train_csv"))
     if y is None:
         raise ConfigError("train_csv must carry a leading 'y' column")
-    return Dataset(y, X, column_names=names)
+    return Dataset(y, X)
 
 
 def _load_targets_matrix(cfg: dict, p: int):
@@ -352,9 +351,7 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
         )
     data = _load_train_matrix(cfg)
     selector = _selector(cfg, _candidates(cfg, data.p))
-    grid = replace(_cv_grid(cfg, run), seed=derive_seed(run.seed, TAG_CV, 0))
-    surface = cv_error_surface(data, grid, selector)
-    dist = select_distribution(surface)
+    surface, dist = tune_distribution(data, _cv_grid(cfg, run), selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
         outdir / "summary.json",

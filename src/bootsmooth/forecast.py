@@ -3,7 +3,8 @@ rolling same-weekday demand windows, sigma2 sweeps and report emission.
 
 All randomness flows through two path tags: ``(seed, 0, i)`` for the i-th
 evaluation run and ``(seed, 1, i)`` for the i-th cross-validation grid, so a
-sweep point reproduces a standalone run with the matching derived seed.
+sweep point reproduces a standalone run with the matching derived seed.  The
+CV tag is applied in one place, :func:`tune_distribution`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .selection import (
     select_fit,
     unbiased_variance,
 )
-from .smoothing import (
-    ResamplingDistribution,
-    pbs_fit,
-    residual_variance_pbs,
-    smoothed_variances,
-    two_sided_z,
-)
+from .smoothing import ResamplingDistribution, _pbs_intervals, pbs_fit, two_sided_z
 from .splines import (
     DemandModelSpec,
     DemandTable,
@@ -44,6 +39,9 @@ from .tuning import CvGrid, CvSurface, cv_error_surface, select_distribution
 
 TAG_EVAL = 0
 TAG_CV = 1
+
+# The TargetRow fields that must be finite, in the order they are checked.
+_BOUNDS = ("prediction", "lower", "upper", "ridge_prediction", "ridge_lower", "ridge_upper")
 
 
 @dataclass
@@ -60,6 +58,15 @@ class TargetRow:
     truth: float | None
     sigma2: float
     gamma: float
+
+    def __post_init__(self):
+        for name in _BOUNDS:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise NumericalError(
+                    f"target {self.label}: {name} is {value} at "
+                    f"sigma2={self.sigma2!r}, gamma={self.gamma!r}"
+                )
 
     @property
     def covered(self) -> bool | None:
@@ -158,71 +165,43 @@ def load_matrix_csv(path: str | Path):
 def evaluate_fixed_distribution(
     data: Dataset,
     x_targets: np.ndarray,
+    labels,
+    truths,
     dist: ResamplingDistribution,
     b: int,
     selector: SelectorConfig,
     alpha: float,
     eval_seed: int,
-):
-    """Bootstrap-smoothed predictions/intervals plus the ridge baseline.
+) -> list[TargetRow]:
+    """Bootstrap-smoothed predictions and intervals plus the ridge baseline.
 
-    Returns a dict of per-target arrays: ``prediction``, ``lower``,
-    ``upper``, ``ridge_prediction``, ``ridge_lower``, ``ridge_upper``.
-    Raises ``NumericalError`` when any of them is not finite.
+    One row per row of ``x_targets``, named by ``labels``; ``truths`` is
+    None or holds each target's truth (or None).  The smoothed interval is
+    :func:`~bootsmooth.smoothing.prediction_interval`'s arithmetic on the
+    fit at ``eval_seed``.  A row that is not finite raises ``NumericalError``.
     """
     z = two_sided_z(alpha)
     x_targets = np.atleast_2d(np.asarray(x_targets, dtype=float))
     fit = pbs_fit(data, dist, b, selector, eval_seed)
-    rvar = residual_variance_pbs(fit, data)
-    sv = smoothed_variances(fit, data, x_targets)
-    pred = x_targets @ fit.beta_pbs
-    hw = z * np.sqrt(sv + rvar)
+    pred, hw, _, _ = _pbs_intervals(fit, data, x_targets, z)
 
     baseline = select_fit(data, selector)
     model = next(c for c in selector.candidates if c.id == baseline.model_id)
     s2_ub = unbiased_variance(data, ols_fit(data))
     ridge_pred = x_targets @ baseline.coefficients
-    ridge_hw = np.array(
-        [
-            z
-            * np.sqrt(
-                ridge_prediction_variance(data, model, baseline.lam, x, s2_ub) + s2_ub
-            )
-            for x in x_targets
-        ]
-    )
-    out = {
-        "prediction": pred,
-        "lower": pred - hw,
-        "upper": pred + hw,
-        "ridge_prediction": ridge_pred,
-        "ridge_lower": ridge_pred - ridge_hw,
-        "ridge_upper": ridge_pred + ridge_hw,
-    }
-    for key, values in out.items():
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise NumericalError(
-                f"target {bad[0]}: {key} is {values[bad[0]]} at "
-                f"sigma2={dist.sigma2!r}, gamma={dist.gamma!r}"
-            )
-    return {**out, "fit": fit, "baseline": baseline}
-
-
-def _rows_from_eval(
-    labels, ev, truths, dist: ResamplingDistribution
-) -> list[TargetRow]:
     rows = []
-    for t, label in enumerate(labels):
+    for t, (label, x) in enumerate(zip(labels, x_targets)):
+        ridge_var = ridge_prediction_variance(data, model, baseline.lam, x, s2_ub)
+        ridge_hw = z * np.sqrt(ridge_var + s2_ub)
         rows.append(
             TargetRow(
                 label=str(label),
-                prediction=float(ev["prediction"][t]),
-                lower=float(ev["lower"][t]),
-                upper=float(ev["upper"][t]),
-                ridge_prediction=float(ev["ridge_prediction"][t]),
-                ridge_lower=float(ev["ridge_lower"][t]),
-                ridge_upper=float(ev["ridge_upper"][t]),
+                prediction=float(pred[t]),
+                lower=float(pred[t] - hw[t]),
+                upper=float(pred[t] + hw[t]),
+                ridge_prediction=float(ridge_pred[t]),
+                ridge_lower=float(ridge_pred[t] - ridge_hw),
+                ridge_upper=float(ridge_pred[t] + ridge_hw),
                 truth=None if truths is None or truths[t] is None else float(truths[t]),
                 sigma2=dist.sigma2,
                 gamma=dist.gamma,
@@ -243,17 +222,29 @@ def run_matrix_eval(
     point_index: int = 0,
 ) -> list[TargetRow]:
     """Fixed-distribution matrix-mode evaluation; one sweep point."""
-    ev = evaluate_fixed_distribution(
+    labels = [str(i) for i in range(x_targets.shape[0])]
+    return evaluate_fixed_distribution(
         data,
         x_targets,
+        labels,
+        truths,
         dist,
         b,
         selector,
         alpha,
         derive_seed(seed, TAG_EVAL, point_index),
     )
-    labels = [str(i) for i in range(x_targets.shape[0])]
-    return _rows_from_eval(labels, ev, truths, dist)
+
+
+def tune_distribution(
+    data: Dataset, grid: CvGrid, selector: SelectorConfig, seed: int, index: int = 0
+) -> tuple[CvSurface, ResamplingDistribution]:
+    """CV surface on ``data`` and the distribution it selects.
+
+    The CV runs on ``grid`` with its seed replaced by ``(seed, 1, index)``.
+    """
+    surface = cv_error_surface(data, replace(grid, seed=derive_seed(seed, TAG_CV, index)), selector)
+    return surface, select_distribution(surface)
 
 
 def run_matrix_fit(
@@ -270,9 +261,7 @@ def run_matrix_fit(
 
     The CV runs on ``grid`` with its seed replaced by ``(seed, 1, 0)``.
     """
-    grid = replace(grid, seed=derive_seed(seed, TAG_CV, 0))
-    surface = cv_error_surface(data, grid, selector)
-    dist = select_distribution(surface)
+    surface, dist = tune_distribution(data, grid, selector, seed)
     rows = run_matrix_eval(
         data, x_targets, truths, dist, selector, b, alpha, seed, point_index=0
     )
@@ -351,23 +340,19 @@ def run_demand_fit(
         data = build_demand_design(demand, temps, wspec, hour, window)
         x_t = demand_feature_row(demand, temps, wspec, hour, window, day)
         if dist_override is None:
-            target_grid = replace(grid, seed=derive_seed(seed, TAG_CV, ti))
-            surface = cv_error_surface(data, target_grid, selector)
-            dist = select_distribution(surface)
+            _, dist = tune_distribution(data, grid, selector, seed, ti)
         else:
             dist = dist_override
-        ev = evaluate_fixed_distribution(
+        rows += evaluate_fixed_distribution(
             data,
             x_t[None, :],
+            [f"{day.isoformat()}:{int(hour):02d}"],
+            [demand.values.get((day, int(hour)))],
             dist,
             b,
             selector,
             alpha,
             derive_seed(seed, TAG_EVAL, ti),
-        )
-        truth = demand.values.get((day, int(hour)))
-        rows.extend(
-            _rows_from_eval([f"{day.isoformat()}:{int(hour):02d}"], ev, [truth], dist)
         )
     return rows
 

@@ -22,6 +22,8 @@ it fails there.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # numpy loads its random module lazily; every command draws, so load it with
@@ -43,9 +45,17 @@ _XSHIFT = 16
 _PHILOX_BUFFER_SIZE = 4
 
 
+def _word(value) -> int:
+    """A seed or path word as an int; a ``ValueError`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {value}") from None
+
+
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
     """Seed sequence for the stream addressed by ``(seed, path)``."""
-    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    return np.random.SeedSequence(_word(seed), spawn_key=tuple(_word(p) for p in path))
 
 
 def generator(seed: int, *path: int) -> np.random.Generator:
@@ -116,12 +126,12 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     arithmetic over the range.  A spawn word ``b >= 2**32`` would
     take two words in ``SeedSequence``; it is refused.
     """
-    lo, hi = int(lo), int(hi)
+    lo, hi = _word(lo), _word(hi)
     if not 0 <= lo <= hi:
         raise ValueError(f"replicate range must satisfy 0 <= lo <= hi, got {lo}..{hi}")
     if hi > 2**32:
         raise ValueError(f"replicate index must be < 2**32, got hi={hi}")
-    pool, hash_const = _seed_pool(int(seed))
+    pool, hash_const = _seed_pool(_word(seed))
     b = np.arange(lo, hi, dtype=np.uint64)[:, None]
     # The spawn word is hashed into each pool word in turn, one hash each.
     value, _ = _hash(b, _pool_consts(hash_const, _MULT_A), _MULT_A)

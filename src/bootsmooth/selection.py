@@ -43,7 +43,6 @@ class Dataset:
 
     y: np.ndarray
     X: np.ndarray
-    column_names: tuple[str, ...] | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,11 +65,6 @@ class Dataset:
         X.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
-        if self.column_names is not None:
-            names = tuple(str(c) for c in self.column_names)
-            if len(names) != p:
-                raise ValueError(f"{len(names)} column names for {p} columns")
-            object.__setattr__(self, "column_names", names)
 
     @property
     def n(self) -> int:

@@ -92,7 +92,6 @@ class PbsFit:
     ybar_star: np.ndarray
     mean_vector: np.ndarray
     center_coefficients: np.ndarray
-    beta_ols: np.ndarray
     distribution: ResamplingDistribution
     seed: int
     B: int
@@ -215,12 +214,9 @@ def pbs_fit(
         refit per block).
     """
     B = _replicate_count(B)
-    beta_ols = ols_fit(data)
-    base = (
-        beta_ols.coefficients
-        if mean_coefficients is None
-        else np.asarray(mean_coefficients, dtype=float)
-    )
+    # Called even with mean_coefficients given: it refuses a rank-deficient design.
+    beta_ols = ols_fit(data).coefficients
+    base = beta_ols if mean_coefficients is None else np.asarray(mean_coefficients, dtype=float)
     if base.shape != (data.p,):
         raise ValueError(f"mean_coefficients must have shape ({data.p},)")
     mean = _mix_mean(data, base, dist.gamma)
@@ -258,7 +254,6 @@ def pbs_fit(
         ybar_star=ysum / B,
         mean_vector=mean,
         center_coefficients=np.array(base, copy=True),
-        beta_ols=np.array(beta_ols.coefficients, copy=True),
         distribution=dist,
         seed=int(seed),
         B=B,
@@ -375,6 +370,17 @@ def two_sided_z(alpha: float) -> float:
     return -NormalDist().inv_cdf(alpha / 2.0)
 
 
+def _pbs_intervals(fit: PbsFit, data: Dataset, x_rows: np.ndarray, z: float):
+    """Smoothed centers and half widths ``z * sqrt(smoothing + residual)`` per row.
+
+    Returns ``(centers, half_widths, smoothing_variances, residual_variance)``;
+    the first three are (m,) arrays over the rows of ``x_rows``.
+    """
+    rv = residual_variance_pbs(fit, data)
+    sv = smoothed_variances(fit, data, x_rows)
+    return x_rows @ fit.beta_pbs, z * np.sqrt(sv + rv), sv, rv
+
+
 def prediction_interval(
     fit: PbsFit, data: Dataset, x_new: np.ndarray, alpha: float
 ) -> PredictionInterval:
@@ -383,15 +389,14 @@ def prediction_interval(
     Half width is ``z_{alpha/2} * sqrt(smoothing + residual)`` where the
     smoothing component is the delta-method variance of the smoothed
     prediction and the residual component estimates the new observation's
-    noise variance.
+    noise variance.  The one-row case of the intervals the CLI reports.
     """
     z = two_sided_z(alpha)
-    x_new = np.asarray(x_new, dtype=float)
-    sv = smoothed_variance(fit, data, x_new)
-    rv = residual_variance_pbs(fit, data)
+    x_row = np.asarray(x_new, dtype=float)[None, ...]
+    centers, half_widths, sv, rv = _pbs_intervals(fit, data, x_row, z)
     return PredictionInterval(
-        center=pbs_predict(fit, x_new),
-        half_width=z * float(np.sqrt(sv + rv)),
+        center=float(centers[0]),
+        half_width=float(half_widths[0]),
         level=1.0 - float(alpha),
-        variance_components={"smoothing": sv, "residual": rv},
+        variance_components={"smoothing": float(sv[0]), "residual": rv},
     )

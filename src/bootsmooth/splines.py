@@ -292,14 +292,6 @@ def _tensor_row(spec: DemandModelSpec, hour: int, temp: float) -> np.ndarray:
     return np.outer(h, g).ravel()
 
 
-def _column_names(spec: DemandModelSpec) -> tuple[str, ...]:
-    names = [f"lag_{t}" for t in range(1, spec.t_lags + 1)]
-    for qi in range(spec.hour_basis.n_basis):
-        for mi in range(spec.temp_basis.n_basis):
-            names.append(f"h{qi + 1}g{mi + 1}")
-    return tuple(names)
-
-
 def build_demand_design(
     demand: DemandTable,
     temps: dict,
@@ -335,7 +327,7 @@ def build_demand_design(
         lags = [demand.values[(days[i - t], hour)] for t in range(1, spec.t_lags + 1)]
         rows.append(np.concatenate([lags, _tensor_row(spec, hour, temps[days[i]])]))
         ys.append(demand.values[(days[i], hour)])
-    return Dataset(np.asarray(ys), np.vstack(rows), column_names=_column_names(spec))
+    return Dataset(np.asarray(ys), np.vstack(rows))
 
 
 def demand_feature_row(

@@ -1,6 +1,7 @@
 """End-to-end pipeline and command-line behaviour."""
 
 import csv
+import datetime as dt
 import json
 import os
 import subprocess
@@ -16,16 +17,29 @@ from bootsmooth import (
     CandidateModel,
     CvGrid,
     Dataset,
+    DemandModelSpec,
+    DemandTable,
+    NumericalError,
     ResamplingDistribution,
     SelectorConfig,
+    SplineBasisSpec,
     StudyConfig,
+    TargetRow,
+    build_demand_design,
     cv_error_surface,
+    demand_feature_row,
     derive_seed,
     load_matrix_csv,
+    pbs_fit,
+    prediction_interval,
+    run_demand_fit,
     run_matrix_eval,
     run_study,
+    same_weekday_window,
+    structural_candidates,
 )
 from bootsmooth.cli import main
+from bootsmooth.forecast import window_spec
 from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
 from bootsmooth.tabular import fmt
 
@@ -137,6 +151,74 @@ class TestLoadMatrixCsv:
         p.write_text("y,x0\n1,abc\n")
         with pytest.raises(IngestionError, match="bad.csv:2"):
             load_matrix_csv(p)
+
+
+def assert_rows_match_intervals(rows, intervals):
+    """Each row's smoothed prediction and bounds equal the interval's, to rounding."""
+    assert len(rows) == len(intervals)
+    for row, pi in zip(rows, intervals):
+        tol = 1e-12 * (abs(pi.center) + pi.half_width)
+        assert abs(row.prediction - pi.center) <= tol
+        assert abs(row.lower - pi.lower) <= tol
+        assert abs(row.upper - pi.upper) <= tol
+
+
+class TestEvaluationPath:
+    """Report rows carry prediction_interval's arithmetic on the evaluation fit."""
+
+    def test_matrix_rows_match_prediction_interval(self, rng):
+        X = rng.uniform(-3.0, 3.0, size=(25, 4))
+        data = Dataset(X @ np.array([1.5, -1.0, 0.5, 0.0]) + rng.standard_normal(25), X)
+        Xt = rng.uniform(-3.0, 3.0, size=(7, 4))
+        selector = SelectorConfig(
+            candidates=(CandidateModel("a", (0, 1)), CandidateModel("full", (0, 1, 2, 3))),
+            lambda_grid=(0.0, 0.1, 1.0),
+        )
+        dist = ResamplingDistribution(gamma=0.6, sigma2=2.0)
+        rows = run_matrix_eval(data, Xt, None, dist, selector, 70, 0.1, 13, point_index=2)
+        fit = pbs_fit(data, dist, 70, selector, derive_seed(13, 0, 2))
+        assert_rows_match_intervals(rows, [prediction_interval(fit, data, x, 0.1) for x in Xt])
+        assert [r.label for r in rows] == [str(i) for i in range(7)]
+
+    def test_demand_rows_match_prediction_interval(self):
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=5)
+        values = {(dt.date.fromisoformat(d), h): float(v) for d, h, v in demand_rows}
+        demand = DemandTable(values=values, dates=tuple(sorted({k[0] for k in values})))
+        temps = {dt.date.fromisoformat(d): float(v) for d, v in temp_rows}
+        spec = DemandModelSpec(
+            t_lags=1,
+            hour_basis=SplineBasisSpec.uniform_cyclic(3, 1, 0.0, 24.0),
+            temp_basis=SplineBasisSpec.uniform(1, 3, -10.0, 40.0),
+        )
+        selector = SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0))
+        dist = ResamplingDistribution(gamma=0.5, sigma2=4.0)
+        targets = [(d, 9) for d in dates[-3:]]
+        rows = run_demand_fit(
+            demand, temps, spec, targets, 15, selector, None, 40, 0.05, 3, dist_override=dist
+        )
+        intervals = []
+        for ti, (day, hour) in enumerate(targets):
+            window = same_weekday_window(demand.dates, day, 15)
+            wspec = window_spec(spec, temps, window, day)
+            data = build_demand_design(demand, temps, wspec, hour, window)
+            x_t = demand_feature_row(demand, temps, wspec, hour, window, day)
+            fit = pbs_fit(data, dist, 40, selector, derive_seed(3, 0, ti))
+            intervals.append(prediction_interval(fit, data, x_t, 0.05))
+        assert_rows_match_intervals(rows, intervals)
+        assert [r.label for r in rows] == [f"{d.isoformat()}:09" for d, _ in targets]
+
+    @pytest.mark.parametrize(
+        "field", ["prediction", "lower", "upper", "ridge_prediction", "ridge_lower", "ridge_upper"]
+    )
+    def test_target_row_refuses_a_non_finite_bound(self, field):
+        values = dict(
+            prediction=1.0, lower=0.0, upper=2.0,
+            ridge_prediction=1.0, ridge_lower=0.0, ridge_upper=2.0,
+        )
+        values[field] = float("nan")
+        with pytest.raises(NumericalError) as info:
+            TargetRow(label="2021-06-28:09", truth=None, sigma2=4.0, gamma=0.5, **values)
+        assert str(info.value) == f"target 2021-06-28:09: {field} is nan at sigma2=4.0, gamma=0.5"
 
 
 class TestFitCommand:
@@ -281,8 +363,8 @@ class TestSweepCommand:
         assert main(["sweep-sigma", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         rows = read_report(out / "sweep.csv")
 
-        y, X, names = load_matrix_csv(train)
-        data = Dataset(y, X, column_names=names)
+        y, X, _ = load_matrix_csv(train)
+        data = Dataset(y, X)
         yt, Xt, _ = load_matrix_csv(targets)
         selector = SelectorConfig(
             candidates=(CandidateModel("full", (0, 1, 2)),), lambda_grid=(0.0, 0.1, 1.0)
@@ -331,8 +413,8 @@ class TestSelectDistCommand:
         assert main(["select-dist", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
 
-        y, X, names = load_matrix_csv(train)
-        data = Dataset(y, X, column_names=names)
+        y, X, _ = load_matrix_csv(train)
+        data = Dataset(y, X)
         selector = SelectorConfig(
             candidates=(CandidateModel("full", (0, 1, 2)),), lambda_grid=(0.0, 0.1, 1.0)
         )
@@ -470,6 +552,25 @@ class TestDemandCommand:
         assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         row = read_report(out / "report.csv")[0]
         assert (float(row["sigma2"]), float(row["gamma"])) == (4.0, 0.5)
+
+    def test_non_finite_interval_names_the_target_date_and_hour(self, tmp_path, capsys):
+        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=8)
+        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+        cfg = {
+            "mode": "demand",
+            "demand_csv": str(dpath),
+            "temperature_csv": str(tpath),
+            "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+            "temp_basis": {"n_basis": 3, "degree": 1},
+            "distribution": {"sigma2": 1e300, "gamma": 0.5},
+            "b": 30,
+        }
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: target {dates[-1].isoformat()}:09: ")
+        assert err.count("\n") == 1
+        assert not (out / "report.csv").exists()
 
     def test_explicit_candidates(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)

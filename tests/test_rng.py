@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootsmooth import derive_seed
+from bootsmooth import derive_seed, draw_replicates, kfold_split
 from bootsmooth.rng import ReplicateStreams, generator, replicate_keys
 
 
@@ -95,3 +95,37 @@ class TestReplicateStreams:
     def test_replicate_outside_chunk_refused(self, b):
         with pytest.raises(IndexError):
             ReplicateStreams(0, 60, 70).generator(b)
+
+
+class TestIntegerSeeds:
+    """A seed or path word that is not an integer is refused, not truncated."""
+
+    def test_generator_refuses_a_fractional_seed_or_path_word(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            generator(2.5)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            generator(0, 1.5)
+
+    def test_derive_seed_refuses_a_fractional_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+            derive_seed(2.7, 1)
+
+    @pytest.mark.parametrize("seed, lo, hi", [(2.5, 0, 4), (0, 0.0, 4), (0, 0, 4.0)])
+    def test_replicate_keys_refuses_fractional_words(self, seed, lo, hi):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            replicate_keys(seed, lo, hi)
+
+    def test_draw_replicates_refuses_a_fractional_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            draw_replicates(np.zeros(2), 1.0, 2, 2.5)
+
+    def test_kfold_split_refuses_a_fractional_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            kfold_split(10, 2, 1.5)
+
+    def test_numpy_integers_are_accepted(self):
+        assert derive_seed(np.int64(3), np.uint8(1)) == derive_seed(3, 1)
+        np.testing.assert_array_equal(
+            replicate_keys(np.int64(9), np.int32(2), np.uint64(6)), replicate_keys(9, 2, 6)
+        )
+        assert generator(np.int64(4)).random() == generator(4).random()

@@ -66,7 +66,6 @@ def handmade_fit(coefficients, responses, mean_vector, distribution, center=None
         ybar_star=ybar,
         mean_vector=np.asarray(mean_vector, dtype=float),
         center_coefficients=center,
-        beta_ols=center,
         distribution=distribution,
         seed=0,
         B=B,
