@@ -2,9 +2,9 @@
 
 Shows the two spline bases behind the demand design (clamped in temperature,
 cyclic over the 24-hour clock), assembles the lag + tensor design for one
-hour, then runs the rolling protocol: each target day is predicted from the
-most recent same-weekday window, with the resampling distribution re-tuned
-per window.
+hour, then runs the rolling protocol: each target day is one forecast problem,
+predicted from the most recent same-weekday window, with the resampling
+distribution re-tuned per window.
 """
 
 import datetime as dt
@@ -57,12 +57,8 @@ print(f"window design: {design.n} rows x {design.p} columns "
 
 # --- rolling forecast over the last six weeks ----------------------------
 targets = [(d, hour) for d in dates[-6:]]
-rows = bs.run_demand_fit(
-    demand,
-    temps,
-    spec,
-    targets,
-    window_days=20,
+rows, _ = bs.run_forecasts(
+    bs.demand_problems(demand, temps, spec, targets, window_days=20),
     selector=bs.SelectorConfig(bs.structural_candidates(spec), (0.0, 0.1, 1.0, 10.0)),
     grid=bs.CvGrid(
         k=3,
@@ -70,6 +66,7 @@ rows = bs.run_demand_fit(
         gamma_candidates=(0.0, 0.5, 1.0),
         b_inner=50,
     ),
+    dist=None,
     b=200,
     alpha=0.1,
     seed=1,

@@ -21,11 +21,10 @@ from .errors import (
 from .forecast import (
     ForecastReport,
     TargetRow,
+    demand_problems,
     evaluate_fixed_distribution,
     load_matrix_csv,
-    run_demand_fit,
-    run_matrix_eval,
-    run_matrix_fit,
+    run_forecasts,
     run_sigma_sweep,
     same_weekday_window,
     structural_candidates,

@@ -22,11 +22,10 @@ import numpy as np
 from .errors import ConfigError, IngestionError, NumericalError
 from .forecast import (
     ForecastReport,
+    demand_problems,
     load_matrix_csv,
     report_summary,
-    run_demand_fit,
-    run_matrix_eval,
-    run_matrix_fit,
+    run_forecasts,
     run_sigma_sweep,
     structural_candidates,
     tune_distribution,
@@ -59,6 +58,8 @@ class RunConfig:
     b: int = 200
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed}")
         if self.threads < 1:
             raise ConfigError("threads must be an integer >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -229,6 +230,7 @@ def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
 
 
 def _demand_inputs(cfg: dict):
+    """The demand config's selector and its lazy per-target problems."""
     for key in ("criterion", "criterion_folds"):
         if key in cfg:
             raise ConfigError(f"'{key}' applies to matrix mode only; demand mode selects by GCV")
@@ -259,7 +261,8 @@ def _demand_inputs(cfg: dict):
     window = _value(cfg.get("window_days", 15), "int", "window_days")
     if window < spec.t_lags + 1:
         raise ConfigError(f"window_days must exceed t_lags={spec.t_lags}")
-    return demand, temps, spec, _selector(cfg, candidates), targets, window, auto_domain
+    problems = demand_problems(demand, temps, spec, targets, window, auto_domain)
+    return _selector(cfg, candidates), problems
 
 
 def _demand_targets(cfg: dict) -> list:
@@ -293,33 +296,29 @@ def _forecast(
 ) -> int:
     """Fit and predict the targets: CV-tuned when ``dist`` is None, else at ``dist``."""
     mode = _mode(cfg)
-    surface = None
     if mode == "matrix":
         data = _load_train_matrix(cfg)
         x_targets, truths = _load_targets_matrix(cfg, data.p)
         selector = _selector(cfg, _candidates(cfg, data.p))
-        if dist is None:
-            rows, surface, dist = run_matrix_fit(
-                data, x_targets, truths, selector, _cv_grid(cfg, run), run.b, run.alpha, run.seed
-            )
-        else:
-            rows = run_matrix_eval(
-                data, x_targets, truths, dist, selector, run.b, run.alpha, run.seed
-            )
+        problems = [(data, x_targets, [str(t) for t in range(len(x_targets))], truths)]
     else:
-        demand, temps, spec, selector, targets, window, auto_dom = _demand_inputs(cfg)
-        grid = _cv_grid(cfg, run) if dist is None else None
-        rows = run_demand_fit(
-            demand, temps, spec, targets, window, selector, grid, run.b, run.alpha, run.seed,
-            dist_override=dist, auto_temp_domain=auto_dom,
-        )
+        selector, problems = _demand_inputs(cfg)
+    grid = _cv_grid(cfg, run) if dist is None else None
+    rows, surfaces = run_forecasts(problems, selector, grid, dist, run.b, run.alpha, run.seed)
+    surface = selected = None
+    if dist is not None:
+        selected = (dist.sigma2, dist.gamma)
+    elif mode == "matrix":
+        # a demand fit tunes one surface per target and writes none
+        surface = surfaces[0]
+        selected = surface.selected
     report = ForecastReport(
         rows=rows,
         alpha=run.alpha,
         seed=run.seed,
         b=run.b,
         mode=mode,
-        selected=None if dist is None else (dist.sigma2, dist.gamma),
+        selected=selected,
         surface_path=None if surface is None else "surface.csv",
     )
     # the summary refuses non-finite accuracies, so it is computed before any file is written

@@ -1,10 +1,15 @@
-"""Forecasting pipelines: fixed-distribution evaluation, CV-tuned fits,
-rolling same-weekday demand windows, sigma2 sweeps and report emission.
+"""Forecasting: one loop over forecast problems, rolling same-weekday demand
+windows, sigma2 sweeps and report emission.
 
-All randomness flows through two path tags: ``(seed, 0, i)`` for the i-th
-evaluation run and ``(seed, 1, i)`` for the i-th cross-validation grid, so a
-sweep point reproduces a standalone run with the matching derived seed.  The
-CV tag is applied in one place, :func:`tune_distribution`.
+A forecast problem is a ``(data, x_targets, labels, truths)`` tuple: a
+matrix fit is one problem, a demand fit one problem per target.
+:func:`run_forecasts` takes problem i through the paper's chain: tune
+(sigma2, gamma) by K-fold CV, or take them fixed, then smooth and predict.
+All randomness flows through two path tags indexed by problem: ``(seed, 1, i)``
+for problem i's cross-validation grid and ``(seed, 0, i)`` for its
+evaluation run.  Sweep point i evaluates with ``(seed, 0, i)`` as well, so it
+reproduces a standalone run with the matching derived seed.  The CV tag is
+applied in one place, :func:`tune_distribution`.
 """
 
 from __future__ import annotations
@@ -176,12 +181,18 @@ def evaluate_fixed_distribution(
     """Bootstrap-smoothed predictions and intervals plus the ridge baseline.
 
     One row per row of ``x_targets``, named by ``labels``; ``truths`` is
-    None or holds each target's truth (or None).  The smoothed interval is
+    None or holds each target's truth (or None); either of another length
+    than ``x_targets`` raises ``ValueError``.  The smoothed interval is
     :func:`~bootsmooth.smoothing.prediction_interval`'s arithmetic on the
     fit at ``eval_seed``.  A row that is not finite raises ``NumericalError``.
     """
     z = two_sided_z(alpha)
     x_targets = np.atleast_2d(np.asarray(x_targets, dtype=float))
+    for name, values in (("labels", labels), ("truths", truths)):
+        if values is not None and len(values) != len(x_targets):
+            raise ValueError(
+                f"{name} has {len(values)} entries for {len(x_targets)} target rows"
+            )
     fit = pbs_fit(data, dist, b, selector, eval_seed)
     pred, hw, _, _ = _pbs_intervals(fit, data, x_targets, z)
 
@@ -210,32 +221,6 @@ def evaluate_fixed_distribution(
     return rows
 
 
-def run_matrix_eval(
-    data: Dataset,
-    x_targets: np.ndarray,
-    truths,
-    dist: ResamplingDistribution,
-    selector: SelectorConfig,
-    b: int,
-    alpha: float,
-    seed: int,
-    point_index: int = 0,
-) -> list[TargetRow]:
-    """Fixed-distribution matrix-mode evaluation; one sweep point."""
-    labels = [str(i) for i in range(x_targets.shape[0])]
-    return evaluate_fixed_distribution(
-        data,
-        x_targets,
-        labels,
-        truths,
-        dist,
-        b,
-        selector,
-        alpha,
-        derive_seed(seed, TAG_EVAL, point_index),
-    )
-
-
 def tune_distribution(
     data: Dataset, grid: CvGrid, selector: SelectorConfig, seed: int, index: int = 0
 ) -> tuple[CvSurface, ResamplingDistribution]:
@@ -247,25 +232,34 @@ def tune_distribution(
     return surface, select_distribution(surface)
 
 
-def run_matrix_fit(
-    data: Dataset,
-    x_targets: np.ndarray,
-    truths,
+def run_forecasts(
+    problems,
     selector: SelectorConfig,
-    grid: CvGrid,
+    grid: CvGrid | None,
+    dist: ResamplingDistribution | None,
     b: int,
     alpha: float,
     seed: int,
-) -> tuple[list[TargetRow], CvSurface, ResamplingDistribution]:
-    """CV-select the resampling distribution on ``data``, then evaluate.
+) -> tuple[list[TargetRow], list[CvSurface]]:
+    """Report rows of each ``(data, x_targets, labels, truths)`` problem, in order.
 
-    The CV runs on ``grid`` with its seed replaced by ``(seed, 1, 0)``.
+    Problem i is evaluated with seed ``(seed, 0, i)`` at ``dist`` when one is
+    given (``grid`` may then be None), else at the distribution that
+    :func:`tune_distribution` selects on its data with index i; that surface
+    is appended to the surfaces returned.  ``problems`` is drawn lazily.
     """
-    surface, dist = tune_distribution(data, grid, selector, seed)
-    rows = run_matrix_eval(
-        data, x_targets, truths, dist, selector, b, alpha, seed, point_index=0
-    )
-    return rows, surface, dist
+    rows: list[TargetRow] = []
+    surfaces: list[CvSurface] = []
+    for i, (data, x_targets, labels, truths) in enumerate(problems):
+        problem_dist = dist
+        if problem_dist is None:
+            surface, problem_dist = tune_distribution(data, grid, selector, seed, i)
+            surfaces.append(surface)
+        rows += evaluate_fixed_distribution(
+            data, x_targets, labels, truths, problem_dist, b, selector, alpha,
+            derive_seed(seed, TAG_EVAL, i),
+        )
+    return rows, surfaces
 
 
 def same_weekday_window(dates, target_day: _dt.date, length: int) -> list:
@@ -309,52 +303,31 @@ def window_spec(
     return replace(spec, temp_basis=SplineBasisSpec.uniform(tb.degree, tb.n_basis, lo, hi))
 
 
-def run_demand_fit(
+def demand_problems(
     demand: DemandTable,
     temps: dict,
     spec: DemandModelSpec,
     targets: list[tuple[_dt.date, int]],
     window_days: int,
-    selector: SelectorConfig,
-    grid: CvGrid | None,
-    b: int,
-    alpha: float,
-    seed: int,
-    dist_override: ResamplingDistribution | None = None,
     auto_temp_domain: bool = True,
-) -> list[TargetRow]:
-    """Rolling same-weekday forecasts with per-target CV distribution choice.
+):
+    """One forecast problem per ``(day, hour)`` target, built when it is drawn.
 
-    Target t runs the CV on ``grid`` with its seed replaced by
-    ``(seed, 1, t)``, and evaluates with seed ``(seed, 0, t)``.  With
-    ``dist_override`` the CV step is skipped (``grid`` may be None) and the
-    given distribution is used for every target.  When ``auto_temp_domain``
+    Each is the design of the target's same-weekday window, its feature row,
+    its ``YYYY-MM-DD:HH`` label and its truth (read from the demand table
+    when the target is present in it, else None).  When ``auto_temp_domain``
     is set the temperature knots are respecified over each window's observed
-    range (see :func:`window_spec`).  Truth is read from the demand table
-    when the target is present in it.
+    range (see :func:`window_spec`).  The generator holds one window design
+    at a time, and a target's errors surface only once the targets before it
+    have been run.
     """
-    rows: list[TargetRow] = []
-    for ti, (day, hour) in enumerate(targets):
+    for day, hour in targets:
         window = same_weekday_window(demand.dates, day, window_days)
         wspec = window_spec(spec, temps, window, day) if auto_temp_domain else spec
         data = build_demand_design(demand, temps, wspec, hour, window)
         x_t = demand_feature_row(demand, temps, wspec, hour, window, day)
-        if dist_override is None:
-            _, dist = tune_distribution(data, grid, selector, seed, ti)
-        else:
-            dist = dist_override
-        rows += evaluate_fixed_distribution(
-            data,
-            x_t[None, :],
-            [f"{day.isoformat()}:{int(hour):02d}"],
-            [demand.values.get((day, int(hour)))],
-            dist,
-            b,
-            selector,
-            alpha,
-            derive_seed(seed, TAG_EVAL, ti),
-        )
-    return rows
+        label = f"{day.isoformat()}:{int(hour):02d}"
+        yield data, x_t[None, :], [label], [demand.values.get((day, int(hour)))]
 
 
 def run_sigma_sweep(
@@ -375,11 +348,14 @@ def run_sigma_sweep(
     """
     if truths is None:
         raise ConfigError("sweep-sigma needs target truth values (a 'y' column)")
+    x_targets = np.atleast_2d(np.asarray(x_targets, dtype=float))
+    labels = [str(t) for t in range(len(x_targets))]
     curve = []
     for i, s2 in enumerate(sigma2_sweep):
         dist = ResamplingDistribution(gamma=gamma, sigma2=float(s2))
-        rows = run_matrix_eval(
-            data, x_targets, truths, dist, selector, b, alpha, seed, point_index=i
+        rows = evaluate_fixed_distribution(
+            data, x_targets, labels, truths, dist, b, selector, alpha,
+            derive_seed(seed, TAG_EVAL, i),
         )
         rep = ForecastReport(rows=rows, alpha=alpha, seed=seed, b=b, mode="matrix")
         curve.append(

@@ -27,6 +27,7 @@ from bootsmooth import (
     build_demand_design,
     cv_error_surface,
     cyclic_bspline_basis,
+    demand_problems,
     derive_seed,
     kfold_split,
     nested_candidates,
@@ -35,7 +36,7 @@ from bootsmooth import (
     prediction_interval,
     residual_variance_pbs,
     ridge_fit,
-    run_demand_fit,
+    run_forecasts,
     run_study,
     select_distribution,
     smoothed_variance,
@@ -267,12 +268,8 @@ def test_criterion_8_demand_protocol_tracks_ridge_baseline(tmp_path):
             temp_basis=SplineBasisSpec.uniform(1, 3, -10.0, 40.0),
         )
         targets = [(d, 9) for d in dates[-5:]]
-        rows = run_demand_fit(
-            demand,
-            temps,
-            spec,
-            targets,
-            20,
+        rows, _ = run_forecasts(
+            demand_problems(demand, temps, spec, targets, 20),
             SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0, 10.0)),
             CvGrid(
                 k=3,
@@ -280,6 +277,7 @@ def test_criterion_8_demand_protocol_tracks_ridge_baseline(tmp_path):
                 gamma_candidates=(0.0, 1.0),
                 b_inner=20,
             ),
+            None,
             60,
             0.05,
             seed=s,

@@ -28,18 +28,19 @@ from bootsmooth import (
     build_demand_design,
     cv_error_surface,
     demand_feature_row,
+    demand_problems,
     derive_seed,
+    evaluate_fixed_distribution,
     load_matrix_csv,
     pbs_fit,
     prediction_interval,
-    run_demand_fit,
-    run_matrix_eval,
+    run_forecasts,
     run_study,
     same_weekday_window,
     structural_candidates,
 )
 from bootsmooth.cli import main
-from bootsmooth.forecast import window_spec
+from bootsmooth.forecast import tune_distribution, window_spec
 from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
 from bootsmooth.tabular import fmt
 
@@ -163,38 +164,75 @@ def assert_rows_match_intervals(rows, intervals):
         assert abs(row.upper - pi.upper) <= tol
 
 
+def weekday_demand_inputs(seed):
+    """Demand table, temperatures, spec and Monday dates of one synthetic series."""
+    dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=seed)
+    values = {(dt.date.fromisoformat(d), h): float(v) for d, h, v in demand_rows}
+    demand = DemandTable(values=values, dates=tuple(sorted({k[0] for k in values})))
+    temps = {dt.date.fromisoformat(d): float(v) for d, v in temp_rows}
+    spec = DemandModelSpec(
+        t_lags=1,
+        hour_basis=SplineBasisSpec.uniform_cyclic(3, 1, 0.0, 24.0),
+        temp_basis=SplineBasisSpec.uniform(1, 3, -10.0, 40.0),
+    )
+    return demand, temps, spec, dates
+
+
 class TestEvaluationPath:
     """Report rows carry prediction_interval's arithmetic on the evaluation fit."""
 
-    def test_matrix_rows_match_prediction_interval(self, rng):
-        X = rng.uniform(-3.0, 3.0, size=(25, 4))
-        data = Dataset(X @ np.array([1.5, -1.0, 0.5, 0.0]) + rng.standard_normal(25), X)
-        Xt = rng.uniform(-3.0, 3.0, size=(7, 4))
+    @staticmethod
+    def matrix_problem(rng, n=25, m=7):
+        X = rng.uniform(-3.0, 3.0, size=(n, 4))
+        data = Dataset(X @ np.array([1.5, -1.0, 0.5, 0.0]) + rng.standard_normal(n), X)
+        Xt = rng.uniform(-3.0, 3.0, size=(m, 4))
         selector = SelectorConfig(
             candidates=(CandidateModel("a", (0, 1)), CandidateModel("full", (0, 1, 2, 3))),
             lambda_grid=(0.0, 0.1, 1.0),
         )
+        return data, Xt, selector
+
+    def test_matrix_rows_match_prediction_interval(self, rng):
+        data, Xt, selector = self.matrix_problem(rng)
         dist = ResamplingDistribution(gamma=0.6, sigma2=2.0)
-        rows = run_matrix_eval(data, Xt, None, dist, selector, 70, 0.1, 13, point_index=2)
-        fit = pbs_fit(data, dist, 70, selector, derive_seed(13, 0, 2))
-        assert_rows_match_intervals(rows, [prediction_interval(fit, data, x, 0.1) for x in Xt])
-        assert [r.label for r in rows] == [str(i) for i in range(7)]
+        labels = [str(i) for i in range(7)]
+        rows, surfaces = run_forecasts(
+            [(data, Xt, labels, None)] * 3, selector, None, dist, 70, 0.1, 13
+        )
+        assert surfaces == [] and len(rows) == 21
+        for i in range(3):
+            fit = pbs_fit(data, dist, 70, selector, derive_seed(13, 0, i))
+            intervals = [prediction_interval(fit, data, x, 0.1) for x in Xt]
+            assert_rows_match_intervals(rows[7 * i : 7 * (i + 1)], intervals)
+        assert [r.label for r in rows[:7]] == labels
+
+    def test_target_rows_may_be_a_list(self, rng):
+        data, Xt, selector = self.matrix_problem(rng)
+        dist = ResamplingDistribution(gamma=0.6, sigma2=2.0)
+        labels = [str(i) for i in range(7)]
+        from_array, _ = run_forecasts([(data, Xt, labels, None)], selector, None, dist, 30, 0.1, 2)
+        from_list, _ = run_forecasts(
+            [(data, Xt.tolist(), labels, None)], selector, None, dist, 30, 0.1, 2
+        )
+        assert from_list == from_array
+
+    @pytest.mark.parametrize("name, count", [("labels", 2), ("truths", 1)])
+    def test_labels_and_truths_need_one_entry_per_target_row(self, rng, name, count):
+        data, Xt, selector = self.matrix_problem(rng, n=12, m=3)
+        given = {"labels": ["0", "1", "2"], "truths": None, name: [1.0] * count}
+        dist = ResamplingDistribution(gamma=0.6, sigma2=2.0)
+        with pytest.raises(ValueError, match=f"^{name} has {count} entries for 3 target rows$"):
+            evaluate_fixed_distribution(
+                data, Xt, given["labels"], given["truths"], dist, 10, selector, 0.1, 0
+            )
 
     def test_demand_rows_match_prediction_interval(self):
-        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=5)
-        values = {(dt.date.fromisoformat(d), h): float(v) for d, h, v in demand_rows}
-        demand = DemandTable(values=values, dates=tuple(sorted({k[0] for k in values})))
-        temps = {dt.date.fromisoformat(d): float(v) for d, v in temp_rows}
-        spec = DemandModelSpec(
-            t_lags=1,
-            hour_basis=SplineBasisSpec.uniform_cyclic(3, 1, 0.0, 24.0),
-            temp_basis=SplineBasisSpec.uniform(1, 3, -10.0, 40.0),
-        )
+        demand, temps, spec, dates = weekday_demand_inputs(seed=5)
         selector = SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0))
         dist = ResamplingDistribution(gamma=0.5, sigma2=4.0)
         targets = [(d, 9) for d in dates[-3:]]
-        rows = run_demand_fit(
-            demand, temps, spec, targets, 15, selector, None, 40, 0.05, 3, dist_override=dist
+        rows, _ = run_forecasts(
+            demand_problems(demand, temps, spec, targets, 15), selector, None, dist, 40, 0.05, 3
         )
         intervals = []
         for ti, (day, hour) in enumerate(targets):
@@ -206,6 +244,27 @@ class TestEvaluationPath:
             intervals.append(prediction_interval(fit, data, x_t, 0.05))
         assert_rows_match_intervals(rows, intervals)
         assert [r.label for r in rows] == [f"{d.isoformat()}:09" for d, _ in targets]
+
+    def test_demand_target_t_tunes_and_evaluates_with_index_t(self):
+        demand, temps, spec, dates = weekday_demand_inputs(seed=6)
+        selector = SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0))
+        grid = CvGrid(
+            k=3, sigma2_candidates=(1.0, 4.0, 16.0), gamma_candidates=(0.0, 1.0), b_inner=10
+        )
+        targets = [(d, 9) for d in dates[-3:]]
+        rows, surfaces = run_forecasts(
+            demand_problems(demand, temps, spec, targets, 15), selector, grid, None, 30, 0.05, 11
+        )
+        assert len(rows) == len(surfaces) == 3
+        for t, problem in enumerate(demand_problems(demand, temps, spec, targets, 15)):
+            data, x_t, labels, truths = problem
+            surface, dist = tune_distribution(data, grid, selector, 11, t)
+            np.testing.assert_array_equal(surfaces[t].errors, surface.errors)
+            assert (rows[t].sigma2, rows[t].gamma) == (dist.sigma2, dist.gamma)
+            oracle = evaluate_fixed_distribution(
+                data, x_t, labels, truths, dist, 30, selector, 0.05, derive_seed(11, 0, t)
+            )
+            assert [rows[t]] == oracle
 
     @pytest.mark.parametrize(
         "field", ["prediction", "lower", "upper", "ridge_prediction", "ridge_lower", "ridge_upper"]
@@ -369,17 +428,18 @@ class TestSweepCommand:
         selector = SelectorConfig(
             candidates=(CandidateModel("full", (0, 1, 2)),), lambda_grid=(0.0, 0.1, 1.0)
         )
+        labels = [str(t) for t in range(len(Xt))]
         for i, row in enumerate(rows):
-            oracle_rows = run_matrix_eval(
+            oracle_rows = evaluate_fixed_distribution(
                 data,
                 Xt,
+                labels,
                 list(yt),
                 ResamplingDistribution(gamma=1.0, sigma2=float(row["sigma2"])),
-                selector,
                 40,
+                selector,
                 0.1,
-                7,
-                point_index=i,
+                derive_seed(7, 0, i),
             )
             mspe = float(np.mean([(r.prediction - r.truth) ** 2 for r in oracle_rows]))
             assert float(row["mspe"]) == pytest.approx(mspe, abs=1e-12)
@@ -801,6 +861,8 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if override == {"seed": -1}:
+            assert err == "config error: seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8", "field_too_long"])
     @pytest.mark.parametrize("key", ["train_csv", "targets_csv", "demand_csv", "temperature_csv"])
