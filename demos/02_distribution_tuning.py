@@ -7,6 +7,8 @@ error surface, and compares held-out accuracy of the tuned distribution
 against the plug-in one.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import bootsmooth as bs
@@ -50,8 +52,8 @@ bs.write_surface_csv(surface, "cv_surface.csv")
 print("surface written to cv_surface.csv")
 
 # the sigma2-only variant pins gamma at 1
-_, sigma_only = bs.select_sigma2_cv(
-    train, grid.sigma2_candidates, k=5, b_inner=100, seed=11, selector=selector
+sigma_only = bs.select_distribution(
+    bs.cv_error_surface(train, replace(grid, gamma_candidates=(1.0,)), selector)
 )
 print(f"sigma2-only variant picks sigma2={sigma_only.sigma2:.3f} (gamma fixed at 1)")
 

@@ -71,15 +71,15 @@ rows, _ = bs.run_forecasts(
     alpha=0.1,
     seed=1,
 )
-report = bs.ForecastReport(rows=rows, alpha=0.1, seed=1, b=200, mode="demand")
 print("\ntarget           prediction  interval             truth  (sigma2, gamma)")
 for r in rows:
     print(
         f"{r.label}  {r.prediction:10.2f}  [{r.lower:7.2f}, {r.upper:7.2f}] "
         f"{r.truth:8.2f}  ({r.sigma2:.1f}, {r.gamma})"
     )
-print(f"\nMSPE smoothing {report.mspe:.2f} vs ridge baseline {report.mspe_ridge:.2f}; "
-      f"coverage {report.coverage:.2f} at level {report.alpha}")
+scores = bs.accuracy(rows)
+print(f"\nMSPE smoothing {scores['mspe']:.2f} vs ridge baseline {scores['mspe_ridge']:.2f}; "
+      f"coverage {scores['coverage']:.2f} at level 0.1")
 
-bs.write_report_csv(report, "demand_report.csv")
+bs.write_report_csv(rows, "demand_report.csv")
 print("per-target rows written to demand_report.csv")

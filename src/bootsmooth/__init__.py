@@ -19,8 +19,8 @@ from .errors import (
     SingularDesignError,
 )
 from .forecast import (
-    ForecastReport,
     TargetRow,
+    accuracy,
     demand_problems,
     evaluate_fixed_distribution,
     load_matrix_csv,
@@ -90,7 +90,6 @@ from .tuning import (
     kfold_split,
     read_surface_csv,
     select_distribution,
-    select_sigma2_cv,
     write_surface_csv,
 )
 

@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import ConfigError, IngestionError, NumericalError
 from .forecast import (
-    ForecastReport,
+    accuracy,
     demand_problems,
     load_matrix_csv,
-    report_summary,
     run_forecasts,
     run_sigma_sweep,
     structural_candidates,
@@ -206,21 +205,27 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
     return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
-def _load_train_matrix(cfg: dict) -> Dataset:
+def _matrix_inputs(cfg: dict, with_targets: bool = True):
+    """A matrix config's training data, target rows and truths (None without
+    targets) and selector, read in that order: train CSV, targets CSV, candidates."""
     y, X, _ = load_matrix_csv(_path(cfg, "train_csv"))
     if y is None:
         raise ConfigError("train_csv must carry a leading 'y' column")
-    return Dataset(y, X)
+    data = Dataset(y, X)
+    x_targets = truths = None
+    if with_targets:
+        y, x_targets, _ = load_matrix_csv(_path(cfg, "targets_csv"))
+        if x_targets.shape[1] != data.p:
+            raise ConfigError(
+                f"targets_csv has {x_targets.shape[1]} feature columns, training data has {data.p}"
+            )
+        truths = None if y is None else list(y)
+    return data, x_targets, truths, _selector(cfg, _candidates(cfg, data.p))
 
 
-def _load_targets_matrix(cfg: dict, p: int):
-    y, X, _ = load_matrix_csv(_path(cfg, "targets_csv"))
-    if X.shape[1] != p:
-        raise ConfigError(
-            f"targets_csv has {X.shape[1]} feature columns, training data has {p}"
-        )
-    truths = None if y is None else list(y)
-    return X, truths
+def _summary(command: str, run: RunConfig, **fields) -> dict:
+    """A ``summary.json``: the command, the run's seed and threads, and ``fields``."""
+    return {"command": command, "seed": run.seed, "threads": run.threads, **fields}
 
 
 def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
@@ -297,35 +302,34 @@ def _forecast(
     """Fit and predict the targets: CV-tuned when ``dist`` is None, else at ``dist``."""
     mode = _mode(cfg)
     if mode == "matrix":
-        data = _load_train_matrix(cfg)
-        x_targets, truths = _load_targets_matrix(cfg, data.p)
-        selector = _selector(cfg, _candidates(cfg, data.p))
+        data, x_targets, truths, selector = _matrix_inputs(cfg)
         problems = [(data, x_targets, [str(t) for t in range(len(x_targets))], truths)]
     else:
         selector, problems = _demand_inputs(cfg)
     grid = _cv_grid(cfg, run) if dist is None else None
     rows, surfaces = run_forecasts(problems, selector, grid, dist, run.b, run.alpha, run.seed)
-    surface = selected = None
-    if dist is not None:
-        selected = (dist.sigma2, dist.gamma)
-    elif mode == "matrix":
+    surface = None
+    selected = (None, None) if dist is None else (dist.sigma2, dist.gamma)
+    if dist is None and mode == "matrix":
         # a demand fit tunes one surface per target and writes none
         surface = surfaces[0]
         selected = surface.selected
-    report = ForecastReport(
-        rows=rows,
-        alpha=run.alpha,
-        seed=run.seed,
-        b=run.b,
+    # accuracy refuses non-finite values, so the summary is computed before any file is written
+    summary = _summary(
+        command,
+        run,
         mode=mode,
-        selected=selected,
-        surface_path=None if surface is None else "surface.csv",
+        alpha=run.alpha,
+        b=run.b,
+        n_targets=len(rows),
+        **accuracy(rows),
+        selected_sigma2=selected[0],
+        selected_gamma=selected[1],
+        surface_csv=None if surface is None else "surface.csv",
     )
-    # the summary refuses non-finite accuracies, so it is computed before any file is written
-    summary = report_summary(report, command, run.threads)
     if surface is not None:
         write_surface_csv(surface, outdir / "surface.csv")
-    write_report_csv(report, outdir / "report.csv")
+    write_report_csv(rows, outdir / "report.csv")
     write_json(outdir / "summary.json", summary)
     return 0
 
@@ -348,21 +352,19 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
             "select-dist runs on matrix-mode data; demand-mode fits select a "
             "distribution per rolling window inside 'fit'"
         )
-    data = _load_train_matrix(cfg)
-    selector = _selector(cfg, _candidates(cfg, data.p))
+    data, _, _, selector = _matrix_inputs(cfg, with_targets=False)
     surface, dist = tune_distribution(data, _cv_grid(cfg, run), selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
         outdir / "summary.json",
-        {
-            "command": "select-dist",
-            "mode": "matrix",
-            "seed": run.seed,
-            "threads": run.threads,
-            "selected_sigma2": dist.sigma2,
-            "selected_gamma": dist.gamma,
-            "surface_csv": "surface.csv",
-        },
+        _summary(
+            "select-dist",
+            run,
+            mode="matrix",
+            selected_sigma2=dist.sigma2,
+            selected_gamma=dist.gamma,
+            surface_csv="surface.csv",
+        ),
     )
     return 0
 
@@ -374,9 +376,7 @@ def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
     if not sweep:
         raise ConfigError("sigma2_sweep must be nonempty")
     gamma = _value(_require(cfg, "gamma"), "float", "gamma")
-    data = _load_train_matrix(cfg)
-    x_targets, truths = _load_targets_matrix(cfg, data.p)
-    selector = _selector(cfg, _candidates(cfg, data.p))
+    data, x_targets, truths, selector = _matrix_inputs(cfg)
     curve = run_sigma_sweep(
         data,
         x_targets,
@@ -395,17 +395,16 @@ def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
     )
     write_json(
         outdir / "summary.json",
-        {
-            "command": "sweep-sigma",
-            "mode": "matrix",
-            "gamma": gamma,
-            "seed": run.seed,
-            "threads": run.threads,
-            "alpha": run.alpha,
-            "b": run.b,
-            "n_points": len(curve),
-            "sweep_csv": "sweep.csv",
-        },
+        _summary(
+            "sweep-sigma",
+            run,
+            mode="matrix",
+            gamma=gamma,
+            alpha=run.alpha,
+            b=run.b,
+            n_points=len(curve),
+            sweep_csv="sweep.csv",
+        ),
     )
     return 0
 
@@ -416,18 +415,17 @@ def cmd_simulate(cfg: dict, run: RunConfig, outdir: Path) -> int:
     )
     result = run_study(study)
     mse_path, freq_path = write_study_csvs(result, outdir)
-    summary = {
-        "command": "simulate",
-        "n": study.n,
-        "true_model_j": study.true_model_j,
-        "reps": study.reps,
-        "b": study.b,
-        "seed": run.seed,
-        "threads": run.threads,
-        "ridge_baseline_mse": result.ridge_baseline_mse,
-        "mse_csv": mse_path.name,
-        "freq_csv": freq_path.name,
-    }
+    summary = _summary(
+        "simulate",
+        run,
+        n=study.n,
+        true_model_j=study.true_model_j,
+        reps=study.reps,
+        b=study.b,
+        ridge_baseline_mse=result.ridge_baseline_mse,
+        mse_csv=mse_path.name,
+        freq_csv=freq_path.name,
+    )
     if _value(cfg.get("svg", False), "bool", "svg"):
         svg_path = outdir / "study_mse.svg"
         render_mse_svg(result, svg_path)

@@ -1,5 +1,5 @@
 """Forecasting: one loop over forecast problems, rolling same-weekday demand
-windows, sigma2 sweeps and report emission.
+windows, sigma2 sweeps, and the accuracy and report file of the rows.
 
 A forecast problem is a ``(data, x_targets, labels, truths)`` tuple: a
 matrix fit is one problem, a demand fit one problem per target.
@@ -10,6 +10,10 @@ for problem i's cross-validation grid and ``(seed, 0, i)`` for its
 evaluation run.  Sweep point i evaluates with ``(seed, 0, i)`` as well, so it
 reproduces a standalone run with the matching derived seed.  The CV tag is
 applied in one place, :func:`tune_distribution`.
+
+The loop returns one :class:`TargetRow` per target.  :func:`accuracy` scores
+any list of rows (the MSPE and interval coverage of the smoothed fit and of
+the GCV-ridge baseline), and :func:`write_report_csv` writes them.
 """
 
 from __future__ import annotations
@@ -86,46 +90,39 @@ class TargetRow:
         return self.ridge_lower <= self.truth <= self.ridge_upper
 
 
-@dataclass
-class ForecastReport:
-    """Per-target rows plus the run-level accuracy summaries."""
+# The accuracy term of a row with a truth, per summary name, in the order the
+# names are checked.
+_ACCURACY_TERMS = {
+    "mspe": lambda r: np.square(r.prediction - r.truth),
+    "mspe_ridge": lambda r: np.square(r.ridge_prediction - r.truth),
+    "coverage": lambda r: float(r.covered),
+    "coverage_ridge": lambda r: float(r.ridge_covered),
+}
 
-    rows: list[TargetRow]
-    alpha: float
-    seed: int
-    b: int
-    mode: str
-    selected: tuple[float, float] | None = None
-    surface_path: str | None = None
 
-    def _mean_over_truth(self, name: str, term) -> float | None:
-        """Mean of ``term(row)`` over rows with a truth; ``NumericalError`` if not finite."""
-        rows = [r for r in self.rows if r.truth is not None]
-        if not rows:
-            return None
+def accuracy(rows) -> dict:
+    """MSPE and interval coverage of both methods over the rows with a truth.
+
+    Returns ``mspe``, ``mspe_ridge``, ``coverage`` and ``coverage_ridge``,
+    each None when no row has a truth.  A value that is not finite raises
+    ``NumericalError``; the values are checked in that order.
+    """
+    return _accuracy(rows, _ACCURACY_TERMS)
+
+
+def _accuracy(rows, names) -> dict:
+    """:func:`accuracy`'s values of ``names`` alone, checked in the order given."""
+    scored = [r for r in rows if r.truth is not None]
+    means = dict.fromkeys(names)
+    if not scored:
+        return means
+    for name in names:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = float(np.mean([term(r) for r in rows]))
+            value = float(np.mean([_ACCURACY_TERMS[name](r) for r in scored]))
         if not np.isfinite(value):
             raise NumericalError(f"{name} over the targets with a truth is {value}")
-        return value
-
-    @property
-    def mspe(self) -> float | None:
-        return self._mean_over_truth("mspe", lambda r: np.square(r.prediction - r.truth))
-
-    @property
-    def mspe_ridge(self) -> float | None:
-        return self._mean_over_truth(
-            "mspe_ridge", lambda r: np.square(r.ridge_prediction - r.truth)
-        )
-
-    @property
-    def coverage(self) -> float | None:
-        return self._mean_over_truth("coverage", lambda r: float(r.covered))
-
-    @property
-    def coverage_ridge(self) -> float | None:
-        return self._mean_over_truth("coverage_ridge", lambda r: float(r.ridge_covered))
+        means[name] = value
+    return means
 
 
 def load_matrix_csv(path: str | Path):
@@ -246,8 +243,11 @@ def run_forecasts(
     Problem i is evaluated with seed ``(seed, 0, i)`` at ``dist`` when one is
     given (``grid`` may then be None), else at the distribution that
     :func:`tune_distribution` selects on its data with index i; that surface
-    is appended to the surfaces returned.  ``problems`` is drawn lazily.
+    is appended to the surfaces returned.  ``problems`` is drawn lazily;
+    with neither ``grid`` nor ``dist`` no problem is drawn (``ValueError``).
     """
+    if grid is None and dist is None:
+        raise ValueError("grid is required when dist is None")
     rows: list[TargetRow] = []
     surfaces: list[CvSurface] = []
     for i, (data, x_targets, labels, truths) in enumerate(problems):
@@ -357,14 +357,8 @@ def run_sigma_sweep(
             data, x_targets, labels, truths, dist, b, selector, alpha,
             derive_seed(seed, TAG_EVAL, i),
         )
-        rep = ForecastReport(rows=rows, alpha=alpha, seed=seed, b=b, mode="matrix")
-        curve.append(
-            {
-                "sigma2": float(s2),
-                "mspe": rep.mspe,
-                "coverage": rep.coverage,
-            }
-        )
+        # sweep.csv writes no ridge accuracy, so none is checked
+        curve.append({"sigma2": float(s2), **_accuracy(rows, ("mspe", "coverage"))})
     return curve
 
 
@@ -384,10 +378,10 @@ _REPORT_HEADER = [
 ]
 
 
-def write_report_csv(report: ForecastReport, path: str | Path) -> None:
-    rows = []
-    for r in report.rows:
-        rows.append(
+def write_report_csv(rows: list[TargetRow], path: str | Path) -> None:
+    table = []
+    for r in rows:
+        table.append(
             [
                 r.label,
                 fmt(r.prediction),
@@ -403,23 +397,4 @@ def write_report_csv(report: ForecastReport, path: str | Path) -> None:
                 fmt(r.gamma),
             ]
         )
-    write_csv(path, _REPORT_HEADER, rows)
-
-
-def report_summary(report: ForecastReport, command: str, threads: int) -> dict:
-    return {
-        "command": command,
-        "mode": report.mode,
-        "alpha": report.alpha,
-        "seed": report.seed,
-        "b": report.b,
-        "threads": threads,
-        "n_targets": len(report.rows),
-        "mspe": report.mspe,
-        "mspe_ridge": report.mspe_ridge,
-        "coverage": report.coverage,
-        "coverage_ridge": report.coverage_ridge,
-        "selected_sigma2": None if report.selected is None else report.selected[0],
-        "selected_gamma": None if report.selected is None else report.selected[1],
-        "surface_csv": report.surface_path,
-    }
+    write_csv(path, _REPORT_HEADER, table)

@@ -74,7 +74,6 @@ class CvSurface:
     errors: np.ndarray
     sigma2_candidates: tuple[float, ...]
     gamma_candidates: tuple[float, ...]
-    folds: list[np.ndarray]
     selected: tuple[float, float]
 
 
@@ -147,7 +146,6 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
         errors=errors,
         sigma2_candidates=grid.sigma2_candidates,
         gamma_candidates=grid.gamma_candidates,
-        folds=folds,
         selected=selected,
     )
 
@@ -178,28 +176,6 @@ def select_distribution(surface: CvSurface) -> ResamplingDistribution:
         surface.errors, surface.sigma2_candidates, surface.gamma_candidates
     )
     return ResamplingDistribution(gamma=gamma, sigma2=sigma2)
-
-
-def select_sigma2_cv(
-    data: Dataset,
-    sigma2_candidates,
-    k: int,
-    b_inner: int,
-    seed: int,
-    selector: SelectorConfig,
-    fold_mode: str = "random",
-) -> tuple[CvSurface, ResamplingDistribution]:
-    """Variance-only variant: gamma pinned at 1, CV over sigma2 alone."""
-    grid = CvGrid(
-        sigma2_candidates=tuple(sigma2_candidates),
-        gamma_candidates=(1.0,),
-        k=k,
-        b_inner=b_inner,
-        seed=seed,
-        fold_mode=fold_mode,
-    )
-    surface = cv_error_surface(data, grid, selector)
-    return surface, select_distribution(surface)
 
 
 def default_sigma2_candidates(data: Dataset, count: int = 50, span: float = 100.0) -> tuple[float, ...]:

@@ -18,11 +18,11 @@ from bootsmooth import (
     Dataset,
     DemandModelSpec,
     DemandTable,
-    ForecastReport,
     ResamplingDistribution,
     SelectorConfig,
     SplineBasisSpec,
     StudyConfig,
+    accuracy,
     bspline_basis,
     build_demand_design,
     cv_error_surface,
@@ -250,7 +250,7 @@ def test_criterion_8_demand_protocol_tracks_ridge_baseline(tmp_path):
     5% of the ridge baseline on pooled MSPE, and emitted coverage recomputes
     exactly from the per-target report rows."""
     sq_pbs, sq_ridge = [], []
-    reports = []
+    runs = []
     for s in range(20):
         dates, demand_rows, temp_rows, truth = synth_weekday_demand(
             seed=1000 + s, noise_sd=4.0
@@ -286,18 +286,16 @@ def test_criterion_8_demand_protocol_tracks_ridge_baseline(tmp_path):
             assert r.truth is not None
             sq_pbs.append((r.prediction - r.truth) ** 2)
             sq_ridge.append((r.ridge_prediction - r.truth) ** 2)
-        reports.append(
-            ForecastReport(rows=rows, alpha=0.05, seed=s, b=60, mode="demand")
-        )
+        runs.append(rows)
 
     mspe_pbs = float(np.mean(sq_pbs))
     mspe_ridge = float(np.mean(sq_ridge))
     assert mspe_pbs <= 1.05 * mspe_ridge, (mspe_pbs, mspe_ridge)
 
     # coverage recomputes exactly from the emitted rows
-    report = reports[0]
+    rows = runs[0]
     path = tmp_path / "report.csv"
-    write_report_csv(report, path)
+    write_report_csv(rows, path)
     import csv
 
     with open(path, newline="") as fh:
@@ -308,7 +306,7 @@ def test_criterion_8_demand_protocol_tracks_ridge_baseline(tmp_path):
         assert int(row["covered"]) == int(inside)
         flags.append(int(row["covered"]))
     recomputed = sum(flags) / len(flags)
-    assert report.coverage == recomputed
+    assert accuracy(rows)["coverage"] == recomputed
     assert 0.0 <= recomputed <= 1.0
 
 

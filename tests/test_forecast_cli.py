@@ -15,6 +15,7 @@ from conftest import synth_weekday_demand, write_demand_files
 import bootsmooth
 from bootsmooth import (
     CandidateModel,
+    ConfigError,
     CvGrid,
     Dataset,
     DemandModelSpec,
@@ -25,6 +26,7 @@ from bootsmooth import (
     SplineBasisSpec,
     StudyConfig,
     TargetRow,
+    accuracy,
     build_demand_design,
     cv_error_surface,
     demand_feature_row,
@@ -111,6 +113,24 @@ def every_command_config(matrix_files) -> dict:
         "gamma": 0.5,
         "svg": True,
         "study": {"n": 23, "reps": 1, "b": 5, "sigma2_sweep": [1.0], "gamma_sweep": [1.0]},
+    }
+
+
+def demand_command_config(tmp_path) -> dict:
+    """A demand-mode config that ``fit`` and ``predict`` accept."""
+    dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
+    dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
+    return {
+        "mode": "demand",
+        "demand_csv": str(dpath),
+        "temperature_csv": str(tpath),
+        "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
+        "temp_basis": {"n_basis": 5, "degree": 2},
+        "lambda_grid": [0.0, 0.1, 1.0, 10.0],
+        "b": 40,
+        "seed": 11,
+        "distribution": {"sigma2": 4.0, "gamma": 0.5},
+        "cv": {"k": 3, "sigma2_candidates": [1.0, 4.0], "gamma_candidates": [0.0, 1.0], "b_inner": 20},
     }
 
 
@@ -226,6 +246,21 @@ class TestEvaluationPath:
                 data, Xt, given["labels"], given["truths"], dist, 10, selector, 0.1, 0
             )
 
+    def test_neither_grid_nor_dist_is_a_value_error(self, rng):
+        data, Xt, selector = self.matrix_problem(rng, n=12, m=3)
+        with pytest.raises(ValueError, match="^grid is required when dist is None$"):
+            run_forecasts([(data, Xt, ["0", "1", "2"], None)], selector, None, None, 10, 0.1, 0)
+
+    def test_neither_grid_nor_dist_draws_no_problem(self):
+        demand, temps, spec, dates = weekday_demand_inputs(seed=5)
+        selector = SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0))
+        # the first date has no history, so drawing its problem raises ConfigError
+        problems = demand_problems(demand, temps, spec, [(dates[0], 9)], 15)
+        with pytest.raises(ValueError, match="^grid is required when dist is None$"):
+            run_forecasts(problems, selector, None, None, 10, 0.1, 0)
+        with pytest.raises(ConfigError, match="same-weekday days of history"):
+            next(problems)
+
     def test_demand_rows_match_prediction_interval(self):
         demand, temps, spec, dates = weekday_demand_inputs(seed=5)
         selector = SelectorConfig(structural_candidates(spec), (0.0, 0.1, 1.0))
@@ -278,6 +313,43 @@ class TestEvaluationPath:
         with pytest.raises(NumericalError) as info:
             TargetRow(label="2021-06-28:09", truth=None, sigma2=4.0, gamma=0.5, **values)
         assert str(info.value) == f"target 2021-06-28:09: {field} is nan at sigma2=4.0, gamma=0.5"
+
+
+class TestAccuracy:
+    @staticmethod
+    def row(prediction, ridge_prediction, truth):
+        return TargetRow(
+            label="t",
+            prediction=prediction,
+            lower=prediction - 1.0,
+            upper=prediction + 1.0,
+            ridge_prediction=ridge_prediction,
+            ridge_lower=ridge_prediction - 0.5,
+            ridge_upper=ridge_prediction + 0.5,
+            truth=truth,
+            sigma2=1.0,
+            gamma=0.5,
+        )
+
+    def test_means_over_the_rows_with_a_truth(self):
+        rows = [self.row(1.0, 0.0, 1.5), self.row(2.0, 0.0, None), self.row(0.0, 0.0, 3.0)]
+        assert accuracy(rows) == {
+            "mspe": (0.25 + 9.0) / 2,
+            "mspe_ridge": (2.25 + 9.0) / 2,
+            "coverage": 0.5,
+            "coverage_ridge": 0.0,
+        }
+        assert accuracy(rows[1:2]) == dict.fromkeys(["mspe", "mspe_ridge", "coverage", "coverage_ridge"])
+        assert accuracy([]) == accuracy(rows[1:2])
+
+    @pytest.mark.parametrize(
+        "prediction, ridge_prediction, name",
+        [(1e200, 1e200, "mspe"), (0.0, 1e200, "mspe_ridge")],
+    )
+    def test_the_first_non_finite_value_is_named(self, prediction, ridge_prediction, name):
+        rows = [self.row(prediction, ridge_prediction, 0.0)]
+        with pytest.raises(NumericalError, match=f"^{name} over the targets with a truth is inf$"):
+            accuracy(rows)
 
 
 class TestFitCommand:
@@ -755,6 +827,52 @@ class TestSimulateCommand:
         assert summary["ridge_baseline_mse"] == result.ridge_baseline_mse
 
 
+FORECAST_SUMMARY_KEYS = {
+    "command", "mode", "alpha", "seed", "b", "threads", "n_targets", "mspe", "mspe_ridge",
+    "coverage", "coverage_ridge", "selected_sigma2", "selected_gamma", "surface_csv",
+}
+SIMULATE_SUMMARY_KEYS = {
+    "command", "n", "true_model_j", "reps", "b", "seed", "threads", "ridge_baseline_mse",
+    "mse_csv", "freq_csv",
+}
+
+
+class TestSummaryKeys:
+    @pytest.mark.parametrize(
+        "command, mode, svg, keys",
+        [
+            ("fit", "matrix", True, FORECAST_SUMMARY_KEYS),
+            ("fit", "demand", True, FORECAST_SUMMARY_KEYS),
+            ("predict", "matrix", True, FORECAST_SUMMARY_KEYS),
+            ("predict", "demand", True, FORECAST_SUMMARY_KEYS),
+            (
+                "select-dist",
+                "matrix",
+                True,
+                {"command", "mode", "seed", "threads", "selected_sigma2", "selected_gamma", "surface_csv"},
+            ),
+            (
+                "sweep-sigma",
+                "matrix",
+                True,
+                {"command", "mode", "gamma", "seed", "threads", "alpha", "b", "n_points", "sweep_csv"},
+            ),
+            ("simulate", "matrix", False, SIMULATE_SUMMARY_KEYS),
+            ("simulate", "matrix", True, SIMULATE_SUMMARY_KEYS | {"svg"}),
+        ],
+    )
+    def test_summary_key_set(self, tmp_path, matrix_files, command, mode, svg, keys):
+        if mode == "matrix":
+            cfg = {**every_command_config(matrix_files), "svg": svg}
+        else:
+            cfg = demand_command_config(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == keys
+        assert summary["command"] == command
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, {"mode": "matrix"})
@@ -893,6 +1011,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"ingestion error: {bad}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "sweep-sigma", "select-dist"])
+    def test_matrix_inputs_are_read_train_then_targets_then_candidates(
+        self, tmp_path, matrix_files, capsys, command
+    ):
+        missing = tmp_path / "missing_targets.csv"
+        cfg = {**every_command_config(matrix_files), "targets_csv": str(missing), "candidates": [["a"]]}
+        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if command == "select-dist":
+            # select-dist reads no targets
+            assert code == 2
+            assert err.startswith("config error: candidates[0][0] must be an integer")
+        else:
+            assert code == 3
+            assert err.startswith(f"ingestion error: {missing}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fault", ["config_directory", "out_under_a_file"])
     def test_unusable_config_or_out_path_exits_2(self, tmp_path, matrix_files, capsys, fault):

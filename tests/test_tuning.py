@@ -23,7 +23,6 @@ from bootsmooth import (
     pbs_fit,
     read_surface_csv,
     select_distribution,
-    select_sigma2_cv,
     write_surface_csv,
 )
 
@@ -133,7 +132,7 @@ class TestCvSurface:
                     oracle[i, j] += float(r @ r)
         np.testing.assert_allclose(surface.errors, oracle, rtol=1e-9)
         oracle_dist = select_distribution(
-            CvSurface(oracle, grid.sigma2_candidates, grid.gamma_candidates, folds, (0, 0))
+            CvSurface(oracle, grid.sigma2_candidates, grid.gamma_candidates, (0, 0))
         )
         assert surface.selected == (oracle_dist.sigma2, oracle_dist.gamma)
 
@@ -229,7 +228,6 @@ class TestSelectDistribution:
             errors=np.array([[2.0, 1.0], [3.0, 4.0]]),
             sigma2_candidates=(0.5, 1.5),
             gamma_candidates=(0.0, 1.0),
-            folds=[],
             selected=(0.5, 1.0),
         )
         dist = select_distribution(surface)
@@ -240,7 +238,6 @@ class TestSelectDistribution:
             errors=np.ones((3, 2)),
             sigma2_candidates=(2.0, 1.0, 3.0),
             gamma_candidates=(0.7, 0.1),
-            folds=[],
             selected=(1.0, 0.1),
         )
         dist = select_distribution(surface)
@@ -251,7 +248,6 @@ class TestSelectDistribution:
             errors=np.array([[2.0, 1.0], [np.nan, 4.0]]),
             sigma2_candidates=(0.5, 1.5),
             gamma_candidates=(0.0, 1.0),
-            folds=[],
             selected=(0.5, 1.0),
         )
         with pytest.raises(NumericalError, match=r"sigma2=1\.5, gamma=0\.0\) is nan"):
@@ -263,30 +259,12 @@ class TestSelectDistribution:
             errors = rng.uniform(0.0, 10.0, size=(t, s))
             s2s = tuple(sorted(rng.uniform(0.1, 5.0, size=t).tolist()))
             gs = tuple(sorted(rng.uniform(0.0, 1.0, size=s).tolist()))
-            surface = CvSurface(errors, s2s, gs, [], (0, 0))
+            surface = CvSurface(errors, s2s, gs, (0, 0))
             dist = select_distribution(surface)
             best = min(
                 ((errors[i, j], s2s[i], gs[j]) for i in range(t) for j in range(s))
             )
             assert (dist.sigma2, dist.gamma) == (best[1], best[2])
-
-
-class TestSigmaOnlyReduction:
-    def test_reduces_to_general_path_with_gamma_one(self, rng):
-        data = make_instance(rng, 16, 3)
-        selector = selector_for(3)
-        s2s = (0.5, 1.0, 4.0)
-        surface_a, dist_a = select_sigma2_cv(
-            data, s2s, k=4, b_inner=20, seed=13, selector=selector
-        )
-        grid = CvGrid(
-            sigma2_candidates=s2s, gamma_candidates=(1.0,), k=4, b_inner=20, seed=13
-        )
-        surface_b = cv_error_surface(data, grid, selector)
-        np.testing.assert_array_equal(surface_a.errors, surface_b.errors)
-        dist_b = select_distribution(surface_b)
-        assert (dist_a.sigma2, dist_a.gamma) == (dist_b.sigma2, dist_b.gamma)
-        assert dist_a.gamma == 1.0
 
 
 class TestDefaults:
