@@ -85,7 +85,7 @@ _RUN_KEYS = ("seed", "threads", "alpha", "b")
 _SELECTOR_KEYS = ("lambda_grid", "criterion", "criterion_folds")
 _CV_KEYS = (
     "k", "sigma2_candidates", "sigma2_count", "sigma2_span", "gamma_candidates",
-    "b_inner", "fold_mode", "refit_ols_per_block",
+    "b_inner", "fold_mode",
 )
 _STUDY_KEYS = ("n", "true_model_j", "noise_sd", "reps", "b", "sigma2_sweep", "gamma_sweep", "lambda_grid")
 _DISTRIBUTION_KEYS = ("gamma", "sigma2")
@@ -121,10 +121,15 @@ def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
     """``cls(**given, ...)`` with each of ``keys`` in the config object ``raw`` read as its field's type.
 
     An absent key leaves its field to ``given`` or to the field's default;
-    with neither it is a missing key.
+    with neither it is a missing key.  A nested object (``name`` given)
+    refuses any key not in ``keys``; the top-level config holds the keys of
+    many readers and is not checked here.
     """
     prefix = f"{name}." if name else ""
     raw = _value(raw, "dict", name)
+    unknown = [key for key in raw if key not in keys] if name else []
+    if unknown:
+        raise ConfigError(f"{name}: unknown key '{unknown[0]}'")
     by_name = {f.name: f for f in fields(cls)}
     for key in keys:
         f = by_name[_FIELD_NAMES.get(key, key)]
@@ -413,6 +418,7 @@ def cmd_simulate(cfg: dict, run: RunConfig, outdir: Path) -> int:
     study = _read(
         StudyConfig, cfg.get("study", {}), "study", _STUDY_KEYS, b=run.b, master_seed=run.seed
     )
+    svg = _value(cfg.get("svg", False), "bool", "svg")
     result = run_study(study)
     mse_path, freq_path = write_study_csvs(result, outdir)
     summary = _summary(
@@ -426,7 +432,7 @@ def cmd_simulate(cfg: dict, run: RunConfig, outdir: Path) -> int:
         mse_csv=mse_path.name,
         freq_csv=freq_path.name,
     )
-    if _value(cfg.get("svg", False), "bool", "svg"):
+    if svg:
         svg_path = outdir / "study_mse.svg"
         render_mse_svg(result, svg_path)
         summary["svg"] = svg_path.name

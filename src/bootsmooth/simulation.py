@@ -73,8 +73,9 @@ class StudyConfig:
         s2, gs = tuple(float(v) for v in s2), tuple(float(v) for v in gs)
         if not s2 or not gs:
             raise ValueError("sweeps must be nonempty")
-        if any(v <= 0 for v in s2):
-            raise ValueError("sigma2 sweep values must be > 0")
+        for v in s2:
+            if not 0.0 < v < np.inf:
+                raise ValueError(f"sigma2_sweep values must be finite and > 0, got {v}")
         if any(not 0.0 <= g <= 1.0 for g in gs):
             raise ValueError("gamma sweep values must be in [0, 1]")
         object.__setattr__(self, "sigma2_sweep", s2)
@@ -155,7 +156,6 @@ def run_study(config: StudyConfig) -> StudyResult:
     freqs = np.empty((config.reps, t, s, _N_MODELS))
     base_err = np.empty(config.reps)
     beta_true = np.concatenate([[1.0], true_coefficients(config.true_model_j)])
-    id_to_slot = {j: j - 1 for j in range(1, _N_MODELS + 1)}
 
     for r in range(config.reps):
         X = generate_design(config.n, _N_FEATURES, derive_seed(config.master_seed, _TAG_DESIGN, r))
@@ -180,10 +180,9 @@ def run_study(config: StudyConfig) -> StudyResult:
                     derive_seed(config.master_seed, _TAG_CELL, r, i, j),
                 )
                 sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
-                counts = np.zeros(_N_MODELS)
-                for mid in fit.model_ids:
-                    counts[id_to_slot[mid]] += 1.0
-                freqs[r, i, j] = counts / config.b
+                # model ids are 1.._N_MODELS; slot 0 of the count stays empty
+                counts = np.bincount(fit.model_ids, minlength=_N_MODELS + 1)
+                freqs[r, i, j] = counts[1:] / config.b
 
     result = StudyResult(
         sigma2_sweep=config.sigma2_sweep,

@@ -78,7 +78,8 @@ class PbsFit:
     ``beta_pbs`` is their arithmetic mean.  Replicate ``b`` selected model
     ``model_ids[b]`` with penalty ``lambdas[b]``.  The bootstrap response
     vectors are not kept: ``cross_moment`` (the response/coefficient cross
-    moment, centered at ``mean_vector`` and ``center_coefficients``) and
+    moment, centered at ``mean_vector`` and at ``center_coefficients``, the
+    OLS coefficients of the fitted data) and
     ``ybar_star`` are the sufficient statistics of the delta-method
     covariance.  The vectors themselves are
     ``draw_replicates(mean_vector, sigma2, B, seed)``.
@@ -129,16 +130,12 @@ class PredictionInterval:
         return self.center + self.half_width
 
 
-def _mix_mean(data: Dataset, base_coefficients: np.ndarray, gamma: float) -> np.ndarray:
-    return gamma * (data.X @ base_coefficients) + (1.0 - gamma) * data.y
-
-
 def resampling_mean(data: Dataset, beta_ols: FitResult, gamma: float) -> np.ndarray:
     """Resampling mean ``gamma X b_ols + (1 - gamma) y``; exact at endpoints."""
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    return _mix_mean(data, beta_ols.coefficients, gamma)
+    return gamma * (data.X @ beta_ols.coefficients) + (1.0 - gamma) * data.y
 
 
 def _draw_block(
@@ -191,8 +188,6 @@ def pbs_fit(
     B: int,
     selector: SelectorConfig,
     seed: int,
-    *,
-    mean_coefficients: np.ndarray | None = None,
 ) -> PbsFit:
     """Run the full selection pipeline on B bootstrap replicates and average.
 
@@ -208,18 +203,12 @@ def pbs_fit(
         Candidate models and penalty grid applied to every replicate.
     seed : int
         Master seed; replicate b uses the substream (seed, b).
-    mean_coefficients : ndarray, optional
-        Override for the coefficients defining the resampling mean (used by
-        cross-validation when the OLS fit is shared across folds instead of
-        refit per block).
     """
     B = _replicate_count(B)
-    # Called even with mean_coefficients given: it refuses a rank-deficient design.
-    beta_ols = ols_fit(data).coefficients
-    base = beta_ols if mean_coefficients is None else np.asarray(mean_coefficients, dtype=float)
-    if base.shape != (data.p,):
-        raise ValueError(f"mean_coefficients must have shape ({data.p},)")
-    mean = _mix_mean(data, base, dist.gamma)
+    # The one OLS fit; it refuses a rank-deficient design.
+    ols = ols_fit(data)
+    center = ols.coefficients
+    mean = resampling_mean(data, ols, dist.gamma)
     sd = float(np.sqrt(dist.sigma2))
     sel = _PairSelector.for_data(data, selector)
 
@@ -241,7 +230,7 @@ def pbs_fit(
         model_ids[lo:hi] = [sel.scorers[si].model.id for si in sel.pair_scorer_index[idx]]
         lambdas[lo:hi] = sel.pair_lambda[idx]
         u = Y - mean[:, None]
-        c = C - base[:, None]
+        c = C - center[:, None]
         ysum += Y.sum(axis=1)
         cross += u @ c.T
 
@@ -253,7 +242,7 @@ def pbs_fit(
         cross_moment=cross / B,
         ybar_star=ysum / B,
         mean_vector=mean,
-        center_coefficients=np.array(base, copy=True),
+        center_coefficients=center,
         distribution=dist,
         seed=int(seed),
         B=B,

@@ -8,7 +8,7 @@ of the surface can be recomputed on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,9 @@ class CvGrid:
     them from its data by :func:`default_sigma2_candidates` with
     ``sigma2_count`` and ``sigma2_span``.  ``fold_mode`` is ``"random"``
     (seeded permutation) or ``"contiguous"`` (blocks in index order, for
-    time-ordered data).  When ``refit_ols_per_block`` is False the full-data
-    OLS coefficients define every training block's resampling mean instead
-    of a per-block refit.
+    time-ordered data).  Every training block is fitted on its own, with
+    its own OLS fit as the resampling mean, so the held-out rows never
+    shape the replicates they are scored against.
     """
 
     sigma2_candidates: tuple[float, ...] | None = None
@@ -41,7 +41,6 @@ class CvGrid:
     b_inner: int
     seed: int = 0
     fold_mode: str = "random"
-    refit_ols_per_block: bool = True
     sigma2_count: int = 50
     sigma2_span: float = 100.0
 
@@ -67,14 +66,33 @@ class CvGrid:
         object.__setattr__(self, "gamma_candidates", gs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CvSurface:
-    """Summed squared held-out error per (sigma2, gamma) candidate."""
+    """Summed squared held-out error per (sigma2, gamma) candidate.
+
+    ``selected`` is the ``(sigma2, gamma)`` pair of minimal error, computed
+    from ``errors`` when the surface is built.  Ties break toward the
+    smaller sigma2 value, then the smaller gamma value, independent of the
+    order in which cells were evaluated.  A non-finite error is a
+    ``NumericalError`` naming its cell.
+    """
 
     errors: np.ndarray
     sigma2_candidates: tuple[float, ...]
     gamma_candidates: tuple[float, ...]
-    selected: tuple[float, float]
+    selected: tuple[float, float] = field(init=False)
+
+    def __post_init__(self):
+        errors, sigma2s, gammas = self.errors, self.sigma2_candidates, self.gamma_candidates
+        bad = np.argwhere(~np.isfinite(errors))
+        if bad.size:
+            i, j = bad[0]
+            raise NumericalError(
+                f"CV error at (sigma2={sigma2s[i]!r}, gamma={gammas[j]!r}) is "
+                f"{errors[i, j]}, not a finite number"
+            )
+        ties = np.argwhere(errors == errors.min())
+        object.__setattr__(self, "selected", min((sigma2s[i], gammas[j]) for i, j in ties))
 
 
 def cv_cell_error(
@@ -85,26 +103,18 @@ def cv_cell_error(
     b_inner: int,
     selector: SelectorConfig,
     seed: int,
-    mean_coefficients: np.ndarray | None = None,
 ) -> float:
     """Squared held-out error of one (fold, sigma2, gamma) cell.
 
     Runs bootstrap smoothing on the training block (all folds but
     ``fold_index``) and predicts the held-out rows with their own design
-    rows.  Exposed so that any cell can be recomputed in isolation from its
-    derived seed.
+    rows.  The resampling mean is the training block's own OLS fit.  Exposed
+    so that any cell can be recomputed in isolation from its derived seed.
     """
     held = folds[fold_index]
     train_data = _training_block(data, folds, fold_index)
     try:
-        fit = pbs_fit(
-            train_data,
-            dist,
-            b_inner,
-            selector,
-            seed,
-            mean_coefficients=mean_coefficients,
-        )
+        fit = pbs_fit(train_data, dist, b_inner, selector, seed)
     except SingularDesignError as exc:
         raise SingularDesignError(f"fold {fold_index}: {exc}") from exc
     resid = data.y[held] - data.X[held] @ fit.beta_pbs
@@ -121,9 +131,6 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
         sigma2s = default_sigma2_candidates(data, grid.sigma2_count, grid.sigma2_span)
         grid = replace(grid, sigma2_candidates=sigma2s)
     folds = kfold_split(data.n, grid.k, grid.seed, grid.fold_mode)
-    mean_coefficients = None
-    if not grid.refit_ols_per_block:
-        mean_coefficients = ols_fit(data).coefficients
     t, s = len(grid.sigma2_candidates), len(grid.gamma_candidates)
     parts = np.empty((grid.k, t, s))
     for k in range(grid.k):
@@ -137,44 +144,13 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
                     grid.b_inner,
                     selector,
                     derive_seed(grid.seed, k, i, j),
-                    mean_coefficients=mean_coefficients,
                 )
-
-    errors = parts.sum(axis=0)
-    selected = _argmin_pair(errors, grid.sigma2_candidates, grid.gamma_candidates)
-    return CvSurface(
-        errors=errors,
-        sigma2_candidates=grid.sigma2_candidates,
-        gamma_candidates=grid.gamma_candidates,
-        selected=selected,
-    )
-
-
-def _argmin_pair(
-    errors: np.ndarray, sigma2s: tuple[float, ...], gammas: tuple[float, ...]
-) -> tuple[float, float]:
-    bad = np.argwhere(~np.isfinite(errors))
-    if bad.size:
-        i, j = bad[0]
-        raise NumericalError(
-            f"CV error at (sigma2={sigma2s[i]!r}, gamma={gammas[j]!r}) is "
-            f"{errors[i, j]}, not a finite number"
-        )
-    best = errors.min()
-    ties = np.argwhere(errors == best)
-    pairs = [(sigma2s[i], gammas[j]) for i, j in ties]
-    return min(pairs)
+    return CvSurface(parts.sum(axis=0), grid.sigma2_candidates, grid.gamma_candidates)
 
 
 def select_distribution(surface: CvSurface) -> ResamplingDistribution:
-    """Distribution at the surface's minimal error.
-
-    Ties break toward the smaller sigma2 value, then the smaller gamma value,
-    independent of the order in which cells were evaluated.
-    """
-    sigma2, gamma = _argmin_pair(
-        surface.errors, surface.sigma2_candidates, surface.gamma_candidates
-    )
+    """Distribution at the surface's ``selected`` pair, its minimal error."""
+    sigma2, gamma = surface.selected
     return ResamplingDistribution(gamma=gamma, sigma2=sigma2)
 
 

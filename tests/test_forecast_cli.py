@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ from bootsmooth import (
     same_weekday_window,
     structural_candidates,
 )
+from bootsmooth import cli
 from bootsmooth.cli import main
 from bootsmooth.forecast import tune_distribution, window_spec
 from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
@@ -949,7 +951,7 @@ class TestExitCodes:
             ("fit", {"b": True}),
             ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "gamma_candidates": 0.5}}),
             ("fit", {"seed": True}),
-            ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "refit_ols_per_block": "false"}}),
+            ("simulate", {"svg": "true"}),
             ("fit", {"cv": {"k": 2.7, "sigma2_candidates": [1.0]}}),
             ("fit", {"lambda_grid": [0, float("nan")]}),
             ("fit", {"lambda_grid": [0, 10**400]}),
@@ -960,14 +962,17 @@ class TestExitCodes:
             ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "gamma_candidates": None}}),
             ("simulate", {"study": {"noise_sd": float("nan")}}),
             ("simulate", {"study": {"noise_sd": float("inf")}}),
+            # JSON's Infinity: refused with the study's config, not by a fit
+            ("simulate", {"study": {"n": 23, "reps": 1, "sigma2_sweep": [1.0, float("inf")]}}),
         ],
         ids=[
             "lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed",
             "cv_number", "lambda_grid_number", "candidate_number", "alpha_null",
             "criterion_folds_list", "b_bool", "gamma_candidates_number", "seed_bool",
-            "refit_string", "cv_k_float", "lambda_nan", "lambda_overflow",
+            "svg_string", "cv_k_float", "lambda_nan", "lambda_overflow",
             "candidate_id_list", "train_csv_null", "targets_csv_int", "sigma2_span_zero",
             "gamma_candidates_null", "noise_sd_nan", "noise_sd_infinity",
+            "sigma2_sweep_infinity",
         ],
     )
     def test_bad_values_exit_2_with_one_line(
@@ -981,6 +986,38 @@ class TestExitCodes:
         assert "Traceback" not in err
         if override == {"seed": -1}:
             assert err == "config error: seed must be an integer >= 0, got -1\n"
+        if "sigma2_sweep" in override.get("study", {}):
+            assert err == "config error: sigma2_sweep values must be finite and > 0, got inf\n"
+
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [
+            ("fit", {"cv": {"k": 4, "refit_ols_per_block": True}}, "cv: unknown key 'refit_ols_per_block'"),
+            ("fit", {"cv": {"k": 4, "b_iner": 5}}, "cv: unknown key 'b_iner'"),
+            ("simulate", {"study": {"n": 23, "reps": 1, "master_seed": 3}}, "study: unknown key 'master_seed'"),
+            ("predict", {"distribution": {"sigma": 1.0, "gamma": 0.5}}, "distribution: unknown key 'sigma'"),
+        ],
+        ids=["cv_refit_ols_per_block", "cv_b_iner", "study_master_seed", "distribution_sigma"],
+    )
+    def test_unknown_nested_key_exits_2_naming_it(
+        self, tmp_path, matrix_files, capsys, command, override, key
+    ):
+        cfg = {**every_command_config(matrix_files), **override}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key}\n"
+        assert list(out.iterdir()) == []
+
+    def test_readme_cv_example_reads_as_the_defaults(self):
+        # The README's "cv" example lists every key the cv object reads, at
+        # its default value.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r'^"cv": \{.*?\}$', readme, re.M | re.S)
+        assert example is not None, "no cv example in README.md"
+        cfg = json.loads("{" + example.group(0) + "}")
+        assert set(cfg["cv"]) == set(cli._CV_KEYS)
+        run = cli.RunConfig()
+        assert cli._cv_grid(cfg, run) == cli._cv_grid({}, run)
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8", "field_too_long"])
     @pytest.mark.parametrize("key", ["train_csv", "targets_csv", "demand_csv", "temperature_csv"])

@@ -182,8 +182,9 @@ class TestRunStudy:
             StudyConfig(n=21)
         with pytest.raises(ValueError):
             StudyConfig(true_model_j=5)
-        with pytest.raises(ValueError):
-            StudyConfig(sigma2_sweep=(0.0,))
+        for value in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"sigma2_sweep values must be finite and > 0, got {value}"):
+                StudyConfig(sigma2_sweep=(1.0, value))
         for noise_sd in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
                 StudyConfig(noise_sd=noise_sd)

@@ -132,7 +132,7 @@ class TestCvSurface:
                     oracle[i, j] += float(r @ r)
         np.testing.assert_allclose(surface.errors, oracle, rtol=1e-9)
         oracle_dist = select_distribution(
-            CvSurface(oracle, grid.sigma2_candidates, grid.gamma_candidates, (0, 0))
+            CvSurface(oracle, grid.sigma2_candidates, grid.gamma_candidates)
         )
         assert surface.selected == (oracle_dist.sigma2, oracle_dist.gamma)
 
@@ -207,20 +207,6 @@ class TestCvSurface:
         with pytest.raises(SingularDesignError, match="fold 0"):
             cv_error_surface(data, grid, selector)
 
-    def test_global_ols_mode_differs_but_runs(self, rng):
-        data = make_instance(rng, 16, 3)
-        selector = selector_for(3)
-        base = dict(
-            sigma2_candidates=(1.0,), gamma_candidates=(1.0,), k=4, b_inner=20, seed=8
-        )
-        refit = cv_error_surface(data, CvGrid(**base), selector)
-        shared = cv_error_surface(
-            data, CvGrid(**base, refit_ols_per_block=False), selector
-        )
-        assert np.all(np.isfinite(shared.errors))
-        # gamma=1 means the mean vector really differs between the two modes
-        assert not np.allclose(refit.errors, shared.errors)
-
 
 class TestSelectDistribution:
     def test_direct_argmin(self):
@@ -228,7 +214,6 @@ class TestSelectDistribution:
             errors=np.array([[2.0, 1.0], [3.0, 4.0]]),
             sigma2_candidates=(0.5, 1.5),
             gamma_candidates=(0.0, 1.0),
-            selected=(0.5, 1.0),
         )
         dist = select_distribution(surface)
         assert (dist.sigma2, dist.gamma) == (0.5, 1.0)
@@ -238,20 +223,17 @@ class TestSelectDistribution:
             errors=np.ones((3, 2)),
             sigma2_candidates=(2.0, 1.0, 3.0),
             gamma_candidates=(0.7, 0.1),
-            selected=(1.0, 0.1),
         )
         dist = select_distribution(surface)
         assert (dist.sigma2, dist.gamma) == (1.0, 0.1)
 
     def test_nan_cell_is_named(self):
-        surface = CvSurface(
-            errors=np.array([[2.0, 1.0], [np.nan, 4.0]]),
-            sigma2_candidates=(0.5, 1.5),
-            gamma_candidates=(0.0, 1.0),
-            selected=(0.5, 1.0),
-        )
         with pytest.raises(NumericalError, match=r"sigma2=1\.5, gamma=0\.0\) is nan"):
-            select_distribution(surface)
+            CvSurface(
+                errors=np.array([[2.0, 1.0], [np.nan, 4.0]]),
+                sigma2_candidates=(0.5, 1.5),
+                gamma_candidates=(0.0, 1.0),
+            )
 
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(25):
@@ -259,12 +241,27 @@ class TestSelectDistribution:
             errors = rng.uniform(0.0, 10.0, size=(t, s))
             s2s = tuple(sorted(rng.uniform(0.1, 5.0, size=t).tolist()))
             gs = tuple(sorted(rng.uniform(0.0, 1.0, size=s).tolist()))
-            surface = CvSurface(errors, s2s, gs, (0, 0))
+            surface = CvSurface(errors, s2s, gs)
             dist = select_distribution(surface)
             best = min(
                 ((errors[i, j], s2s[i], gs[j]) for i in range(t) for j in range(s))
             )
             assert (dist.sigma2, dist.gamma) == (best[1], best[2])
+
+    def test_selected_is_built_from_the_errors(self, rng):
+        # Unsorted candidates and integer errors, so that ties are common: the
+        # surface's own selected pair is the exhaustive scan's, and
+        # select_distribution reads that pair.
+        for _ in range(25):
+            t, s = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            errors = rng.integers(0, 3, size=(t, s)).astype(float)
+            s2s = tuple(rng.permutation(np.arange(1, t + 1) / 2.0).tolist())
+            gs = tuple(rng.permutation(np.arange(s) / 4.0).tolist())
+            surface = CvSurface(errors, s2s, gs)
+            best = min((errors[i, j], s2s[i], gs[j]) for i in range(t) for j in range(s))
+            assert surface.selected == (best[1], best[2])
+            dist = select_distribution(surface)
+            assert (dist.sigma2, dist.gamma) == surface.selected
 
 
 class TestDefaults:
