@@ -90,6 +90,17 @@ _CV_KEYS = (
 _STUDY_KEYS = ("n", "true_model_j", "noise_sd", "reps", "b", "sigma2_sweep", "gamma_sweep", "lambda_grid")
 _DISTRIBUTION_KEYS = ("gamma", "sigma2")
 _FIELD_NAMES = {"criterion_folds": "cv_folds"}
+# Every top-level key that some command reads: the typed keys, the nested
+# objects and the values read by hand.  It is one set for every command, as
+# one config file serves fit, predict, select-dist and sweep-sigma.
+_CONFIG_KEYS = frozenset(
+    _RUN_KEYS
+    + _SELECTOR_KEYS
+    + ("cv", "study", "distribution")
+    + ("mode", "train_csv", "targets_csv", "candidates", "sigma2_sweep", "gamma", "svg")
+    + ("demand_csv", "temperature_csv", "targets", "window_days", "t_lags")
+    + ("hour_basis", "temp_basis", "temp_domain")
+)
 
 
 def _value(value, kind: str, name: str):
@@ -123,13 +134,12 @@ def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
     An absent key leaves its field to ``given`` or to the field's default;
     with neither it is a missing key.  A nested object (``name`` given)
     refuses any key not in ``keys``; the top-level config holds the keys of
-    many readers and is not checked here.
+    many readers and is checked against all of them when it is loaded.
     """
     prefix = f"{name}." if name else ""
     raw = _value(raw, "dict", name)
-    unknown = [key for key in raw if key not in keys] if name else []
-    if unknown:
-        raise ConfigError(f"{name}: unknown key '{unknown[0]}'")
+    if name:
+        _refuse_unknown(raw, keys, f"{name}: ")
     by_name = {f.name: f for f in fields(cls)}
     for key in keys:
         f = by_name[_FIELD_NAMES.get(key, key)]
@@ -138,6 +148,13 @@ def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
         elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{name}: missing key '{key}'")
     return cls(**given)
+
+
+def _refuse_unknown(raw: dict, keys, context: str) -> None:
+    """A ``ConfigError`` naming the first key of ``raw`` not in ``keys``."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{context}unknown key '{key}'")
 
 
 def _field(obj: dict, key: str, context: str):
@@ -159,6 +176,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _refuse_unknown(cfg, _CONFIG_KEYS, "")
     return cfg
 
 

@@ -11,13 +11,15 @@ Bootstrap replicate ``b`` still owns stream ``(seed, b)``: Philox keyed by
 at zero.  A fit does not build that seed sequence once per replicate.
 :class:`ReplicateStreams` holds the keys of all its replicates, computed in
 one pass by :func:`replicate_keys`, and re-keys one generator per replicate.
-The seed's part of the key comes from the pool of numpy's own
-``SeedSequence(seed)``; only the spawn word and the output hash are computed
-here, as array arithmetic.  A Philox stream is fully defined by its key and
-counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011), so the draws are the same bytes.  ``tests/test_rng.py`` pins the
-keys to numpy's ``SeedSequence`` (NEP 19), so a numpy release that changes
-it fails there.
+It holds those keys, and the counter and buffer it writes with them, as
+Python ints, because numpy's ``Philox.state`` setter would build a numpy
+scalar for each word it reads from a uint64 array.  The seed's part of the
+key comes from the pool of numpy's own ``SeedSequence(seed)``; only the
+spawn word and the output hash are computed here, as array arithmetic.  A
+Philox stream is fully defined by its key and counter (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so the draws are
+the same bytes.  ``tests/test_rng.py`` pins the keys to numpy's
+``SeedSequence`` (NEP 19), so a numpy release that changes it fails there.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ def _pool_consts(hash_const: int, mult: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint64)
 
 
+# The hash constants of generate_state's output hashes, the same for every seed.
+_OUTPUT_CONSTS = _pool_consts(_INIT_B, _MULT_B)
+
+
 def _mix(x, y):
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> _XSHIFT)
@@ -137,7 +143,7 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     value, _ = _hash(b, _pool_consts(hash_const, _MULT_A), _MULT_A)
     words = _mix(pool, value)
     # generate_state(2, np.uint64): each pool word hashed once, paired low word first.
-    words, _ = _hash(words, _pool_consts(_INIT_B, _MULT_B), _MULT_B)
+    words, _ = _hash(words, _OUTPUT_CONSTS, _MULT_B)
     return words[:, 0::2] | (words[:, 1::2] << 32)
 
 
@@ -148,19 +154,25 @@ class ReplicateStreams:
     key, a zero counter and an empty output buffer), so it draws exactly what
     ``generator(seed, b)`` draws.  The generator it returns is shared: the
     next call restarts it on another stream.
+
+    The keys, counter and buffer are held as Python ints.  numpy's
+    ``Philox.state`` setter reads those fields one element at a time, and
+    each element read from a uint64 array is a new numpy scalar, which is
+    over half of a re-key's cost.  A Python int converts to the same uint64
+    word, including one >= 2**63.
     """
 
     def __init__(self, seed: int, lo: int, hi: int):
         self.lo = int(lo)
-        self.keys = replicate_keys(seed, lo, hi)
+        self._keys = replicate_keys(seed, lo, hi).tolist()
         # Seeded only to skip an entropy read; generator() sets every field.
         self._bit_generator = np.random.Philox(0)
         self._generator = np.random.Generator(self._bit_generator)
-        self._stream = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+        self._stream = {"counter": [0] * 4, "key": None}
         self._state = {
             "bit_generator": "Philox",
             "state": self._stream,
-            "buffer": np.zeros(_PHILOX_BUFFER_SIZE, dtype=np.uint64),
+            "buffer": [0] * _PHILOX_BUFFER_SIZE,
             "buffer_pos": _PHILOX_BUFFER_SIZE,
             "has_uint32": 0,
             "uinteger": 0,
@@ -168,8 +180,8 @@ class ReplicateStreams:
 
     def generator(self, b: int) -> np.random.Generator:
         """Replicate ``b``'s generator, at the start of stream ``(seed, b)``."""
-        if not self.lo <= b < self.lo + len(self.keys):
-            raise IndexError(f"replicate {b} is outside {self.lo}..{self.lo + len(self.keys) - 1}")
-        self._stream["key"] = self.keys[b - self.lo]
+        if not self.lo <= b < self.lo + len(self._keys):
+            raise IndexError(f"replicate {b} is outside {self.lo}..{self.lo + len(self._keys) - 1}")
+        self._stream["key"] = self._keys[b - self.lo]
         self._bit_generator.state = self._state
         return self._generator

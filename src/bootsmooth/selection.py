@@ -234,15 +234,17 @@ class _DesignScorer:
         valid = (denom > self.n * _TRACE_EPS) & ((lam[:, 0] > 0.0) | self.full_rank)
         return (1.0 - d) ** 2, denom, valid
 
-    def gcv_scores(self, Y: np.ndarray, w, denom, valid) -> np.ndarray:
-        """GCV ``n RSS / tr(I - H)^2`` per lambda-table row; (L, B), +inf where invalid."""
+    def gcv_scores(self, Y: np.ndarray, yy: np.ndarray, w: np.ndarray, dd: np.ndarray) -> np.ndarray:
+        """GCV ``n RSS / tr(I - H)^2`` per row of ``w``; (rows, B).
+
+        ``yy`` holds the squared column norms of Y, ``w`` the GCV weights and
+        ``dd`` (rows, 1) the squared traces of scoreable lambda-table rows.
+        """
         UtY = self.U.T @ Y
         sq = UtY * UtY
-        perp = np.einsum("ij,ij->j", Y, Y) - sq.sum(axis=0)
+        perp = yy - sq.sum(axis=0)
         np.maximum(perp, 0.0, out=perp)
-        out = np.full((len(denom), Y.shape[1]), np.inf)
-        out[valid] = self.n * (w[valid] @ sq + perp) / (denom * denom)[valid, None]
-        return out
+        return self.n * (w @ sq + perp) / dd
 
     def heldout_table(self, X_va: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``X_va V`` on this design's columns, ``s / (s^2 + lam)`` (L, r) and validity (L,)."""
@@ -310,6 +312,13 @@ class _PairSelector:
     Pairs are sorted by (column count, lambda, model id), so a plain argmin
     over the score matrix realises the documented tie-break: ``np.argmin``
     returns the first index attaining the minimum.
+
+    Pair ``si * L + li`` (candidate si, lambda li) has tie-break row
+    ``rank[si * L + li]``.  :meth:`scores` writes each candidate's block
+    straight into those rows of one +inf matrix instead of stacking the
+    blocks and reordering them.  Under GCV, each candidate keeps only its
+    scoreable lambda rows: their weights, squared traces and destination
+    rows, so its unscoreable rows are never computed and stay +inf.
     """
 
     def __init__(self, data: Dataset, config: SelectorConfig):
@@ -317,8 +326,19 @@ class _PairSelector:
         self.config = config
         self.scorers = [_DesignScorer.for_data(data, m) for m in config.candidates]
         grid = config.lambda_grid
+        # ``order`` stably sorts pair si * L + li into tie-break order; ``rank`` inverts it
+        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in self.scorers for lam in grid]
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(len(order))
+        self.pair_scorer_index, lam_index = np.divmod(order, len(grid))
+        self.pair_lambda = np.asarray(grid)[lam_index]
         if config.criterion == "gcv":
-            self.tables = [sc.lambda_table(grid) for sc in self.scorers]
+            self.tables = []  # (weights, squared traces, tie-break rows) of scoreable lambdas
+            for si, sc in enumerate(self.scorers):
+                w, denom, valid = sc.lambda_table(grid)
+                rows = self.rank[si * len(grid) : (si + 1) * len(grid)][valid]
+                self.tables.append((w[valid], (denom * denom)[valid, None], rows))
         else:
             if config.cv_folds > data.n:
                 raise ValueError(
@@ -332,11 +352,6 @@ class _PairSelector:
                 ws = [_DesignScorer.for_data(block, m) for m in config.candidates]
                 tables = [(sc, *sc.heldout_table(data.X[va], grid)) for sc in ws]
                 self.folds.append((np.setdiff1d(np.arange(data.n), va), va, tables))
-        # ``order`` stably sorts row si * L + li (candidate si, lambda li) into tie-break order
-        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in self.scorers for lam in grid]
-        self.order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
-        self.pair_scorer_index, lam_index = np.divmod(self.order, len(grid))
-        self.pair_lambda = np.asarray(grid)[lam_index]
 
     @classmethod
     def for_data(cls, data: Dataset, config: SelectorConfig) -> "_PairSelector":
@@ -345,15 +360,19 @@ class _PairSelector:
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
         """Score matrix (pairs, B) in tie-break order; invalid pairs +inf."""
+        out = np.full((len(self.rank), Y.shape[1]), np.inf)
         if self.config.criterion == "gcv":
-            blocks = [sc.gcv_scores(Y, *t) for sc, t in zip(self.scorers, self.tables)]
+            yy = np.einsum("ij,ij->j", Y, Y)
+            for sc, (w, dd, rows) in zip(self.scorers, self.tables):
+                out[rows] = sc.gcv_scores(Y, yy, w, dd)
         else:
             # summed over folds; a pair unusable on any fold stays +inf
             blocks = sum(
                 np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
                 for tr, va, tables in self.folds
             )
-        return np.vstack(blocks)[self.order]
+            out[self.rank] = blocks.reshape(out.shape)
+        return out
 
     def best_index(self, Y: np.ndarray, offset: int = 0) -> np.ndarray:
         """Tie-broken argmin pair index per response column."""
@@ -461,7 +480,9 @@ def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
             f"model {model.id!r} at lambda={lam:g}: tr(I - H) = {denom[0]:.3e} "
             "leaves no residual degrees of freedom"
         )
-    return float(sc.gcv_scores(data.y[:, None], w, denom, valid)[0, 0])
+    Y = data.y[:, None]
+    yy = np.einsum("ij,ij->j", Y, Y)
+    return float(sc.gcv_scores(Y, yy, w, (denom * denom)[:, None])[0, 0])
 
 
 def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:

@@ -9,6 +9,7 @@ loaders for the demand and temperature schemas live here too.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,8 +235,13 @@ def _parse_date(path, lineno: int, text: str) -> _dt.date:
 
 
 def load_demand_csv(path: str | Path) -> DemandTable:
-    """Load ``date,hour,demand`` rows; strict schema with line-numbered errors."""
+    """Load ``date,hour,demand`` rows; strict schema with line-numbered errors.
+
+    An hourly file repeats each date text on 24 rows, so each distinct text
+    is parsed once; only a text that parsed is remembered.
+    """
     values: dict = {}
+    days: dict = {}
     with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["date", "hour", "demand"]:
@@ -243,7 +249,9 @@ def load_demand_csv(path: str | Path) -> DemandTable:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3:
                 raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            day = _parse_date(path, lineno, row[0])
+            day = days.get(row[0])
+            if day is None:
+                day = days[row[0]] = _parse_date(path, lineno, row[0])
             try:
                 hour = int(row[1])
             except ValueError:
@@ -254,7 +262,7 @@ def load_demand_csv(path: str | Path) -> DemandTable:
                 demand = float(row[2])
             except ValueError:
                 raise IngestionError(f"{path}:{lineno}: demand is not a number: {row[2]!r}") from None
-            if not np.isfinite(demand):
+            if not math.isfinite(demand):
                 raise IngestionError(f"{path}:{lineno}: demand must be finite")
             if (day, hour) in values:
                 raise IngestionError(f"{path}:{lineno}: duplicate entry for ({day}, {hour})")
@@ -278,7 +286,7 @@ def load_temperature_csv(path: str | Path) -> dict:
                 temp = float(row[1])
             except ValueError:
                 raise IngestionError(f"{path}:{lineno}: mean_temp is not a number: {row[1]!r}") from None
-            if not np.isfinite(temp):
+            if not math.isfinite(temp):
                 raise IngestionError(f"{path}:{lineno}: mean_temp must be finite")
             if day in temps:
                 raise IngestionError(f"{path}:{lineno}: duplicate entry for {day}")

@@ -1008,6 +1008,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {key}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_unknown_top_level_key_exits_2_naming_it(self, tmp_path, matrix_files, capsys, command):
+        # a misspelt lambda_grid must not run on the default grid
+        cfg = {**every_command_config(matrix_files), "lamda_grid": [0.0]}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'lamda_grid'\n"
+        assert not out.exists()
+
+    def test_every_hand_read_demand_key_is_accepted(self, tmp_path):
+        cfg = {
+            **demand_command_config(tmp_path),
+            "threads": 2,
+            "t_lags": 1,
+            "window_days": 15,
+            "hour_basis": {"n_basis": 1, "degree": 3},
+            "temp_basis": {"n_basis": 3, "degree": 1},
+            "temp_domain": [-10.0, 40.0],
+            "candidates": "structural",
+        }
+        out = tmp_path / "o"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+
     def test_readme_cv_example_reads_as_the_defaults(self):
         # The README's "cv" example lists every key the cv object reads, at
         # its default value.
@@ -1048,6 +1071,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"ingestion error: {bad}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value, column",
+        [
+            ("demand_csv", "nan", "demand"),
+            ("demand_csv", "1e999", "demand"),
+            ("temperature_csv", "nan", "mean_temp"),
+            ("temperature_csv", "-inf", "mean_temp"),
+        ],
+    )
+    def test_non_finite_demand_or_temperature_exits_3(self, tmp_path, capsys, key, value, column):
+        cfg = demand_command_config(tmp_path)
+        path = Path(cfg[key])
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, first.rsplit(",", 1)[0] + "," + value, *rest]) + "\n")
+        out = tmp_path / "o"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"ingestion error: {path}:2: {column} must be finite\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["fit", "predict", "sweep-sigma", "select-dist"])
     def test_matrix_inputs_are_read_train_then_targets_then_candidates(

@@ -71,7 +71,9 @@ class TestReplicateKeys:
 
 
 class TestReplicateStreams:
-    @pytest.mark.parametrize("seed", [0, 2**32, derive_seed(3, 1)])
+    SEEDS = (0, 2**32, derive_seed(3, 1))
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_draws_equal_fresh_generators(self, seed):
         streams = ReplicateStreams(seed, 60, 70)
         # out of order, and after partial draws that leave words buffered
@@ -83,6 +85,12 @@ class TestReplicateStreams:
             ).tobytes()
             assert gen.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
             assert gen.random(3).tobytes() == want.random(3).tobytes()
+
+    def test_seeds_include_a_key_word_of_2_pow_63_or_more(self):
+        # the streams hold keys as Python ints, and such a word needs the
+        # conversion of a Python int wider than an int64
+        keys = np.vstack([replicate_keys(seed, 60, 70) for seed in self.SEEDS])
+        assert keys.max() >= 2**63
 
     def test_rekey_restarts_the_stream(self):
         streams = ReplicateStreams(4, 0, 2)

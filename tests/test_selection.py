@@ -410,6 +410,66 @@ class TestPairScores:
         fit = select_fit(data, cfg)
         assert (fit.model_id, fit.lam) == brute_force_select(data, cfg)
 
+    @staticmethod
+    def stacked_scores(sel, Y):
+        """The scores stacked per candidate and then put in tie-break order.
+
+        Per candidate, a +inf block over its whole lambda table with the
+        scoreable rows filled in; for kfold, the fold-summed (C, L, B) block.
+        The blocks are stacked and gathered through the tie-break order.
+        """
+        cfg = sel.config
+        if cfg.criterion == "gcv":
+            blocks = []
+            for sc in sel.scorers:
+                w, denom, valid = sc.lambda_table(cfg.lambda_grid)
+                UtY = sc.U.T @ Y
+                sq = UtY * UtY
+                perp = np.einsum("ij,ij->j", Y, Y) - sq.sum(axis=0)
+                np.maximum(perp, 0.0, out=perp)
+                out = np.full((len(denom), Y.shape[1]), np.inf)
+                out[valid] = sc.n * (w[valid] @ sq + perp) / (denom * denom)[valid, None]
+                blocks.append(out)
+        else:
+            blocks = sum(
+                np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
+                for tr, va, tables in sel.folds
+            )
+        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in sel.scorers for lam in cfg.lambda_grid]
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+        return np.vstack(blocks)[order]
+
+    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
+    def test_scores_are_bitwise_the_stacked_scores(self, rng, criterion):
+        # 6 rows: column 5 repeats column 0, so "dup" is rank deficient at
+        # lambda = 0, and "sat" has 6 full-rank columns, a zero trace there.
+        X = rng.uniform(-3.0, 3.0, size=(6, 7))
+        X[:, 5] = X[:, 0]
+        data = Dataset(X[:, :2] @ np.array([1.0, -2.0]) + rng.standard_normal(6), X)
+        candidates = self.CANDIDATES[::2] + (
+            CandidateModel("dup", (0, 1, 5)),
+            CandidateModel("sat", (0, 1, 2, 3, 4, 6)),
+        )
+        cfg = SelectorConfig(candidates, self.GRID, criterion=criterion, cv_folds=3, cv_seed=2)
+        sel = _PairSelector(data, cfg)
+        Y = np.column_stack([data.y, rng.standard_normal((6, 4))])
+        scores = sel.scores(Y)
+        assert scores.tobytes() == self.stacked_scores(sel, Y).tobytes()
+        rows = zip(sel.pair_scorer_index, sel.pair_lambda, scores[:, 0])
+        at_zero = {candidates[si].id: s for si, lam, s in rows if lam == 0.0}
+        assert at_zero["dup"] == at_zero["sat"] == np.inf
+        assert np.isfinite(at_zero["a"]) and at_zero["a"] == at_zero["b"]
+
+    def test_gcv_score_equals_its_row_of_scores(self, rng):
+        # one formula; only its weight product has one row instead of the
+        # table's, which a BLAS may round differently in the last bit
+        data = make_instance(rng, 10, 4)
+        sel = _PairSelector(data, SelectorConfig(candidates=self.CANDIDATES, lambda_grid=self.GRID))
+        scores = sel.scores(data.y[:, None])[:, 0]
+        for row, (si, lam) in enumerate(zip(sel.pair_scorer_index, sel.pair_lambda)):
+            expected = pytest.approx(scores[row], rel=4 * np.finfo(float).eps)
+            assert gcv_score(data, self.CANDIDATES[si], lam) == expected, row
+
 
 class TestRidgePredictionVariance:
     def test_matches_dense_sandwich(self, rng):

@@ -244,3 +244,18 @@ class TestCsvLoaders:
         t.write_text("date,mean_temp\nnot-a-date,3\n")
         with pytest.raises(IngestionError, match="t.csv:2"):
             load_temperature_csv(t)
+
+    def test_repeated_bad_date_reports_its_first_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("date,hour,demand\n2022-01-01,1,5\n2022-13-01,1,5\n2022-13-01,2,5\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:3: bad ISO date '2022-13-01'"
+
+    def test_duplicate_of_an_already_parsed_date_is_caught(self, tmp_path):
+        # each date text is parsed once; its later rows take the parsed date
+        p = tmp_path / "d.csv"
+        p.write_text("date,hour,demand\n2022-01-01,1,5\n2022-01-01,2,5\n2022-01-01,1,6\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:4: duplicate entry for (2022-01-01, 1)"
