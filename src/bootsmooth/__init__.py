@@ -61,7 +61,6 @@ from .smoothing import (
     ResamplingDistribution,
     draw_replicates,
     pbs_fit,
-    pbs_predict,
     prediction_interval,
     resampling_mean,
     residual_variance_pbs,
@@ -88,7 +87,6 @@ from .tuning import (
     cv_error_surface,
     default_sigma2_candidates,
     kfold_split,
-    read_surface_csv,
     select_distribution,
     write_surface_csv,
 )

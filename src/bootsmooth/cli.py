@@ -160,7 +160,7 @@ def _refuse_unknown(raw: dict, keys, context: str) -> None:
 def _field(obj: dict, key: str, context: str):
     try:
         return obj[key]
-    except (KeyError, TypeError):
+    except KeyError:
         raise ConfigError(f"{context}: missing key '{key}'") from None
 
 
@@ -211,6 +211,7 @@ def _candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
     for i, entry in enumerate(_value(raw, "list", "candidates")):
         name, model_id = f"candidates[{i}]", i
         if isinstance(entry, dict):
+            _refuse_unknown(entry, ("id", "columns"), f"{name}: ")
             model_id = _value(_field(entry, "id", name), "str | int", f"{name}.id")
             entry = _field(entry, "columns", name)
             name += ".columns"
@@ -253,6 +254,7 @@ def _summary(command: str, run: RunConfig, **fields) -> dict:
 
 def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
     basis = _value(cfg.get(key, {"n_basis": default_n_basis}), "dict", key)
+    _refuse_unknown(basis, ("n_basis", "degree"), f"{key}: ")
     degree = _value(basis.get("degree", 3), "int", f"{key}.degree")
     return degree, _value(_field(basis, "n_basis", key), "int", f"{key}.n_basis")
 
@@ -297,14 +299,16 @@ def _demand_targets(cfg: dict) -> list:
     raw = _require(cfg, "targets")
     pairs = []
     if isinstance(raw, dict):
+        _refuse_unknown(raw, ("dates", "hours"), "targets: ")
         for d in _value(_field(raw, "dates", "targets"), "list", "targets.dates"):
             for h in _value(_field(raw, "hours", "targets"), "list", "targets.hours"):
                 pairs.append((d, h))
     else:
         for i, entry in enumerate(_value(raw, "list", "targets")):
-            pairs.append(
-                (_field(entry, "date", f"targets[{i}]"), _field(entry, "hour", f"targets[{i}]"))
-            )
+            name = f"targets[{i}]"
+            entry = _value(entry, "dict", name)
+            _refuse_unknown(entry, ("date", "hour"), f"{name}: ")
+            pairs.append((_field(entry, "date", name), _field(entry, "hour", name)))
     out = []
     for d, h in pairs:
         try:

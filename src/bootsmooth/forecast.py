@@ -40,10 +40,11 @@ from .splines import (
     DemandModelSpec,
     DemandTable,
     SplineBasisSpec,
+    bspline_basis,
     build_demand_design,
     demand_feature_row,
 )
-from .tabular import csv_rows, fmt, write_csv
+from .tabular import finite_number, fmt, read_table, write_csv
 from .tuning import CvGrid, CvSurface, cv_error_surface, select_distribution
 
 TAG_EVAL = 0
@@ -130,38 +131,21 @@ def load_matrix_csv(path: str | Path):
 
     Returns ``(y_or_None, X, feature_names)``.
     """
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or not header:
-            raise IngestionError(f"{path}:1: empty file or missing header")
-        header = [h.strip() for h in header]
-        has_y = header[0] == "y"
-        names = header[1:] if has_y else header
-        if not names:
-            raise IngestionError(f"{path}:1: no feature columns")
-        ys, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: non-numeric field") from None
-            bad = next((name for name, v in zip(header, vals) if not np.isfinite(v)), None)
-            if bad is not None:
-                raise IngestionError(f"{path}:{lineno}: {bad} must be finite")
-            if has_y:
-                ys.append(vals[0])
-                rows.append(vals[1:])
-            else:
-                rows.append(vals)
-        if not rows:
-            raise IngestionError(f"{path}: no data rows")
-    X = np.asarray(rows)
-    y = np.asarray(ys) if has_y else None
-    return y, X, tuple(names)
+    rows = read_table(path)
+    header = next(rows)
+    has_y = header[0] == "y"
+    names = header[1:] if has_y else header
+    if not names:
+        raise IngestionError(f"{path}:1: no feature columns")
+    ys, xs = [], []
+    for lineno, fields in rows:
+        vals = [finite_number(path, lineno, name, text) for name, text in zip(header, fields)]
+        if has_y:
+            ys.append(vals.pop(0))
+        xs.append(vals)
+    if not xs:
+        raise IngestionError(f"{path}: no data rows")
+    return (np.asarray(ys) if has_y else None), np.asarray(xs), tuple(names)
 
 
 def evaluate_fixed_distribution(
@@ -317,16 +301,28 @@ def demand_problems(
     its ``YYYY-MM-DD:HH`` label and its truth (read from the demand table
     when the target is present in it, else None).  When ``auto_temp_domain``
     is set the temperature knots are respecified over each window's observed
-    range (see :func:`window_spec`).  The generator holds one window design
-    at a time, and a target's errors surface only once the targets before it
-    have been run.
+    range (see :func:`window_spec`); otherwise a temperature basis function
+    that is zero on every modeled day, which makes the design singular, is a
+    ``NumericalError`` naming the target and the fixed domain.  The generator
+    holds one window design at a time, and a target's errors surface only
+    once the targets before it have been run.
     """
     for day, hour in targets:
+        label = f"{day.isoformat()}:{int(hour):02d}"
         window = same_weekday_window(demand.dates, day, window_days)
         wspec = window_spec(spec, temps, window, day) if auto_temp_domain else spec
         data = build_demand_design(demand, temps, wspec, hour, window)
+        if not auto_temp_domain:
+            seen = [temps[d] for d in window[spec.t_lags :]]
+            idle = np.flatnonzero(sum(bspline_basis(spec.temp_basis, t) for t in seen) == 0)
+            if idle.size:
+                raise NumericalError(
+                    f"target {label}: the fixed temp_domain {list(spec.temp_basis.domain)} "
+                    f"leaves temperature basis functions {idle.tolist()} zero on every "
+                    f"modeled day (temperatures {min(seen):g} to {max(seen):g}); "
+                    "narrow temp_domain or omit it"
+                )
         x_t = demand_feature_row(demand, temps, wspec, hour, window, day)
-        label = f"{day.isoformat()}:{int(hour):02d}"
         yield data, x_t[None, :], [label], [demand.values.get((day, int(hour)))]
 
 

@@ -22,7 +22,7 @@ from .selection import (
     select_fit,
 )
 from .smoothing import ResamplingDistribution, pbs_fit
-from .tabular import fmt, parse_float, read_csv, write_csv, write_text
+from .tabular import fmt, write_csv, write_text
 
 _N_FEATURES = 20
 _N_MODELS = 4
@@ -221,33 +221,6 @@ def write_study_csvs(result: StudyResult, out_dir: str | Path) -> tuple[Path, Pa
     write_csv(mse_path, ["sigma2", "gamma", "value"], mse_rows)
     write_csv(freq_path, ["sigma2", "gamma", "model_id", "value"], freq_rows)
     return mse_path, freq_path
-
-
-def read_study_mse_csv(path: str | Path) -> list[tuple[float, float, float]]:
-    header, rows = read_csv(path)
-    if header != ["sigma2", "gamma", "value"]:
-        raise ValueError(f"{path}: unexpected header {header}")
-    return [
-        tuple(parse_float(path, ln, name, v) for name, v in zip(header, row))
-        for ln, row in enumerate(rows, start=2)
-    ]
-
-
-def read_study_freq_csv(path: str | Path) -> list[tuple[float, float, int, float]]:
-    header, rows = read_csv(path)
-    if header != ["sigma2", "gamma", "model_id", "value"]:
-        raise ValueError(f"{path}: unexpected header {header}")
-    out = []
-    for ln, row in enumerate(rows, start=2):
-        out.append(
-            (
-                parse_float(path, ln, "sigma2", row[0]),
-                parse_float(path, ln, "gamma", row[1]),
-                int(row[2]),
-                parse_float(path, ln, "value", row[3]),
-            )
-        )
-    return out
 
 
 def render_mse_svg(result: StudyResult, path: str | Path) -> None:

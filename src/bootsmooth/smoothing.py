@@ -30,7 +30,6 @@ from .selection import (
     SelectorConfig,
     _DesignScorer,
     _PairSelector,
-    _feature_row,
     _full_model,
     ols_fit,
 )
@@ -96,10 +95,6 @@ class PbsFit:
     distribution: ResamplingDistribution
     seed: int
     B: int
-
-    def replicate_predictions(self, x_new: np.ndarray) -> np.ndarray:
-        """Per-replicate predictions ``x_new' beta_b``; (B,)."""
-        return self.coefficients @ _feature_row(x_new, self.coefficients.shape[1])
 
 
 @dataclass(frozen=True)
@@ -247,11 +242,6 @@ def pbs_fit(
         seed=int(seed),
         B=B,
     )
-
-
-def pbs_predict(fit: PbsFit, x_new: np.ndarray) -> float:
-    """Smoothed prediction ``x_new' beta_pbs``."""
-    return float(_feature_row(x_new, fit.beta_pbs.shape[0]) @ fit.beta_pbs)
 
 
 def _finalize_variance(value: float, context: str) -> float:

@@ -9,7 +9,6 @@ loaders for the demand and temperature schemas live here too.
 from __future__ import annotations
 
 import datetime as _dt
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .selection import Dataset
-from .tabular import csv_rows, iso_date
+from .tabular import finite_number, iso_date, read_table
 
 
 @dataclass(frozen=True)
@@ -242,31 +241,22 @@ def load_demand_csv(path: str | Path) -> DemandTable:
     """
     values: dict = {}
     days: dict = {}
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "hour", "demand"]:
-            raise IngestionError(f"{path}:1: header must be 'date,hour,demand'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            day = days.get(row[0])
-            if day is None:
-                day = days[row[0]] = _parse_date(path, lineno, row[0])
-            try:
-                hour = int(row[1])
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: hour is not an integer: {row[1]!r}") from None
-            if not 1 <= hour <= 24:
-                raise IngestionError(f"{path}:{lineno}: hour must be in 1..24, got {hour}")
-            try:
-                demand = float(row[2])
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: demand is not a number: {row[2]!r}") from None
-            if not math.isfinite(demand):
-                raise IngestionError(f"{path}:{lineno}: demand must be finite")
-            if (day, hour) in values:
-                raise IngestionError(f"{path}:{lineno}: duplicate entry for ({day}, {hour})")
-            values[(day, hour)] = demand
+    rows = read_table(path, ("date", "hour", "demand"))
+    next(rows)
+    for lineno, (date, hour, demand) in rows:
+        day = days.get(date)
+        if day is None:
+            day = days[date] = _parse_date(path, lineno, date)
+        try:
+            hour = int(hour)
+        except ValueError:
+            raise IngestionError(f"{path}:{lineno}: hour is not an integer: {hour!r}") from None
+        if not 1 <= hour <= 24:
+            raise IngestionError(f"{path}:{lineno}: hour must be in 1..24, got {hour}")
+        demand = finite_number(path, lineno, "demand", demand)
+        if (day, hour) in values:
+            raise IngestionError(f"{path}:{lineno}: duplicate entry for ({day}, {hour})")
+        values[(day, hour)] = demand
     dates = tuple(sorted({d for d, _ in values}))
     return DemandTable(values=values, dates=dates)
 
@@ -274,23 +264,14 @@ def load_demand_csv(path: str | Path) -> DemandTable:
 def load_temperature_csv(path: str | Path) -> dict:
     """Load ``date,mean_temp`` rows into a date -> temperature mapping."""
     temps: dict = {}
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "mean_temp"]:
-            raise IngestionError(f"{path}:1: header must be 'date,mean_temp'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise IngestionError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            day = _parse_date(path, lineno, row[0])
-            try:
-                temp = float(row[1])
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: mean_temp is not a number: {row[1]!r}") from None
-            if not math.isfinite(temp):
-                raise IngestionError(f"{path}:{lineno}: mean_temp must be finite")
-            if day in temps:
-                raise IngestionError(f"{path}:{lineno}: duplicate entry for {day}")
-            temps[day] = temp
+    rows = read_table(path, ("date", "mean_temp"))
+    next(rows)
+    for lineno, (date, temp) in rows:
+        day = _parse_date(path, lineno, date)
+        temp = finite_number(path, lineno, "mean_temp", temp)
+        if day in temps:
+            raise IngestionError(f"{path}:{lineno}: duplicate entry for {day}")
+        temps[day] = temp
     return temps
 
 

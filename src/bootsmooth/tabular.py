@@ -1,10 +1,16 @@
-"""CSV and JSON emission helpers with round-trip fidelity.
+"""Every CSV the package reads or writes, and its JSON and text outputs.
 
-Reals are written with 17 significant digits so that ``float(fmt(x)) == x``
-for every finite double; line terminators are fixed to ``"\\n"`` so output
-bytes do not depend on the platform.  Every output file is written here, and
-one that cannot be written is a ``ConfigError`` naming it.  A command writes
-its files through :func:`staged_outputs`, so it leaves all of them or none.
+Input: :func:`read_table` reads a UTF-8 CSV file lazily, refusing a missing
+or wrong header and a row of the wrong width, and :func:`finite_number`
+parses one field.  Each refusal is an ``IngestionError`` naming the path,
+the line and, for a bad value, the column.
+
+Output: reals are written with 17 significant digits so that
+``float(fmt(x)) == x`` for every finite double; line terminators are fixed
+to ``"\\n"`` so output bytes do not depend on the platform.  Every output
+file is written here, and one that cannot be written is a ``ConfigError``
+naming it.  A command writes its files through :func:`staged_outputs`, so
+it leaves all of them or none.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import csv
 import datetime as _dt
 import errno
 import json
+import math
 import os
 import re
 import shutil
@@ -80,18 +87,29 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
             writer.writerow(list(row))
 
 
-@contextmanager
-def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """Rows of the UTF-8 CSV file ``path``.
+def read_table(path: str | Path, header: Sequence[str] | None = None) -> Iterator:
+    """The stripped header of the UTF-8 CSV file ``path``, then ``(lineno, fields)`` per data row.
 
-    A file that is missing, a directory, unreadable, not UTF-8 text or not
-    CSV (a field over the csv module's size limit) is an ``IngestionError``
-    naming the path.
+    Rows are read lazily, in file order.  A missing header, a header other
+    than ``header`` when one is given, a row whose width differs from the
+    header's, and a file that is missing, a directory, unreadable, not UTF-8
+    text or not CSV (a field over the csv module's size limit) are each an
+    ``IngestionError`` naming the path, and the line where there is one.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            yield reader
+            first = [h.strip() for h in next(reader, ())]
+            if header is not None and first != list(header):
+                raise IngestionError(f"{path}:1: header must be '{','.join(header)}'")
+            if not first:
+                raise IngestionError(f"{path}:1: empty file or missing header")
+            yield first
+            width = len(first)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                yield lineno, row
     except OSError as exc:
         raise IngestionError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -100,14 +118,15 @@ def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
         raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with csv_rows(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        rows = [row for row in reader]
-    return header, rows
+def finite_number(path: str | Path, lineno: int, column: str, text: str) -> float:
+    """Field ``text`` of ``column`` on line ``lineno`` as a finite float; an ``IngestionError`` otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise IngestionError(f"{path}:{lineno}: {column} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise IngestionError(f"{path}:{lineno}: {column} must be finite")
+    return value
 
 
 def write_json(path: str | Path, obj: object) -> None:
@@ -119,13 +138,6 @@ def write_json(path: str | Path, obj: object) -> None:
 def write_text(path: str | Path, text: str) -> None:
     with _output(path) as fh:
         fh.write(text)
-
-
-def parse_float(path: str | Path, lineno: int, field: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise IngestionError(f"{path}:{lineno}: field '{field}' is not a number: {text!r}") from None
 
 
 def iso_date(text: str) -> _dt.date:

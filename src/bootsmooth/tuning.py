@@ -17,7 +17,7 @@ from .errors import NumericalError, SingularDesignError
 from .rng import derive_seed
 from .selection import Dataset, SelectorConfig, _training_block, kfold_split, ols_fit, unbiased_variance
 from .smoothing import ResamplingDistribution, pbs_fit
-from .tabular import fmt, parse_float, read_csv, write_csv
+from .tabular import fmt, write_csv
 
 DEFAULT_GAMMA_CANDIDATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -183,14 +183,3 @@ def write_surface_csv(surface: CvSurface, path: str | Path) -> None:
         rows.append([fmt(s2)] + [fmt(v) for v in surface.errors[i]])
     write_csv(path, header, rows)
 
-
-def read_surface_csv(path: str | Path) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...]]:
-    """Inverse of :func:`write_surface_csv`: (errors, sigma2s, gammas)."""
-    header, rows = read_csv(path)
-    gammas = tuple(parse_float(path, 1, "gamma", v) for v in header[1:])
-    sigma2s = []
-    errors = []
-    for lineno, row in enumerate(rows, start=2):
-        sigma2s.append(parse_float(path, lineno, "sigma2", row[0]))
-        errors.append([parse_float(path, lineno, "error", v) for v in row[1:]])
-    return np.asarray(errors), tuple(sigma2s), gammas

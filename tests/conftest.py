@@ -21,6 +21,7 @@ from bootsmooth import (
     draw_replicates,
     gcv_score,
 )
+from bootsmooth.tabular import read_table
 
 
 def make_instance(rng: np.random.Generator, n: int, p: int, noise: float = 1.0) -> Dataset:
@@ -174,6 +175,12 @@ def write_demand_files(tmp_path, rows, temps):
         for day, val in temps:
             fh.write(f"{day},{val}\n")
     return demand_path, temp_path
+
+
+def read_float_table(path, header=None):
+    """The header of an output CSV and its data rows as float tuples, read by ``read_table``."""
+    rows = read_table(path, header)
+    return next(rows), [tuple(float(v) for v in fields) for _, fields in rows]
 
 
 def synth_weekday_demand(seed: int, n_weeks: int = 26, hour: int = 9, noise_sd: float = 2.0):

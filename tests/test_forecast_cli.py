@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import synth_weekday_demand, write_demand_files
+from conftest import read_float_table, synth_weekday_demand, write_demand_files
 
 import bootsmooth
 from bootsmooth import (
@@ -45,7 +45,6 @@ from bootsmooth import (
 from bootsmooth import cli
 from bootsmooth.cli import main
 from bootsmooth.forecast import tune_distribution, window_spec
-from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
 from bootsmooth.tabular import fmt
 
 
@@ -174,6 +173,11 @@ class TestLoadMatrixCsv:
         p.write_text("y,x0\n1,abc\n")
         with pytest.raises(IngestionError, match="bad.csv:2"):
             load_matrix_csv(p)
+        # the first bad line in file order is reported, with its column
+        p.write_text("y,x0\n1,abc\n3,4\n5\n")
+        with pytest.raises(IngestionError) as err:
+            load_matrix_csv(p)
+        assert str(err.value) == f"{p}:2: x0 is not a number: 'abc'"
 
 
 def assert_rows_match_intervals(rows, intervals):
@@ -554,10 +558,8 @@ class TestSelectDistCommand:
         )
         grid = CvGrid(**cfg["cv"], seed=derive_seed(7, 1, 0))
         surface = cv_error_surface(data, grid, selector)
-        from bootsmooth import read_surface_csv
-
-        errors, s2s, gs = read_surface_csv(out / "surface.csv")
-        np.testing.assert_array_equal(errors, surface.errors)
+        _, rows = read_float_table(out / "surface.csv")
+        np.testing.assert_array_equal([r[1:] for r in rows], surface.errors)
         assert (summary["selected_sigma2"], summary["selected_gamma"]) == surface.selected
 
 
@@ -706,6 +708,18 @@ class TestDemandCommand:
         assert err.count("\n") == 1
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_unsupported_fixed_temp_domain_names_the_target(self, tmp_path, capsys, command):
+        # it used to exit 4 with an ols_fit message naming no target or temp_domain
+        cfg = {**demand_command_config(tmp_path), "temp_domain": [-20, 45]}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        target = cfg["targets"][0]["date"]
+        assert err.startswith(f"numerical error: target {target}:09: the fixed temp_domain [-20.0, 45.0] ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_explicit_candidates(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
         dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
@@ -807,8 +821,10 @@ class TestSimulateCommand:
         }
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-        mse_rows = read_study_mse_csv(out / "study_mse.csv")
-        freq_rows = read_study_freq_csv(out / "study_freq.csv")
+        _, mse_rows = read_float_table(out / "study_mse.csv", ("sigma2", "gamma", "value"))
+        _, freq_rows = read_float_table(
+            out / "study_freq.csv", ("sigma2", "gamma", "model_id", "value")
+        )
         assert (out / "study_mse.svg").exists()
 
         result = run_study(
@@ -820,7 +836,7 @@ class TestSimulateCommand:
         for s2, g, v in mse_rows:
             assert v == result.mse_at(s2, g)
         for s2, g, mid, v in freq_rows:
-            assert v == result.freq_at(s2, g)[mid - 1]
+            assert v == result.freq_at(s2, g)[int(mid) - 1]
         for s2 in (1.0, 4.0):
             for g in (0.0, 1.0):
                 cell = [v for (a, b, _, v) in freq_rows if (a, b) == (s2, g)]
@@ -996,8 +1012,12 @@ class TestExitCodes:
             ("fit", {"cv": {"k": 4, "b_iner": 5}}, "cv: unknown key 'b_iner'"),
             ("simulate", {"study": {"n": 23, "reps": 1, "master_seed": 3}}, "study: unknown key 'master_seed'"),
             ("predict", {"distribution": {"sigma": 1.0, "gamma": 0.5}}, "distribution: unknown key 'sigma'"),
+            ("fit", {"candidates": [{"id": "a", "columns": [0], "colums": [1]}]}, "candidates[0]: unknown key 'colums'"),
         ],
-        ids=["cv_refit_ols_per_block", "cv_b_iner", "study_master_seed", "distribution_sigma"],
+        ids=[
+            "cv_refit_ols_per_block", "cv_b_iner", "study_master_seed", "distribution_sigma",
+            "candidates_colums",
+        ],
     )
     def test_unknown_nested_key_exits_2_naming_it(
         self, tmp_path, matrix_files, capsys, command, override, key
@@ -1006,6 +1026,32 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {key}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"temp_basis": {"n_basis": 4, "degre": 2}}, "temp_basis: unknown key 'degre'"),
+            ({"hour_basis": {"n_basis": 1, "period": 24}}, "hour_basis: unknown key 'period'"),
+            ({"targets": {"dates": ["2021-06-28"], "hours": [9], "hour": 9}}, "targets: unknown key 'hour'"),
+            ({"targets": [{"date": "2021-06-28", "hour": 9, "hours": [10]}]}, "targets[0]: unknown key 'hours'"),
+            ({"candidates": [{"id": "lags", "columns": [0], "lam": 1}]}, "candidates[0]: unknown key 'lam'"),
+            ({"targets": [5]}, "targets[0] must be a JSON object, got 5"),
+        ],
+        ids=[
+            "temp_basis_degre", "hour_basis_period", "targets_hour", "target_hours",
+            "candidate_lam", "target_not_object",
+        ],
+    )
+    def test_unknown_nested_demand_key_exits_2_naming_it(
+        self, tmp_path, capsys, command, override, message
+    ):
+        # a misspelt basis degree used to run on the default degree
+        cfg = {**demand_command_config(tmp_path), **override}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

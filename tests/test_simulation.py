@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import read_float_table
 
 from bootsmooth import (
     Dataset,
@@ -24,7 +25,6 @@ from bootsmooth import (
     write_study_csvs,
 )
 from bootsmooth import simulation
-from bootsmooth.simulation import read_study_freq_csv, read_study_mse_csv
 
 
 class TestGenerateDesign:
@@ -198,12 +198,12 @@ class TestEmission:
         )
         res = run_study(cfg)
         mse_path, freq_path = write_study_csvs(res, tmp_path)
-        mse_rows = read_study_mse_csv(mse_path)
+        _, mse_rows = read_float_table(mse_path, ("sigma2", "gamma", "value"))
         for (s2, g, v) in mse_rows:
             assert v == res.mse_at(s2, g)
-        freq_rows = read_study_freq_csv(freq_path)
+        _, freq_rows = read_float_table(freq_path, ("sigma2", "gamma", "model_id", "value"))
         for (s2, g, mid, v) in freq_rows:
-            assert v == res.freq_at(s2, g)[mid - 1]
+            assert v == res.freq_at(s2, g)[int(mid) - 1]
         # frequency rows for one cell sum to one
         cell = [v for (s2, g, mid, v) in freq_rows if s2 == 1.0 and g == 0.0]
         assert abs(sum(cell) - 1.0) < 1e-12

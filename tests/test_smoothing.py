@@ -27,7 +27,6 @@ from bootsmooth import (
     draw_replicates,
     ols_fit,
     pbs_fit,
-    pbs_predict,
     prediction_interval,
     resampling_mean,
     residual_variance_pbs,
@@ -341,8 +340,8 @@ class TestPbsPredict:
         )
         e1 = np.zeros(3)
         e1[1] = 1.0
-        assert pbs_predict(fit, e1) == fit.beta_pbs[1]
-        assert pbs_predict(fit, np.zeros(3)) == 0.0
+        assert e1 @ fit.beta_pbs == fit.beta_pbs[1]
+        assert np.zeros(3) @ fit.beta_pbs == 0.0
 
     def test_linearity_of_averaging(self, rng):
         data = make_instance(rng, 10, 3)
@@ -350,35 +349,7 @@ class TestPbsPredict:
             data, ResamplingDistribution(gamma=0.2, sigma2=1.0), 60, small_selector(3), seed=6
         )
         x = rng.standard_normal(3)
-        assert pbs_predict(fit, x) == pytest.approx(
-            float(fit.replicate_predictions(x).mean()), abs=1e-12
-        )
-
-    def test_shape_error(self, rng):
-        data = make_instance(rng, 10, 3)
-        fit = pbs_fit(
-            data, ResamplingDistribution(gamma=0.2, sigma2=1.0), 5, small_selector(3), seed=6
-        )
-        with pytest.raises(ValueError):
-            pbs_predict(fit, np.zeros(4))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
-    def test_non_finite_x_new_rejected(self, rng, bad):
-        data = make_instance(rng, 12, 3)
-        fit = pbs_fit(
-            data, ResamplingDistribution(gamma=0.2, sigma2=1.0), 5, small_selector(3), seed=6
-        )
-        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
-            pbs_predict(fit, np.array([1.0, bad, 0.0]))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_replicate_predictions_refuse_non_finite_x_new(self, rng, bad):
-        data = make_instance(rng, 12, 3)
-        fit = pbs_fit(
-            data, ResamplingDistribution(gamma=0.2, sigma2=1.0), 5, small_selector(3), seed=6
-        )
-        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
-            fit.replicate_predictions(np.array([0.0, 1.0, bad]))
+        assert x @ fit.beta_pbs == pytest.approx(float((fit.coefficients @ x).mean()), abs=1e-12)
 
 
 class TestSmoothedVariance:

@@ -244,6 +244,15 @@ class TestCsvLoaders:
         t.write_text("date,mean_temp\nnot-a-date,3\n")
         with pytest.raises(IngestionError, match="t.csv:2"):
             load_temperature_csv(t)
+        # the first bad line in file order is reported, with its column
+        p.write_text("date,hour,demand\n2022-01-01,1,abc\n2022-01-01,2,5\n2022-01-01,3\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:2: demand is not a number: 'abc'"
+        t.write_text("date,mean_temp\n2022-01-01,warm\n2022-01-02,4\n2022-01-03\n")
+        with pytest.raises(IngestionError) as err:
+            load_temperature_csv(t)
+        assert str(err.value) == f"{t}:2: mean_temp is not a number: 'warm'"
 
     def test_repeated_bad_date_reports_its_first_line(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import make_instance
+from conftest import make_instance, read_float_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from bootsmooth import (
     derive_seed,
     kfold_split,
     pbs_fit,
-    read_surface_csv,
     select_distribution,
     write_surface_csv,
 )
@@ -295,7 +294,7 @@ class TestSurfaceCsv:
         surface = cv_error_surface(data, grid, selector_for(3))
         path = tmp_path / "surface.csv"
         write_surface_csv(surface, path)
-        errors, s2s, gs = read_surface_csv(path)
-        np.testing.assert_array_equal(errors, surface.errors)
-        assert s2s == surface.sigma2_candidates
-        assert gs == surface.gamma_candidates
+        header, rows = read_float_table(path)
+        np.testing.assert_array_equal([r[1:] for r in rows], surface.errors)
+        assert tuple(r[0] for r in rows) == surface.sigma2_candidates
+        assert tuple(float(g) for g in header[1:]) == surface.gamma_candidates
