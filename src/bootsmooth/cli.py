@@ -229,6 +229,14 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
     return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
+def _tuning_grid(cfg: dict, run: RunConfig, n: int, rows: str) -> CvGrid:
+    """The cv grid, with ``cv.k`` at most the ``n`` rows CV tunes on; ``rows`` names them."""
+    grid = _cv_grid(cfg, run)
+    if grid.k > n:
+        raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
+    return grid
+
+
 def _matrix_inputs(cfg: dict, with_targets: bool = True):
     """A matrix config's training data, target rows and truths (None without
     targets) and selector, read in that order: train CSV, targets CSV, candidates."""
@@ -260,7 +268,7 @@ def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
 
 
 def _demand_inputs(cfg: dict):
-    """The demand config's selector and its lazy per-target problems."""
+    """The demand config's selector, its lazy problems and each window's rows (count, source)."""
     for key in ("criterion", "criterion_folds"):
         if key in cfg:
             raise ConfigError(f"'{key}' applies to matrix mode only; demand mode selects by GCV")
@@ -278,9 +286,15 @@ def _demand_inputs(cfg: dict):
         dom = _value(dom, "tuple[float, ...]", "temp_domain")
         if len(dom) != 2:
             raise ConfigError("temp_domain must be [lo, hi]")
+    hour_degree, q = _basis_ints(cfg, "hour_basis", 1)
+    if q >= 2:
+        raise ConfigError(
+            f"hour_basis.n_basis must be 1, got {q}: demand mode fits one regression per hour, "
+            "where the hour functions are constants and their columns collinear"
+        )
     spec = DemandModelSpec(
         t_lags=_value(cfg.get("t_lags", 1), "int", "t_lags"),
-        hour_basis=SplineBasisSpec.uniform_cyclic(*_basis_ints(cfg, "hour_basis", 1), 0.0, 24.0),
+        hour_basis=SplineBasisSpec.uniform_cyclic(hour_degree, q, 0.0, 24.0),
         temp_basis=SplineBasisSpec.uniform(*_basis_ints(cfg, "temp_basis", 6), *dom),
     )
     if cfg.get("candidates", "structural") == "structural":
@@ -292,7 +306,8 @@ def _demand_inputs(cfg: dict):
     if window < spec.t_lags + 1:
         raise ConfigError(f"window_days must exceed t_lags={spec.t_lags}")
     problems = demand_problems(demand, temps, spec, targets, window, auto_domain)
-    return _selector(cfg, candidates), problems
+    rows = (window - spec.t_lags, f"window_days={window} minus t_lags={spec.t_lags}")
+    return _selector(cfg, candidates), problems, rows
 
 
 def _demand_targets(cfg: dict) -> list:
@@ -331,9 +346,10 @@ def _forecast(
     if mode == "matrix":
         data, x_targets, truths, selector = _matrix_inputs(cfg)
         problems = [(data, x_targets, [str(t) for t in range(len(x_targets))], truths)]
+        cv_rows = (data.n, "the rows of train_csv")
     else:
-        selector, problems = _demand_inputs(cfg)
-    grid = _cv_grid(cfg, run) if dist is None else None
+        selector, problems, cv_rows = _demand_inputs(cfg)
+    grid = _tuning_grid(cfg, run, *cv_rows) if dist is None else None
     rows, surfaces = run_forecasts(problems, selector, grid, dist, run.b, run.alpha, run.seed)
     surface = None
     selected = (None, None) if dist is None else (dist.sigma2, dist.gamma)
@@ -380,7 +396,8 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
             "distribution per rolling window inside 'fit'"
         )
     data, _, _, selector = _matrix_inputs(cfg, with_targets=False)
-    surface, dist = tune_distribution(data, _cv_grid(cfg, run), selector, run.seed)
+    grid = _tuning_grid(cfg, run, data.n, "the rows of train_csv")
+    surface, dist = tune_distribution(data, grid, selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
         outdir / "summary.json",

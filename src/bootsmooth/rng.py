@@ -13,7 +13,11 @@ at zero.  A fit does not build that seed sequence once per replicate.
 one pass by :func:`replicate_keys`, and re-keys one generator per replicate.
 It holds those keys, and the counter and buffer it writes with them, as
 Python ints, because numpy's ``Philox.state`` setter would build a numpy
-scalar for each word it reads from a uint64 array.  The seed's part of the
+scalar for each word it reads from a uint64 array.  The generator is built
+once per process, at the first draw, and every stream set re-keys that same
+one: building a ``Philox`` runs a whole ``SeedSequence``, which each fit
+would otherwise pay for.  Stream sets are therefore used serially, each
+drawn from right after its own re-key.  The seed's part of the
 key comes from the pool of numpy's own ``SeedSequence(seed)``; only the
 spawn word and the output hash are computed here, as array arithmetic.  A
 Philox stream is fully defined by its key and counter (Salmon et al.,
@@ -24,6 +28,7 @@ the same bytes.  ``tests/test_rng.py`` pins the keys to numpy's
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -147,13 +152,28 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return words[:, 0::2] | (words[:, 1::2] << 32)
 
 
+@functools.cache
+def _shared_generator() -> tuple[np.random.Philox, np.random.Generator]:
+    """The one Philox generator, and its ``Generator``, that every stream set re-keys.
+
+    Built at the first draw rather than at import or with the first stream
+    set: either of those raised the peak RSS of a ``simulate`` call by about
+    0.1 MB.  Seeded only to skip an entropy read;
+    :meth:`ReplicateStreams.generator` sets every field of its state.
+    """
+    bit_generator = np.random.Philox(0)
+    return bit_generator, np.random.Generator(bit_generator)
+
+
 class ReplicateStreams:
     """The streams ``(seed, b)`` of replicates ``lo..hi-1``, served by one Philox generator.
 
     :meth:`generator` resets that generator to replicate ``b``'s stream (its
     key, a zero counter and an empty output buffer), so it draws exactly what
-    ``generator(seed, b)`` draws.  The generator it returns is shared: the
-    next call restarts it on another stream.
+    ``generator(seed, b)`` draws.  The generator it returns is shared by
+    every instance: the next call, on this instance or another, restarts it
+    on another stream.  Streams are used serially, each drawn from right
+    after its own :meth:`generator` call.
 
     The keys, counter and buffer are held as Python ints.  numpy's
     ``Philox.state`` setter reads those fields one element at a time, and
@@ -165,9 +185,6 @@ class ReplicateStreams:
     def __init__(self, seed: int, lo: int, hi: int):
         self.lo = int(lo)
         self._keys = replicate_keys(seed, lo, hi).tolist()
-        # Seeded only to skip an entropy read; generator() sets every field.
-        self._bit_generator = np.random.Philox(0)
-        self._generator = np.random.Generator(self._bit_generator)
         self._stream = {"counter": [0] * 4, "key": None}
         self._state = {
             "bit_generator": "Philox",
@@ -183,5 +200,6 @@ class ReplicateStreams:
         if not self.lo <= b < self.lo + len(self._keys):
             raise IndexError(f"replicate {b} is outside {self.lo}..{self.lo + len(self._keys) - 1}")
         self._stream["key"] = self._keys[b - self.lo]
-        self._bit_generator.state = self._state
-        return self._generator
+        bit_generator, shared = _shared_generator()
+        bit_generator.state = self._state
+        return shared

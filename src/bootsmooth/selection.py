@@ -246,13 +246,20 @@ class _DesignScorer:
         np.maximum(perp, 0.0, out=perp)
         return self.n * (w @ sq + perp) / dd
 
-    def heldout_table(self, X_va: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``X_va V`` on this design's columns, ``s / (s^2 + lam)`` (L, r) and validity (L,)."""
+    def ridge_factors(self, grid) -> tuple[np.ndarray, np.ndarray]:
+        """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity (L,).
+
+        lambda = 0 is usable only on a design of full column rank.
+        """
         lam = np.asarray(grid, dtype=float)[:, None]
-        valid = (lam[:, 0] > 0.0) | self.full_rank  # lambda = 0 needs full column rank
+        valid = (lam[:, 0] > 0.0) | self.full_rank
         f = np.zeros((len(lam), self.s.size))
         np.divide(self.s, self.s2 + lam, out=f, where=valid[:, None])
-        return X_va[:, self.columns] @ self.V, f, valid
+        return f, valid
+
+    def heldout_table(self, X_va: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``X_va V`` on this design's columns, ``s / (s^2 + lam)`` (L, r) and validity (L,)."""
+        return X_va[:, self.columns] @ self.V, *self.ridge_factors(grid)
 
     def heldout_errors(self, Y_tr, Y_va, XvaV, f, valid) -> np.ndarray:
         """Squared ``Y_va`` error of ridge fits to ``Y_tr``; (L, B), +inf where invalid."""
@@ -319,6 +326,12 @@ class _PairSelector:
     blocks and reordering them.  Under GCV, each candidate keeps only its
     scoreable lambda rows: their weights, squared traces and destination
     rows, so its unscoreable rows are never computed and stay +inf.
+
+    For :meth:`coefficients_block`, each candidate also keeps its ``V``
+    embedded in the full p rows, its ridge factors ``s / (s^2 + lam)`` over
+    the grid (zero where lambda = 0 is unusable) plus one zero row, (L+1, r),
+    and a map from tie-break pair index to its factor row.  The map sends
+    another candidate's pair to the zero row.
     """
 
     def __init__(self, data: Dataset, config: SelectorConfig):
@@ -333,6 +346,16 @@ class _PairSelector:
         self.rank[order] = np.arange(len(order))
         self.pair_scorer_index, lam_index = np.divmod(order, len(grid))
         self.pair_lambda = np.asarray(grid)[lam_index]
+        ids = [sc.model.id for sc in self.scorers]
+        self.pair_model_id = [ids[si] for si in self.pair_scorer_index.tolist()]
+        self.solves = []  # (scorer, embedded V, factor table, pair -> factor row)
+        for si, sc in enumerate(self.scorers):
+            V = np.zeros((data.p, sc.V.shape[1]))
+            V[sc.columns] = sc.V
+            # the factors at lambda = inf, s / inf, are the zero row
+            f, _ = sc.ridge_factors((*grid, np.inf))
+            factor_row = np.where(self.pair_scorer_index == si, lam_index, len(grid))
+            self.solves.append((sc, V, f, factor_row))
         if config.criterion == "gcv":
             self.tables = []  # (weights, squared traces, tie-break rows) of scoreable lambdas
             for si, sc in enumerate(self.scorers):
@@ -389,15 +412,17 @@ class _PairSelector:
     def coefficients_block(self, pair_idx: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Full-p coefficient columns for per-column selected pairs; (p, B).
 
-        One ridge solve per selected candidate, each column at its own lambda.
+        One whole-block ridge solve per candidate selected by some column,
+        each column at its own lambda: ``V (F * U'Y)`` with ``V`` embedded in
+        the full p rows and ``F`` the column's factor row.  A column that
+        selected another candidate gets the zero row, so every term of this
+        candidate's product there is ``0 * x`` and adds an exact zero.
         """
         out = np.zeros((self.data.p, Y.shape[1]))
-        scorer_idx = self.pair_scorer_index[pair_idx]
-        for si in np.flatnonzero(np.bincount(scorer_idx)):
-            cols_b = np.flatnonzero(scorer_idx == si)
-            sc = self.scorers[si]
-            lam = self.pair_lambda[pair_idx[cols_b]]
-            out[sc.columns[:, None], cols_b] = sc.coef_block(Y[:, cols_b], lam)
+        selected = np.bincount(self.pair_scorer_index[pair_idx], minlength=len(self.solves))
+        for (sc, V, f, factor_row), count in zip(self.solves, selected):
+            if count:
+                out += V @ (f[factor_row[pair_idx]].T * (sc.U.T @ Y))
         return out
 
     def fit_result(self, pair_idx: int) -> FitResult:
@@ -417,11 +442,19 @@ def ols_fit(data: Dataset) -> FitResult:
 
     Solves the normal equations ``X'X beta = X'y`` through the SVD of ``X``.
     Raises ``SingularDesignError`` when ``n < p`` or the design is rank
-    deficient (reciprocal Gram condition below ``RCOND_MIN``).
+    deficient (reciprocal Gram condition below ``RCOND_MIN``), on every call.
+    The fit is memoised on ``data``: a later call returns the same object,
+    whose coefficients are read-only.
     """
     sc = _DesignScorer.for_data(data, _full_model(data))
     sc.require_full_rank("ols_fit")
-    return sc.fit(data, 0.0)
+
+    def fit() -> FitResult:
+        result = sc.fit(data, 0.0)
+        result.coefficients.setflags(write=False)
+        return result
+
+    return data._derived("ols", fit)
 
 
 def unbiased_variance(data: Dataset, fit: FitResult) -> float:

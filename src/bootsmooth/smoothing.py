@@ -222,7 +222,7 @@ def pbs_fit(
         idx = sel.best_index(Y, offset=lo)
         C = sel.coefficients_block(idx, Y)
         coeffs[lo:hi] = C.T
-        model_ids[lo:hi] = [sel.scorers[si].model.id for si in sel.pair_scorer_index[idx]]
+        model_ids[lo:hi] = [sel.pair_model_id[i] for i in idx.tolist()]
         lambdas[lo:hi] = sel.pair_lambda[idx]
         u = Y - mean[:, None]
         c = C - center[:, None]

@@ -720,6 +720,19 @@ class TestDemandCommand:
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_hour_basis_with_two_or_more_functions_is_refused(self, tmp_path, capsys, command):
+        # it used to run until the first fit and exit 4 with an ols_fit
+        # message naming neither the target nor hour_basis
+        cfg = {**demand_command_config(tmp_path), "hour_basis": {"n_basis": 2, "degree": 1}}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: hour_basis.n_basis must be 1, got 2: demand mode fits one regression "
+            "per hour, where the hour functions are constants and their columns collinear\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_explicit_candidates(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
         dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
@@ -935,6 +948,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"ingestion error: {path}:{row}: {column} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "mode, command, k, rows",
+        [
+            ("matrix", "fit", 21, "20 rows CV tunes on (the rows of train_csv)"),
+            ("matrix", "select-dist", 40, "20 rows CV tunes on (the rows of train_csv)"),
+            ("demand", "fit", 20, "14 rows CV tunes on (window_days=15 minus t_lags=1)"),
+        ],
+        ids=["matrix_fit", "matrix_select_dist", "demand_fit"],
+    )
+    def test_cv_k_above_the_tuning_rows_names_cv_k(
+        self, tmp_path, matrix_files, capsys, mode, command, k, rows
+    ):
+        # it used to say only "k must satisfy 2 <= k <= n, got k=20, n=14"
+        if mode == "matrix":
+            cfg = base_matrix_config(*matrix_files)
+        else:
+            cfg = demand_command_config(tmp_path)
+        cfg["cv"] = {**cfg["cv"], "k": k}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: cv.k must be at most the {rows}, got {k}\n"
+        assert list(out.iterdir()) == []
 
     def test_numerical_error(self, tmp_path, rng):
         train = tmp_path / "train.csv"

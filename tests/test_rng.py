@@ -92,6 +92,16 @@ class TestReplicateStreams:
         keys = np.vstack([replicate_keys(seed, 60, 70) for seed in self.SEEDS])
         assert keys.max() >= 2**63
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_stream_sets_used_alternately_draw_their_own_streams(self, seed):
+        # every stream set re-keys one shared generator; each draws right
+        # after its own generator(b) call
+        first, second = ReplicateStreams(seed, 0, 4), ReplicateStreams(seed + 1, 2, 6)
+        for streams, s, b in ((first, seed, 1), (second, seed + 1, 2), (first, seed, 3),
+                              (second, seed + 1, 5), (first, seed, 1)):
+            got = streams.generator(b).standard_normal(7)
+            assert got.tobytes() == generator(s, b).standard_normal(7).tobytes(), (s, b)
+
     def test_rekey_restarts_the_stream(self):
         streams = ReplicateStreams(4, 0, 2)
         first = streams.generator(1).standard_normal(9)

@@ -87,6 +87,16 @@ class TestOlsFit:
         data = Dataset(rng.standard_normal(8), np.column_stack([X, X[:, 0]]))
         with pytest.raises(SingularDesignError, match="reciprocal condition"):
             ols_fit(data)
+        # a failure is not memoised: the second call raises too
+        with pytest.raises(SingularDesignError, match="reciprocal condition"):
+            ols_fit(data)
+
+    def test_fit_is_memoised_with_read_only_coefficients(self, rng):
+        data = make_instance(rng, 10, 3)
+        fit = ols_fit(data)
+        assert ols_fit(data) is fit
+        with pytest.raises(ValueError, match="read-only"):
+            fit.coefficients[0] = 0.0
 
 
 class TestUnbiasedVariance:
@@ -527,17 +537,28 @@ class TestCoefficientsBlock:
         Y = signal[:, None] * scale[None, :] + rng.standard_normal((40, B))
         return Dataset(rng.standard_normal(40), X), Y
 
-    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
-    @pytest.mark.parametrize("B", [1, 63, 64, 65, 130])
-    def test_every_column_matches_the_normal_equation_oracle(self, criterion, B):
+    @pytest.mark.parametrize("criterion, B, candidates, grid", [
+        pytest.param(criterion, B, candidates, grid, id=f"{prefix}{B}-{criterion}")
+        for prefix, candidates, grid in (
+            ("", CANDIDATES, GRID),
+            # identical columns under two ids, and a repeated lambda
+            ("pair_scores-", TestPairScores.CANDIDATES, TestPairScores.GRID),
+        )
+        for B in (1, 63, 64, 65, 130)
+        for criterion in ("gcv", "kfold")
+    ])
+    def test_every_column_matches_the_normal_equation_oracle(self, criterion, B, candidates, grid):
         data, Y = self.responses(7, B)
-        cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, cv_folds=5, cv_seed=1)
+        cfg = SelectorConfig(candidates, grid, criterion=criterion, cv_folds=5, cv_seed=1)
         sel = _PairSelector(data, cfg)
         idx = sel.best_index(Y)
         C = sel.coefficients_block(idx, Y)
         assert C.shape == (6, B)
+        assert [sel.pair_model_id[i] for i in idx] == [
+            candidates[si].id for si in sel.pair_scorer_index[idx]
+        ]
         for b in range(B):
-            model = self.CANDIDATES[sel.pair_scorer_index[idx[b]]]
+            model = candidates[sel.pair_scorer_index[idx[b]]]
             want = normal_equation_coefficients(data.X, model.columns, sel.pair_lambda[idx[b]], Y[:, b])
             off = np.setdiff1d(np.arange(6), model.columns)
             assert np.all(C[off, b] == 0.0), b
