@@ -31,7 +31,7 @@ selector = bs.SelectorConfig(
 )
 
 # the conventional plug-in: unbiased residual variance, OLS mean (gamma = 1)
-s2_ub = bs.unbiased_variance(train, bs.ols_fit(train))
+s2_ub = bs.unbiased_variance(train)
 print(f"unbiased residual variance: {s2_ub:.3f}")
 
 grid = bs.CvGrid(

@@ -75,7 +75,6 @@ from .splines import (
     bspline_basis,
     build_demand_design,
     cyclic_bspline_basis,
-    demand_candidate_specs,
     demand_feature_row,
     load_demand_csv,
     load_temperature_csv,

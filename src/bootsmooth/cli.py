@@ -292,22 +292,27 @@ def _demand_inputs(cfg: dict):
             f"hour_basis.n_basis must be 1, got {q}: demand mode fits one regression per hour, "
             "where the hour functions are constants and their columns collinear"
         )
-    spec = DemandModelSpec(
-        t_lags=_value(cfg.get("t_lags", 1), "int", "t_lags"),
-        hour_basis=SplineBasisSpec.uniform_cyclic(hour_degree, q, 0.0, 24.0),
-        temp_basis=SplineBasisSpec.uniform(*_basis_ints(cfg, "temp_basis", 6), *dom),
-    )
+    hour_basis = SplineBasisSpec.uniform_cyclic(hour_degree, q, 0.0, 24.0)
+    t_lags = _value(cfg.get("t_lags", 1), "int", "t_lags")
+    temp_degree, m = _basis_ints(cfg, "temp_basis", 6)
+    window = _value(cfg.get("window_days", 15), "int", "window_days")
+    if window < t_lags + 1:
+        raise ConfigError(f"window_days must exceed t_lags={t_lags}")
+    n, rows = window - t_lags, f"window_days={window} minus t_lags={t_lags}"
+    # checked before the knots are built: each window fits t_lags + M columns on its n rows
+    if t_lags + m >= n:
+        raise ConfigError(
+            f"t_lags + temp_basis.n_basis must be below the {n} rows each window fits "
+            f"({rows}), got {t_lags} + {m}"
+        )
+    spec = DemandModelSpec(t_lags, hour_basis, SplineBasisSpec.uniform(temp_degree, m, *dom))
     if cfg.get("candidates", "structural") == "structural":
         candidates = structural_candidates(spec)
     else:
         candidates = _candidates(cfg, spec.p)
     targets = _demand_targets(cfg)
-    window = _value(cfg.get("window_days", 15), "int", "window_days")
-    if window < spec.t_lags + 1:
-        raise ConfigError(f"window_days must exceed t_lags={spec.t_lags}")
     problems = demand_problems(demand, temps, spec, targets, window, auto_domain)
-    rows = (window - spec.t_lags, f"window_days={window} minus t_lags={spec.t_lags}")
-    return _selector(cfg, candidates), problems, rows
+    return _selector(cfg, candidates), problems, (n, rows)
 
 
 def _demand_targets(cfg: dict) -> list:

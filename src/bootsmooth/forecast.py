@@ -30,7 +30,6 @@ from .selection import (
     CandidateModel,
     Dataset,
     SelectorConfig,
-    ols_fit,
     ridge_prediction_variance,
     select_fit,
     unbiased_variance,
@@ -179,7 +178,7 @@ def evaluate_fixed_distribution(
 
     baseline = select_fit(data, selector)
     model = next(c for c in selector.candidates if c.id == baseline.model_id)
-    s2_ub = unbiased_variance(data, ols_fit(data))
+    s2_ub = unbiased_variance(data)
     ridge_pred = x_targets @ baseline.coefficients
     rows = []
     for t, (label, x) in enumerate(zip(labels, x_targets)):

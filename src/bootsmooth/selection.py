@@ -201,26 +201,6 @@ class _DesignScorer:
         key = ("scorer", type(model.id), model)
         return data._derived(key, lambda: cls(data.X[:, cols], model, cols))
 
-    def require_full_rank(self, context: str) -> None:
-        if self.n < self.k:
-            raise SingularDesignError(
-                f"{context}: n={self.n} rows cannot identify k={self.k} columns "
-                f"(model {self.model.id!r})"
-            )
-        if not self.full_rank:
-            raise SingularDesignError(
-                f"{context}: X'X for model {self.model.id!r} has reciprocal condition "
-                f"{self.gram_rcond:.3e} < {RCOND_MIN:g} (k={self.k} columns)"
-            )
-
-    def coef_block(self, Y: np.ndarray, lam) -> np.ndarray:
-        """Ridge coefficients ``(X'X + lam I)^-1 X'Y`` per column of Y; (k, B).
-
-        ``lam`` is one penalty for every column or a (B,) array, one per column.
-        """
-        f = self.s[:, None] / (self.s2[:, None] + lam)
-        return self.V @ (f * (self.U.T @ Y))
-
     def lambda_table(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """GCV weights ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,) and validity (L,).
 
@@ -249,7 +229,8 @@ class _DesignScorer:
     def ridge_factors(self, grid) -> tuple[np.ndarray, np.ndarray]:
         """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity (L,).
 
-        lambda = 0 is usable only on a design of full column rank.
+        lambda = 0 is usable only on a design of full column rank.  The one
+        computation of the ridge factors behind every solve.
         """
         lam = np.asarray(grid, dtype=float)[:, None]
         valid = (lam[:, 0] > 0.0) | self.full_rank
@@ -257,19 +238,16 @@ class _DesignScorer:
         np.divide(self.s, self.s2 + lam, out=f, where=valid[:, None])
         return f, valid
 
-    def heldout_table(self, X_va: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``X_va V`` on this design's columns, ``s / (s^2 + lam)`` (L, r) and validity (L,)."""
-        return X_va[:, self.columns] @ self.V, *self.ridge_factors(grid)
-
     def heldout_errors(self, Y_tr, Y_va, XvaV, f, valid) -> np.ndarray:
         """Squared ``Y_va`` error of ridge fits to ``Y_tr``; (L, B), +inf where invalid."""
         resid = Y_va - XvaV @ (f[:, :, None] * (self.U.T @ Y_tr))
         return np.where(valid[:, None], np.einsum("lij,lij->lj", resid, resid), np.inf)
 
     def fit(self, data: Dataset, lam: float) -> FitResult:
-        """Ridge fit of ``data.y``, embedded in the full p-space."""
+        """Ridge fit ``(X'X + lam I)^-1 X'y`` of ``data.y``, embedded in the full p-space."""
+        f, _ = self.ridge_factors((lam,))
         coef = np.zeros(data.p)
-        coef[self.columns] = self.coef_block(data.y[:, None], lam)[:, 0]
+        coef[self.columns] = (self.V @ (f.T * (self.U.T @ data.y[:, None])))[:, 0]
         resid = data.y - data.X @ coef
         return FitResult(coef, self.model.id, lam, float(resid @ resid))
 
@@ -369,11 +347,12 @@ class _PairSelector:
                     "selects on (in CV tuning, a training block smaller than the full data)"
                 )
             folds = kfold_split(data.n, config.cv_folds, config.cv_seed)
-            self.folds = []  # (training rows, held-out rows, [(workspace, *table)] per candidate)
+            # (training rows, held-out rows, [(workspace, X_va V, factors, validity)] per candidate)
+            self.folds = []
             for i, va in enumerate(folds):
-                block = _training_block(data, folds, i)
+                block, X_va = _training_block(data, folds, i), data.X[va]
                 ws = [_DesignScorer.for_data(block, m) for m in config.candidates]
-                tables = [(sc, *sc.heldout_table(data.X[va], grid)) for sc in ws]
+                tables = [(sc, X_va[:, sc.columns] @ sc.V, *sc.ridge_factors(grid)) for sc in ws]
                 self.folds.append((np.setdiff1d(np.arange(data.n), va), va, tables))
 
     @classmethod
@@ -425,16 +404,28 @@ class _PairSelector:
                 out += V @ (f[factor_row[pair_idx]].T * (sc.U.T @ Y))
         return out
 
-    def fit_result(self, pair_idx: int) -> FitResult:
-        sc = self.scorers[int(self.pair_scorer_index[pair_idx])]
-        return sc.fit(self.data, float(self.pair_lambda[pair_idx]))
-
 
 _FULL_MODEL_ID = "full"
 
 
 def _full_model(data: Dataset) -> CandidateModel:
     return CandidateModel(_FULL_MODEL_ID, tuple(range(data.p)))
+
+
+def _workspace(data: Dataset, model: CandidateModel, lam: float, context: str) -> _DesignScorer:
+    """The memoised workspace of ``model`` on ``data``, refused at ``lam = 0``
+    unless the model's columns have full rank; ``context`` leads the message."""
+    sc = _DesignScorer.for_data(data, model)
+    if lam > 0.0 or sc.full_rank:
+        return sc
+    if sc.n < sc.k:
+        raise SingularDesignError(
+            f"{context}: n={sc.n} rows cannot identify k={sc.k} columns (model {model.id!r})"
+        )
+    raise SingularDesignError(
+        f"{context}: X'X for model {model.id!r} has reciprocal condition "
+        f"{sc.gram_rcond:.3e} < {RCOND_MIN:g} (k={sc.k} columns)"
+    )
 
 
 def ols_fit(data: Dataset) -> FitResult:
@@ -446,8 +437,7 @@ def ols_fit(data: Dataset) -> FitResult:
     The fit is memoised on ``data``: a later call returns the same object,
     whose coefficients are read-only.
     """
-    sc = _DesignScorer.for_data(data, _full_model(data))
-    sc.require_full_rank("ols_fit")
+    sc = _workspace(data, _full_model(data), 0.0, "ols_fit")
 
     def fit() -> FitResult:
         result = sc.fit(data, 0.0)
@@ -457,11 +447,9 @@ def ols_fit(data: Dataset) -> FitResult:
     return data._derived("ols", fit)
 
 
-def unbiased_variance(data: Dataset, fit: FitResult) -> float:
-    """Residual variance ``||y - X beta_ols||^2 / (n - p)``.
-
-    ``fit`` must be the full-model OLS fit of the same data.
-    """
+def unbiased_variance(data: Dataset) -> float:
+    """Residual variance ``||y - X beta_ols||^2 / (n - p)`` of :func:`ols_fit`'s fit."""
+    fit = ols_fit(data)
     if data.n <= data.p:
         raise DegreesOfFreedomError(
             f"unbiased variance needs n > p, got n={data.n}, p={data.p}"
@@ -495,18 +483,13 @@ def ridge_fit(data: Dataset, model: CandidateModel, lam: float) -> FitResult:
     rank.
     """
     lam = _penalty(lam)
-    sc = _DesignScorer.for_data(data, model)
-    if lam == 0.0:
-        sc.require_full_rank("ridge_fit at lambda=0")
-    return sc.fit(data, lam)
+    return _workspace(data, model, lam, "ridge_fit at lambda=0").fit(data, lam)
 
 
 def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
     """Generalized cross-validation score ``n RSS(lam) / tr(I - H(lam))^2``."""
     lam = _penalty(lam)
-    sc = _DesignScorer.for_data(data, model)
-    if lam == 0.0:
-        sc.require_full_rank("gcv_score at lambda=0")
+    sc = _workspace(data, model, lam, "gcv_score at lambda=0")
     w, denom, valid = sc.lambda_table((lam,))
     if not valid[0]:
         raise DegenerateScoreError(
@@ -528,7 +511,8 @@ def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
     """
     sel = _PairSelector.for_data(data, config)
     idx = int(sel.best_index(data.y[:, None])[0])
-    return sel.fit_result(idx)
+    sc = sel.scorers[int(sel.pair_scorer_index[idx])]
+    return sc.fit(data, float(sel.pair_lambda[idx]))
 
 
 def ridge_prediction_variance(
@@ -539,14 +523,13 @@ def ridge_prediction_variance(
     Evaluates ``sigma2 * x_j' (G + lam I)^-1 G (G + lam I)^-1 x_j`` with
     ``G = X_j'X_j`` and ``x_j`` the entries of ``x_new`` on the model's
     columns.  This is the no-smoothing baseline variance used for comparison
-    intervals.
+    intervals.  ``lam = 0`` requires the submatrix to be full column rank.
     """
     lam = _penalty(lam)
     sigma2 = float(sigma2)
     if not 0.0 <= sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     x_new = _feature_row(x_new, data.p)
-    sc = _DesignScorer.for_data(data, model)
-    vx = sc.V.T @ x_new[sc.columns]
-    g = sc.s / (sc.s2 + lam)
-    return sigma2 * float(np.sum((g * vx) ** 2))
+    sc = _workspace(data, model, lam, "ridge_prediction_variance at lambda=0")
+    f, _ = sc.ridge_factors((lam,))
+    return sigma2 * float(np.sum((f[0] * (sc.V.T @ x_new[sc.columns])) ** 2))

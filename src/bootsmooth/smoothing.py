@@ -28,9 +28,9 @@ from .selection import (
     Dataset,
     FitResult,
     SelectorConfig,
-    _DesignScorer,
     _PairSelector,
     _full_model,
+    _workspace,
     ols_fit,
 )
 
@@ -287,8 +287,7 @@ def smoothed_variances(fit: PbsFit, data: Dataset, x_rows: np.ndarray) -> np.nda
     """Projector-form delta-method variance for each row of ``x_rows``; (m,)."""
     x_rows = _check_variance_inputs(fit, data, x_rows)
     cov = _cov_matrix(fit, x_rows)
-    sc = _DesignScorer.for_data(data, _full_model(data))
-    sc.require_full_rank("smoothed_variance")
+    sc = _workspace(data, _full_model(data), 0.0, "smoothed_variance")
     hc = sc.U @ (sc.U.T @ cov)
     g = fit.distribution.gamma
     w = g * hc + (1.0 - g) * cov
@@ -318,8 +317,7 @@ def smoothed_variance_via_gram(fit: PbsFit, data: Dataset, x_new: np.ndarray) ->
     """
     x_rows = _check_variance_inputs(fit, data, np.asarray(x_new, dtype=float)[None, ...])
     cov = _cov_matrix(fit, x_rows)[:, 0]
-    sc = _DesignScorer.for_data(data, _full_model(data))
-    sc.require_full_rank("smoothed_variance_via_gram")
+    sc = _workspace(data, _full_model(data), 0.0, "smoothed_variance_via_gram")
     c = data.X.T @ cov
     z = (sc.V.T @ c) / sc.s
     value = float(z @ z) / fit.distribution.sigma2

@@ -171,7 +171,6 @@ class DemandModelSpec:
     t_lags: int
     hour_basis: SplineBasisSpec
     temp_basis: SplineBasisSpec
-    candidate_id: object = "demand"
 
     def __post_init__(self):
         if self.t_lags < 1:
@@ -186,36 +185,6 @@ class DemandModelSpec:
     @property
     def p(self) -> int:
         return self.t_lags + self.hour_basis.n_basis * self.temp_basis.n_basis
-
-
-# (Q, M) pairs whose tensor blocks give coefficient dimensions 121, 146, 146
-# and 196 with one lag.  The originating experiment states the dimensions but
-# not the basis counts, so these defaults are a dimension-matching
-# reconstruction; override with any pairs you prefer.
-DEFAULT_CANDIDATE_PAIRS = ((6, 20), (5, 29), (29, 5), (13, 15))
-
-
-def demand_candidate_specs(
-    temp_domain: tuple[float, float],
-    t_lags: int = 1,
-    pairs=DEFAULT_CANDIDATE_PAIRS,
-    degree: int = 3,
-    hour_degree: int = 3,
-) -> list[DemandModelSpec]:
-    """One DemandModelSpec per (Q, M) pair, with uniform knot layouts."""
-    specs = []
-    for q, m in pairs:
-        specs.append(
-            DemandModelSpec(
-                t_lags=t_lags,
-                hour_basis=SplineBasisSpec.uniform_cyclic(hour_degree, q, 0.0, 24.0),
-                temp_basis=SplineBasisSpec.uniform(
-                    min(degree, m - 1), m, temp_domain[0], temp_domain[1]
-                ),
-                candidate_id=f"Q{q}xM{m}",
-            )
-        )
-    return specs
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, SingularDesignError
 from .rng import derive_seed
-from .selection import Dataset, SelectorConfig, _training_block, kfold_split, ols_fit, unbiased_variance
+from .selection import Dataset, SelectorConfig, _training_block, kfold_split, unbiased_variance
 from .smoothing import ResamplingDistribution, pbs_fit
 from .tabular import fmt, write_csv
 
@@ -164,7 +164,7 @@ def default_sigma2_candidates(data: Dataset, count: int = 50, span: float = 100.
         raise ValueError("count must be >= 1")
     if not 0.0 < span < np.inf:
         raise ValueError(f"span must be finite and > 0, got {span}")
-    s2_ub = unbiased_variance(data, ols_fit(data))
+    s2_ub = unbiased_variance(data)
     if s2_ub <= 0.0:
         raise ValueError(
             "unbiased residual variance is zero; supply sigma2 candidates explicitly"

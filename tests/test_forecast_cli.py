@@ -733,6 +733,20 @@ class TestDemandCommand:
         )
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    @pytest.mark.parametrize("m", [13, 20, 1000])
+    def test_temp_basis_wider_than_a_window_is_refused(self, tmp_path, capsys, command, m):
+        # it used to exit 4 with an ols_fit message naming neither the target
+        # nor temp_basis; 1 lag + M columns need more than the 14 rows
+        cfg = {**demand_command_config(tmp_path), "temp_basis": {"n_basis": m, "degree": 3}}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: t_lags + temp_basis.n_basis must be below the 14 rows each window fits "
+            f"(window_days=15 minus t_lags=1), got 1 + {m}\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_explicit_candidates(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
         dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)

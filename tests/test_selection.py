@@ -1,5 +1,7 @@
 """Estimation and selection: OLS, ridge, GCV, joint argmin."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -102,17 +104,17 @@ class TestOlsFit:
 class TestUnbiasedVariance:
     def test_exact_fit_gives_zero(self):
         data = Dataset(np.array([0.0, 1.0, 2.0]), np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]))
-        assert unbiased_variance(data, ols_fit(data)) < 1e-24
+        assert unbiased_variance(data) < 1e-24
 
     def test_hand_computed_value(self):
         # beta_hat = 1, residuals (-1, -1, 2), ss = 6, divisor n - p = 2
         data = Dataset(np.array([0.0, 0.0, 3.0]), np.ones((3, 1)))
-        assert unbiased_variance(data, ols_fit(data)) == pytest.approx(3.0, abs=1e-12)
+        assert unbiased_variance(data) == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_degrees_of_freedom(self):
         data = Dataset(np.array([1.0, 2.0]), np.eye(2))
         with pytest.raises(DegreesOfFreedomError):
-            unbiased_variance(data, ols_fit(data))
+            unbiased_variance(data)
 
 
 class TestFitResult:
@@ -517,6 +519,43 @@ class TestRidgePredictionVariance:
             )
 
 
+class TestLambdaZeroGuard:
+    """Every single-lambda function refuses lambda = 0 on a rank-deficient design."""
+
+    CALLS = {
+        "ridge_fit": lambda data, model, lam: float(ridge_fit(data, model, lam).residual_ss),
+        "gcv_score": gcv_score,
+        "ridge_prediction_variance": lambda data, model, lam: ridge_prediction_variance(
+            data, model, lam, np.linspace(-1.0, 1.0, data.p), 1.5
+        ),
+    }
+
+    @staticmethod
+    def design(kind: str) -> Dataset:
+        rng = np.random.default_rng(11)
+        if kind == "n<k":
+            return make_instance(rng, 3, 5)
+        X = rng.uniform(-1.0, 1.0, (10, 4))
+        X[:, 3] = X[:, 0] if kind == "duplicate" else 0.0
+        return Dataset(rng.standard_normal(10), X)
+
+    @pytest.mark.parametrize("kind, message", [
+        pytest.param("duplicate", "reciprocal condition", id="duplicate"),
+        pytest.param("zero", "reciprocal condition 0.000e+00", id="zero"),
+        pytest.param("n<k", "n=3 rows cannot identify k=5 columns", id="n<k"),
+    ])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_lambda_zero_needs_full_column_rank(self, name, kind, message):
+        # ridge_prediction_variance used to return a variance here (0/0 on
+        # the zero column) for designs that ridge_fit refuses
+        data, call = self.design(kind), self.CALLS[name]
+        model = CandidateModel("m", tuple(range(data.p)))
+        pattern = f"^{name} at lambda=0: .*{re.escape(message)}"
+        with pytest.raises(SingularDesignError, match=pattern):
+            call(data, model, 0.0)
+        assert np.isfinite(call(data, model, 0.5))
+
+
 class TestCoefficientsBlock:
     # Nested candidates on a well-conditioned 40 x 6 design.  Responses whose
     # signal scale spans four decades select lambda = 0 on strong columns and
@@ -575,14 +614,6 @@ class TestCoefficientsBlock:
         full = sel.pair_scorer_index[idx] == 2
         lams = set(sel.pair_lambda[idx][full].tolist())
         assert 0.0 in lams and len(lams - {0.0}) >= 2
-
-    def test_per_column_lambda_equals_the_scalar_call(self, rng):
-        data = make_instance(rng, 20, 5)
-        sc = _DesignScorer.for_data(data, CandidateModel("m", (0, 2, 3)))
-        Y = rng.standard_normal((20, 9))
-        for lam in (0.0, 0.37, 250.0):
-            per_column = sc.coef_block(Y, np.full(9, lam))
-            assert per_column.tobytes() == sc.coef_block(Y, lam).tobytes()
 
 
 class TestScalarLambdaBytes:

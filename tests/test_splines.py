@@ -14,7 +14,6 @@ from bootsmooth import (
     bspline_basis,
     build_demand_design,
     cyclic_bspline_basis,
-    demand_candidate_specs,
     demand_feature_row,
     load_demand_csv,
     load_temperature_csv,
@@ -138,10 +137,6 @@ class TestDemandDesign:
         data = build_demand_design(table, temps, spec, hour=9, days=days)
         assert data.p == 121
         assert data.n == 5
-
-    def test_reference_candidate_dimensions(self):
-        specs = demand_candidate_specs((0.0, 25.0))
-        assert [s.p for s in specs] == [121, 146, 146, 196]
 
     def test_matches_double_loop_oracle(self):
         table, temps, spec, days = demand_inputs(n_days=5, q=3, m=4)
