@@ -229,11 +229,18 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
     return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
-def _tuning_grid(cfg: dict, run: RunConfig, n: int, rows: str) -> CvGrid:
-    """The cv grid, with ``cv.k`` at most the ``n`` rows CV tunes on; ``rows`` names them."""
+def _tuning_grid(cfg: dict, run: RunConfig, n: int, rows: str, p: int, columns: str) -> CvGrid:
+    """The cv grid, with ``cv.k`` at most the ``n`` rows CV tunes on and the ``p`` design
+    columns at most the rows of its smallest training block; ``rows``, ``columns`` name them."""
     grid = _cv_grid(cfg, run)
     if grid.k > n:
         raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
+    held = -(-n // grid.k)
+    if p > n - held:
+        raise ConfigError(
+            f"the {p} design columns ({columns}) exceed the {n - held} rows of the smallest "
+            f"CV training block ({n} minus the {held} held out at cv.k={grid.k})"
+        )
     return grid
 
 
@@ -268,7 +275,7 @@ def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
 
 
 def _demand_inputs(cfg: dict):
-    """The demand config's selector, its lazy problems and each window's rows (count, source)."""
+    """The demand config's selector, its lazy problems and each window's rows and columns."""
     for key in ("criterion", "criterion_folds"):
         if key in cfg:
             raise ConfigError(f"'{key}' applies to matrix mode only; demand mode selects by GCV")
@@ -312,7 +319,8 @@ def _demand_inputs(cfg: dict):
         candidates = _candidates(cfg, spec.p)
     targets = _demand_targets(cfg)
     problems = demand_problems(demand, temps, spec, targets, window, auto_domain)
-    return _selector(cfg, candidates), problems, (n, rows)
+    columns = f"t_lags + temp_basis.n_basis = {t_lags} + {m}"
+    return _selector(cfg, candidates), problems, (n, rows, t_lags + m, columns)
 
 
 def _demand_targets(cfg: dict) -> list:
@@ -351,7 +359,7 @@ def _forecast(
     if mode == "matrix":
         data, x_targets, truths, selector = _matrix_inputs(cfg)
         problems = [(data, x_targets, [str(t) for t in range(len(x_targets))], truths)]
-        cv_rows = (data.n, "the rows of train_csv")
+        cv_rows = (data.n, "the rows of train_csv", data.p, "the features of train_csv")
     else:
         selector, problems, cv_rows = _demand_inputs(cfg)
     grid = _tuning_grid(cfg, run, *cv_rows) if dist is None else None
@@ -401,7 +409,7 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
             "distribution per rolling window inside 'fit'"
         )
     data, _, _, selector = _matrix_inputs(cfg, with_targets=False)
-    grid = _tuning_grid(cfg, run, data.n, "the rows of train_csv")
+    grid = _tuning_grid(cfg, run, data.n, "the rows of train_csv", data.p, "the features of train_csv")
     surface, dist = tune_distribution(data, grid, selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(

@@ -19,7 +19,9 @@ one: building a ``Philox`` runs a whole ``SeedSequence``, which each fit
 would otherwise pay for.  Stream sets are therefore used serially, each
 drawn from right after its own re-key.  The seed's part of the
 key comes from the pool of numpy's own ``SeedSequence(seed)``; only the
-spawn word and the output hash are computed here, as array arithmetic.  A
+spawn word and the output hash are computed here, as array arithmetic.  The
+hashed spawn words do not depend on the seed's value, so the last few
+replicate ranges keep theirs (a bounded memo of read-only arrays).  A
 Philox stream is fully defined by its key and counter (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so the draws are
 the same bytes.  ``tests/test_rng.py`` pins the keys to numpy's
@@ -107,9 +109,21 @@ def _pool_consts(hash_const: int, mult: int) -> np.ndarray:
 _OUTPUT_CONSTS = _pool_consts(_INIT_B, _MULT_B)
 
 
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> _XSHIFT)
+@functools.lru_cache(maxsize=8)
+def _spawn_terms(hash_const: int, lo: int, hi: int) -> np.ndarray:
+    """``_MIX_MULT_R`` times the hashed spawn words ``lo..hi-1``; (hi-lo, 4) uint64, read-only.
+
+    The spawn word ``b`` is hashed into each pool word in turn, one hash
+    each, from ``hash_const`` on.  Neither the hashes nor this term depend on
+    the seed beyond ``hash_const``, which every seed below ``2**128``
+    shares, so a fit reuses the terms of an earlier fit with as many
+    replicates.
+    """
+    b = np.arange(lo, hi, dtype=np.uint64)[:, None]
+    value, _ = _hash(b, _pool_consts(hash_const, _MULT_A), _MULT_A)
+    term = _MIX_MULT_R * value
+    term.setflags(write=False)
+    return term
 
 
 def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
@@ -132,8 +146,9 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     """Philox keys of the streams ``(seed, b)`` for ``b`` in ``lo..hi-1``; (hi-lo, 2) uint64.
 
     Row ``b - lo`` equals ``SeedSequence(int(seed), spawn_key=(b,))
-    .generate_state(2, np.uint64)``.  The seed's pool is taken once; only
-    the spawn word ``b`` and the output hash run per replicate, as array
+    .generate_state(2, np.uint64)``.  The seed's pool is taken once and the
+    hashed spawn words come from the memo of :func:`_spawn_terms`; only the
+    mix into the pool and the output hash run per replicate, as array
     arithmetic over the range.  A spawn word ``b >= 2**32`` would
     take two words in ``SeedSequence``; it is refused.
     """
@@ -143,10 +158,9 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     if hi > 2**32:
         raise ValueError(f"replicate index must be < 2**32, got hi={hi}")
     pool, hash_const = _seed_pool(_word(seed))
-    b = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    # The spawn word is hashed into each pool word in turn, one hash each.
-    value, _ = _hash(b, _pool_consts(hash_const, _MULT_A), _MULT_A)
-    words = _mix(pool, value)
+    # SeedSequence's mix of the spawn word into each pool word
+    words = (_MIX_MULT_L * pool - _spawn_terms(hash_const, lo, hi)) & _MASK32
+    words ^= words >> _XSHIFT
     # generate_state(2, np.uint64): each pool word hashed once, paired low word first.
     words, _ = _hash(words, _OUTPUT_CONSTS, _MULT_B)
     return words[:, 0::2] | (words[:, 1::2] << 32)

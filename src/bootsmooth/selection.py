@@ -75,10 +75,11 @@ class Dataset:
         return self.X.shape[1]
 
     def _derived(self, key, build):
-        """``build()`` memoised under ``key``."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        """``build()`` memoised under ``key``; a build that raises is not memoised."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,21 @@ class _DesignScorer:
         valid = (denom > self.n * _TRACE_EPS) & ((lam[:, 0] > 0.0) | self.full_rank)
         return (1.0 - d) ** 2, denom, valid
 
-    def gcv_scores(self, Y: np.ndarray, yy: np.ndarray, w: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    def gcv_scores(self, UtY: np.ndarray, yy: np.ndarray, w: np.ndarray, dd: np.ndarray) -> np.ndarray:
         """GCV ``n RSS / tr(I - H)^2`` per row of ``w``; (rows, B).
 
-        ``yy`` holds the squared column norms of Y, ``w`` the GCV weights and
-        ``dd`` (rows, 1) the squared traces of scoreable lambda-table rows.
+        ``UtY`` is ``U'Y`` for the response block Y, ``yy`` the squared column
+        norms of Y, ``w`` the GCV weights and ``dd`` (rows, 1) the squared
+        traces of scoreable lambda-table rows.
         """
-        UtY = self.U.T @ Y
         sq = UtY * UtY
         perp = yy - sq.sum(axis=0)
         np.maximum(perp, 0.0, out=perp)
-        return self.n * (w @ sq + perp) / dd
+        t = w @ sq
+        t += perp
+        t *= self.n
+        t /= dd
+        return t
 
     def ridge_factors(self, grid) -> tuple[np.ndarray, np.ndarray]:
         """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity (L,).
@@ -291,6 +296,16 @@ def _id_key(model_id) -> tuple:
     return (1, 0.0, str(model_id))
 
 
+def _rows(rows: np.ndarray):
+    """A candidate's tie-break ``rows`` as a slice when they are consecutive, else unchanged.
+
+    They ascend, as the tie-break sorts a candidate's ascending lambdas stably.
+    """
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class _PairSelector:
     """All (candidate, lambda) pairs of a selector in tie-break order.
 
@@ -299,17 +314,21 @@ class _PairSelector:
     returns the first index attaining the minimum.
 
     Pair ``si * L + li`` (candidate si, lambda li) has tie-break row
-    ``rank[si * L + li]``.  :meth:`scores` writes each candidate's block
-    straight into those rows of one +inf matrix instead of stacking the
-    blocks and reordering them.  Under GCV, each candidate keeps only its
-    scoreable lambda rows: their weights, squared traces and destination
-    rows, so its unscoreable rows are never computed and stay +inf.
+    ``rank[si * L + li]``.  Scoring writes each candidate's block straight
+    into those rows of one +inf matrix instead of stacking the blocks and
+    reordering them.  The matrix is in Fortran order, so the argmin reads
+    each response column contiguously.  Under GCV, each candidate keeps only
+    its scoreable lambda rows: their weights, squared traces and destination
+    rows, so its unscoreable rows are never computed and stay +inf.  The
+    destination rows are a slice when they are consecutive, as they are for
+    a candidate whose column count no other candidate shares.
 
-    For :meth:`coefficients_block`, each candidate also keeps its ``V``
-    embedded in the full p rows, its ridge factors ``s / (s^2 + lam)`` over
-    the grid (zero where lambda = 0 is unusable) plus one zero row, (L+1, r),
-    and a map from tie-break pair index to its factor row.  The map sends
-    another candidate's pair to the zero row.
+    For the solve, each candidate also keeps its ``V`` embedded in the full
+    p rows and, per tie-break pair, its ridge factors ``s / (s^2 + lam)``
+    at the pair's lambda, (pairs, r): zero where lambda = 0 is unusable and
+    for every other candidate's pair.  :meth:`select` scores a block and
+    solves it in one pass; under GCV the solve reuses the ``U'Y`` that
+    scoring computed.
     """
 
     def __init__(self, data: Dataset, config: SelectorConfig):
@@ -317,29 +336,30 @@ class _PairSelector:
         self.config = config
         self.scorers = [_DesignScorer.for_data(data, m) for m in config.candidates]
         grid = config.lambda_grid
+        lams = np.asarray(grid)
         # ``order`` stably sorts pair si * L + li into tie-break order; ``rank`` inverts it
-        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in self.scorers for lam in grid]
+        id_keys = [_id_key(m.id) for m in config.candidates]
+        keys = [(sc.k, lam, key) for sc, key in zip(self.scorers, id_keys) for lam in grid]
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
         self.rank = np.empty_like(order)
         self.rank[order] = np.arange(len(order))
         self.pair_scorer_index, lam_index = np.divmod(order, len(grid))
-        self.pair_lambda = np.asarray(grid)[lam_index]
+        self.pair_lambda = lams[lam_index]
         ids = [sc.model.id for sc in self.scorers]
         self.pair_model_id = [ids[si] for si in self.pair_scorer_index.tolist()]
-        self.solves = []  # (scorer, embedded V, factor table, pair -> factor row)
+        self.solves = []  # (embedded V, factors per tie-break pair)
         for si, sc in enumerate(self.scorers):
             V = np.zeros((data.p, sc.V.shape[1]))
             V[sc.columns] = sc.V
-            # the factors at lambda = inf, s / inf, are the zero row
-            f, _ = sc.ridge_factors((*grid, np.inf))
-            factor_row = np.where(self.pair_scorer_index == si, lam_index, len(grid))
-            self.solves.append((sc, V, f, factor_row))
+            f, _ = sc.ridge_factors(lams)
+            mine = (self.pair_scorer_index == si)[:, None]
+            self.solves.append((V, np.where(mine, f[lam_index], 0.0)))
         if config.criterion == "gcv":
             self.tables = []  # (weights, squared traces, tie-break rows) of scoreable lambdas
             for si, sc in enumerate(self.scorers):
-                w, denom, valid = sc.lambda_table(grid)
+                w, denom, valid = sc.lambda_table(lams)
                 rows = self.rank[si * len(grid) : (si + 1) * len(grid)][valid]
-                self.tables.append((w[valid], (denom * denom)[valid, None], rows))
+                self.tables.append((w[valid], (denom * denom)[valid, None], _rows(rows)))
         else:
             if config.cv_folds > data.n:
                 raise ValueError(
@@ -352,7 +372,7 @@ class _PairSelector:
             for i, va in enumerate(folds):
                 block, X_va = _training_block(data, folds, i), data.X[va]
                 ws = [_DesignScorer.for_data(block, m) for m in config.candidates]
-                tables = [(sc, X_va[:, sc.columns] @ sc.V, *sc.ridge_factors(grid)) for sc in ws]
+                tables = [(sc, X_va[:, sc.columns] @ sc.V, *sc.ridge_factors(lams)) for sc in ws]
                 self.folds.append((np.setdiff1d(np.arange(data.n), va), va, tables))
 
     @classmethod
@@ -360,49 +380,56 @@ class _PairSelector:
         key = ("selector", tuple(type(m.id) for m in config.candidates), config)
         return data._derived(key, lambda: cls(data, config))
 
-    def scores(self, Y: np.ndarray) -> np.ndarray:
-        """Score matrix (pairs, B) in tie-break order; invalid pairs +inf."""
-        out = np.full((len(self.rank), Y.shape[1]), np.inf)
+    def _score(self, Y: np.ndarray) -> tuple[np.ndarray, list | None]:
+        """Score matrix (pairs, B) in tie-break order, invalid pairs +inf; and,
+        under GCV, each candidate's ``U'Y`` (None under kfold)."""
+        out = np.full((len(self.rank), Y.shape[1]), np.inf, order="F")
         if self.config.criterion == "gcv":
             yy = np.einsum("ij,ij->j", Y, Y)
-            for sc, (w, dd, rows) in zip(self.scorers, self.tables):
-                out[rows] = sc.gcv_scores(Y, yy, w, dd)
-        else:
-            # summed over folds; a pair unusable on any fold stays +inf
-            blocks = sum(
-                np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
-                for tr, va, tables in self.folds
-            )
-            out[self.rank] = blocks.reshape(out.shape)
-        return out
+            projections = [sc.U.T @ Y for sc in self.scorers]
+            for sc, UtY, (w, dd, rows) in zip(self.scorers, projections, self.tables):
+                out[rows] = sc.gcv_scores(UtY, yy, w, dd)
+            return out, projections
+        # summed over folds; a pair unusable on any fold stays +inf
+        blocks = sum(
+            np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
+            for tr, va, tables in self.folds
+        )
+        out[self.rank] = blocks.reshape(out.shape)
+        return out, None
 
-    def best_index(self, Y: np.ndarray, offset: int = 0) -> np.ndarray:
-        """Tie-broken argmin pair index per response column."""
-        sc = self.scores(Y)
-        idx = np.argmin(sc, axis=0)
-        bad = ~np.isfinite(sc[idx, np.arange(sc.shape[1])])
-        if np.any(bad):
-            b = int(np.argmax(bad))
-            raise SelectionFailureError(
-                f"replicate {offset + b}: no scoreable (model, lambda) pair"
-            )
-        return idx
+    def scores(self, Y: np.ndarray) -> np.ndarray:
+        """Score matrix (pairs, B) in tie-break order; invalid pairs +inf."""
+        return self._score(Y)[0]
 
-    def coefficients_block(self, pair_idx: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Full-p coefficient columns for per-column selected pairs; (p, B).
+    def select(self, Y: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Tie-broken argmin pair index per response column, (B,), and the
+        full-p coefficient columns of the selected pairs, (p, B).
 
         One whole-block ridge solve per candidate selected by some column,
         each column at its own lambda: ``V (F * U'Y)`` with ``V`` embedded in
-        the full p rows and ``F`` the column's factor row.  A column that
-        selected another candidate gets the zero row, so every term of this
-        candidate's product there is ``0 * x`` and adds an exact zero.
+        the full p rows and ``F`` the factors of the column's selected pair.
+        A column that selected another candidate gets zero factors, so every
+        term of this candidate's product there is ``0 * x`` and adds an exact
+        zero.
+        ``offset`` is the first column's replicate number, for the message
+        when a column has no scoreable pair.
         """
+        scores, projections = self._score(Y)
+        idx = np.argmin(scores, axis=0)
+        best = scores[idx, np.arange(Y.shape[1])]
+        if not np.isfinite(best).all():
+            b = int(np.argmax(~np.isfinite(best)))
+            raise SelectionFailureError(
+                f"replicate {offset + b}: no scoreable (model, lambda) pair"
+            )
         out = np.zeros((self.data.p, Y.shape[1]))
-        selected = np.bincount(self.pair_scorer_index[pair_idx], minlength=len(self.solves))
-        for (sc, V, f, factor_row), count in zip(self.solves, selected):
+        selected = np.bincount(self.pair_scorer_index[idx], minlength=len(self.solves))
+        for si, ((V, F), count) in enumerate(zip(self.solves, selected)):
             if count:
-                out += V @ (f[factor_row[pair_idx]].T * (sc.U.T @ Y))
-        return out
+                UtY = self.scorers[si].U.T @ Y if projections is None else projections[si]
+                out += V @ (F[idx].T * UtY)
+        return idx, out
 
 
 _FULL_MODEL_ID = "full"
@@ -435,12 +462,12 @@ def ols_fit(data: Dataset) -> FitResult:
     Raises ``SingularDesignError`` when ``n < p`` or the design is rank
     deficient (reciprocal Gram condition below ``RCOND_MIN``), on every call.
     The fit is memoised on ``data``: a later call returns the same object,
-    whose coefficients are read-only.
+    whose coefficients are read-only.  The rank check runs when the fit is
+    built, so a memo hit returns at once, and a failure is never memoised.
     """
-    sc = _workspace(data, _full_model(data), 0.0, "ols_fit")
 
     def fit() -> FitResult:
-        result = sc.fit(data, 0.0)
+        result = _workspace(data, _full_model(data), 0.0, "ols_fit").fit(data, 0.0)
         result.coefficients.setflags(write=False)
         return result
 
@@ -498,7 +525,7 @@ def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
         )
     Y = data.y[:, None]
     yy = np.einsum("ij,ij->j", Y, Y)
-    return float(sc.gcv_scores(Y, yy, w, (denom * denom)[:, None])[0, 0])
+    return float(sc.gcv_scores(sc.U.T @ Y, yy, w, (denom * denom)[:, None])[0, 0])
 
 
 def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
@@ -510,7 +537,8 @@ def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
     model id.
     """
     sel = _PairSelector.for_data(data, config)
-    idx = int(sel.best_index(data.y[:, None])[0])
+    # the fit is refit alone: its bytes are those of the scalar-lambda solve
+    idx = int(sel.select(data.y[:, None])[0][0])
     sc = sel.scorers[int(sel.pair_scorer_index[idx])]
     return sc.fit(data, float(sel.pair_lambda[idx]))
 

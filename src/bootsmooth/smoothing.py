@@ -26,7 +26,6 @@ from .errors import DegreesOfFreedomError, NumericalError
 from .rng import ReplicateStreams
 from .selection import (
     Dataset,
-    FitResult,
     SelectorConfig,
     _PairSelector,
     _full_model,
@@ -125,12 +124,18 @@ class PredictionInterval:
         return self.center + self.half_width
 
 
-def resampling_mean(data: Dataset, beta_ols: FitResult, gamma: float) -> np.ndarray:
-    """Resampling mean ``gamma X b_ols + (1 - gamma) y``; exact at endpoints."""
+def resampling_mean(data: Dataset, gamma: float) -> np.ndarray:
+    """Resampling mean ``gamma X b_ols + (1 - gamma) y``, ``b_ols`` the memoised
+    :func:`ols_fit` of ``data``; exact at endpoints."""
+    center = ols_fit(data).coefficients
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    return gamma * (data.X @ beta_ols.coefficients) + (1.0 - gamma) * data.y
+    return _mean_vector(data, center, gamma)
+
+
+def _mean_vector(data: Dataset, center: np.ndarray, gamma: float) -> np.ndarray:
+    return gamma * (data.X @ center) + (1.0 - gamma) * data.y
 
 
 def _draw_block(
@@ -200,10 +205,10 @@ def pbs_fit(
         Master seed; replicate b uses the substream (seed, b).
     """
     B = _replicate_count(B)
-    # The one OLS fit; it refuses a rank-deficient design.
-    ols = ols_fit(data)
-    center = ols.coefficients
-    mean = resampling_mean(data, ols, dist.gamma)
+    # The one OLS fit; it refuses a rank-deficient design.  ``dist`` has
+    # checked gamma, so the mean is that of resampling_mean.
+    center = ols_fit(data).coefficients
+    mean = _mean_vector(data, center, dist.gamma)
     sd = float(np.sqrt(dist.sigma2))
     sel = _PairSelector.for_data(data, selector)
 
@@ -219,8 +224,7 @@ def pbs_fit(
     for lo in range(0, B, REPLICATE_CHUNK):
         hi = min(lo + REPLICATE_CHUNK, B)
         Y = _draw_block(mean, sd, streams, lo, hi)
-        idx = sel.best_index(Y, offset=lo)
-        C = sel.coefficients_block(idx, Y)
+        idx, C = sel.select(Y, offset=lo)
         coeffs[lo:hi] = C.T
         model_ids[lo:hi] = [sel.pair_model_id[i] for i in idx.tolist()]
         lambdas[lo:hi] = sel.pair_lambda[idx]

@@ -226,8 +226,8 @@ def load_demand_csv(path: str | Path) -> DemandTable:
         if (day, hour) in values:
             raise IngestionError(f"{path}:{lineno}: duplicate entry for ({day}, {hour})")
         values[(day, hour)] = demand
-    dates = tuple(sorted({d for d, _ in values}))
-    return DemandTable(values=values, dates=dates)
+    # the distinct days: a day has one text (YYYY-MM-DD only) and a row (a bad row ends the load)
+    return DemandTable(values=values, dates=tuple(sorted(days.values())))
 
 
 def load_temperature_csv(path: str | Path) -> dict:

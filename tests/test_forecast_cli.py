@@ -74,14 +74,14 @@ def matrix_files(tmp_path, rng):
     return train, targets
 
 
-def run_python(cwd, *args):
-    """Run ``python *args`` with this checkout's package on the path.
+def run_python(cwd, *args, **env):
+    """Run ``python *args`` with this checkout's package on the path, and ``env`` set.
 
     A fresh interpreter shows what a user sees: pytest records warnings
     instead of printing them, and its own imports fill ``sys.modules``.
     """
     src = Path(bootsmooth.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), **env}
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
@@ -454,6 +454,32 @@ class TestFitCommand:
         )
         proc = run_python(tmp_path, "-c", code)
         assert (proc.returncode, proc.stdout) == (0, "0 0 [False, False, False]\n"), proc.stderr
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, matrix_files):
+        # each interpreter hashes strings with its own seed, which orders
+        # sets and keys memo dicts; no output byte may follow that order
+        configs = {
+            "matrix": write_config(tmp_path, base_matrix_config(*matrix_files), "matrix.json"),
+            "demand": write_config(tmp_path, demand_command_config(tmp_path), "demand.json"),
+            "sim": write_config(
+                tmp_path, {"seed": 5, "study": {"n": 23, "reps": 1, "b": 20}}, "sim.json"
+            ),
+        }
+        calls = [("fit", "matrix"), ("fit", "demand"), ("simulate", "sim")]
+        for hash_seed in ("0", "1"):
+            code = "import bootsmooth.cli\n" + "".join(
+                f"assert bootsmooth.cli.main([{command!r}, '--config', {str(configs[name])!r}, "
+                f"'--out', {f'{name}_{hash_seed}'!r}]) == 0\n"
+                for command, name in calls
+            )
+            proc = run_python(tmp_path, "-c", code, PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+        for _, name in calls:
+            first, second = tmp_path / f"{name}_0", tmp_path / f"{name}_1"
+            names = sorted(p.name for p in first.iterdir())
+            assert names == sorted(p.name for p in second.iterdir()) and "summary.json" in names
+            for file in names:
+                assert (first / file).read_bytes() == (second / file).read_bytes(), (name, file)
 
 
 class TestPredictCommand:
@@ -986,11 +1012,52 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: cv.k must be at most the {rows}, got {k}\n"
         assert list(out.iterdir()) == []
 
-    def test_numerical_error(self, tmp_path, rng):
+    @pytest.mark.parametrize("m", [9, 10, 11, 12])
+    def test_demand_design_wider_than_a_cv_training_block_is_refused(self, tmp_path, capsys, m):
+        # window 15 minus 1 lag leaves 14 rows; cv.k=3 holds out up to 5, so
+        # each training block has 9.  It used to exit 4 with
+        # "fold 0: ols_fit: n=9 rows cannot identify k=.. columns"
+        cfg = {**demand_command_config(tmp_path), "temp_basis": {"n_basis": m, "degree": 3}}
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the {1 + m} design columns (t_lags + temp_basis.n_basis = 1 + {m}) "
+            "exceed the 9 rows of the smallest CV training block (14 minus the 5 held out at cv.k=3)\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "select-dist"])
+    def test_matrix_design_wider_than_a_cv_training_block_is_refused(
+        self, tmp_path, rng, capsys, command
+    ):
+        # it used to exit 4 with "fold 0: ols_fit: n=1 rows cannot identify k=5 columns"
         train = tmp_path / "train.csv"
         write_matrix_csv(train, rng.standard_normal((3, 5)), rng.standard_normal(3))
         targets = tmp_path / "targets.csv"
         write_matrix_csv(targets, rng.standard_normal((2, 5)))
+        cfg = {
+            "mode": "matrix",
+            "train_csv": str(train),
+            "targets_csv": str(targets),
+            "b": 5,
+            "cv": {"k": 2, "sigma2_candidates": [1.0], "gamma_candidates": [1.0], "b_inner": 5},
+        }
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the 5 design columns (the features of train_csv) exceed the 1 rows "
+            "of the smallest CV training block (3 minus the 2 held out at cv.k=2)\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_numerical_error(self, tmp_path, rng):
+        # a repeated column: every training block is tall enough, none has full rank
+        # (the 3 x 5 design this test used is now a config error, tested above)
+        X = rng.standard_normal((8, 3))
+        train = tmp_path / "train.csv"
+        write_matrix_csv(train, np.column_stack([X, X[:, :1]]), rng.standard_normal(8))
+        targets = tmp_path / "targets.csv"
+        write_matrix_csv(targets, rng.standard_normal((2, 4)))
         cfg = {
             "mode": "matrix",
             "train_csv": str(train),

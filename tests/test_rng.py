@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootsmooth import derive_seed, draw_replicates, kfold_split
-from bootsmooth.rng import ReplicateStreams, generator, replicate_keys
+from bootsmooth.rng import ReplicateStreams, _seed_pool, _spawn_terms, generator, replicate_keys
 
 
 def seed_sequence_keys(seed, lo, hi):
@@ -53,6 +53,17 @@ class TestReplicateKeys:
         np.testing.assert_array_equal(
             replicate_keys(seed, lo, lo + count), seed_sequence_keys(seed, lo, lo + count)
         )
+
+    def test_spawn_terms_are_memoised_read_only_per_range(self):
+        # seeds below 2**128 share one hash constant, so they share the terms of a range
+        _spawn_terms.cache_clear()
+        for seed in (0, 2**32, 2**128 - 1):
+            np.testing.assert_array_equal(replicate_keys(seed, 0, 40), seed_sequence_keys(seed, 0, 40))
+        assert _spawn_terms.cache_info()[:2] == (2, 1)  # (hits, misses)
+        terms = _spawn_terms(_seed_pool(0)[1], 0, 40)
+        assert not terms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            terms[0, 0] = 0
 
     def test_last_one_word_spawn_key(self):
         lo = 2**32 - 3

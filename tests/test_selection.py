@@ -93,6 +93,20 @@ class TestOlsFit:
         with pytest.raises(SingularDesignError, match="reciprocal condition"):
             ols_fit(data)
 
+    @pytest.mark.parametrize("shape", ["zero_column", "wide"])
+    def test_rank_deficient_design_raises_on_every_call(self, rng, shape):
+        # the rank check runs inside the memoised build, which a failure never fills
+        if shape == "zero_column":
+            data = Dataset(rng.standard_normal(6), np.column_stack([np.ones(6), np.zeros(6)]))
+            message = "reciprocal condition"
+        else:
+            data = make_instance(rng, 2, 4)
+            message = "n=2 rows cannot identify k=4 columns"
+        for _ in range(2):
+            with pytest.raises(SingularDesignError, match=message):
+                ols_fit(data)
+        assert "ols" not in data._memo
+
     def test_fit_is_memoised_with_read_only_coefficients(self, rng):
         data = make_instance(rng, 10, 3)
         fit = ols_fit(data)
@@ -576,6 +590,22 @@ class TestCoefficientsBlock:
         Y = signal[:, None] * scale[None, :] + rng.standard_normal((40, B))
         return Dataset(rng.standard_normal(40), X), Y
 
+    @staticmethod
+    def separate_solve(sel, idx, Y):
+        """Per selected candidate, ``V (F * U'Y)`` added into zeros: ``V`` its
+        workspace's V embedded in the full p rows, ``F`` each column's
+        ``s / (s^2 + lam)`` (zero for a column that selected another candidate)."""
+        out = np.zeros((sel.data.p, Y.shape[1]))
+        for si, sc in enumerate(sel.scorers):
+            mine = sel.pair_scorer_index[idx] == si
+            if mine.any():
+                V = np.zeros((sel.data.p, sc.V.shape[1]))
+                V[sc.columns] = sc.V
+                lam = np.where(mine, sel.pair_lambda[idx], np.inf)
+                F = sc.s / (sc.s2 + lam[:, None])
+                out += V @ (F.T * (sc.U.T @ Y))
+        return out
+
     @pytest.mark.parametrize("criterion, B, candidates, grid", [
         pytest.param(criterion, B, candidates, grid, id=f"{prefix}{B}-{criterion}")
         for prefix, candidates, grid in (
@@ -590,9 +620,12 @@ class TestCoefficientsBlock:
         data, Y = self.responses(7, B)
         cfg = SelectorConfig(candidates, grid, criterion=criterion, cv_folds=5, cv_seed=1)
         sel = _PairSelector(data, cfg)
-        idx = sel.best_index(Y)
-        C = sel.coefficients_block(idx, Y)
+        idx, C = sel.select(Y)
         assert C.shape == (6, B)
+        # the one pass selects what the score matrix does, and solves to the
+        # bytes of a separate solve from a fresh U'Y
+        np.testing.assert_array_equal(idx, np.argmin(sel.scores(Y), axis=0))
+        assert C.tobytes() == self.separate_solve(sel, idx, Y).tobytes()
         assert [sel.pair_model_id[i] for i in idx] == [
             candidates[si].id for si in sel.pair_scorer_index[idx]
         ]
@@ -610,7 +643,7 @@ class TestCoefficientsBlock:
         data, Y = self.responses(7, 64)
         cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, cv_folds=5, cv_seed=1)
         sel = _PairSelector(data, cfg)
-        idx = sel.best_index(Y)
+        idx, _ = sel.select(Y)
         full = sel.pair_scorer_index[idx] == 2
         lams = set(sel.pair_lambda[idx][full].tolist())
         assert 0.0 in lams and len(lams - {0.0}) >= 2

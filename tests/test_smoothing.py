@@ -23,6 +23,7 @@ from bootsmooth import (
     ResamplingDistribution,
     SelectionFailureError,
     SelectorConfig,
+    SingularDesignError,
     derive_seed,
     draw_replicates,
     ols_fit,
@@ -82,26 +83,32 @@ class TestResamplingMean:
     def test_endpoints_exact(self, rng):
         data = make_instance(rng, 10, 3)
         fit = ols_fit(data)
-        np.testing.assert_array_equal(resampling_mean(data, fit, 0.0), data.y)
-        np.testing.assert_array_equal(
-            resampling_mean(data, fit, 1.0), data.X @ fit.coefficients
-        )
+        np.testing.assert_array_equal(resampling_mean(data, 0.0), data.y)
+        np.testing.assert_array_equal(resampling_mean(data, 1.0), data.X @ fit.coefficients)
 
     def test_midpoint_linearity(self, rng):
         data = make_instance(rng, 10, 3)
-        fit = ols_fit(data)
-        lo = resampling_mean(data, fit, 0.0)
-        hi = resampling_mean(data, fit, 1.0)
-        np.testing.assert_allclose(
-            resampling_mean(data, fit, 0.5), 0.5 * (lo + hi), atol=1e-14
-        )
+        lo = resampling_mean(data, 0.0)
+        hi = resampling_mean(data, 1.0)
+        np.testing.assert_allclose(resampling_mean(data, 0.5), 0.5 * (lo + hi), atol=1e-14)
 
     def test_gamma_domain(self, rng):
         data = make_instance(rng, 6, 2)
-        fit = ols_fit(data)
         for g in (-0.01, 1.01):
             with pytest.raises(ValueError):
-                resampling_mean(data, fit, g)
+                resampling_mean(data, g)
+
+    def test_reads_the_data_own_ols_fit(self, rng):
+        # no other fit can be passed in: the mean is always the OLS one
+        data = make_instance(rng, 10, 3)
+        with pytest.raises(TypeError):
+            resampling_mean(data, ols_fit(data), 0.5)
+
+    def test_rank_deficient_design_refused(self):
+        data = Dataset(np.arange(4.0), np.column_stack([np.ones(4), np.ones(4)]))
+        for _ in range(2):
+            with pytest.raises(SingularDesignError, match="ols_fit"):
+                resampling_mean(data, 0.5)
 
 
 class TestDrawReplicates:
@@ -198,7 +205,7 @@ class TestPbsFit:
         cfg = small_selector(3)
         dist = ResamplingDistribution(gamma=0.4, sigma2=1.5)
         fit = pbs_fit(data, dist, 40, cfg, seed=13)
-        mean = resampling_mean(data, ols_fit(data), 0.4)
+        mean = resampling_mean(data, 0.4)
         np.testing.assert_array_equal(fit.mean_vector, mean)
         # the sufficient statistics are those of the redrawn responses
         responses = draw_replicates(mean, 1.5, 40, 13)
