@@ -363,7 +363,9 @@ def _forecast(
     else:
         selector, problems, cv_rows = _demand_inputs(cfg)
     grid = _tuning_grid(cfg, run, *cv_rows) if dist is None else None
-    rows, surfaces = run_forecasts(problems, selector, grid, dist, run.b, run.alpha, run.seed)
+    rows, surfaces = run_forecasts(
+        problems, selector, grid, dist, run.b, run.alpha, run.seed, columns=cv_rows[3]
+    )
     surface = None
     selected = (None, None) if dist is None else (dist.sigma2, dist.gamma)
     if dist is None and mode == "matrix":

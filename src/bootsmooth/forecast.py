@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, NumericalError
+from .errors import ConfigError, IngestionError, NumericalError, SingularDesignError
 from .rng import derive_seed
 from .selection import (
     CandidateModel,
@@ -220,6 +220,7 @@ def run_forecasts(
     b: int,
     alpha: float,
     seed: int,
+    columns: str | None = None,
 ) -> tuple[list[TargetRow], list[CvSurface]]:
     """Report rows of each ``(data, x_targets, labels, truths)`` problem, in order.
 
@@ -228,20 +229,32 @@ def run_forecasts(
     :func:`tune_distribution` selects on its data with index i; that surface
     is appended to the surfaces returned.  ``problems`` is drawn lazily;
     with neither ``grid`` nor ``dist`` no problem is drawn (``ValueError``).
+
+    A ``NumericalError`` of a one-target problem leads with ``target
+    <label>``; a ``SingularDesignError`` also ends naming the design's
+    ``columns`` (the setting that sets them), when given.
     """
     if grid is None and dist is None:
         raise ValueError("grid is required when dist is None")
     rows: list[TargetRow] = []
     surfaces: list[CvSurface] = []
     for i, (data, x_targets, labels, truths) in enumerate(problems):
-        problem_dist = dist
-        if problem_dist is None:
-            surface, problem_dist = tune_distribution(data, grid, selector, seed, i)
-            surfaces.append(surface)
-        rows += evaluate_fixed_distribution(
-            data, x_targets, labels, truths, problem_dist, b, selector, alpha,
-            derive_seed(seed, TAG_EVAL, i),
-        )
+        try:
+            problem_dist = dist
+            if problem_dist is None:
+                surface, problem_dist = tune_distribution(data, grid, selector, seed, i)
+                surfaces.append(surface)
+            rows += evaluate_fixed_distribution(
+                data, x_targets, labels, truths, problem_dist, b, selector, alpha,
+                derive_seed(seed, TAG_EVAL, i),
+            )
+        except NumericalError as exc:
+            message = str(exc)
+            if len(labels) == 1 and not message.startswith(f"target {labels[0]}: "):
+                message = f"target {labels[0]}: {message}"
+            if columns is not None and isinstance(exc, SingularDesignError):
+                message += f"; the design's columns are {columns}"
+            raise type(exc)(message) from exc
     return rows, surfaces
 
 

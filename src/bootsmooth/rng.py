@@ -14,10 +14,10 @@ one pass by :func:`replicate_keys`, and re-keys one generator per replicate.
 It holds those keys, and the counter and buffer it writes with them, as
 Python ints, because numpy's ``Philox.state`` setter would build a numpy
 scalar for each word it reads from a uint64 array.  The generator is built
-once per process, at the first draw, and every stream set re-keys that same
-one: building a ``Philox`` runs a whole ``SeedSequence``, which each fit
-would otherwise pay for.  Stream sets are therefore used serially, each
-drawn from right after its own re-key.  The seed's part of the
+once per process, with the first stream set, and every stream set re-keys
+that same one: building a ``Philox`` runs a whole ``SeedSequence``, which
+each fit would otherwise pay for.  Stream sets are therefore used serially,
+each drawn from right after its own re-key.  The seed's part of the
 key comes from the pool of numpy's own ``SeedSequence(seed)``; only the
 spawn word and the output hash are computed here, as array arithmetic.  The
 hashed spawn words do not depend on the seed's value, so the last few
@@ -170,10 +170,10 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
 def _shared_generator() -> tuple[np.random.Philox, np.random.Generator]:
     """The one Philox generator, and its ``Generator``, that every stream set re-keys.
 
-    Built at the first draw rather than at import or with the first stream
-    set: either of those raised the peak RSS of a ``simulate`` call by about
-    0.1 MB.  Seeded only to skip an entropy read;
-    :meth:`ReplicateStreams.generator` sets every field of its state.
+    Built with the first stream set rather than at import, which raised the
+    peak RSS of a ``simulate`` call by about 0.1 MB; each stream set holds
+    it, so a re-key does not look it up.  Seeded only to skip an entropy
+    read; :meth:`ReplicateStreams.generator` sets every field of its state.
     """
     bit_generator = np.random.Philox(0)
     return bit_generator, np.random.Generator(bit_generator)
@@ -199,6 +199,8 @@ class ReplicateStreams:
     def __init__(self, seed: int, lo: int, hi: int):
         self.lo = int(lo)
         self._keys = replicate_keys(seed, lo, hi).tolist()
+        self.hi = self.lo + len(self._keys)
+        self._bit_generator, self._shared = _shared_generator()
         self._stream = {"counter": [0] * 4, "key": None}
         self._state = {
             "bit_generator": "Philox",
@@ -211,9 +213,8 @@ class ReplicateStreams:
 
     def generator(self, b: int) -> np.random.Generator:
         """Replicate ``b``'s generator, at the start of stream ``(seed, b)``."""
-        if not self.lo <= b < self.lo + len(self._keys):
-            raise IndexError(f"replicate {b} is outside {self.lo}..{self.lo + len(self._keys) - 1}")
+        if not self.lo <= b < self.hi:
+            raise IndexError(f"replicate {b} is outside {self.lo}..{self.hi - 1}")
         self._stream["key"] = self._keys[b - self.lo]
-        bit_generator, shared = _shared_generator()
-        bit_generator.state = self._state
-        return shared
+        self._bit_generator.state = self._state
+        return self._shared

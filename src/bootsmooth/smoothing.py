@@ -8,10 +8,10 @@ smoothed prediction in two algebraically equivalent forms and the resulting
 prediction interval.
 
 A fit builds the random streams of all its replicates once and processes
-the replicates serially in fixed-size chunks.  Each chunk's response sums
-and cross moments are added to running totals in chunk order, so the GEMM
-shapes and the summation order, and with them the output bytes, depend only
-on the inputs.
+the replicates serially in chunks of ``REPLICATE_CHUNK`` (256), the last
+one partial.  Each chunk's response sums and cross moments are added to
+running totals in chunk order, so the GEMM shapes and the summation order,
+and with them the output bytes, depend only on the inputs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,12 @@ from .selection import (
 )
 
 # Replicates per chunk.  A constant: the chunk layout fixes the GEMM shapes
-# and the order of the running sums, and with them the output bytes.
-REPLICATE_CHUNK = 64
+# and the order of the running sums, and with them the output bytes.  Each
+# chunk pays a fixed cost of some 50 small numpy calls to select and solve,
+# which wider chunks spread over more replicates, while its n x width
+# blocks grow with the width: at 512 a fit on n = 400 rows ran slower than
+# at 256.
+REPLICATE_CHUNK = 256
 
 # Replicate b's generator: the fit's one generator re-keyed to stream
 # (seed, b).  Every replicate's stream set-up is one call through this name,
@@ -144,8 +148,8 @@ def _draw_block(
     """Columns lo..hi-1 of the replicate matrix; replicate b owns ``streams``' stream b."""
     # Each replicate fills one contiguous row; one pass transposes the chunk.
     Z = np.empty((hi - lo, mean.shape[0]))
-    for t in range(hi - lo):
-        generator(streams, lo + t).standard_normal(out=Z[t])
+    for b, row in zip(range(lo, hi), Z):
+        generator(streams, b).standard_normal(out=row)
     out = np.multiply(Z.T, sd, order="C")
     out += mean[:, None]
     return out

@@ -746,6 +746,20 @@ class TestDemandCommand:
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("n_basis", [6, 7, 8])
+    def test_singular_training_block_names_the_target_and_the_columns(self, tmp_path, capsys, n_basis):
+        # cubic temperature columns that are (nearly) collinear on a CV
+        # training block used to exit 4 naming neither the target nor the key
+        cfg = {**demand_command_config(tmp_path), "temp_basis": {"n_basis": n_basis, "degree": 3}}
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        target = cfg["targets"][0]["date"]
+        assert err.startswith(f"numerical error: target {target}:09: fold 0: ols_fit: ")
+        assert err.endswith(f"; the design's columns are t_lags + temp_basis.n_basis = 1 + {n_basis}\n")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["fit", "predict"])
     def test_hour_basis_with_two_or_more_functions_is_refused(self, tmp_path, capsys, command):
         # it used to run until the first fit and exit 4 with an ols_fit

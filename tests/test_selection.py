@@ -30,6 +30,7 @@ from bootsmooth import (
     unbiased_variance,
 )
 from bootsmooth.selection import _DesignScorer, _id_key, _PairSelector
+from bootsmooth.smoothing import REPLICATE_CHUNK
 
 
 class TestDataset:
@@ -573,7 +574,8 @@ class TestLambdaZeroGuard:
 class TestCoefficientsBlock:
     # Nested candidates on a well-conditioned 40 x 6 design.  Responses whose
     # signal scale spans four decades select lambda = 0 on strong columns and
-    # every larger penalty on weak ones, mixed within each 64-column chunk.
+    # every larger penalty on weak ones, mixed within each chunk of 64 or more
+    # columns.
     CANDIDATES = (
         CandidateModel("s", (0, 1)),
         CandidateModel("m", (0, 1, 2, 3)),
@@ -585,7 +587,9 @@ class TestCoefficientsBlock:
     def responses(seed: int, B: int):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-2.0, 2.0, size=(40, 6))
-        scale = np.logspace(-2.0, 2.0, 130)[rng.permutation(130)][:B]
+        # at most 130 columns draw the same scales as with exactly 130
+        m = max(B, 130)
+        scale = np.logspace(-2.0, 2.0, m)[rng.permutation(m)][:B]
         signal = X @ np.array([1.0, -1.5, 0.8, 0.5, 0.3, 0.2])
         Y = signal[:, None] * scale[None, :] + rng.standard_normal((40, B))
         return Dataset(rng.standard_normal(40), X), Y
@@ -613,7 +617,7 @@ class TestCoefficientsBlock:
             # identical columns under two ids, and a repeated lambda
             ("pair_scores-", TestPairScores.CANDIDATES, TestPairScores.GRID),
         )
-        for B in (1, 63, 64, 65, 130)
+        for B in (1, 63, 64, 65, 130, REPLICATE_CHUNK, REPLICATE_CHUNK + 1)
         for criterion in ("gcv", "kfold")
     ])
     def test_every_column_matches_the_normal_equation_oracle(self, criterion, B, candidates, grid):

@@ -226,11 +226,34 @@ class TestPbsFit:
 
         monkeypatch.setattr(smoothing, "_draw_block", recording)
         data = make_instance(rng, 9, 3)
-        fit = pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=sigma2), 130, small_selector(3), seed)
-        assert [block.shape[1] for block in blocks] == [64, 64, 2]
+        # two full chunks and a partial one
+        chunk = smoothing.REPLICATE_CHUNK
+        B = 2 * chunk + 2
+        fit = pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=sigma2), B, small_selector(3), seed)
+        assert [block.shape[1] for block in blocks] == [chunk, chunk, 2]
         drawn = np.concatenate(blocks, axis=1).T
-        want = per_replicate_draws(fit.mean_vector, sigma2, 130, seed)
+        want = per_replicate_draws(fit.mean_vector, sigma2, B, seed)
         assert drawn.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
+    def test_chunk_width_moves_only_the_running_sums(self, rng, monkeypatch, criterion):
+        # B spans 13 chunks of 64 and several of the shipped width; the
+        # width may change the summation order of ysum and cross, nothing else
+        data = make_instance(rng, 14, 6)
+        cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
+        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, cv_folds=4, cv_seed=3)
+        dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
+        B = 3 * smoothing.REPLICATE_CHUNK + 5
+        fits = []
+        for chunk in (64, smoothing.REPLICATE_CHUNK):
+            monkeypatch.setattr(smoothing, "REPLICATE_CHUNK", chunk)
+            fits.append(pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17))
+        narrow, shipped = fits
+        assert narrow.model_ids == shipped.model_ids
+        assert len(set(shipped.model_ids)) == 2 and len(set(shipped.lambdas.tolist())) >= 2
+        np.testing.assert_array_equal(narrow.lambdas, shipped.lambdas)
+        for name in ("coefficients", "beta_pbs", "cross_moment", "ybar_star"):
+            np.testing.assert_allclose(getattr(narrow, name), getattr(shipped, name), rtol=1e-12, err_msg=name)
 
     def test_one_stream_set_per_fit(self, rng, monkeypatch):
         built = []
@@ -242,9 +265,10 @@ class TestPbsFit:
 
         monkeypatch.setattr(smoothing, "ReplicateStreams", CountedStreams)
         data = make_instance(rng, 9, 3)
-        pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=1.7), 130, small_selector(3), 6)
-        # one set for all three chunks (64, 64, 2)
-        assert built == [(6, 0, 130)]
+        B = 2 * smoothing.REPLICATE_CHUNK + 2
+        pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=1.7), B, small_selector(3), 6)
+        # one set for all three chunks (two full, one of 2)
+        assert built == [(6, 0, B)]
 
     def test_bitwise_reproducible_and_thread_invariant(self, rng):
         data = make_instance(rng, 12, 4)
