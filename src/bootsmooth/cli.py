@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +67,39 @@ class RunConfig:
             raise ConfigError("b must be an integer >= 1")
 
 
+@dataclass(frozen=True)
+class BasisSize:
+    """A demand config's ``hour_basis`` or ``temp_basis``: its spline count and degree."""
+
+    n_basis: int
+    degree: int = 3
+
+
+@dataclass(frozen=True)
+class DemandTargets:
+    """A demand config's ``targets[i]`` object, or its ``targets`` object, whose ``dates`` and
+    ``hours`` lists are read as tuples; ``pairs`` is every date, parsed, at every hour."""
+
+    date: str
+    hour: int
+    pairs: tuple = field(init=False)
+
+    def __post_init__(self):
+        dates, hours = ((v if isinstance(v, tuple) else (v,)) for v in (self.date, self.hour))
+        days = []
+        for d in dates:
+            try:
+                days.append(iso_date(d))
+            except ValueError:
+                raise ConfigError(f"bad target date {d!r}") from None
+        for h in hours:
+            if not 1 <= h <= 24:
+                raise ConfigError(f"target hour must be in 1..24, got {h}")
+        object.__setattr__(self, "pairs", tuple((d, h) for d in days for h in hours))
+
+
 # The JSON form of each type a config value is read as: the field types of
-# the dataclasses below, plus the containers of the hand-read values.
+# the config dataclasses, plus the lists and objects that hold them.
 _JSON_TYPES = {
     "int": ("an integer", (int,)),
     "float": ("a number", (int, float)),
@@ -79,8 +110,9 @@ _JSON_TYPES = {
     "dict": ("a JSON object", (dict,)),
 }
 
-# The config keys of each config object read into a dataclass.  A key names
-# its field, except as _FIELD_NAMES says.
+# The config keys of each config object read into a dataclass, and of the
+# top-level values read one by one.  A key names its field, except as
+# _FIELD_NAMES says; a key named as its field's plural holds a list of them.
 _RUN_KEYS = ("seed", "threads", "alpha", "b")
 _SELECTOR_KEYS = ("lambda_grid", "criterion", "criterion_folds")
 _CV_KEYS = (
@@ -89,34 +121,33 @@ _CV_KEYS = (
 )
 _STUDY_KEYS = ("n", "true_model_j", "noise_sd", "reps", "b", "sigma2_sweep", "gamma_sweep", "lambda_grid")
 _DISTRIBUTION_KEYS = ("gamma", "sigma2")
-_FIELD_NAMES = {"criterion_folds": "cv_folds"}
-# Every top-level key that some command reads: the typed keys, the nested
-# objects and the values read by hand.  It is one set for every command, as
-# one config file serves fit, predict, select-dist and sweep-sigma.
-_CONFIG_KEYS = frozenset(
-    _RUN_KEYS
-    + _SELECTOR_KEYS
-    + ("cv", "study", "distribution")
-    + ("mode", "train_csv", "targets_csv", "candidates", "sigma2_sweep", "gamma", "svg")
-    + ("demand_csv", "temperature_csv", "targets", "window_days", "t_lags")
-    + ("hour_basis", "temp_basis", "temp_domain")
+_BASIS_KEYS = ("degree", "n_basis")
+_FIELD_NAMES = {"criterion_folds": "cv_folds", "dates": "date", "hours": "hour"}
+_MATRIX_KEYS = ("train_csv", "targets_csv", "candidates")
+_DEMAND_KEYS = (
+    "demand_csv", "temperature_csv", "temp_domain", "hour_basis", "t_lags", "temp_basis",
+    "window_days", "targets",
 )
+_COMMAND_KEYS = ("mode", "cv", "distribution", "sigma2_sweep", "gamma", "study", "svg")
+# Every top-level key that some command reads.  It is one set for every
+# command, as one config file serves fit, predict, select-dist and sweep-sigma.
+_CONFIG_KEYS = frozenset(_RUN_KEYS + _SELECTOR_KEYS + _MATRIX_KEYS + _DEMAND_KEYS + _COMMAND_KEYS)
 
 
 def _value(value, kind: str, name: str):
     """``value`` read as the type ``kind``, named ``name`` in errors.
 
     ``X | None`` admits null; nothing else does.  A bool is not an integer
-    or a number, a number is read as a float and ``tuple[float, ...]`` as a
-    tuple of floats.
+    or a number, a number is read as a float and ``tuple[T, ...]`` as a
+    tuple of ``T``.
     """
     if kind.endswith(" | None"):
         if value is None:
             return None
         kind = kind[: -len(" | None")]
-    if kind == "tuple[float, ...]":
-        items = enumerate(_value(value, "list", name))
-        return tuple(_value(v, "float", f"{name}[{i}]") for i, v in items)
+    if kind.startswith("tuple["):
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        return tuple(_value(v, item, f"{name}[{i}]") for i, v in enumerate(_value(value, "list", name)))
     described, types = _JSON_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigError(f"{name} must be {described}, got {json.dumps(value)}")
@@ -144,7 +175,8 @@ def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
     for key in keys:
         f = by_name[_FIELD_NAMES.get(key, key)]
         if key in raw:
-            given[f.name] = _value(raw[key], f.type, prefix + key)
+            kind = f"tuple[{f.type}, ...]" if key == f"{f.name}s" else f.type
+            given[f.name] = _value(raw[key], kind, prefix + key)
         elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{name}: missing key '{key}'")
     return cls(**given)
@@ -155,13 +187,6 @@ def _refuse_unknown(raw: dict, keys, context: str) -> None:
     for key in raw:
         if key not in keys:
             raise ConfigError(f"{context}unknown key '{key}'")
-
-
-def _field(obj: dict, key: str, context: str):
-    try:
-        return obj[key]
-    except KeyError:
-        raise ConfigError(f"{context}: missing key '{key}'") from None
 
 
 def _load_config(path: str) -> dict:
@@ -207,18 +232,12 @@ def _candidates(cfg: dict, p: int) -> tuple[CandidateModel, ...]:
     raw = cfg.get("candidates")
     if raw is None:
         return (CandidateModel("full", tuple(range(p))),)
-    out = []
-    for i, entry in enumerate(_value(raw, "list", "candidates")):
-        name, model_id = f"candidates[{i}]", i
-        if isinstance(entry, dict):
-            _refuse_unknown(entry, ("id", "columns"), f"{name}: ")
-            model_id = _value(_field(entry, "id", name), "str | int", f"{name}.id")
-            entry = _field(entry, "columns", name)
-            name += ".columns"
-        columns = _value(entry, "list", name)
-        cols = [_value(c, "int", f"{name}[{j}]") for j, c in enumerate(columns)]
-        out.append(CandidateModel(model_id, tuple(cols)))
-    return tuple(out)
+    return tuple(
+        _read(CandidateModel, entry, f"candidates[{i}]", ("id", "columns"))
+        if isinstance(entry, dict)
+        else CandidateModel(i, _value(entry, "tuple[int, ...]", f"candidates[{i}]"))
+        for i, entry in enumerate(_value(raw, "list", "candidates"))
+    )
 
 
 def _selector(cfg: dict, candidates) -> SelectorConfig:
@@ -267,13 +286,6 @@ def _summary(command: str, run: RunConfig, **fields) -> dict:
     return {"command": command, "seed": run.seed, "threads": run.threads, **fields}
 
 
-def _basis_ints(cfg: dict, key: str, default_n_basis: int) -> tuple[int, int]:
-    basis = _value(cfg.get(key, {"n_basis": default_n_basis}), "dict", key)
-    _refuse_unknown(basis, ("n_basis", "degree"), f"{key}: ")
-    degree = _value(basis.get("degree", 3), "int", f"{key}.degree")
-    return degree, _value(_field(basis, "n_basis", key), "int", f"{key}.n_basis")
-
-
 def _demand_inputs(cfg: dict):
     """The demand config's selector, its lazy problems and each window's rows and columns."""
     for key in ("criterion", "criterion_folds"):
@@ -281,7 +293,7 @@ def _demand_inputs(cfg: dict):
             raise ConfigError(f"'{key}' applies to matrix mode only; demand mode selects by GCV")
     demand = load_demand_csv(_path(cfg, "demand_csv"))
     temps = load_temperature_csv(_path(cfg, "temperature_csv"))
-    dom = cfg.get("temp_domain")
+    dom = _value(cfg.get("temp_domain"), "tuple[float, ...] | None", "temp_domain")
     auto_domain = dom is None
     if auto_domain:
         # placeholder covering all data; per-window knots are respecified later
@@ -289,19 +301,20 @@ def _demand_inputs(cfg: dict):
         if not values:
             raise ConfigError("temperature file holds no rows")
         dom = (min(values) - 0.5, max(values) + 0.5)
-    else:
-        dom = _value(dom, "tuple[float, ...]", "temp_domain")
-        if len(dom) != 2:
-            raise ConfigError("temp_domain must be [lo, hi]")
-    hour_degree, q = _basis_ints(cfg, "hour_basis", 1)
-    if q >= 2:
+    elif len(dom) != 2:
+        raise ConfigError("temp_domain must be [lo, hi]")
+    elif not np.isfinite(dom[1] - dom[0]):
+        raise ConfigError(f"temp_domain must have a finite width, got [{dom[0]}, {dom[1]}]")
+    hour = _read(BasisSize, cfg.get("hour_basis", {"n_basis": 1}), "hour_basis", _BASIS_KEYS)
+    if hour.n_basis >= 2:
         raise ConfigError(
-            f"hour_basis.n_basis must be 1, got {q}: demand mode fits one regression per hour, "
-            "where the hour functions are constants and their columns collinear"
+            f"hour_basis.n_basis must be 1, got {hour.n_basis}: demand mode fits one regression "
+            "per hour, where the hour functions are constants and their columns collinear"
         )
-    hour_basis = SplineBasisSpec.uniform_cyclic(hour_degree, q, 0.0, 24.0)
+    hour_basis = SplineBasisSpec.uniform_cyclic(hour.degree, hour.n_basis, 0.0, 24.0)
     t_lags = _value(cfg.get("t_lags", 1), "int", "t_lags")
-    temp_degree, m = _basis_ints(cfg, "temp_basis", 6)
+    temp = _read(BasisSize, cfg.get("temp_basis", {"n_basis": 6}), "temp_basis", _BASIS_KEYS)
+    m = temp.n_basis
     window = _value(cfg.get("window_days", 15), "int", "window_days")
     if window < t_lags + 1:
         raise ConfigError(f"window_days must exceed t_lags={t_lags}")
@@ -312,7 +325,7 @@ def _demand_inputs(cfg: dict):
             f"t_lags + temp_basis.n_basis must be below the {n} rows each window fits "
             f"({rows}), got {t_lags} + {m}"
         )
-    spec = DemandModelSpec(t_lags, hour_basis, SplineBasisSpec.uniform(temp_degree, m, *dom))
+    spec = DemandModelSpec(t_lags, hour_basis, SplineBasisSpec.uniform(temp.degree, m, *dom))
     if cfg.get("candidates", "structural") == "structural":
         candidates = structural_candidates(spec)
     else:
@@ -325,30 +338,15 @@ def _demand_inputs(cfg: dict):
 
 def _demand_targets(cfg: dict) -> list:
     raw = _require(cfg, "targets")
-    pairs = []
     if isinstance(raw, dict):
-        _refuse_unknown(raw, ("dates", "hours"), "targets: ")
-        for d in _value(_field(raw, "dates", "targets"), "list", "targets.dates"):
-            for h in _value(_field(raw, "hours", "targets"), "list", "targets.hours"):
-                pairs.append((d, h))
+        targets = [_read(DemandTargets, raw, "targets", ("dates", "hours"))]
     else:
-        for i, entry in enumerate(_value(raw, "list", "targets")):
-            name = f"targets[{i}]"
-            entry = _value(entry, "dict", name)
-            _refuse_unknown(entry, ("date", "hour"), f"{name}: ")
-            pairs.append((_field(entry, "date", name), _field(entry, "hour", name)))
-    out = []
-    for d, h in pairs:
-        try:
-            day = iso_date(_value(d, "str", "target date"))
-        except ValueError:
-            raise ConfigError(f"bad target date {d!r}") from None
-        if not 1 <= _value(h, "int", "target hour") <= 24:
-            raise ConfigError(f"target hour must be in 1..24, got {h}")
-        out.append((day, h))
-    if not out:
+        items = enumerate(_value(raw, "list", "targets"))
+        targets = [_read(DemandTargets, t, f"targets[{i}]", ("date", "hour")) for i, t in items]
+    pairs = [pair for target in targets for pair in target.pairs]
+    if not pairs:
         raise ConfigError("no targets configured")
-    return out
+    return pairs
 
 
 def _forecast(

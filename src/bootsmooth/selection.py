@@ -90,7 +90,7 @@ class CandidateModel:
     use time; distinctness and non-emptiness are checked here.
     """
 
-    id: object
+    id: str | int
     columns: tuple[int, ...]
 
     def __post_init__(self):
@@ -134,8 +134,8 @@ class SelectorConfig:
         grid = tuple(float(l) for l in lam)
         if len(grid) == 0:
             raise ValueError("lambda_grid must be nonempty")
-        if any(not l >= 0 for l in grid):
-            raise ValueError("lambda_grid entries must be >= 0")
+        if any(not 0.0 <= l < np.inf for l in grid):
+            raise ValueError("lambda_grid entries must be finite and >= 0")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be sorted ascending")
         if self.criterion not in ("gcv", "kfold"):
@@ -485,10 +485,10 @@ def unbiased_variance(data: Dataset) -> float:
 
 
 def _penalty(lam) -> float:
-    """``lam`` as a float; a ``ValueError`` if it is negative or NaN."""
+    """``lam`` as a float; a ``ValueError`` unless it is finite and >= 0."""
     lam = float(lam)
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     return lam
 
 

@@ -787,6 +787,16 @@ class TestDemandCommand:
         )
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("domain", [[-10, float("inf")], [-1e308, 1e308]], ids=["infinite", "overflowing"])
+    def test_temp_domain_of_infinite_width_is_refused(self, tmp_path, capsys, domain):
+        # it used to exit 2 with "interior knots must be strictly increasing"
+        cfg = {**demand_command_config(tmp_path), "temp_domain": domain}
+        out = tmp_path / "o"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        lo, hi = map(float, domain)
+        assert capsys.readouterr().err == f"config error: temp_domain must have a finite width, got [{lo}, {hi}]\n"
+        assert list(out.iterdir()) == []
+
     def test_explicit_candidates(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
         dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
@@ -1111,6 +1121,8 @@ class TestExitCodes:
             ("simulate", {"study": {"noise_sd": float("inf")}}),
             # JSON's Infinity: refused with the study's config, not by a fit
             ("simulate", {"study": {"n": 23, "reps": 1, "sigma2_sweep": [1.0, float("inf")]}}),
+            # it used to shrink every prediction to 0 and exit 0
+            ("predict", {"lambda_grid": [float("inf")], "distribution": {"sigma2": 1.0, "gamma": 1.0}}),
         ],
         ids=[
             "lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed",
@@ -1119,7 +1131,7 @@ class TestExitCodes:
             "svg_string", "cv_k_float", "lambda_nan", "lambda_overflow",
             "candidate_id_list", "train_csv_null", "targets_csv_int", "sigma2_span_zero",
             "gamma_candidates_null", "noise_sd_nan", "noise_sd_infinity",
-            "sigma2_sweep_infinity",
+            "sigma2_sweep_infinity", "lambda_inf",
         ],
     )
     def test_bad_values_exit_2_with_one_line(
@@ -1135,6 +1147,8 @@ class TestExitCodes:
             assert err == "config error: seed must be an integer >= 0, got -1\n"
         if "sigma2_sweep" in override.get("study", {}):
             assert err == "config error: sigma2_sweep values must be finite and > 0, got inf\n"
+        if override.get("lambda_grid") == [float("inf")]:
+            assert err == "config error: lambda_grid entries must be finite and >= 0\n"
 
     @pytest.mark.parametrize(
         "command, override, key",
@@ -1144,10 +1158,13 @@ class TestExitCodes:
             ("simulate", {"study": {"n": 23, "reps": 1, "master_seed": 3}}, "study: unknown key 'master_seed'"),
             ("predict", {"distribution": {"sigma": 1.0, "gamma": 0.5}}, "distribution: unknown key 'sigma'"),
             ("fit", {"candidates": [{"id": "a", "columns": [0], "colums": [1]}]}, "candidates[0]: unknown key 'colums'"),
+            ("fit", {"candidates": [{"id": "a"}]}, "candidates[0]: missing key 'columns'"),
+            ("fit", {"candidates": [{"id": [1], "columns": [0]}]}, "candidates[0].id must be a string or an integer, got [1]"),
+            ("fit", {"candidates": [["a"]]}, 'candidates[0][0] must be an integer, got "a"'),
         ],
         ids=[
             "cv_refit_ols_per_block", "cv_b_iner", "study_master_seed", "distribution_sigma",
-            "candidates_colums",
+            "candidates_colums", "candidate_columns_missing", "candidate_id_list", "candidate_column_string",
         ],
     )
     def test_unknown_nested_key_exits_2_naming_it(
@@ -1169,10 +1186,14 @@ class TestExitCodes:
             ({"targets": [{"date": "2021-06-28", "hour": 9, "hours": [10]}]}, "targets[0]: unknown key 'hours'"),
             ({"candidates": [{"id": "lags", "columns": [0], "lam": 1}]}, "candidates[0]: unknown key 'lam'"),
             ({"targets": [5]}, "targets[0] must be a JSON object, got 5"),
+            ({"targets": {"dates": ["2021-06-28"]}}, "targets: missing key 'hours'"),
+            ({"temp_basis": {"degree": 2}}, "temp_basis: missing key 'n_basis'"),
+            ({"hour_basis": 3}, "hour_basis must be a JSON object, got 3"),
         ],
         ids=[
             "temp_basis_degre", "hour_basis_period", "targets_hour", "target_hours",
-            "candidate_lam", "target_not_object",
+            "candidate_lam", "target_not_object", "targets_hours_missing", "temp_basis_n_basis_missing",
+            "hour_basis_number",
         ],
     )
     def test_unknown_nested_demand_key_exits_2_naming_it(
@@ -1193,6 +1214,27 @@ class TestExitCodes:
         assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: unknown key 'lamda_grid'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+    def test_every_config_key_is_read_and_documented(self, tmp_path, matrix_files, capsys, key):
+        # a key that no reader reads would run, and one the README omits is undocumented
+        if key in cli._DEMAND_KEYS:
+            cfg, commands = demand_command_config(tmp_path), ["predict", "fit"]
+        else:
+            cfg, commands = every_command_config(matrix_files), sorted(cli._COMMANDS)
+        config = write_config(tmp_path, {**cfg, key: {"x": 1}})
+        messages = []
+        for command in commands:
+            code = main([command, "--config", str(config), "--out", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            if code == 2 and err.count("\n") == 1 and re.search(rf"\b{key}\b", err):
+                break
+            messages.append((command, code, err))
+        else:
+            pytest.fail(f"no command refuses {key}: {messages}")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+        assert f'"{key}"' in section
 
     def test_every_hand_read_demand_key_is_accepted(self, tmp_path):
         cfg = {

@@ -199,8 +199,14 @@ class TestRidgeFit:
     def test_nan_lambda_rejected(self, rng):
         # NaN used to fail later, as "coefficients contain non-finite entries"
         data = make_instance(rng, 5, 2)
-        with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0, got nan"):
             ridge_fit(data, CandidateModel("m", (0,)), float("nan"))
+
+    def test_infinite_lambda_rejected(self, rng):
+        # an infinite penalty used to fit every coefficient as 0
+        data = make_instance(rng, 5, 2)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0, got inf"):
+            ridge_fit(data, CandidateModel("m", (0,)), float("inf"))
 
 
 class TestGcvScore:
@@ -230,7 +236,7 @@ class TestGcvScore:
     def test_negative_or_nan_lambda_rejected(self, rng, lam):
         # NaN used to pass the sign check and score as lambda = 0
         data = make_instance(rng, 10, 4)
-        with pytest.raises(ValueError, match=f"lam must be >= 0, got {lam}"):
+        with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
             gcv_score(data, CandidateModel("m", (0, 1, 2, 3)), lam)
 
     def test_invariant_under_column_permutation(self, rng):
@@ -337,6 +343,8 @@ class TestSelectFit:
             SelectorConfig(candidates=(CandidateModel("m", (0,)),), lambda_grid=(1.0, 0.5))
         with pytest.raises(ValueError, match=">= 0"):
             SelectorConfig(candidates=(CandidateModel("m", (0,)),), lambda_grid=(-1.0,))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SelectorConfig(candidates=(CandidateModel("m", (0,)),), lambda_grid=(0.0, float("inf")))
         with pytest.raises(ValueError, match="unique"):
             SelectorConfig(
                 candidates=(CandidateModel("m", (0,)), CandidateModel("m", (1,))),
@@ -514,7 +522,7 @@ class TestRidgePredictionVariance:
     @pytest.mark.parametrize("lam", [-1.0, float("nan")])
     def test_negative_or_nan_lambda_rejected(self, rng, lam):
         data = make_instance(rng, 10, 3)
-        with pytest.raises(ValueError, match=f"lam must be >= 0, got {lam}"):
+        with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
             ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), lam, np.ones(3), 1.0)
 
     @pytest.mark.parametrize("sigma2", [-2.0, float("nan"), float("inf")])
