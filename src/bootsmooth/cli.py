@@ -301,6 +301,11 @@ def _demand_inputs(cfg: dict):
         if not values:
             raise ConfigError("temperature file holds no rows")
         dom = (min(values) - 0.5, max(values) + 0.5)
+        if not np.isfinite(dom[1] - dom[0]):
+            raise ConfigError(
+                f"the temperatures in temperature_csv span [{min(values)}, {max(values)}], whose "
+                "width is not finite; set temp_domain to a [lo, hi] of finite width"
+            )
     elif len(dom) != 2:
         raise ConfigError("temp_domain must be [lo, hi]")
     elif not np.isfinite(dom[1] - dom[0]):
@@ -492,36 +497,32 @@ def cmd_simulate(cfg: dict, run: RunConfig, outdir: Path) -> int:
     return 0
 
 
+# Each command's entry point and its one-line description.
 _COMMANDS = {
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "select-dist": cmd_select_dist,
-    "sweep-sigma": cmd_sweep_sigma,
-    "simulate": cmd_simulate,
+    "fit": (cmd_fit, "CV-select the resampling distribution, then fit and predict"),
+    "predict": (cmd_predict, "fit and predict with a fixed resampling distribution"),
+    "select-dist": (cmd_select_dist, "cross-validate the (sigma2, gamma) grid only"),
+    "sweep-sigma": (cmd_sweep_sigma, "accuracy curve over a sigma2 list at fixed gamma"),
+    "simulate": (cmd_simulate, "synthetic study of selection frequency and estimation MSE"),
 }
 
 
 def _parser() -> argparse.ArgumentParser:
+    """One parser: the command, then the five flags that every command takes."""
     parser = argparse.ArgumentParser(
         prog="bootsmooth",
         description="Bootstrap-smoothed regression prediction after model selection.",
+        epilog="commands:\n" + "".join(f"  {name:<13}{text}\n" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("fit", "CV-select the resampling distribution, then fit and predict"),
-        ("predict", "fit and predict with a fixed resampling distribution"),
-        ("select-dist", "cross-validate the (sigma2, gamma) grid only"),
-        ("sweep-sigma", "accuracy curve over a sigma2 list at fixed gamma"),
-        ("simulate", "synthetic study of selection frequency and estimation MSE"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument(
-            "--threads", type=int, default=None, help="override the threads value echoed to summary.json"
-        )
-        sp.add_argument("--alpha", type=float, default=None, help="override interval alpha")
-        sp.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="override the threads value echoed to summary.json"
+    )
+    parser.add_argument("--alpha", type=float, default=None, help="override interval alpha")
+    parser.add_argument("--out", default=".", help="output directory")
     return parser
 
 
@@ -539,7 +540,7 @@ def main(argv=None) -> int:
         # message; a non-finite result is refused where it leaves the engine.
         # The outputs appear together, once the last one is written.
         with np.errstate(all="ignore"), staged_outputs(outdir) as staging:
-            return _COMMANDS[args.command](cfg, run, staging)
+            return _COMMANDS[args.command][0](cfg, run, staging)
     except (ConfigError, ValueError) as exc:
         # library constructors validate config values by raising ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .splines import (
     build_demand_design,
     demand_feature_row,
 )
-from .tabular import finite_number, fmt, read_table, write_csv
+from .tabular import finite_number, finite_numbers, fmt, read_blocks, write_csv
 from .tuning import CvGrid, CvSurface, cv_error_surface, select_distribution
 
 TAG_EVAL = 0
@@ -128,23 +129,32 @@ def _accuracy(rows, names) -> dict:
 def load_matrix_csv(path: str | Path):
     """Plain-matrix CSV: header row; ``y`` first column when truth is present.
 
-    Returns ``(y_or_None, X, feature_names)``.
+    Returns ``(y_or_None, X, feature_names)``.  Each block of rows is parsed
+    whole; only a block with a field that is not a finite number is walked
+    row by row, to name the first such field.
     """
-    rows = read_table(path)
-    header = next(rows)
+    blocks = read_blocks(path)
+    header = next(blocks)
     has_y = header[0] == "y"
     names = header[1:] if has_y else header
     if not names:
         raise IngestionError(f"{path}:1: no feature columns")
-    ys, xs = [], []
-    for lineno, fields in rows:
-        vals = [finite_number(path, lineno, name, text) for name, text in zip(header, fields)]
-        if has_y:
-            ys.append(vals.pop(0))
-        xs.append(vals)
-    if not xs:
+    tables = []
+    for lineno, block in blocks:
+        numbers = finite_numbers(chain.from_iterable(block))
+        if numbers is None:
+            numbers = [
+                finite_number(path, row, name, text)
+                for row, fields in enumerate(block, lineno)
+                for name, text in zip(header, fields)
+            ]
+        tables.append(np.reshape(numbers, (len(block), len(header))))
+    if not tables:
         raise IngestionError(f"{path}: no data rows")
-    return (np.asarray(ys) if has_y else None), np.asarray(xs), tuple(names)
+    table = np.concatenate(tables)
+    if has_y:
+        return table[:, 0].copy(), np.ascontiguousarray(table[:, 1:]), tuple(names)
+    return None, table, tuple(names)
 
 
 def evaluate_fixed_distribution(
@@ -260,7 +270,8 @@ def run_forecasts(
 
 def same_weekday_window(dates, target_day: _dt.date, length: int) -> list:
     """The ``length`` most recent dates before ``target_day`` sharing its weekday."""
-    prior = [d for d in dates if d < target_day and d.weekday() == target_day.weekday()]
+    weekday = target_day.weekday()
+    prior = [d for d in dates if d < target_day and d.weekday() == weekday]
     if len(prior) < length:
         raise ConfigError(
             f"target {target_day}: only {len(prior)} same-weekday days of history, "

@@ -164,9 +164,8 @@ class FitResult:
         if not np.all(np.isfinite(coef)):
             raise ValueError("coefficients contain non-finite entries")
         object.__setattr__(self, "coefficients", coef)
-        # NaN fails both comparisons, so it is refused too.
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        object.__setattr__(self, "lam", _penalty(self.lam))
+        # NaN fails the comparison, so it is refused too.
         if not self.residual_ss >= 0:
             raise ValueError(f"residual_ss must be >= 0, got {self.residual_ss}")
 

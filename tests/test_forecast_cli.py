@@ -42,7 +42,7 @@ from bootsmooth import (
     same_weekday_window,
     structural_candidates,
 )
-from bootsmooth import cli
+from bootsmooth import cli, tabular
 from bootsmooth.cli import main
 from bootsmooth.forecast import tune_distribution, window_spec
 from bootsmooth.tabular import fmt
@@ -178,6 +178,22 @@ class TestLoadMatrixCsv:
         with pytest.raises(IngestionError) as err:
             load_matrix_csv(p)
         assert str(err.value) == f"{p}:2: x0 is not a number: 'abc'"
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, None], ids=["1", "2", "3", "shipped"])
+    def test_bad_value_before_a_short_row(self, tmp_path, monkeypatch, block_rows):
+        # the first fault in file order is reported, whichever block holds it
+        if block_rows is not None:
+            monkeypatch.setattr(tabular, "BLOCK_ROWS", block_rows, raising=False)
+        from bootsmooth import IngestionError
+
+        p = tmp_path / "bad.csv"
+        rows = [f"{i},{2 * i},{3 * i}" for i in range(12)]
+        rows[5] = "5,1e999,15"
+        rows[9] = "9,18"
+        p.write_text("y,x0,x1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_matrix_csv(p)
+        assert str(err.value) == f"{p}:7: x0 must be finite"
 
 
 def assert_rows_match_intervals(rows, intervals):
@@ -797,6 +813,23 @@ class TestDemandCommand:
         assert capsys.readouterr().err == f"config error: temp_domain must have a finite width, got [{lo}, {hi}]\n"
         assert list(out.iterdir()) == []
 
+    def test_temperatures_of_infinite_width_without_temp_domain_are_refused(self, tmp_path, capsys):
+        # the placeholder domain over the file's temperatures overflowed, and
+        # predict exited 2 with "interior knots must be strictly increasing"
+        cfg = demand_command_config(tmp_path)
+        path = Path(cfg["temperature_csv"])
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + ",-1e308"
+        lines[2] = lines[2].split(",")[0] + ",1e308"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the temperatures in temperature_csv span [-1e+308, 1e+308], whose "
+            "width is not finite; set temp_domain to a [lo, hi] of finite width\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_explicit_candidates(self, tmp_path):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
         dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
@@ -966,6 +999,50 @@ class TestSummaryKeys:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == keys
         assert summary["command"] == command
+
+
+# Each command and its one-line description in the CLI's help.
+COMMAND_HELP = [
+    ("fit", "CV-select the resampling distribution, then fit and predict"),
+    ("predict", "fit and predict with a fixed resampling distribution"),
+    ("select-dist", "cross-validate the (sigma2, gamma) grid only"),
+    ("sweep-sigma", "accuracy curve over a sigma2 list at fixed gamma"),
+    ("simulate", "synthetic study of selection frequency and estimation MSE"),
+]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", [name for name, _ in COMMAND_HELP])
+    def test_every_flag_reaches_every_command(self, command):
+        args = cli._parser().parse_args(
+            [command, "--config", "c.json", "--seed", "3", "--threads", "2", "--alpha", "0.1", "--out", "o"]
+        )
+        assert vars(args) == {
+            "command": command, "config": "c.json", "seed": 3, "threads": 2, "alpha": 0.1, "out": "o"
+        }
+        args = cli._parser().parse_args([command, "--config", "c.json"])
+        assert vars(args) == {
+            "command": command, "config": "c.json", "seed": None, "threads": None, "alpha": None, "out": "."
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus", "--config", "c.json"], ["fit", "--config", "c.json", "--bogus", "1"], ["fit"], []],
+        ids=["unknown_command", "unknown_flag", "no_config", "no_command"],
+    )
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_lists_each_command_with_its_description(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, text in COMMAND_HELP:
+            assert any(line.split() == [name, *text.split()] for line in lines), name
 
 
 class TestExitCodes:

@@ -1,7 +1,13 @@
 """Property tests on random small instances."""
 
+import datetime as dt
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
-from conftest import make_instance
+from conftest import demand_csv_oracle, make_instance, matrix_csv_oracle, temperature_csv_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +16,13 @@ from bootsmooth import (
     Dataset,
     ResamplingDistribution,
     SelectorConfig,
+    load_demand_csv,
+    load_matrix_csv,
+    load_temperature_csv,
     pbs_fit,
     select_fit,
 )
+from bootsmooth import tabular
 
 _GRID = (0.0, 0.01, 0.3, 1.0, 10.0)
 
@@ -64,3 +74,103 @@ def test_pbs_fit_bytes_do_not_depend_on_threads(seed, n_candidates, B, gamma):
     assert fits[0].beta_pbs.tobytes() == fits[1].beta_pbs.tobytes()
     assert fits[0].cross_moment.tobytes() == fits[1].cross_moment.tobytes()
     assert fits[0].model_ids == fits[1].model_ids
+
+
+# Well-formed CSV text as other writers produce it: quoted fields, CRLF line
+# ends, spaces around numbers and underscores between digits.
+def _QUOTED(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+_NUMBER_FORMS = (
+    repr,
+    lambda v: format(v, "_"),
+    lambda v: f" {v!r}",
+    lambda v: f"{v!r}  ",
+    lambda v: _QUOTED(f" {v!r} "),
+)
+_HOUR_FORMS = (
+    str,
+    lambda h: f" {h} ",
+    lambda h: f"0{h}",
+    lambda h: f"{h // 10}_{h % 10}" if h >= 10 else str(h),
+    lambda h: _QUOTED(str(h)),
+)
+_DATE_FORMS = (str, _QUOTED)
+# Finite values, some so large that a block's sum overflows.
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((1e308, -1e308, 0.0, -0.0))
+# Rows per block: every row its own block, a few rows, and the shipped size (None).
+_BLOCKS = st.sampled_from((1, 2, 3, 5, None))
+
+
+def _csv_text(data, header, rows, forms) -> str:
+    """``header`` and ``rows`` as CSV text, each field in a drawn form and each line in a drawn ending."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(data.draw(st.sampled_from(f))(v) for f, v in zip(forms, row)))
+    return "".join(line + data.draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
+
+
+def _load_both(text: str, load, oracle, block_rows: int):
+    """``load`` and ``oracle`` of one file holding ``text``; ``load`` reads it ``block_rows`` rows at a time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(text.encode())
+        blocks = nullcontext() if block_rows is None else mock.patch.object(tabular, "BLOCK_ROWS", block_rows)
+        with blocks:
+            return load(path), oracle(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 24)), min_size=1, max_size=60, unique=True),
+    block_rows=_BLOCKS,
+    data=st.data(),
+)
+def test_demand_loader_matches_the_row_by_row_oracle(keys, block_rows, data):
+    start = dt.date(2023, 12, 20)
+    rows = [((start + dt.timedelta(days=d)).isoformat(), h, data.draw(_VALUES)) for d, h in keys]
+    text = _csv_text(data, ["date", "hour", _QUOTED("demand")], rows, (_DATE_FORMS, _HOUR_FORMS, _NUMBER_FORMS))
+    table, (values, dates) = _load_both(text, load_demand_csv, demand_csv_oracle, block_rows)
+    # same keys in the same order, and the same bits for every value
+    assert list(table.values) == list(values)
+    assert [v.hex() for v in table.values.values()] == [v.hex() for v in values.values()]
+    assert table.dates == dates
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    days=st.lists(st.integers(0, 400), min_size=1, max_size=40, unique=True),
+    block_rows=_BLOCKS,
+    data=st.data(),
+)
+def test_temperature_loader_matches_the_row_by_row_oracle(days, block_rows, data):
+    start = dt.date(2022, 1, 1)
+    rows = [((start + dt.timedelta(days=d)).isoformat(), data.draw(_VALUES)) for d in days]
+    text = _csv_text(data, [" date", "mean_temp "], rows, (_DATE_FORMS, _NUMBER_FORMS))
+    temps, oracle = _load_both(text, load_temperature_csv, temperature_csv_oracle, block_rows)
+    assert list(temps) == list(oracle)
+    assert [v.hex() for v in temps.values()] == [v.hex() for v in oracle.values()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    width=st.integers(1, 5),
+    has_y=st.booleans(),
+    block_rows=_BLOCKS,
+    data=st.data(),
+)
+def test_matrix_loader_matches_the_row_by_row_oracle(n, width, has_y, block_rows, data):
+    names = [_QUOTED(f"x{j}, unit {j}") for j in range(width)]
+    header = (["y"] if has_y else []) + names
+    rows = [[data.draw(_VALUES) for _ in header] for _ in range(n)]
+    text = _csv_text(data, header, rows, [_NUMBER_FORMS] * len(header))
+    (y, X, got_names), (y_oracle, X_oracle, oracle_names) = _load_both(
+        text, load_matrix_csv, matrix_csv_oracle, block_rows
+    )
+    assert got_names == oracle_names
+    assert (y is None) == (y_oracle is None)
+    if y is not None:
+        assert y.shape == y_oracle.shape and y.tobytes() == y_oracle.tobytes()
+    assert X.shape == X_oracle.shape and X.tobytes() == X_oracle.tobytes()

@@ -136,14 +136,15 @@ class TestFitResult:
     @pytest.mark.parametrize(
         "lam, residual_ss, message",
         [
-            (float("nan"), 1.0, "lam must be >= 0, got nan"),
-            (-1.0, 1.0, "lam must be >= 0, got -1.0"),
+            (float("nan"), 1.0, "lam must be finite and >= 0, got nan"),
+            (-1.0, 1.0, "lam must be finite and >= 0, got -1.0"),
+            (float("inf"), 1.0, "lam must be finite and >= 0, got inf"),
             (0.5, float("nan"), "residual_ss must be >= 0, got nan"),
             (0.5, -1.0, "residual_ss must be >= 0, got -1.0"),
         ],
     )
     def test_negative_or_nan_fields_rejected(self, lam, residual_ss, message):
-        # NaN used to pass both sign checks
+        # NaN used to pass both sign checks, and an infinite lam the one on lam
         with pytest.raises(ValueError, match=message):
             FitResult(np.zeros(2), "m", lam, residual_ss)
 

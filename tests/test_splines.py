@@ -18,6 +18,7 @@ from bootsmooth import (
     load_demand_csv,
     load_temperature_csv,
     ols_fit,
+    tabular,
 )
 
 
@@ -263,3 +264,126 @@ class TestCsvLoaders:
         with pytest.raises(IngestionError) as err:
             load_demand_csv(p)
         assert str(err.value) == f"{p}:4: duplicate entry for (2022-01-01, 1)"
+
+
+# Rows per block of the CSV reader: one row, a few rows, and the shipped size.
+BLOCK_SIZES = pytest.mark.parametrize("block_rows", [1, 2, 3, None], ids=["1", "2", "3", "shipped"])
+
+
+def read_in_blocks_of(monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block_rows, raising=False)
+
+
+def hourly_lines(days: int, start=dt.date(2022, 1, 1)) -> list[str]:
+    """``date,hour,demand`` lines for every hour of ``days`` days."""
+    return [
+        f"{start + dt.timedelta(days=d)},{h},{100 + h}" for d in range(days) for h in range(1, 25)
+    ]
+
+
+class TestCsvFaultOrder:
+    """One file with several faults reports the first in file order, at any block size."""
+
+    @BLOCK_SIZES
+    def test_bad_value_before_an_over_long_field(self, tmp_path, monkeypatch, block_rows):
+        read_in_blocks_of(monkeypatch, block_rows)
+        p = tmp_path / "d.csv"
+        lines = hourly_lines(2)
+        lines[0] = "2022-01-01,1,abc"
+        lines[30] = "2022-01-02,7," + "9" * 200_000
+        p.write_text("date,hour,demand\n" + "\n".join(lines) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:2: demand is not a number: 'abc'"
+        # alone, the over-long field is reported on its own line
+        lines[0] = "2022-01-01,1,101"
+        p.write_text("date,hour,demand\n" + "\n".join(lines) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:32: field larger than field limit (131072)"
+
+    @BLOCK_SIZES
+    def test_duplicate_more_than_a_block_after_its_first_row(self, tmp_path, monkeypatch, block_rows):
+        read_in_blocks_of(monkeypatch, block_rows)
+        p = tmp_path / "d.csv"
+        # 720 rows lie between the two rows: over two blocks of the shipped size
+        lines = hourly_lines(30) + ["2022-01-01,5,7.5"]
+        p.write_text("date,hour,demand\n" + "\n".join(lines) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:{len(lines) + 1}: duplicate entry for (2022-01-01, 5)"
+        t = tmp_path / "t.csv"
+        days = [dt.date(2022, 1, 1) + dt.timedelta(days=d) for d in range(600)]
+        t.write_text("date,mean_temp\n" + "".join(f"{d},{i % 30}\n" for i, d in enumerate(days)) + f"{days[2]},4\n")
+        with pytest.raises(IngestionError) as err:
+            load_temperature_csv(t)
+        assert str(err.value) == f"{t}:{len(days) + 2}: duplicate entry for {days[2]}"
+
+    @BLOCK_SIZES
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x", "hour is not an integer: 'x'"), ("25", "hour must be in 1..24, got 25")],
+        ids=["not_an_integer", "out_of_range"],
+    )
+    def test_repeated_bad_hour_text_reports_its_first_line(
+        self, tmp_path, monkeypatch, block_rows, text, message
+    ):
+        read_in_blocks_of(monkeypatch, block_rows)
+        p = tmp_path / "d.csv"
+        lines = hourly_lines(1)
+        lines[3] = lines[7] = lines[8] = f"2022-01-01,{text},5"
+        # a bad demand on a later line is not the first fault
+        lines[9] = "2022-01-01,10,nan"
+        p.write_text("date,hour,demand\n" + "\n".join(lines) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_demand_csv(p)
+        assert str(err.value) == f"{p}:5: {message}"
+
+    @BLOCK_SIZES
+    def test_bad_temperature_before_a_short_row(self, tmp_path, monkeypatch, block_rows):
+        read_in_blocks_of(monkeypatch, block_rows)
+        t = tmp_path / "t.csv"
+        days = [dt.date(2022, 1, 1) + dt.timedelta(days=d) for d in range(10)]
+        rows = [f"{d},{i}" for i, d in enumerate(days)]
+        rows[4] = f"{days[4]},inf"
+        rows[8] = f"{days[8]}"
+        t.write_text("date,mean_temp\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_temperature_csv(t)
+        assert str(err.value) == f"{t}:6: mean_temp must be finite"
+
+
+class TestOnePassDesign:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+    def test_array_basis_equals_one_point_evaluations(self, rng, degree):
+        from bootsmooth.splines import _bspline_rows
+
+        spec = SplineBasisSpec.uniform(degree, degree + 7, -8.5, 31.0)
+        x = np.concatenate([[-8.5, 31.0], spec.interior_knots, rng.uniform(-8.5, 31.0, 200)])
+        rows = _bspline_rows(spec, x)
+        assert rows.tobytes() == np.array([bspline_basis(spec, v) for v in x]).tobytes()
+
+    def test_first_temperature_outside_the_domain_is_named(self):
+        table, temps, spec, days = demand_inputs(n_days=6, q=1, m=4)
+        temps = {**temps, days[2]: 41.5, days[4]: -3.0}
+        with pytest.raises(ValueError, match=r"^x=41.5 outside basis domain \[0.0, 40.0\]$"):
+            build_demand_design(table, temps, spec, hour=9, days=days)
+
+    @pytest.mark.parametrize("t_lags", [1, 2, 3])
+    def test_rows_equal_the_row_by_row_build(self, t_lags):
+        table, temps, spec, days = demand_inputs(n_days=9, t_lags=t_lags, q=3, m=5)
+        hour = 9
+        data = build_demand_design(table, temps, spec, hour=hour, days=days)
+        h = cyclic_bspline_basis(spec.hour_basis, float(hour))
+        rows = [
+            np.concatenate(
+                [
+                    [table.values[(days[i - t], hour)] for t in range(1, t_lags + 1)],
+                    np.outer(h, bspline_basis(spec.temp_basis, temps[days[i]])).ravel(),
+                ]
+            )
+            for i in range(t_lags, len(days))
+        ]
+        assert data.X.tobytes() == np.vstack(rows).tobytes()
+        assert data.y.tobytes() == np.array([table.values[(d, hour)] for d in days[t_lags:]]).tobytes()
