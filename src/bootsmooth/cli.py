@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, IngestionError, NumericalError
 from .forecast import (
+    TEMP_PAD,
     accuracy,
     demand_problems,
     load_matrix_csv,
@@ -33,12 +34,7 @@ from .forecast import (
 from .selection import CandidateModel, Dataset, SelectorConfig
 from .simulation import StudyConfig, render_mse_svg, run_study, write_study_csvs
 from .smoothing import ResamplingDistribution
-from .splines import (
-    DemandModelSpec,
-    SplineBasisSpec,
-    load_demand_csv,
-    load_temperature_csv,
-)
+from .splines import DemandModelSpec, SplineBasisSpec, load_demand_csv, load_temperature_csv
 from .tabular import fmt, iso_date, staged_outputs, write_csv, write_json
 from .tuning import CvGrid, write_surface_csv
 
@@ -300,7 +296,7 @@ def _demand_inputs(cfg: dict):
         values = list(temps.values())
         if not values:
             raise ConfigError("temperature file holds no rows")
-        dom = (min(values) - 0.5, max(values) + 0.5)
+        dom = (min(values) - TEMP_PAD, max(values) + TEMP_PAD)
         if not np.isfinite(dom[1] - dom[0]):
             raise ConfigError(
                 f"the temperatures in temperature_csv span [{min(values)}, {max(values)}], whose "

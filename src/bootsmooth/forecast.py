@@ -40,7 +40,6 @@ from .splines import (
     DemandModelSpec,
     DemandTable,
     SplineBasisSpec,
-    bspline_basis,
     build_demand_design,
     demand_feature_row,
 )
@@ -49,6 +48,10 @@ from .tuning import CvGrid, CvSurface, cv_error_surface, select_distribution
 
 TAG_EVAL = 0
 TAG_CV = 1
+
+# The margin added on each side of the observed temperatures to make a
+# temperature basis domain.
+TEMP_PAD = 0.5
 
 # The TargetRow fields that must be finite, in the order they are checked.
 _BOUNDS = ("prediction", "lower", "upper", "ridge_prediction", "ridge_lower", "ridge_upper")
@@ -190,10 +193,10 @@ def evaluate_fixed_distribution(
     model = next(c for c in selector.candidates if c.id == baseline.model_id)
     s2_ub = unbiased_variance(data)
     ridge_pred = x_targets @ baseline.coefficients
+    ridge_var = ridge_prediction_variance(data, model, baseline.lam, x_targets, s2_ub)
+    ridge_hw = z * np.sqrt(ridge_var + s2_ub)
     rows = []
-    for t, (label, x) in enumerate(zip(labels, x_targets)):
-        ridge_var = ridge_prediction_variance(data, model, baseline.lam, x, s2_ub)
-        ridge_hw = z * np.sqrt(ridge_var + s2_ub)
+    for t, label in enumerate(labels):
         rows.append(
             TargetRow(
                 label=str(label),
@@ -201,8 +204,8 @@ def evaluate_fixed_distribution(
                 lower=float(pred[t] - hw[t]),
                 upper=float(pred[t] + hw[t]),
                 ridge_prediction=float(ridge_pred[t]),
-                ridge_lower=float(ridge_pred[t] - ridge_hw),
-                ridge_upper=float(ridge_pred[t] + ridge_hw),
+                ridge_lower=float(ridge_pred[t] - ridge_hw[t]),
+                ridge_upper=float(ridge_pred[t] + ridge_hw[t]),
                 truth=None if truths is None or truths[t] is None else float(truths[t]),
                 sigma2=dist.sigma2,
                 gamma=dist.gamma,
@@ -290,22 +293,21 @@ def structural_candidates(spec: DemandModelSpec) -> tuple[CandidateModel, ...]:
     )
 
 
-def window_spec(
-    spec: DemandModelSpec, temps: dict, window, target_day, pad: float = 0.5
-) -> DemandModelSpec:
+def window_spec(spec: DemandModelSpec, temps: dict, window, target_day) -> DemandModelSpec:
     """Respecify the temperature basis over the window's observed range.
 
     Knots placed over a global range leave basis columns exactly zero on a
     window that covers only part of it (local support), which makes the
     window design rank deficient.  Anchoring the knots to the window's own
-    temperatures (plus the target's, padded) keeps every column supported.
+    temperatures (plus the target's, padded by ``TEMP_PAD``) keeps every
+    column supported.
     """
     seen = [temps[d] for d in window if d in temps]
     if target_day in temps:
         seen.append(temps[target_day])
     if not seen:
         raise ConfigError(f"no temperatures available for the window before {target_day}")
-    lo, hi = min(seen) - pad, max(seen) + pad
+    lo, hi = min(seen) - TEMP_PAD, max(seen) + TEMP_PAD
     tb = spec.temp_basis
     return replace(spec, temp_basis=SplineBasisSpec.uniform(tb.degree, tb.n_basis, lo, hi))
 
@@ -336,9 +338,11 @@ def demand_problems(
         wspec = window_spec(spec, temps, window, day) if auto_temp_domain else spec
         data = build_demand_design(demand, temps, wspec, hour, window)
         if not auto_temp_domain:
-            seen = [temps[d] for d in window[spec.t_lags :]]
-            idle = np.flatnonzero(sum(bspline_basis(spec.temp_basis, t) for t in seen) == 0)
+            # a temperature function is idle when its tensor columns are zero on every row
+            tensor = data.X[:, spec.t_lags :].reshape(data.n, spec.hour_basis.n_basis, -1)
+            idle = np.flatnonzero(~tensor.any(axis=(0, 1)))
             if idle.size:
+                seen = [temps[d] for d in window[spec.t_lags :]]
                 raise NumericalError(
                     f"target {label}: the fixed temp_domain {list(spec.temp_basis.domain)} "
                     f"leaves temperature basis functions {idle.tolist()} zero on every "

@@ -8,24 +8,21 @@ replication reproducible on its own.
 
 Bootstrap replicate ``b`` still owns stream ``(seed, b)``: Philox keyed by
 ``SeedSequence(seed, spawn_key=(b,)).generate_state(2, np.uint64)``, counter
-at zero.  A fit does not build that seed sequence once per replicate.
-:class:`ReplicateStreams` holds the keys of all its replicates, computed in
-one pass by :func:`replicate_keys`, and re-keys one generator per replicate.
-It holds those keys, and the counter and buffer it writes with them, as
-Python ints, because numpy's ``Philox.state`` setter would build a numpy
-scalar for each word it reads from a uint64 array.  The generator is built
-once per process, with the first stream set, and every stream set re-keys
-that same one: building a ``Philox`` runs a whole ``SeedSequence``, which
-each fit would otherwise pay for.  Stream sets are therefore used serially,
-each drawn from right after its own re-key.  The seed's part of the
-key comes from the pool of numpy's own ``SeedSequence(seed)``; only the
-spawn word and the output hash are computed here, as array arithmetic.  The
-hashed spawn words do not depend on the seed's value, so the last few
-replicate ranges keep theirs (a bounded memo of read-only arrays).  A
-Philox stream is fully defined by its key and counter (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so the draws are
-the same bytes.  ``tests/test_rng.py`` pins the keys to numpy's
-``SeedSequence`` (NEP 19), so a numpy release that changes it fails there.
+at zero.  A fit does not build that seed sequence once per replicate: it
+derives the keys of all its replicates once, in one pass of
+:func:`replicate_keys`, and :func:`keyed_generator` re-keys the process's one
+Philox generator to each replicate's key in turn.  Building a ``Philox``
+runs a whole ``SeedSequence``, which each replicate would otherwise pay
+for.  Streams are therefore used serially, each drawn from right after its
+own re-key.  The seed's part of the key comes from the pool of numpy's own
+``SeedSequence(seed)``; only the spawn word and the output hash are computed
+here, as array arithmetic.  The hashed spawn words do not depend on the
+seed's value, so the last few replicate ranges keep theirs (a bounded memo
+of read-only arrays).  A Philox stream is fully defined by its key and
+counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011), so the draws are the same bytes.  ``tests/test_rng.py`` pins the
+keys to numpy's ``SeedSequence`` (NEP 19), so a numpy release that changes
+it fails there.
 """
 
 from __future__ import annotations
@@ -166,55 +163,36 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return words[:, 0::2] | (words[:, 1::2] << 32)
 
 
-@functools.cache
-def _shared_generator() -> tuple[np.random.Philox, np.random.Generator]:
-    """The one Philox generator, and its ``Generator``, that every stream set re-keys.
+# The one Philox generator that keyed_generator re-keys, and the state it
+# writes.  The state's words are Python ints: numpy's ``Philox.state`` setter
+# reads them one element at a time, and each element read from a uint64
+# array is a new numpy scalar, over half of a re-key's cost.  A Python int
+# converts to the same uint64 word, including one >= 2**63.
+_philox = _philox_generator = None
+_stream = {"counter": [0] * 4, "key": None}
+_philox_state = {
+    "bit_generator": "Philox",
+    "state": _stream,
+    "buffer": [0] * _PHILOX_BUFFER_SIZE,
+    "buffer_pos": _PHILOX_BUFFER_SIZE,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
-    Built with the first stream set rather than at import, which raised the
-    peak RSS of a ``simulate`` call by about 0.1 MB; each stream set holds
-    it, so a re-key does not look it up.  Seeded only to skip an entropy
-    read; :meth:`ReplicateStreams.generator` sets every field of its state.
+
+def keyed_generator(key: list) -> np.random.Generator:
+    """The one Philox generator, reset to the start of the stream with Philox key ``key``.
+
+    ``key`` is a row of :func:`replicate_keys` as a list of Python ints, so
+    the generator draws exactly what ``generator(seed, b)`` draws.  Every
+    call returns the same generator.  It is built by the first call rather
+    than at import, which raised the peak RSS of a ``simulate`` call by
+    about 0.1 MB, and seeded only to skip an entropy read.
     """
-    bit_generator = np.random.Philox(0)
-    return bit_generator, np.random.Generator(bit_generator)
-
-
-class ReplicateStreams:
-    """The streams ``(seed, b)`` of replicates ``lo..hi-1``, served by one Philox generator.
-
-    :meth:`generator` resets that generator to replicate ``b``'s stream (its
-    key, a zero counter and an empty output buffer), so it draws exactly what
-    ``generator(seed, b)`` draws.  The generator it returns is shared by
-    every instance: the next call, on this instance or another, restarts it
-    on another stream.  Streams are used serially, each drawn from right
-    after its own :meth:`generator` call.
-
-    The keys, counter and buffer are held as Python ints.  numpy's
-    ``Philox.state`` setter reads those fields one element at a time, and
-    each element read from a uint64 array is a new numpy scalar, which is
-    over half of a re-key's cost.  A Python int converts to the same uint64
-    word, including one >= 2**63.
-    """
-
-    def __init__(self, seed: int, lo: int, hi: int):
-        self.lo = int(lo)
-        self._keys = replicate_keys(seed, lo, hi).tolist()
-        self.hi = self.lo + len(self._keys)
-        self._bit_generator, self._shared = _shared_generator()
-        self._stream = {"counter": [0] * 4, "key": None}
-        self._state = {
-            "bit_generator": "Philox",
-            "state": self._stream,
-            "buffer": [0] * _PHILOX_BUFFER_SIZE,
-            "buffer_pos": _PHILOX_BUFFER_SIZE,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def generator(self, b: int) -> np.random.Generator:
-        """Replicate ``b``'s generator, at the start of stream ``(seed, b)``."""
-        if not self.lo <= b < self.hi:
-            raise IndexError(f"replicate {b} is outside {self.lo}..{self.hi - 1}")
-        self._stream["key"] = self._keys[b - self.lo]
-        self._bit_generator.state = self._state
-        return self._shared
+    global _philox, _philox_generator
+    if _philox is None:
+        _philox = np.random.Philox(0)
+        _philox_generator = np.random.Generator(_philox)
+    _stream["key"] = key
+    _philox.state = _philox_state
+    return _philox_generator

@@ -491,11 +491,11 @@ def _penalty(lam) -> float:
     return lam
 
 
-def _feature_row(x_new, p: int) -> np.ndarray:
-    """``x_new`` as a finite (p,) float vector; a ``ValueError`` otherwise."""
+def _feature_rows(x_new, p: int) -> np.ndarray:
+    """``x_new`` as a finite (p,) or (m, p) float array; a ``ValueError`` otherwise."""
     x_new = np.asarray(x_new, dtype=float)
-    if x_new.shape != (p,):
-        raise ValueError(f"x_new must have shape ({p},), got {x_new.shape}")
+    if x_new.ndim not in (1, 2) or x_new.shape[-1] != p:
+        raise ValueError(f"x_new must have shape ({p},) or (m, {p}), got {x_new.shape}")
     if not np.isfinite(x_new).all():
         raise ValueError("x_new contains non-finite entries")
     return x_new
@@ -544,19 +544,21 @@ def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
 
 def ridge_prediction_variance(
     data: Dataset, model: CandidateModel, lam: float, x_new: np.ndarray, sigma2: float
-) -> float:
-    """Sandwich variance of a ridge prediction at ``x_new``.
+) -> float | np.ndarray:
+    """Sandwich variance of a ridge prediction at each row of ``x_new``.
 
     Evaluates ``sigma2 * x_j' (G + lam I)^-1 G (G + lam I)^-1 x_j`` with
-    ``G = X_j'X_j`` and ``x_j`` the entries of ``x_new`` on the model's
-    columns.  This is the no-smoothing baseline variance used for comparison
-    intervals.  ``lam = 0`` requires the submatrix to be full column rank.
+    ``G = X_j'X_j`` and ``x_j`` the entries of a row on the model's
+    columns.  A (p,) row gives a float, (m, p) rows an (m,) array.  This is
+    the no-smoothing baseline variance used for comparison intervals.
+    ``lam = 0`` requires the submatrix to be full column rank.
     """
     lam = _penalty(lam)
     sigma2 = float(sigma2)
     if not 0.0 <= sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
-    x_new = _feature_row(x_new, data.p)
+    x_new = _feature_rows(x_new, data.p)
     sc = _workspace(data, model, lam, "ridge_prediction_variance at lambda=0")
     f, _ = sc.ridge_factors((lam,))
-    return sigma2 * float(np.sum((f[0] * (sc.V.T @ x_new[sc.columns])) ** 2))
+    values = sigma2 * np.sum((f[0] * (x_new[..., sc.columns] @ sc.V)) ** 2, axis=-1)
+    return float(values) if x_new.ndim == 1 else values

@@ -7,7 +7,7 @@ are averaged.  The module also provides the delta-method variance of the
 smoothed prediction in two algebraically equivalent forms and the resulting
 prediction interval.
 
-A fit builds the random streams of all its replicates once and processes
+A fit derives the Philox keys of all its replicates once and processes
 the replicates serially in chunks of ``REPLICATE_CHUNK`` (256), the last
 one partial.  Each chunk's response sums and cross moments are added to
 running totals in chunk order, so the GEMM shapes and the summation order,
@@ -23,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegreesOfFreedomError, NumericalError
-from .rng import ReplicateStreams
+from .rng import keyed_generator, replicate_keys
 from .selection import (
     Dataset,
     SelectorConfig,
@@ -41,10 +41,10 @@ from .selection import (
 # at 256.
 REPLICATE_CHUNK = 256
 
-# Replicate b's generator: the fit's one generator re-keyed to stream
+# Replicate b's generator: the one Philox generator re-keyed to stream
 # (seed, b).  Every replicate's stream set-up is one call through this name,
 # which bench/tracer.py wraps to count them.
-generator = ReplicateStreams.generator
+generator = keyed_generator
 
 # Negative variances larger than this magnitude indicate a bug, not rounding.
 _VARIANCE_CLAMP = 1e-12
@@ -142,14 +142,12 @@ def _mean_vector(data: Dataset, center: np.ndarray, gamma: float) -> np.ndarray:
     return gamma * (data.X @ center) + (1.0 - gamma) * data.y
 
 
-def _draw_block(
-    mean: np.ndarray, sd: float, streams: ReplicateStreams, lo: int, hi: int
-) -> np.ndarray:
-    """Columns lo..hi-1 of the replicate matrix; replicate b owns ``streams``' stream b."""
+def _draw_block(mean: np.ndarray, sd: float, keys: list) -> np.ndarray:
+    """One replicate column per Philox key in ``keys``, a slice of a fit's key list."""
     # Each replicate fills one contiguous row; one pass transposes the chunk.
-    Z = np.empty((hi - lo, mean.shape[0]))
-    for b, row in zip(range(lo, hi), Z):
-        generator(streams, b).standard_normal(out=row)
+    Z = np.empty((len(keys), mean.shape[0]))
+    for key, row in zip(keys, Z):
+        generator(key).standard_normal(out=row)
     out = np.multiply(Z.T, sd, order="C")
     out += mean[:, None]
     return out
@@ -183,7 +181,7 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     B = _replicate_count(B)
     sd = float(np.sqrt(sigma2))
-    return _draw_block(mean, sd, ReplicateStreams(seed, 0, B), 0, B).T
+    return _draw_block(mean, sd, replicate_keys(seed, 0, B).tolist()).T
 
 
 def pbs_fit(
@@ -216,7 +214,7 @@ def pbs_fit(
     sd = float(np.sqrt(dist.sigma2))
     sel = _PairSelector.for_data(data, selector)
 
-    streams = ReplicateStreams(seed, 0, B)
+    keys = replicate_keys(seed, 0, B).tolist()
     coeffs = np.empty((B, data.p))
     lambdas = np.empty(B)
     model_ids: list = [None] * B
@@ -227,7 +225,7 @@ def pbs_fit(
 
     for lo in range(0, B, REPLICATE_CHUNK):
         hi = min(lo + REPLICATE_CHUNK, B)
-        Y = _draw_block(mean, sd, streams, lo, hi)
+        Y = _draw_block(mean, sd, keys[lo:hi])
         idx, C = sel.select(Y, offset=lo)
         coeffs[lo:hi] = C.T
         model_ids[lo:hi] = [sel.pair_model_id[i] for i in idx.tolist()]

@@ -331,10 +331,11 @@ def load_temperature_csv(path: str | Path) -> dict:
     return temps
 
 
-def _tensor_row(spec: DemandModelSpec, hour: int, temp: float) -> np.ndarray:
+def _tensor_rows(spec: DemandModelSpec, hour: int, temps) -> np.ndarray:
+    """The hour/temperature tensor block at ``hour`` for each of ``temps``; (len(temps), Q*M)."""
     h = cyclic_bspline_basis(spec.hour_basis, float(hour))
-    g = bspline_basis(spec.temp_basis, float(temp))
-    return np.outer(h, g).ravel()
+    g = _bspline_rows(spec.temp_basis, temps)
+    return (h[None, :, None] * g[:, None, :]).reshape(len(g), -1)
 
 
 def build_demand_design(
@@ -370,9 +371,7 @@ def build_demand_design(
     hour = int(hour)
     series = np.array([demand.values[(d, hour)] for d in days])
     lags = [series[t - k : len(days) - k] for k in range(1, t + 1)]
-    h = cyclic_bspline_basis(spec.hour_basis, float(hour))
-    g = _bspline_rows(spec.temp_basis, [temps[d] for d in days[t:]])
-    tensor = (h[None, :, None] * g[:, None, :]).reshape(len(g), -1)
+    tensor = _tensor_rows(spec, hour, [temps[d] for d in days[t:]])
     return Dataset(series[t:], np.column_stack([*lags, tensor]))
 
 
@@ -399,4 +398,4 @@ def demand_feature_row(
     if missing:
         raise IngestionError("missing keys: " + ", ".join(missing))
     lags = [demand.values[(days[-t], hour)] for t in range(1, spec.t_lags + 1)]
-    return np.concatenate([lags, _tensor_row(spec, hour, temps[target_day])])
+    return np.concatenate([lags, _tensor_rows(spec, hour, [temps[target_day]])[0]])

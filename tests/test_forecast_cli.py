@@ -28,6 +28,7 @@ from bootsmooth import (
     StudyConfig,
     TargetRow,
     accuracy,
+    bspline_basis,
     build_demand_design,
     cv_error_surface,
     demand_feature_row,
@@ -220,6 +221,18 @@ def weekday_demand_inputs(seed):
     return demand, temps, spec, dates
 
 
+def fixed_domain_message(spec, temps, window, label) -> str:
+    """The fixed-``temp_domain`` refusal, built from one ``bspline_basis`` call per modeled day."""
+    seen = [temps[d] for d in window[spec.t_lags :]]
+    idle = np.flatnonzero(sum(bspline_basis(spec.temp_basis, t) for t in seen) == 0)
+    assert idle.size
+    return (
+        f"target {label}: the fixed temp_domain {list(spec.temp_basis.domain)} leaves "
+        f"temperature basis functions {idle.tolist()} zero on every modeled day "
+        f"(temperatures {min(seen):g} to {max(seen):g}); narrow temp_domain or omit it"
+    )
+
+
 class TestEvaluationPath:
     """Report rows carry prediction_interval's arithmetic on the evaluation fit."""
 
@@ -282,6 +295,22 @@ class TestEvaluationPath:
             run_forecasts(problems, selector, None, None, 10, 0.1, 0)
         with pytest.raises(ConfigError, match="same-weekday days of history"):
             next(problems)
+
+    def test_fixed_domain_refusal_names_the_functions_idle_under_every_hour_function(self):
+        # at hour 9 the second of two degree-0 hour functions is zero, so its
+        # tensor columns are zero whatever the temperature
+        demand, temps, spec, dates = weekday_demand_inputs(seed=5)
+        spec = DemandModelSpec(
+            t_lags=2,
+            hour_basis=SplineBasisSpec.uniform_cyclic(0, 2, 0.0, 24.0),
+            temp_basis=SplineBasisSpec.uniform(1, 8, -40.0, 80.0),
+        )
+        day = dates[-1]
+        window = same_weekday_window(demand.dates, day, 15)
+        label = f"{day.isoformat()}:09"
+        with pytest.raises(NumericalError) as info:
+            next(demand_problems(demand, temps, spec, [(day, 9)], 15, auto_temp_domain=False))
+        assert str(info.value) == fixed_domain_message(spec, temps, window, label)
 
     def test_demand_rows_match_prediction_interval(self):
         demand, temps, spec, dates = weekday_demand_inputs(seed=5)
@@ -761,6 +790,20 @@ class TestDemandCommand:
         assert err.startswith(f"numerical error: target {target}:09: the fixed temp_domain [-20.0, 45.0] ")
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []
+
+    def test_fixed_temp_domain_refusal_matches_a_per_day_basis(self, tmp_path, capsys):
+        cfg = {**demand_command_config(tmp_path), "temp_domain": [-20, 45]}
+        assert main(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 4
+        demand, temps, _, _ = weekday_demand_inputs(seed=3)
+        spec = DemandModelSpec(
+            t_lags=1,
+            hour_basis=SplineBasisSpec.uniform_cyclic(3, 1, 0.0, 24.0),
+            temp_basis=SplineBasisSpec.uniform(2, 5, -20.0, 45.0),
+        )
+        day = dt.date.fromisoformat(cfg["targets"][0]["date"])
+        window = same_weekday_window(demand.dates, day, 15)
+        want = fixed_domain_message(spec, temps, window, f"{day.isoformat()}:09")
+        assert capsys.readouterr().err == f"numerical error: {want}\n"
 
     @pytest.mark.parametrize("n_basis", [6, 7, 8])
     def test_singular_training_block_names_the_target_and_the_columns(self, tmp_path, capsys, n_basis):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootsmooth import derive_seed, draw_replicates, kfold_split
-from bootsmooth.rng import ReplicateStreams, _seed_pool, _spawn_terms, generator, replicate_keys
+from bootsmooth.rng import _seed_pool, _spawn_terms, generator, keyed_generator, replicate_keys
 
 
 def seed_sequence_keys(seed, lo, hi):
@@ -84,12 +84,16 @@ class TestReplicateKeys:
 class TestReplicateStreams:
     SEEDS = (0, 2**32, derive_seed(3, 1))
 
+    @staticmethod
+    def keys(seed, lo, hi):
+        return dict(zip(range(lo, hi), replicate_keys(seed, lo, hi).tolist()))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_draws_equal_fresh_generators(self, seed):
-        streams = ReplicateStreams(seed, 60, 70)
+        keys = self.keys(seed, 60, 70)
         # out of order, and after partial draws that leave words buffered
         for b in (65, 60, 69, 65, 61):
-            gen = streams.generator(b)
+            gen = keyed_generator(keys[b])
             want = generator(seed, b)
             assert gen.integers(0, 2**32, size=3, dtype=np.uint32).tobytes() == want.integers(
                 0, 2**32, size=3, dtype=np.uint32
@@ -98,32 +102,27 @@ class TestReplicateStreams:
             assert gen.random(3).tobytes() == want.random(3).tobytes()
 
     def test_seeds_include_a_key_word_of_2_pow_63_or_more(self):
-        # the streams hold keys as Python ints, and such a word needs the
+        # the keys are passed as Python ints, and such a word needs the
         # conversion of a Python int wider than an int64
         keys = np.vstack([replicate_keys(seed, 60, 70) for seed in self.SEEDS])
         assert keys.max() >= 2**63
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_stream_sets_used_alternately_draw_their_own_streams(self, seed):
-        # every stream set re-keys one shared generator; each draws right
-        # after its own generator(b) call
-        first, second = ReplicateStreams(seed, 0, 4), ReplicateStreams(seed + 1, 2, 6)
-        for streams, s, b in ((first, seed, 1), (second, seed + 1, 2), (first, seed, 3),
-                              (second, seed + 1, 5), (first, seed, 1)):
-            got = streams.generator(b).standard_normal(7)
+        # every key re-keys one shared generator; each draws right after
+        # its own keyed_generator call
+        first, second = self.keys(seed, 0, 4), self.keys(seed + 1, 2, 6)
+        for keys, s, b in ((first, seed, 1), (second, seed + 1, 2), (first, seed, 3),
+                           (second, seed + 1, 5), (first, seed, 1)):
+            got = keyed_generator(keys[b]).standard_normal(7)
             assert got.tobytes() == generator(s, b).standard_normal(7).tobytes(), (s, b)
 
     def test_rekey_restarts_the_stream(self):
-        streams = ReplicateStreams(4, 0, 2)
-        first = streams.generator(1).standard_normal(9)
-        streams.generator(0).standard_normal(4)
-        again = streams.generator(1).standard_normal(9)
+        keys = self.keys(4, 0, 2)
+        first = keyed_generator(keys[1]).standard_normal(9)
+        keyed_generator(keys[0]).standard_normal(4)
+        again = keyed_generator(keys[1]).standard_normal(9)
         assert first.tobytes() == again.tobytes()
-
-    @pytest.mark.parametrize("b", [-1, 59, 70])
-    def test_replicate_outside_chunk_refused(self, b):
-        with pytest.raises(IndexError):
-            ReplicateStreams(0, 60, 70).generator(b)
 
 
 class TestIntegerSeeds:

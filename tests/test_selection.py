@@ -533,6 +533,31 @@ class TestRidgePredictionVariance:
         with pytest.raises(ValueError, match=f"sigma2 must be finite and >= 0, got {sigma2}"):
             ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), 0.5, np.ones(3), sigma2)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    def test_rows_equal_their_one_row_calls(self, rng, lam):
+        data = make_instance(rng, 12, 4)
+        model = CandidateModel("m", (0, 2, 3))
+        rows = rng.standard_normal((9, 4))
+        got = ridge_prediction_variance(data, model, lam, rows, 2.5)
+        assert got.shape == (9,)
+        want = [ridge_prediction_variance(data, model, lam, x, 2.5) for x in rows]
+        assert all(isinstance(v, float) for v in want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 4), (2, 3, 3)])
+    def test_rows_of_the_wrong_shape_rejected(self, rng, shape):
+        data = make_instance(rng, 10, 3)
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), 0.5, np.ones(shape), 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_row_among_many_rejected(self, rng, bad):
+        data = make_instance(rng, 12, 3)
+        rows = np.ones((3, 3))
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
+            ridge_prediction_variance(data, CandidateModel("m", (0, 1, 2)), 0.5, rows, 1.0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_x_new_rejected(self, rng, bad):
         # a NaN entry used to come back as a NaN variance

@@ -37,7 +37,7 @@ from bootsmooth import (
     smoothed_variances,
 )
 from bootsmooth import smoothing
-from bootsmooth.rng import ReplicateStreams
+from bootsmooth.rng import replicate_keys
 from bootsmooth.smoothing import two_sided_z
 
 
@@ -161,7 +161,7 @@ class TestDrawReplicates:
 
     def test_draw_block_is_a_c_contiguous_n_by_chunk_block(self):
         mean = np.linspace(-2.0, 3.0, 7)
-        block = smoothing._draw_block(mean, 1.5, ReplicateStreams(5, 0, 100), 64, 100)
+        block = smoothing._draw_block(mean, 1.5, replicate_keys(5, 0, 100).tolist()[64:])
         assert block.shape == (7, 36)
         assert block.flags.c_contiguous
         assert block.tobytes() == per_replicate_draws(mean, 2.25, 100, 5)[64:].T.tobytes()
@@ -258,17 +258,35 @@ class TestPbsFit:
     def test_one_stream_set_per_fit(self, rng, monkeypatch):
         built = []
 
-        class CountedStreams(ReplicateStreams):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        def counted(*args):
+            built.append(args)
+            return replicate_keys(*args)
 
-        monkeypatch.setattr(smoothing, "ReplicateStreams", CountedStreams)
+        monkeypatch.setattr(smoothing, "replicate_keys", counted)
         data = make_instance(rng, 9, 3)
         B = 2 * smoothing.REPLICATE_CHUNK + 2
         pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=1.7), B, small_selector(3), 6)
-        # one set for all three chunks (two full, one of 2)
+        # one key derivation for all three chunks (two full, one of 2)
         assert built == [(6, 0, B)]
+
+    @pytest.mark.parametrize("B", [1, smoothing.REPLICATE_CHUNK, 2 * smoothing.REPLICATE_CHUNK + 2])
+    @pytest.mark.parametrize("draw", ["pbs_fit", "draw_replicates"])
+    def test_one_generator_call_per_replicate(self, rng, monkeypatch, B, draw):
+        # the benchmark counts replicates by the calls through smoothing.generator
+        calls = []
+        keyed = smoothing.generator
+
+        def counted(key):
+            calls.append(key)
+            return keyed(key)
+
+        monkeypatch.setattr(smoothing, "generator", counted)
+        data = make_instance(rng, 9, 3)
+        if draw == "pbs_fit":
+            pbs_fit(data, ResamplingDistribution(gamma=0.4, sigma2=1.7), B, small_selector(3), 6)
+        else:
+            draw_replicates(data.y, 1.7, B, 6)
+        assert calls == replicate_keys(6, 0, B).tolist()
 
     def test_bitwise_reproducible_and_thread_invariant(self, rng):
         data = make_instance(rng, 12, 4)
