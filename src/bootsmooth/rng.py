@@ -8,21 +8,26 @@ replication reproducible on its own.
 
 Bootstrap replicate ``b`` still owns stream ``(seed, b)``: Philox keyed by
 ``SeedSequence(seed, spawn_key=(b,)).generate_state(2, np.uint64)``, counter
-at zero.  A fit does not build that seed sequence once per replicate: it
-derives the keys of all its replicates once, in one pass of
-:func:`replicate_keys`, and :func:`keyed_generator` re-keys the process's one
-Philox generator to each replicate's key in turn.  Building a ``Philox``
-runs a whole ``SeedSequence``, which each replicate would otherwise pay
-for.  Streams are therefore used serially, each drawn from right after its
-own re-key.  The seed's part of the key comes from the pool of numpy's own
-``SeedSequence(seed)``; only the spawn word and the output hash are computed
-here, as array arithmetic.  The hashed spawn words do not depend on the
-seed's value, so the last few replicate ranges keep theirs (a bounded memo
-of read-only arrays).  A Philox stream is fully defined by its key and
-counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
-2011), so the draws are the same bytes.  ``tests/test_rng.py`` pins the
-keys to numpy's ``SeedSequence`` (NEP 19), so a numpy release that changes
-it fails there.
+at zero.  Building a ``Philox`` runs a whole ``SeedSequence``, which each
+replicate would otherwise pay for, so a fit derives the keys of all its
+replicates at once (:func:`replicate_keys`), and :func:`keyed_generator`
+re-keys the process's one Philox generator to each replicate's key in turn.
+Streams are therefore used serially, each drawn from right after its own
+re-key.  The keys are computed here, with ``SeedSequence``'s own hashes:
+:func:`_mix_pool` is its pool mix, on Python ints or on uint64 arrays, and
+the hashed spawn words, which do not depend on the seed's value, are kept
+for the last few replicate ranges (a bounded memo of read-only arrays).
+
+A CV surface (one fold at a time) or a study replication derives all its
+cells at once (:func:`_cell_family`): the cell seeds ``derive_seed(seed,
+*path)`` and every replicate key of every cell, in one pass of array
+arithmetic over the cells.  :func:`replicate_keys` then serves a cell's keys
+from that last family.  Keys are a function of the seed alone, so the
+streams, and every draw, are the same as a cell derived on its own.  A
+Philox stream is fully defined by its key and counter (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so the draws are
+the same bytes.  ``tests/test_rng.py`` pins the seeds and keys to numpy's
+``SeedSequence`` (NEP 19), so a numpy release that changes it fails there.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(seed_sequence(seed, *path).generate_state(1, np.uint64)[0])
 
 
-# The helpers below take 32-bit words as uint64 arrays and mask every
-# product back to 32 bits, as SeedSequence's uint32 arithmetic wraps.
+# The helpers below take 32-bit words as Python ints or uint64 arrays and
+# mask every product back to 32 bits, as SeedSequence's uint32 arithmetic
+# wraps.
 
 
 def _hash(value, hash_const, mult: int):
@@ -94,6 +100,12 @@ def _hash(value, hash_const, mult: int):
     return value ^ (value >> _XSHIFT), hash_const
 
 
+def _mix(word, hashed):
+    """SeedSequence's mix of the ``hashed`` word into the pool word ``word``."""
+    word = (_MIX_MULT_L * word - _MIX_MULT_R * hashed) & _MASK32
+    return word ^ (word >> _XSHIFT)
+
+
 def _pool_consts(hash_const: int, mult: int) -> np.ndarray:
     """The hash constants of ``_POOL_SIZE`` consecutive hashes from ``hash_const`` on."""
     consts = [hash_const]
@@ -102,8 +114,47 @@ def _pool_consts(hash_const: int, mult: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint64)
 
 
-# The hash constants of generate_state's output hashes, the same for every seed.
+# The hash constants of generate_state's output hashes, the same for every
+# seed, and the constants they step to.
 _OUTPUT_CONSTS = _pool_consts(_INIT_B, _MULT_B)
+_OUTPUT_MULTS = (_OUTPUT_CONSTS * _MULT_B) & _MASK32
+
+
+def _seed_words(seed) -> list[int]:
+    """``seed``'s 32-bit words, low word first, padded with zeros to the pool size.
+
+    SeedSequence pads so before a spawn key, and a zero word hashes into the
+    pool as an empty slot does, so the padding holds with or without a path.
+    """
+    seed = _word(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [(seed >> shift) & _MASK32 for shift in range(0, seed.bit_length(), 32)]
+    return words + [0] * (_POOL_SIZE - len(words))
+
+
+def _mix_pool(words: list) -> tuple[list, int]:
+    """SeedSequence's pool of the entropy ``words``, and the next hash constant.
+
+    ``words`` holds at least ``_POOL_SIZE`` words, each a Python int or a
+    uint64 array; a pool word becomes an array once an array is mixed in.
+    """
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        word, hash_const = _hash(word, hash_const, _MULT_A)
+        pool.append(word)
+    # every pool word into every other, then each further word into each
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                hashed, hash_const = _hash(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hash(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, hash_const
 
 
 @functools.lru_cache(maxsize=8)
@@ -123,44 +174,81 @@ def _spawn_terms(hash_const: int, lo: int, hi: int) -> np.ndarray:
     return term
 
 
-def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
-    """The pool of ``SeedSequence(seed, spawn_key=(b,))`` before ``b`` is mixed in.
+def _spawn_keys(pool: np.ndarray, hash_const: int, lo: int, hi: int) -> np.ndarray:
+    """Philox keys of the spawn words ``lo..hi-1`` mixed into ``pool`` (..., 4); (..., hi-lo, 2).
 
-    Returns the four pool words (uint64) and the hash constant at that point;
-    neither depends on ``b``.  A spawn key pads the seed's words with zeros
-    up to the pool size, and ``SeedSequence(seed)`` hashes zeros into the
-    pool once it runs out of words, so the pool is that of
-    ``SeedSequence(seed)``.  Filling and cross-mixing the pool take 16
-    hashes, and each seed word beyond the pool size 4 more.
+    :func:`_mix`, then generate_state's :func:`_hash` of each pool word,
+    paired low word first; in place, as a cell family's keys are its
+    largest arrays.
     """
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
-    words = max(1, (seed.bit_length() + 31) // 32)
-    hashes = 16 + 4 * max(0, words - _POOL_SIZE)
-    return pool, (_INIT_A * pow(_MULT_A, hashes, 1 << 32)) & _MASK32
+    words = _MIX_MULT_L * pool[..., None, :] - _spawn_terms(hash_const, lo, hi)
+    words &= _MASK32
+    words ^= words >> _XSHIFT
+    words ^= _OUTPUT_CONSTS
+    words *= _OUTPUT_MULTS
+    words &= _MASK32
+    words ^= words >> _XSHIFT
+    words[..., 1::2] <<= 32
+    return words[..., 0::2] | words[..., 1::2]
+
+
+# The replicate keys of the last cell family, (cells, B, 2) read-only, and
+# the row of each of its cell seeds.
+_family = {"rows": {}, "keys": np.empty((0, 0, 2), dtype=np.uint64)}
 
 
 def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     """Philox keys of the streams ``(seed, b)`` for ``b`` in ``lo..hi-1``; (hi-lo, 2) uint64.
 
     Row ``b - lo`` equals ``SeedSequence(int(seed), spawn_key=(b,))
-    .generate_state(2, np.uint64)``.  The seed's pool is taken once and the
-    hashed spawn words come from the memo of :func:`_spawn_terms`; only the
-    mix into the pool and the output hash run per replicate, as array
-    arithmetic over the range.  A spawn word ``b >= 2**32`` would
-    take two words in ``SeedSequence``; it is refused.
+    .generate_state(2, np.uint64)``.  A seed of the last
+    :func:`_cell_family`, with ``hi`` within its B, is served from that
+    family's keys as a read-only view: keys depend on the seed alone.
+    Otherwise the seed's pool is mixed once and the spawn words come from
+    :func:`_spawn_terms`.  A spawn word ``b >= 2**32`` would take two words
+    in ``SeedSequence``; it is refused.
     """
     lo, hi = _word(lo), _word(hi)
     if not 0 <= lo <= hi:
         raise ValueError(f"replicate range must satisfy 0 <= lo <= hi, got {lo}..{hi}")
     if hi > 2**32:
         raise ValueError(f"replicate index must be < 2**32, got hi={hi}")
-    pool, hash_const = _seed_pool(_word(seed))
-    # SeedSequence's mix of the spawn word into each pool word
-    words = (_MIX_MULT_L * pool - _spawn_terms(hash_const, lo, hi)) & _MASK32
-    words ^= words >> _XSHIFT
-    # generate_state(2, np.uint64): each pool word hashed once, paired low word first.
-    words, _ = _hash(words, _OUTPUT_CONSTS, _MULT_B)
-    return words[:, 0::2] | (words[:, 1::2] << 32)
+    seed = _word(seed)
+    row = _family["rows"].get(seed)
+    if row is not None and hi <= _family["keys"].shape[1]:
+        return _family["keys"][row, lo:hi]
+    pool, hash_const = _mix_pool(_seed_words(seed))
+    return _spawn_keys(np.array(pool, dtype=np.uint64), hash_const, lo, hi)
+
+
+def _cell_family(seed: int, prefix: tuple, shape: tuple, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds and replicate keys of the cells ``derive_seed(seed, *prefix, *index)``.
+
+    ``index`` runs over ``shape`` (one or more dimensions).  Returns the
+    cell seeds, uint64 of ``shape``, and their keys, (*shape, B, 2) uint64
+    read-only, ``keys[index]`` equal to ``replicate_keys(seeds[index], 0,
+    B)``; the keys become the memo that :func:`replicate_keys` serves.  The
+    seed and the prefix are mixed as Python ints, everything after them as
+    uint64 arrays over all cells.  Every path word must be one
+    ``SeedSequence`` word, below ``2**32``.
+    """
+    prefix = [_word(p) for p in prefix]
+    if not all(0 <= p < 2**32 for p in prefix) or max(shape) > 2**32 or not 0 <= B <= 2**32:
+        raise ValueError(
+            f"path words must lie in 0..2**32-1 and B in 0..2**32, got {prefix}, {shape}, {B}"
+        )
+    index = np.indices(shape, dtype=np.uint64).reshape(len(shape), -1)
+    pool, _ = _mix_pool(_seed_words(seed) + prefix + list(index))
+    # generate_state(1, np.uint64): the low and the high word of each cell seed
+    low, hash_const = _hash(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hash(pool[1], hash_const, _MULT_B)
+    pool, hash_const = _mix_pool([low, high, 0, 0])
+    keys = _spawn_keys(np.stack(pool, axis=-1), hash_const, 0, B)
+    keys.setflags(write=False)
+    seeds = low | (high << 32)
+    _family["rows"] = dict(zip(seeds.tolist(), range(seeds.size)))
+    _family["keys"] = keys
+    return seeds.reshape(shape), keys.reshape(*shape, B, 2)
 
 
 # The one Philox generator that keyed_generator re-keys, and the state it

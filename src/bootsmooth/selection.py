@@ -21,7 +21,8 @@ from .errors import (
 )
 from .rng import generator
 
-# Reciprocal-condition floor for X_j'X_j below which a lambda=0 solve is refused.
+# Reciprocal-condition floor for X_j'X_j, on unit-norm columns, below which a
+# lambda=0 solve is refused.
 RCOND_MIN = 1e-12
 # Relative floor under which tr(I - H) is treated as zero (saturated fit).
 _TRACE_EPS = 1e-12
@@ -170,6 +171,22 @@ class FitResult:
             raise ValueError(f"residual_ss must be >= 0, got {self.residual_ss}")
 
 
+def _unit_gram_rcond(X: np.ndarray) -> float:
+    """Reciprocal condition of ``X'X`` with the columns of ``X`` scaled to unit norm.
+
+    It does not depend on the units of any column, and a zero column gives
+    0.  Each column is divided by its largest magnitude first, so that its
+    squares cannot overflow.
+    """
+    peak = np.abs(X).max(axis=0)
+    if not peak.all():
+        return 0.0
+    unit = X / peak
+    unit /= np.sqrt(np.einsum("ij,ij->j", unit, unit))
+    eig = np.linalg.eigvalsh(unit.T @ unit)
+    return max(float(eig[0]), 0.0) / float(eig[-1])
+
+
 class _DesignScorer:
     """SVD workspace for one candidate submatrix.
 
@@ -186,8 +203,7 @@ class _DesignScorer:
         self.s = s
         self.s2 = s * s
         self.V = np.ascontiguousarray(Vt.T)
-        smax = float(s[0]) if s.size else 0.0
-        self.gram_rcond = float((s[-1] / s[0]) ** 2) if smax > 0.0 else 0.0
+        self.gram_rcond = _unit_gram_rcond(X_sub) if self.n >= self.k else 0.0
         self.full_rank = self.n >= self.k and self.gram_rcond >= RCOND_MIN
 
     @classmethod
@@ -450,7 +466,7 @@ def _workspace(data: Dataset, model: CandidateModel, lam: float, context: str) -
         )
     raise SingularDesignError(
         f"{context}: X'X for model {model.id!r} has reciprocal condition "
-        f"{sc.gram_rcond:.3e} < {RCOND_MIN:g} (k={sc.k} columns)"
+        f"{sc.gram_rcond:.3e} < {RCOND_MIN:g} on unit-norm columns (k={sc.k} columns)"
     )
 
 
@@ -459,7 +475,8 @@ def ols_fit(data: Dataset) -> FitResult:
 
     Solves the normal equations ``X'X beta = X'y`` through the SVD of ``X``.
     Raises ``SingularDesignError`` when ``n < p`` or the design is rank
-    deficient (reciprocal Gram condition below ``RCOND_MIN``), on every call.
+    deficient (reciprocal Gram condition on unit-norm columns below
+    ``RCOND_MIN``), on every call.
     The fit is memoised on ``data``: a later call returns the same object,
     whose coefficients are read-only.  The rank check runs when the fit is
     built, so a memo hit returns at once, and a failure is never memoised.

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError
-from .rng import derive_seed, generator
+from .rng import _cell_family, derive_seed, generator
 from .selection import (
     CandidateModel,
     Dataset,
@@ -145,7 +145,8 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     Replication r draws a fresh design and response from streams
     ``(master_seed, 0, r)`` and ``(master_seed, 1, r)``; the cell (r, i, j)
-    fit uses seed ``derive_seed(master_seed, 2, r, i, j)``.  Results are
+    fit uses seed ``derive_seed(master_seed, 2, r, i, j)``, derived with its
+    replicate keys for all cells of replication r at once.  Results are
     averaged over replications in replication order.  A generated response
     that is not finite (``noise_sd`` too large) is a ``NumericalError``
     naming its replication.
@@ -170,6 +171,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         data = Dataset(y, np.column_stack([np.ones(config.n), X]))
         baseline = select_fit(data, selector)
         base_err[r] = float(np.sum((baseline.coefficients - beta_true) ** 2))
+        seeds = _cell_family(config.master_seed, (_TAG_CELL, r), (t, s), config.b)[0].tolist()
         for i, sigma2 in enumerate(config.sigma2_sweep):
             for j, gamma in enumerate(config.gamma_sweep):
                 fit = pbs_fit(
@@ -177,7 +179,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                     ResamplingDistribution(gamma=gamma, sigma2=sigma2),
                     config.b,
                     selector,
-                    derive_seed(config.master_seed, _TAG_CELL, r, i, j),
+                    seeds[i][j],
                 )
                 sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
                 # model ids are 1.._N_MODELS; slot 0 of the count stays empty

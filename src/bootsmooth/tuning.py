@@ -3,7 +3,9 @@
 K-fold CV over a (sigma2, gamma) candidate grid: each cell reruns the whole
 bootstrap-smoothing pipeline on the training block and accumulates squared
 held-out prediction error.  Each cell has its own derived seed, so any cell
-of the surface can be recomputed on its own.
+of the surface can be recomputed on its own: the seeds and replicate keys of
+one fold's cells are derived together, in one array pass, and a cell
+recomputed alone with its derived seed draws the same streams.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, SingularDesignError
-from .rng import derive_seed
+from .rng import _cell_family
 from .selection import Dataset, SelectorConfig, _training_block, kfold_split, unbiased_variance
 from .smoothing import ResamplingDistribution, pbs_fit
 from .tabular import fmt, write_csv
@@ -124,7 +126,8 @@ def cv_cell_error(
 def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> CvSurface:
     """K-fold CV error over the full (sigma2, gamma) candidate grid.
 
-    Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``; the
+    Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``,
+    derived with its replicate keys for all cells of fold k at once; the
     cell errors are summed over folds in fold order.
     """
     if grid.sigma2_candidates is None:
@@ -134,6 +137,9 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
     t, s = len(grid.sigma2_candidates), len(grid.gamma_candidates)
     parts = np.empty((grid.k, t, s))
     for k in range(grid.k):
+        # one fold's cells at a time: the keys of a whole surface would
+        # raise the peak memory of a large surface by megabytes
+        seeds = _cell_family(grid.seed, (k,), (t, s), grid.b_inner)[0].tolist()
         for i, sigma2 in enumerate(grid.sigma2_candidates):
             for j, gamma in enumerate(grid.gamma_candidates):
                 parts[k, i, j] = cv_cell_error(
@@ -143,7 +149,7 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
                     ResamplingDistribution(gamma=gamma, sigma2=sigma2),
                     grid.b_inner,
                     selector,
-                    derive_seed(grid.seed, k, i, j),
+                    seeds[i][j],
                 )
     return CvSurface(parts.sum(axis=0), grid.sigma2_candidates, grid.gamma_candidates)
 

@@ -805,10 +805,20 @@ class TestDemandCommand:
         want = fixed_domain_message(spec, temps, window, f"{day.isoformat()}:09")
         assert capsys.readouterr().err == f"numerical error: {want}\n"
 
-    @pytest.mark.parametrize("n_basis", [6, 7, 8])
+    def test_training_block_singular_only_in_raw_units_is_fitted(self, tmp_path):
+        # six cubic temperature functions: a fold-0 training block's X'X has
+        # reciprocal condition about 2e-15 on the raw columns (the lag column
+        # is a demand near 80, the spline columns lie in [0, 1]) and about
+        # 4e-6 on unit-norm columns, so the rank guard accepts it
+        cfg = {**demand_command_config(tmp_path), "temp_basis": {"n_basis": 6, "degree": 3}}
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("n_basis", [7, 8])
     def test_singular_training_block_names_the_target_and_the_columns(self, tmp_path, capsys, n_basis):
-        # cubic temperature columns that are (nearly) collinear on a CV
-        # training block used to exit 4 naming neither the target nor the key
+        # cubic temperature columns that are collinear on a CV training
+        # block used to exit 4 naming neither the target nor the key
         cfg = {**demand_command_config(tmp_path), "temp_basis": {"n_basis": n_basis, "degree": 3}}
         out = tmp_path / "o"
         assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 4

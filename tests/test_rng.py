@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from conftest import forget_cell_family
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootsmooth import derive_seed, draw_replicates, kfold_split
-from bootsmooth.rng import _seed_pool, _spawn_terms, generator, keyed_generator, replicate_keys
+from bootsmooth import derive_seed, draw_replicates, kfold_split, smoothing
+from bootsmooth.rng import (
+    _cell_family,
+    _family,
+    _mix_pool,
+    _seed_words,
+    _spawn_terms,
+    generator,
+    keyed_generator,
+    replicate_keys,
+)
 
 
 def seed_sequence_keys(seed, lo, hi):
@@ -60,7 +70,7 @@ class TestReplicateKeys:
         for seed in (0, 2**32, 2**128 - 1):
             np.testing.assert_array_equal(replicate_keys(seed, 0, 40), seed_sequence_keys(seed, 0, 40))
         assert _spawn_terms.cache_info()[:2] == (2, 1)  # (hits, misses)
-        terms = _spawn_terms(_seed_pool(0)[1], 0, 40)
+        terms = _spawn_terms(_mix_pool(_seed_words(0))[1], 0, 40)
         assert not terms.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             terms[0, 0] = 0
@@ -79,6 +89,84 @@ class TestReplicateKeys:
     def test_bad_arguments_refused(self, seed, lo, hi):
         with pytest.raises(ValueError):
             replicate_keys(seed, lo, hi)
+
+
+class TestCellFamily:
+    """All cells' seeds and replicate keys at once, against numpy cell by cell."""
+
+    # 1, 1, 2, 4, 5 and 7 words of 32 bits
+    SEEDS = [0, 2**32 - 1, 2**64 - 1, 2**128 - 1, 2**128 + 5, 2**200]
+    # (prefix, shape): paths of one to four words
+    PATHS = [((), (3,)), ((7,), (2,)), ((), (2, 3)), ((), (2, 2, 3)), ((2, 5), (2, 2)),
+             ((2**32 - 1, 0, 9), (2,))]
+
+    @staticmethod
+    def check(seed, prefix, shape, B):
+        seeds, keys = _cell_family(seed, prefix, shape, B)
+        assert seeds.shape == shape and keys.shape == (*shape, B, 2)
+        assert seeds.dtype == keys.dtype == np.uint64
+        for index in np.ndindex(*shape):
+            cell = derive_seed(seed, *prefix, *index)
+            assert int(seeds[index]) == cell, index
+            np.testing.assert_array_equal(keys[index], seed_sequence_keys(cell, 0, B))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("prefix, shape", PATHS)
+    def test_equal_to_derive_seed_and_seed_sequence(self, seed, prefix, shape):
+        self.check(seed, prefix, shape, 3)
+
+    @pytest.mark.parametrize("B", [1, smoothing.REPLICATE_CHUNK + 3])
+    def test_one_replicate_and_more_than_a_chunk(self, B):
+        self.check(2**64 - 1, (2, 4), (2, 1), B)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**64 - 1), st.integers(0, 2**256)),
+        prefix=st.lists(st.integers(0, 2**32 - 1), max_size=3),
+        shape=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+        B=st.integers(0, 4),
+    )
+    def test_property_equal_to_derive_seed_and_seed_sequence(self, seed, prefix, shape, B):
+        self.check(seed, tuple(prefix), shape, B)
+
+    @pytest.mark.parametrize("seed, path", [(-1, (0,)), (2.5, (0,)), (0, (-1,)), (0, (1.5,))])
+    def test_refuses_what_derive_seed_refuses(self, seed, path):
+        with pytest.raises(ValueError):
+            derive_seed(seed, *path, 0)
+        with pytest.raises(ValueError):
+            _cell_family(seed, path, (2,), 4)
+
+    def test_a_path_word_of_two_seed_sequence_words_is_refused(self):
+        # derive_seed takes it as two spawn-key words; a family takes one word per path entry
+        with pytest.raises(ValueError, match=r"path words must lie in 0\.\.2\*\*32-1"):
+            _cell_family(3, (2**32,), (2,), 4)
+
+    def test_keys_are_read_only(self):
+        _, keys = _cell_family(3, (1,), (2,), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0, 0, 0] = 0
+
+
+class TestFamilyMemo:
+    """replicate_keys serves the last family's cells, with the bytes it derives alone."""
+
+    @pytest.mark.parametrize("lo, hi", [(0, 40), (7, 31), (39, 40), (5, 41), (0, 300)])
+    def test_same_bytes_with_and_without_a_family(self, lo, hi):
+        seeds, _ = _cell_family(11, (4,), (3, 2), 40)
+        cell = int(seeds[2, 1])
+        served = replicate_keys(cell, lo, hi)
+        # within the family's B a read-only view of its keys; past it a fresh derivation
+        assert np.shares_memory(served, _family["keys"]) == (hi <= 40)
+        forget_cell_family()
+        alone = replicate_keys(cell, lo, hi)
+        assert not np.shares_memory(alone, _family["keys"])
+        assert served.tobytes() == alone.tobytes() == seed_sequence_keys(cell, lo, hi).tobytes()
+
+    def test_only_the_last_family_is_kept(self):
+        first, _ = _cell_family(11, (), (2,), 8)
+        second, _ = _cell_family(12, (), (2,), 8)
+        assert not np.shares_memory(replicate_keys(int(first[0]), 0, 8), _family["keys"])
+        assert np.shares_memory(replicate_keys(int(second[0]), 0, 8), _family["keys"])
 
 
 class TestReplicateStreams:

@@ -604,6 +604,32 @@ class TestLambdaZeroGuard:
             call(data, model, 0.0)
         assert np.isfinite(call(data, model, 0.5))
 
+    @pytest.mark.parametrize("kind", ["full rank", "duplicate", "zero"])
+    def test_acceptance_does_not_depend_on_column_units(self, kind):
+        # the reciprocal condition is taken on unit-norm columns; on the raw
+        # columns, scaling one column of the full-rank design by 1e8 gives
+        # about 7e-17 and used to be refused
+        if kind == "full rank":
+            rng = np.random.default_rng(5)
+            X = np.column_stack([np.ones(30), rng.uniform(-5.0, 5.0, (30, 20))])
+            data = Dataset(X[:, :6].sum(axis=1) + rng.normal(0.0, 2.0, 30), X)
+            fitted = data.X @ ols_fit(data).coefficients
+        else:
+            data = self.design(kind)
+        for j in range(data.p):
+            for k in range(-8, 9):
+                X = data.X.copy()
+                X[:, j] *= 10.0**k
+                scaled = Dataset(data.y, X)
+                if kind != "full rank":
+                    with pytest.raises(SingularDesignError, match="on unit-norm columns"):
+                        ols_fit(scaled)
+                    continue
+                # SVD least squares is not exactly scale-invariant: the fitted
+                # values drift by up to about 2e-8 of the largest at |k| = 8
+                got = X @ ols_fit(scaled).coefficients
+                np.testing.assert_allclose(got, fitted, rtol=0, atol=1e-6 * np.abs(fitted).max())
+
 
 class TestCoefficientsBlock:
     # Nested candidates on a well-conditioned 40 x 6 design.  Responses whose

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import read_float_table
+from conftest import forget_cell_family, read_float_table
 
 from bootsmooth import (
     Dataset,
@@ -133,6 +133,33 @@ class TestRunStudy:
         np.testing.assert_allclose(res.mse, mse, rtol=1e-9)
         np.testing.assert_allclose(res.selection_freq, freq, rtol=1e-9, atol=1e-12)
         assert res.ridge_baseline_mse == pytest.approx(base, rel=1e-9)
+
+    def test_equals_cells_fitted_alone_bitwise(self):
+        # a replication derives its cell seeds and keys together; fitting each
+        # cell from its derived seed alone, with no family to serve its keys,
+        # gives the same bytes
+        cfg = StudyConfig(
+            n=23, true_model_j=2, reps=2, b=30, sigma2_sweep=(1.0, 9.0), gamma_sweep=(0.0, 0.5, 1.0),
+            lambda_grid=(0.0, 1.0), master_seed=8,
+        )
+        res = run_study(cfg)
+        selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=(0.0, 1.0))
+        beta_true = np.concatenate([[1.0], true_coefficients(2)])
+        sq_err = np.empty((2, 2, 3))
+        freqs = np.empty((2, 2, 3, 4))
+        for r in range(2):
+            X = generate_design(23, 20, derive_seed(8, 0, r))
+            y = generate_response(X, 2, 5.0, derive_seed(8, 1, r))
+            data = Dataset(y, np.column_stack([np.ones(23), X]))
+            for i, s2 in enumerate(cfg.sigma2_sweep):
+                for j, g in enumerate(cfg.gamma_sweep):
+                    forget_cell_family()
+                    dist = ResamplingDistribution(gamma=g, sigma2=s2)
+                    fit = pbs_fit(data, dist, 30, selector, derive_seed(8, 2, r, i, j))
+                    sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
+                    freqs[r, i, j] = np.bincount(fit.model_ids, minlength=5)[1:] / 30
+        assert res.mse.tobytes() == sq_err.mean(axis=0).tobytes()
+        assert res.selection_freq.tobytes() == freqs.mean(axis=0).tobytes()
 
     def test_thread_invariance(self):
         cfg = StudyConfig(

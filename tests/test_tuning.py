@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import make_instance, read_float_table
+from conftest import forget_cell_family, make_instance, read_float_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from bootsmooth import (
     select_distribution,
     write_surface_csv,
 )
+from bootsmooth import tuning
 
 
 def selector_for(p):
@@ -159,6 +160,38 @@ class TestCvSurface:
             ]
         )
         assert parts.sum(axis=0) == surface.errors[i, j]
+
+    def test_every_cell_recomputed_alone_bitwise(self, rng, monkeypatch):
+        # the surface derives a fold's cell seeds and keys together; each cell
+        # recomputed from its derived seed alone, with no family to serve its
+        # keys, gives the same bytes, and the folds sum to the surface
+        data = make_instance(rng, 18, 3)
+        selector = selector_for(3)
+        grid = CvGrid(
+            sigma2_candidates=(1.0, 3.0, 9.0), gamma_candidates=(0.2, 0.8), k=3, b_inner=30, seed=56
+        )
+        cells = []
+        cell_error = tuning.cv_cell_error
+
+        def recording(*args):
+            cells.append((args, cell_error(*args)))
+            return cells[-1][1]
+
+        monkeypatch.setattr(tuning, "cv_cell_error", recording)
+        surface = cv_error_surface(data, grid, selector)
+        folds = kfold_split(data.n, 3, seed=56, mode="random")
+        parts = np.empty((3, 3, 2))
+        cell = iter(cells)
+        for k in range(3):
+            for i, s2 in enumerate(grid.sigma2_candidates):
+                for j, g in enumerate(grid.gamma_candidates):
+                    (*_, seed), error = next(cell)
+                    assert seed == derive_seed(56, k, i, j)
+                    forget_cell_family()
+                    dist = ResamplingDistribution(gamma=g, sigma2=s2)
+                    parts[k, i, j] = cell_error(data, folds, k, dist, 30, selector, seed)
+                    assert parts[k, i, j] == error, (k, i, j)
+        assert parts.sum(axis=0).tobytes() == surface.errors.tobytes()
 
     def test_thread_count_invariance(self, rng):
         data = make_instance(rng, 15, 3)
