@@ -141,8 +141,9 @@ class SelectorConfig:
             raise ValueError("lambda_grid must be sorted ascending")
         if self.criterion not in ("gcv", "kfold"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.criterion == "kfold" and self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        # checked under gcv too, so a bad value is never ignored
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "lambda_grid", grid)
 

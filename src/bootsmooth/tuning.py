@@ -65,6 +65,11 @@ class CvGrid:
             raise ValueError(f"b_inner must be >= 1, got {self.b_inner}")
         if self.fold_mode not in ("random", "contiguous"):
             raise ValueError(f"unknown fold_mode {self.fold_mode!r}")
+        # checked even when sigma2_candidates are given, so a bad value is never ignored
+        if self.sigma2_count < 1:
+            raise ValueError(f"sigma2_count must be >= 1, got {self.sigma2_count}")
+        if not 0.0 < self.sigma2_span < np.inf:
+            raise ValueError(f"sigma2_span must be finite and > 0, got {self.sigma2_span}")
         object.__setattr__(self, "gamma_candidates", gs)
 
 

@@ -1281,6 +1281,28 @@ class TestExitCodes:
             assert err == "config error: lambda_grid entries must be finite and >= 0\n"
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"cv": {"sigma2_count": 0}}, "sigma2_count must be >= 1, got 0"),
+            ({"cv": {"sigma2_span": -1}}, "sigma2_span must be finite and > 0, got -1.0"),
+            ({"criterion_folds": 0}, "cv_folds must be >= 2, got 0"),
+        ],
+        ids=["sigma2_count", "sigma2_span", "criterion_folds"],
+    )
+    def test_a_value_the_run_does_not_use_is_still_checked(
+        self, tmp_path, matrix_files, capsys, override, message
+    ):
+        # explicit sigma2 candidates leave sigma2_count and sigma2_span unused, and
+        # GCV leaves criterion_folds unused; each used to exit 0 and write outputs
+        cfg = base_matrix_config(*matrix_files)
+        cfg["cv"].update(override.get("cv", {}))
+        cfg.update({key: value for key, value in override.items() if key != "cv"})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command, override, key",
         [
             ("fit", {"cv": {"k": 4, "refit_ols_per_block": True}}, "cv: unknown key 'refit_ols_per_block'"),

@@ -1,4 +1,4 @@
-"""Random streams: the chunk's vectorised Philox keys against numpy's SeedSequence."""
+"""Random streams: seeds, keys and generators against numpy's own SeedSequence."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootsmooth import derive_seed, draw_replicates, kfold_split, smoothing
-from bootsmooth.rng import (
-    _cell_family,
-    _family,
-    _mix_pool,
-    _seed_words,
-    _spawn_terms,
-    generator,
-    keyed_generator,
-    replicate_keys,
-)
+from bootsmooth.rng import _cell_family, _family, generator, keyed_generator, replicate_keys
 
 
 def seed_sequence_keys(seed, lo, hi):
@@ -63,17 +54,6 @@ class TestReplicateKeys:
         np.testing.assert_array_equal(
             replicate_keys(seed, lo, lo + count), seed_sequence_keys(seed, lo, lo + count)
         )
-
-    def test_spawn_terms_are_memoised_read_only_per_range(self):
-        # seeds below 2**128 share one hash constant, so they share the terms of a range
-        _spawn_terms.cache_clear()
-        for seed in (0, 2**32, 2**128 - 1):
-            np.testing.assert_array_equal(replicate_keys(seed, 0, 40), seed_sequence_keys(seed, 0, 40))
-        assert _spawn_terms.cache_info()[:2] == (2, 1)  # (hits, misses)
-        terms = _spawn_terms(_mix_pool(_seed_words(0))[1], 0, 40)
-        assert not terms.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            terms[0, 0] = 0
 
     def test_last_one_word_spawn_key(self):
         lo = 2**32 - 3
@@ -245,3 +225,90 @@ class TestIntegerSeeds:
             replicate_keys(np.int64(9), np.int32(2), np.uint64(6)), replicate_keys(9, 2, 6)
         )
         assert generator(np.int64(4)).random() == generator(4).random()
+
+
+def philox_of_seed_sequence(seed, path):
+    """numpy's own generator for the stream ``(seed, path)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(path))))
+
+
+# seeds of 1, 2, 4, 5 and 7 words of 32 bits
+WORD_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5, 2**128 - 1, 2**128, 2**150 + 3, 2**224 - 1]
+# paths of zero to four spawn-key entries; one >= 2**32 is two SeedSequence words
+WORD_PATHS = [(), (0,), (2**32 - 1,), (2**32,), (3, 2**40 + 7), (1, 2, 3), (2**64 - 1, 0, 5, 9)]
+
+
+class TestSeedsAndGenerators:
+    """derive_seed and generator against SeedSequence and Philox(SeedSequence)."""
+
+    @staticmethod
+    def check(seed, path):
+        want = np.random.SeedSequence(seed, spawn_key=tuple(path))
+        assert derive_seed(seed, *path) == int(want.generate_state(1, np.uint64)[0])
+        got, ref = generator(seed, *path), philox_of_seed_sequence(seed, path)
+        assert got.integers(0, 2**64 - 1, size=3, dtype=np.uint64, endpoint=True).tobytes() == (
+            ref.integers(0, 2**64 - 1, size=3, dtype=np.uint64, endpoint=True).tobytes()
+        )
+        assert got.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    @pytest.mark.parametrize("path", WORD_PATHS)
+    def test_equal_to_seed_sequence(self, seed, path):
+        self.check(seed, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**64 - 1),
+            st.integers(2**96, 2**128 - 1),
+            st.integers(2**128, 2**160 - 1),
+            st.integers(2**192, 2**224 - 1),
+        ),
+        path=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), max_size=4),
+    )
+    def test_property_equal_to_seed_sequence(self, seed, path):
+        self.check(seed, path)
+
+    def test_a_key_word_of_2_pow_53_or_more_is_kept_exact(self):
+        # a Philox key given as Python ints goes through float64 and would lose such a word's low bits
+        want = np.random.SeedSequence(5, spawn_key=(1,)).generate_state(2, np.uint64)
+        assert want.max() >= 2**53
+        key = generator(5, 1).bit_generator.state["state"]["key"]
+        assert key.dtype == np.uint64 and key.tolist() == want.tolist()
+        self.check(5, (1,))
+
+    def test_two_generators_of_one_stream_drawn_alternately(self):
+        # each call builds a fresh generator: neither is the shared keyed one
+        first, second = generator(8, 2, 1), generator(8, 2, 1)
+        keys = replicate_keys(8, 0, 2).tolist()
+        assert first is not second and keyed_generator(keys[0]) not in (first, second)
+        got = {id(first): [], id(second): []}
+        for _ in range(3):
+            for gen in (first, second):
+                got[id(gen)].append(gen.standard_normal(4).tobytes())
+                keyed_generator(keys[1]).standard_normal(3)
+        assert got[id(first)] == got[id(second)]
+        want = philox_of_seed_sequence(8, (2, 1))
+        assert got[id(first)] == [want.standard_normal(4).tobytes() for _ in range(3)]
+
+    def test_uint32_array_path_words_give_an_array_of_seeds(self):
+        index = np.arange(5, dtype=np.uint32)
+        seeds = derive_seed(7, 3, index)
+        assert seeds.dtype == np.uint64 and seeds.tolist() == [derive_seed(7, 3, i) for i in range(5)]
+        # a uint32 array of seeds is padded as each seed alone is
+        assert derive_seed(index, 2).tolist() == [derive_seed(i, 2) for i in range(5)]
+
+    def test_other_arrays_are_refused(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_seed(7, 3, np.arange(5))
+
+    @pytest.mark.parametrize(
+        "seed, path",
+        [(-1, ()), (-(2**40), (1,)), (2.5, ()), (1.0, (2,)), (0, (-1,)), (0, (3, -2)), (0, (1.5,)), (4, (2, 0.0))],
+    )
+    def test_negative_and_fractional_words_refused(self, seed, path):
+        with pytest.raises(ValueError, match="seed must be"):
+            derive_seed(seed, *path)
+        with pytest.raises(ValueError, match="seed must be"):
+            generator(seed, *path)
