@@ -161,7 +161,8 @@ def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
     An absent key leaves its field to ``given`` or to the field's default;
     with neither it is a missing key.  A nested object (``name`` given)
     refuses any key not in ``keys``; the top-level config holds the keys of
-    many readers and is checked against all of them when it is loaded.
+    many readers and is checked against all of them when it is loaded.  The
+    errors of ``cls`` itself name the object and the key (:func:`_built`).
     """
     prefix = f"{name}." if name else ""
     raw = _value(raw, "dict", name)
@@ -175,7 +176,18 @@ def _read(cls, raw, name: str, keys: tuple[str, ...], **given):
             given[f.name] = _value(raw[key], kind, prefix + key)
         elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{name}: missing key '{key}'")
-    return cls(**given)
+    return _built(name, keys, cls, **given)
+
+
+def _built(name: str, keys: tuple[str, ...], build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` or ``ConfigError`` from it is a ``ConfigError``
+    led by ``name: `` (when ``name`` is set), whose first word, if a field of ``keys``, is its key."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigError, ValueError) as exc:
+        head, space, rest = str(exc).partition(" ")
+        head = {_FIELD_NAMES.get(key, key): key for key in keys}.get(head, head)
+        raise ConfigError(f"{name}: " * bool(name) + head + space + rest) from None
 
 
 def _refuse_unknown(raw: dict, keys, context: str) -> None:
@@ -312,7 +324,9 @@ def _demand_inputs(cfg: dict):
             f"hour_basis.n_basis must be 1, got {hour.n_basis}: demand mode fits one regression "
             "per hour, where the hour functions are constants and their columns collinear"
         )
-    hour_basis = SplineBasisSpec.uniform_cyclic(hour.degree, hour.n_basis, 0.0, 24.0)
+    hour_basis = _built(
+        "hour_basis", (), SplineBasisSpec.uniform_cyclic, hour.degree, hour.n_basis, 0.0, 24.0
+    )
     t_lags = _value(cfg.get("t_lags", 1), "int", "t_lags")
     temp = _read(BasisSize, cfg.get("temp_basis", {"n_basis": 6}), "temp_basis", _BASIS_KEYS)
     m = temp.n_basis
@@ -326,7 +340,8 @@ def _demand_inputs(cfg: dict):
             f"t_lags + temp_basis.n_basis must be below the {n} rows each window fits "
             f"({rows}), got {t_lags} + {m}"
         )
-    spec = DemandModelSpec(t_lags, hour_basis, SplineBasisSpec.uniform(temp.degree, m, *dom))
+    temp_basis = _built("temp_basis", (), SplineBasisSpec.uniform, temp.degree, m, *dom)
+    spec = DemandModelSpec(t_lags, hour_basis, temp_basis)
     if cfg.get("candidates", "structural") == "structural":
         candidates = structural_candidates(spec)
     else:

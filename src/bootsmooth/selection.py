@@ -26,6 +26,8 @@ from .rng import generator
 RCOND_MIN = 1e-12
 # Relative floor under which tr(I - H) is treated as zero (saturated fit).
 _TRACE_EPS = 1e-12
+# Seed of the kfold criterion's random folds.
+KFOLD_SEED = 0
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -87,14 +89,17 @@ class Dataset:
 class CandidateModel:
     """A candidate model: an ordered subset of design-matrix columns.
 
-    Column indices are 0-based.  Bounds are checked against the dataset at
-    use time; distinctness and non-emptiness are checked here.
+    The id is a string or an integer (not a bool).  Column indices are
+    0-based.  Bounds are checked against the dataset at use time;
+    distinctness and non-emptiness are checked here.
     """
 
     id: str | int
     columns: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.id, (str, int)) or isinstance(self.id, bool):
+            raise ValueError(f"model id must be a string or an integer, got {self.id!r}")
         cols = tuple(int(c) for c in self.columns)
         if len(cols) == 0:
             raise ValueError(f"model {self.id!r}: column set is empty")
@@ -111,7 +116,8 @@ class SelectorConfig:
 
     ``lambda_grid`` None means :func:`default_lambda_grid`.
     ``criterion`` is ``"gcv"`` (closed form, default) or ``"kfold"`` (summed
-    squared held-out error over ``cv_folds`` seeded random folds).  Both score
+    squared held-out error over ``cv_folds`` random folds, always drawn with
+    seed ``KFOLD_SEED``, 0).  Both score
     a candidate's whole lambda grid per product on memoised workspaces, kfold
     on the training block of each of its folds.  kfold needs at least
     ``cv_folds`` rows in the dataset it selects on; under CV tuning that
@@ -122,7 +128,6 @@ class SelectorConfig:
     lambda_grid: tuple[float, ...] | None = None
     criterion: str = "gcv"
     cv_folds: int = 5
-    cv_seed: int = 0
 
     def __post_init__(self):
         cands = tuple(self.candidates)
@@ -214,9 +219,7 @@ class _DesignScorer:
             raise ValueError(
                 f"model {model.id!r}: column index {int(cols.max())} out of range for p={data.p}"
             )
-        # the id's type is part of the key: 1, 1.0 and True are equal ids
-        key = ("scorer", type(model.id), model)
-        return data._derived(key, lambda: cls(data.X[:, cols], model, cols))
+        return data._derived(("scorer", model), lambda: cls(data.X[:, cols], model, cols))
 
     def lambda_table(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """GCV weights ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,) and validity (L,).
@@ -304,12 +307,8 @@ def _training_block(data: Dataset, folds: list[np.ndarray], held: int) -> Datase
 
 
 def _id_key(model_id) -> tuple:
-    # ints and strings both order deterministically without cross-type compares
-    if isinstance(model_id, bool):
-        return (2, 0.0, str(model_id))
-    if isinstance(model_id, (int, float)):
-        return (0, float(model_id), "")
-    return (1, 0.0, str(model_id))
+    # ints sort before strings, with no cross-type compare
+    return (isinstance(model_id, str), model_id)
 
 
 def _rows(rows: np.ndarray):
@@ -382,7 +381,7 @@ class _PairSelector:
                     f"cv_folds={config.cv_folds} exceeds the {data.n} rows of the dataset it "
                     "selects on (in CV tuning, a training block smaller than the full data)"
                 )
-            folds = kfold_split(data.n, config.cv_folds, config.cv_seed)
+            folds = kfold_split(data.n, config.cv_folds, KFOLD_SEED)
             # (training rows, held-out rows, [(workspace, X_va V, factors, validity)] per candidate)
             self.folds = []
             for i, va in enumerate(folds):
@@ -393,8 +392,7 @@ class _PairSelector:
 
     @classmethod
     def for_data(cls, data: Dataset, config: SelectorConfig) -> "_PairSelector":
-        key = ("selector", tuple(type(m.id) for m in config.candidates), config)
-        return data._derived(key, lambda: cls(data, config))
+        return data._derived(("selector", config), lambda: cls(data, config))
 
     def _score(self, Y: np.ndarray) -> tuple[np.ndarray, list | None]:
         """Score matrix (pairs, B) in tie-break order, invalid pairs +inf; and,

@@ -28,6 +28,7 @@ from .selection import (
     Dataset,
     SelectorConfig,
     _PairSelector,
+    _feature_rows,
     _full_model,
     _workspace,
     ols_fit,
@@ -261,13 +262,9 @@ def _finalize_variance(value: float, context: str) -> float:
     return float(value)
 
 
-def _check_variance_inputs(fit: PbsFit, data: Dataset, x_rows: np.ndarray) -> np.ndarray:
-    """``x_rows`` as a finite (m, p) float array; refuses the degenerate sigma2 = 0."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    if x_rows.ndim != 2 or x_rows.shape[1] != data.p:
-        raise ValueError(f"target rows must have shape (m, {data.p}), got {x_rows.shape}")
-    if not np.isfinite(x_rows).all():
-        raise ValueError("target rows contain non-finite entries")
+def _check_variance_inputs(fit: PbsFit, data: Dataset, x_rows) -> np.ndarray:
+    """``x_rows`` as finite (m, p) float rows, a (p,) row as one; refuses sigma2 = 0."""
+    x_rows = np.atleast_2d(_feature_rows(x_rows, data.p))
     if fit.distribution.sigma2 == 0.0:
         raise NumericalError(
             "sigma2 = 0 is the degenerate resampling mode: replicates are "

@@ -31,16 +31,15 @@ class SplineBasisSpec:
     """Degree, interior knots and domain of a B-spline basis.
 
     Plain bases use clamped (open uniform) boundary knots, so the basis spans
-    the domain edges.  Cyclic bases wrap on ``[lo, lo + period]`` with the
-    domain start acting as one knot site on the circle; their dimension is
-    ``1 + len(interior_knots)``.
+    the domain edges.  Cyclic bases wrap on their domain ``[lo, hi]``, whose
+    length is the derived ``period``, with the domain start acting as one knot
+    site on the circle; their dimension is ``1 + len(interior_knots)``.
     """
 
     degree: int
     interior_knots: tuple[float, ...]
     domain: tuple[float, float]
     cyclic: bool = False
-    period: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.degree <= 5:
@@ -53,14 +52,6 @@ class SplineBasisSpec:
             raise ValueError("interior knots must be strictly increasing")
         if knots and (knots[0] <= lo or knots[-1] >= hi):
             raise ValueError("interior knots must lie strictly inside the domain")
-        if self.cyclic:
-            if self.period is None:
-                raise ValueError("cyclic basis requires a period")
-            if abs((hi - lo) - float(self.period)) > 1e-9 * max(1.0, abs(self.period)):
-                raise ValueError("cyclic domain length must equal the period")
-            object.__setattr__(self, "period", float(self.period))
-        elif self.period is not None:
-            raise ValueError("period is only meaningful for cyclic bases")
         object.__setattr__(self, "interior_knots", knots)
         object.__setattr__(self, "domain", (lo, hi))
 
@@ -70,11 +61,17 @@ class SplineBasisSpec:
             return 1 + len(self.interior_knots)
         return self.degree + 1 + len(self.interior_knots)
 
+    @property
+    def period(self) -> float | None:
+        """The domain's length for a cyclic basis; None for a plain one."""
+        return self.domain[1] - self.domain[0] if self.cyclic else None
+
     @classmethod
     def uniform(cls, degree: int, n_basis: int, lo: float, hi: float) -> "SplineBasisSpec":
         """Clamped basis with ``n_basis`` functions and uniform interior knots."""
         n_interior = n_basis - degree - 1
-        if n_interior < 0:
+        # a degree outside 0..5 is the constructor's error, ahead of the count
+        if n_interior < 0 and 0 <= degree <= 5:
             raise ValueError(f"n_basis must be >= degree + 1, got {n_basis}")
         knots = tuple(
             lo + (hi - lo) * (i + 1) / (n_interior + 1) for i in range(n_interior)
@@ -89,13 +86,7 @@ class SplineBasisSpec:
         if n_basis < 1:
             raise ValueError("cyclic basis needs at least one knot site")
         knots = tuple(lo + period * q / n_basis for q in range(1, n_basis))
-        return cls(
-            degree=degree,
-            interior_knots=knots,
-            domain=(lo, lo + period),
-            cyclic=True,
-            period=period,
-        )
+        return cls(degree=degree, interior_knots=knots, domain=(lo, lo + period), cyclic=True)
 
 
 def _nonzero_basis_values(knots: np.ndarray, degree: int, x, n_basis: int) -> tuple:
@@ -134,19 +125,11 @@ def bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     """
     if spec.cyclic:
         raise ValueError("spec is cyclic, use cyclic_bspline_basis")
-    lo, hi = spec.domain
-    x = float(x)
-    if not lo <= x <= hi:
-        raise ValueError(f"x={x} outside basis domain [{lo}, {hi}]")
-    d = spec.degree
-    span, vals = _nonzero_basis_values(_clamped_knots(spec), d, x, spec.n_basis)
-    out = np.zeros(spec.n_basis)
-    out[span - d : span + 1] = vals
-    return out
+    return _bspline_rows(spec, [float(x)])[0]
 
 
 def _bspline_rows(spec: SplineBasisSpec, x) -> np.ndarray:
-    """:func:`bspline_basis` at each point of ``x``, one row per point; (len(x), n_basis).
+    """All values of a plain basis at each point of ``x``, one row per point; (len(x), n_basis).
 
     The first point outside the domain, in order, is the ``ValueError``.
     """
@@ -171,7 +154,7 @@ def cyclic_bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     if not spec.cyclic:
         raise ValueError("spec is not cyclic, use bspline_basis")
     lo, _ = spec.domain
-    period = float(spec.period)
+    period = spec.period
     d = spec.degree
     sites = np.concatenate([[lo], np.asarray(spec.interior_knots)])
     q = sites.size

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -1276,16 +1277,16 @@ class TestExitCodes:
         if override == {"seed": -1}:
             assert err == "config error: seed must be an integer >= 0, got -1\n"
         if "sigma2_sweep" in override.get("study", {}):
-            assert err == "config error: sigma2_sweep values must be finite and > 0, got inf\n"
+            assert err == "config error: study: sigma2_sweep values must be finite and > 0, got inf\n"
         if override.get("lambda_grid") == [float("inf")]:
             assert err == "config error: lambda_grid entries must be finite and >= 0\n"
 
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"cv": {"sigma2_count": 0}}, "sigma2_count must be >= 1, got 0"),
-            ({"cv": {"sigma2_span": -1}}, "sigma2_span must be finite and > 0, got -1.0"),
-            ({"criterion_folds": 0}, "cv_folds must be >= 2, got 0"),
+            ({"cv": {"sigma2_count": 0}}, "cv: sigma2_count must be >= 1, got 0"),
+            ({"cv": {"sigma2_span": -1}}, "cv: sigma2_span must be finite and > 0, got -1.0"),
+            ({"criterion_folds": 0}, "criterion_folds must be >= 2, got 0"),
         ],
         ids=["sigma2_count", "sigma2_span", "criterion_folds"],
     )
@@ -1301,6 +1302,40 @@ class TestExitCodes:
         assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, mode, override, message",
+        [
+            ("fit", "matrix", {"cv": {"k": 1}}, "cv: k must be >= 2, got 1"),
+            ("fit", "matrix", {"cv": {"b_inner": 0}}, "cv: b_inner must be >= 1, got 0"),
+            ("select-dist", "matrix", {"cv": {"fold_mode": "odd"}}, "cv: unknown fold_mode 'odd'"),
+            ("fit", "matrix", {"criterion_folds": 0}, "criterion_folds must be >= 2, got 0"),
+            (
+                "predict", "matrix", {"distribution": {"gamma": 2, "sigma2": 1}},
+                "distribution: gamma must be in [0, 1], got 2.0",
+            ),
+            ("simulate", "matrix", {"study": {"reps": 0}}, "study: reps must be >= 1"),
+            ("fit", "demand", {"hour_basis": {"n_basis": 1, "degree": 9}}, "hour_basis: degree must be in 0..5, got 9"),
+            ("fit", "demand", {"temp_basis": {"n_basis": 4, "degree": 9}}, "temp_basis: degree must be in 0..5, got 9"),
+            (
+                "predict", "demand", {"temp_basis": {"n_basis": 2}},
+                "temp_basis: n_basis must be >= degree + 1, got 2",
+            ),
+        ],
+        ids=[
+            "cv.k", "cv.b_inner", "cv.fold_mode", "criterion_folds", "distribution.gamma", "study.reps",
+            "hour_basis.degree", "temp_basis.degree", "temp_basis.n_basis",
+        ],
+    )
+    def test_a_bad_value_is_named_by_its_key_path(
+        self, tmp_path, matrix_files, capsys, command, mode, override, message
+    ):
+        # each used to name the library field alone, or the wrong key
+        base = every_command_config(matrix_files) if mode == "matrix" else demand_command_config(tmp_path)
+        path, out = write_config(tmp_path, {**base, **override}), tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, override, key",
@@ -1598,3 +1633,33 @@ class TestExitCodes:
         train, targets = matrix_files
         cfg_path = write_config(tmp_path, base_matrix_config(train, targets))
         assert main(["fit", "--config", str(cfg_path), "--alpha", "1.5", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (SelectorConfig, ("candidates", "lambda_grid", "criterion", "cv_folds")),
+        (
+            CvGrid,
+            (
+                "sigma2_candidates", "gamma_candidates", "k", "b_inner", "seed", "fold_mode",
+                "sigma2_count", "sigma2_span",
+            ),
+        ),
+        (
+            StudyConfig,
+            (
+                "n", "true_model_j", "noise_sd", "reps", "b", "sigma2_sweep", "gamma_sweep",
+                "lambda_grid", "master_seed",
+            ),
+        ),
+        (ResamplingDistribution, ("gamma", "sigma2")),
+        (CandidateModel, ("id", "columns")),
+        (SplineBasisSpec, ("degree", "interior_knots", "domain", "cyclic")),
+        (DemandModelSpec, ("t_lags", "hour_basis", "temp_basis")),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_config_types_have_the_pinned_fields(cls, names):
+    # each field is a value a caller can set: adding one is a deliberate edit here
+    assert tuple(f.name for f in fields(cls)) == names

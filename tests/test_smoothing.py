@@ -241,7 +241,7 @@ class TestPbsFit:
         # width may change the summation order of ysum and cross, nothing else
         data = make_instance(rng, 14, 6)
         cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
-        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, cv_folds=4, cv_seed=3)
+        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, cv_folds=4)
         dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
         B = 3 * smoothing.REPLICATE_CHUNK + 5
         fits = []
@@ -342,7 +342,6 @@ class TestPbsFit:
             lambda_grid=(0.0, 1.0),
             criterion="kfold",
             cv_folds=3,
-            cv_seed=2,
         )
         fit = pbs_fit(data, ResamplingDistribution(gamma=0.5, sigma2=1.0), 8, cfg, seed=4)
         responses = redrawn_responses(fit)
@@ -413,7 +412,7 @@ class TestSmoothedVariance:
             data, ResamplingDistribution(gamma=0.7, sigma2=1.0), 20, small_selector(3), seed=8
         )
         x = np.array([1.0, bad, 0.5])
-        with pytest.raises(ValueError, match="target rows contain non-finite entries"):
+        with pytest.raises(ValueError, match="x_new contains non-finite entries"):
             variance(fit, data, x[None, :] if variance is smoothed_variances else x)
 
     def test_zero_covariance_gives_zero(self, rng):

@@ -68,6 +68,10 @@ class TestPlainBasis:
 
 
 class TestCyclicBasis:
+    def test_period_is_the_domain_length(self):
+        assert SplineBasisSpec.uniform_cyclic(3, 1, 0.0, 24.0).period == 24.0
+        assert SplineBasisSpec.uniform(3, 4, 0.0, 24.0).period is None
+
     def test_periodicity_24(self):
         spec = SplineBasisSpec.uniform_cyclic(3, 6, 0.0, 24.0)
         np.testing.assert_allclose(
