@@ -256,18 +256,22 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
     return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
-def _tuning_grid(cfg: dict, run: RunConfig, n: int, rows: str, p: int, columns: str) -> CvGrid:
-    """The cv grid, with ``cv.k`` at most the ``n`` rows CV tunes on and the ``p`` design
-    columns at most the rows of its smallest training block; ``rows``, ``columns`` name them."""
+def _tuning_grid(
+    cfg: dict, run: RunConfig, selector: SelectorConfig, n: int, rows: str, p: int, columns: str
+) -> CvGrid:
+    """The cv grid, with ``cv.k`` at most the ``n`` rows CV tunes on, and the ``p`` design columns
+    and a kfold ``selector``'s folds at most the rows of its smallest training block; ``rows``,
+    ``columns`` name them."""
     grid = _cv_grid(cfg, run)
     if grid.k > n:
         raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
     held = -(-n // grid.k)
+    block = f"the {n - held} rows of the smallest CV training block ({n} minus the {held} held out"
+    block += f" at cv.k={grid.k})"
     if p > n - held:
-        raise ConfigError(
-            f"the {p} design columns ({columns}) exceed the {n - held} rows of the smallest "
-            f"CV training block ({n} minus the {held} held out at cv.k={grid.k})"
-        )
+        raise ConfigError(f"the {p} design columns ({columns}) exceed {block}")
+    if selector.criterion == "kfold" and selector.cv_folds > n - held:
+        raise ConfigError(f"criterion_folds must be at most {block}, got {selector.cv_folds}")
     return grid
 
 
@@ -376,7 +380,7 @@ def _forecast(
         cv_rows = (data.n, "the rows of train_csv", data.p, "the features of train_csv")
     else:
         selector, problems, cv_rows = _demand_inputs(cfg)
-    grid = _tuning_grid(cfg, run, *cv_rows) if dist is None else None
+    grid = _tuning_grid(cfg, run, selector, *cv_rows) if dist is None else None
     rows, surfaces = run_forecasts(
         problems, selector, grid, dist, run.b, run.alpha, run.seed, columns=cv_rows[3]
     )
@@ -425,7 +429,9 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
             "distribution per rolling window inside 'fit'"
         )
     data, _, _, selector = _matrix_inputs(cfg, with_targets=False)
-    grid = _tuning_grid(cfg, run, data.n, "the rows of train_csv", data.p, "the features of train_csv")
+    grid = _tuning_grid(
+        cfg, run, selector, data.n, "the rows of train_csv", data.p, "the features of train_csv"
+    )
     surface, dist = tune_distribution(data, grid, selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(

@@ -122,6 +122,7 @@ class SelectorConfig:
     on the training block of each of its folds.  kfold needs at least
     ``cv_folds`` rows in the dataset it selects on; under CV tuning that
     dataset is a tuning fold's training block, smaller than the full data.
+    Its hash and its pairs' tie-break tables are computed once, when built.
     """
 
     candidates: tuple[CandidateModel, ...]
@@ -151,6 +152,18 @@ class SelectorConfig:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "lambda_grid", grid)
+        object.__setattr__(self, "_hash", hash((cands, grid, self.criterion, self.cv_folds)))
+        # ``order`` stably sorts pair si * L + li into tie-break order; ``rank`` inverts it
+        keys = [(len(c.columns), lam, _id_key(c.id)) for c in cands for lam in grid]
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        scorer, lam_index = np.divmod(order, len(grid))
+        ids = [cands[si].id for si in scorer.tolist()]
+        object.__setattr__(self, "_pairs", (rank, scorer, lam_index, np.asarray(grid)[lam_index], ids))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,7 @@ class _DesignScorer:
     """SVD workspace for one candidate submatrix.
 
     Holds ``X_j = U diag(s) V'`` and serves ridge solves, hat-matrix traces
-    and GCV scores for blocks of response columns, all in one code path.
+    and GCV weights for blocks of response columns, all in one code path.
     """
 
     def __init__(self, X_sub: np.ndarray, model: CandidateModel, columns: np.ndarray):
@@ -233,22 +246,6 @@ class _DesignScorer:
         denom = self.n - d.sum(axis=1)
         valid = (denom > self.n * _TRACE_EPS) & ((lam[:, 0] > 0.0) | self.full_rank)
         return (1.0 - d) ** 2, denom, valid
-
-    def gcv_scores(self, UtY: np.ndarray, yy: np.ndarray, w: np.ndarray, dd: np.ndarray) -> np.ndarray:
-        """GCV ``n RSS / tr(I - H)^2`` per row of ``w``; (rows, B).
-
-        ``UtY`` is ``U'Y`` for the response block Y, ``yy`` the squared column
-        norms of Y, ``w`` the GCV weights and ``dd`` (rows, 1) the squared
-        traces of scoreable lambda-table rows.
-        """
-        sq = UtY * UtY
-        perp = yy - sq.sum(axis=0)
-        np.maximum(perp, 0.0, out=perp)
-        t = w @ sq
-        t += perp
-        t *= self.n
-        t /= dd
-        return t
 
     def ridge_factors(self, grid) -> tuple[np.ndarray, np.ndarray]:
         """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity (L,).
@@ -291,13 +288,7 @@ def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndar
         order = np.arange(n)
     else:
         raise ValueError(f"unknown fold mode {mode!r}")
-    sizes = np.full(k, n // k)
-    sizes[: n % k] += 1
-    blocks, start = [], 0
-    for s in sizes:
-        blocks.append(np.sort(order[start : start + s]))
-        start += s
-    return blocks
+    return [np.sort(block) for block in np.array_split(order, k)]
 
 
 def _training_block(data: Dataset, folds: list[np.ndarray], held: int) -> Dataset:
@@ -312,10 +303,7 @@ def _id_key(model_id) -> tuple:
 
 
 def _rows(rows: np.ndarray):
-    """A candidate's tie-break ``rows`` as a slice when they are consecutive, else unchanged.
-
-    They ascend, as the tie-break sorts a candidate's ascending lambdas stably.
-    """
+    """A candidate's scored ``rows``, which ascend with its lambdas, as a slice when consecutive."""
     if rows.size and rows[-1] - rows[0] == rows.size - 1:
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
@@ -325,62 +313,62 @@ class _PairSelector:
     """All (candidate, lambda) pairs of a selector in tie-break order.
 
     Pairs are sorted by (column count, lambda, model id), so a plain argmin
-    over the score matrix realises the documented tie-break: ``np.argmin``
-    returns the first index attaining the minimum.
+    over scores in that order realises the documented tie-break: ``np.argmin``
+    returns the first index attaining the minimum.  Pair ``si * L + li``
+    (candidate si, lambda li) has tie-break row ``rank[si * L + li]``.
 
-    Pair ``si * L + li`` (candidate si, lambda li) has tie-break row
-    ``rank[si * L + li]``.  Scoring writes each candidate's block straight
-    into those rows of one +inf matrix instead of stacking the blocks and
-    reordering them.  The matrix is in Fortran order, so the argmin reads
-    each response column contiguously.  Under GCV, each candidate keeps only
-    its scoreable lambda rows: their weights, squared traces and destination
-    rows, so its unscoreable rows are never computed and stay +inf.  The
-    destination rows are a slice when they are consecutive, as they are for
-    a candidate whose column count no other candidate shares.
+    Scores fill a Fortran-ordered block, so the argmin reads each response
+    column contiguously, one row per scored pair: tie-break row ``scored[i]``
+    in row i.  kfold scores every pair, +inf where unusable on any fold; GCV
+    only the scoreable ones.  Under GCV each candidate's ``U'Y``, by its own
+    GEMM (one GEMM over all of them rounds differently), fills its rows of one
+    stacked block that one product squares in place; its column sums fill its
+    row of a (C, B) block that one subtract and one clamp turn into
+    ``max(y'y - |U'y|^2, 0)``; its weight GEMM plus that row fills its scored
+    rows (a slice when they are consecutive, as for a column count no other
+    candidate shares); one ``*= n`` and one ``/= tr(I - H)^2`` finish it.
 
     For the solve, each candidate also keeps its ``V`` embedded in the full
-    p rows and, per tie-break pair, its ridge factors ``s / (s^2 + lam)``
-    at the pair's lambda, (pairs, r): zero where lambda = 0 is unusable and
-    for every other candidate's pair.  :meth:`select` scores a block and
-    solves it in one pass; under GCV the solve reuses the ``U'Y`` that
-    scoring computed.
+    p rows and, per tie-break pair, its ridge factors ``s / (s^2 + lam)`` at
+    the pair's lambda, (pairs, r): zero where lambda = 0 is unusable and for
+    every other candidate's pair.  :meth:`select` scores a block and solves
+    it in one pass, with each selected candidate's ``U'Y`` taken again by the
+    same GEMM: a chunk that also kept the unsquared block outgrew the heap
+    space the C library reuses, which then trimmed and regrew it per chunk.
     """
 
     def __init__(self, data: Dataset, config: SelectorConfig):
         self.data = data
         self.config = config
         self.scorers = [_DesignScorer.for_data(data, m) for m in config.candidates]
-        grid = config.lambda_grid
-        lams = np.asarray(grid)
-        # ``order`` stably sorts pair si * L + li into tie-break order; ``rank`` inverts it
-        id_keys = [_id_key(m.id) for m in config.candidates]
-        keys = [(sc.k, lam, key) for sc, key in zip(self.scorers, id_keys) for lam in grid]
-        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
-        self.rank = np.empty_like(order)
-        self.rank[order] = np.arange(len(order))
-        self.pair_scorer_index, lam_index = np.divmod(order, len(grid))
-        self.pair_lambda = lams[lam_index]
-        ids = [sc.model.id for sc in self.scorers]
-        self.pair_model_id = [ids[si] for si in self.pair_scorer_index.tolist()]
-        self.solves = []  # (embedded V, factors per tie-break pair)
-        for si, sc in enumerate(self.scorers):
+        lams = np.asarray(config.lambda_grid)
+        self.rank, self.pair_scorer_index, lam_index, self.pair_lambda, self.pair_model_id = config._pairs
+        ranks = self.rank.reshape(len(self.scorers), -1)  # tie-break row of pair si * L + li
+        self.solves = []  # (U', embedded V, factors per tie-break pair)
+        for sc, mine in zip(self.scorers, ranks):
             V = np.zeros((data.p, sc.V.shape[1]))
             V[sc.columns] = sc.V
-            f, _ = sc.ridge_factors(lams)
-            mine = (self.pair_scorer_index == si)[:, None]
-            self.solves.append((V, np.where(mine, f[lam_index], 0.0)))
+            F = np.zeros((len(self.rank), sc.s.size))
+            F[mine] = sc.ridge_factors(lams)[0]
+            self.solves.append((sc.U.T, V, F))
         if config.criterion == "gcv":
-            self.tables = []  # (weights, squared traces, tie-break rows) of scoreable lambdas
-            for si, sc in enumerate(self.scorers):
-                w, denom, valid = sc.lambda_table(lams)
-                rows = self.rank[si * len(grid) : (si + 1) * len(grid)][valid]
-                self.tables.append((w[valid], (denom * denom)[valid, None], _rows(rows)))
+            w, denom, valid = zip(*(sc.lambda_table(lams) for sc in self.scorers))
+            scoreable = np.array(valid)[self.pair_scorer_index, lam_index]
+            self.scored = np.flatnonzero(scoreable)
+            self.dd = np.array([d * d for d in denom])[self.pair_scorer_index, lam_index][scoreable, None]
+            row = (np.cumsum(scoreable) - 1)[ranks]  # scored row of pair si * L + li
+            ends = np.cumsum([sc.s.size for sc in self.scorers]).tolist()
+            self.tables = [  # (rows of the U'Y block, scoreable weights, scored rows)
+                (slice(end - sc.s.size, end), w[si][valid[si]], _rows(row[si][valid[si]]))
+                for si, (sc, end) in enumerate(zip(self.scorers, ends))
+            ]
         else:
             if config.cv_folds > data.n:
                 raise ValueError(
                     f"cv_folds={config.cv_folds} exceeds the {data.n} rows of the dataset it "
                     "selects on (in CV tuning, a training block smaller than the full data)"
                 )
+            self.scored = np.arange(len(self.rank))
             folds = kfold_split(data.n, config.cv_folds, KFOLD_SEED)
             # (training rows, held-out rows, [(workspace, X_va V, factors, validity)] per candidate)
             self.folds = []
@@ -394,27 +382,41 @@ class _PairSelector:
     def for_data(cls, data: Dataset, config: SelectorConfig) -> "_PairSelector":
         return data._derived(("selector", config), lambda: cls(data, config))
 
-    def _score(self, Y: np.ndarray) -> tuple[np.ndarray, list | None]:
-        """Score matrix (pairs, B) in tie-break order, invalid pairs +inf; and,
-        under GCV, each candidate's ``U'Y`` (None under kfold)."""
-        out = np.full((len(self.rank), Y.shape[1]), np.inf, order="F")
+    def _score(self, Y: np.ndarray) -> np.ndarray:
+        """Scores of the scored pairs, (rows, B)."""
+        B = Y.shape[1]
         if self.config.criterion == "gcv":
-            yy = np.einsum("ij,ij->j", Y, Y)
-            projections = [sc.U.T @ Y for sc in self.scorers]
-            for sc, UtY, (w, dd, rows) in zip(self.scorers, projections, self.tables):
-                out[rows] = sc.gcv_scores(UtY, yy, w, dd)
-            return out, projections
-        # summed over folds; a pair unusable on any fold stays +inf
+            out = np.empty((len(self.scored), B), order="F")
+            sq = np.empty((self.tables[-1][0].stop, B))
+            for (Ut, *_), (seg, *_) in zip(self.solves, self.tables):
+                np.matmul(Ut, Y, out=sq[seg])
+            sq *= sq
+            perp = np.empty((len(self.tables), B))
+            for (seg, *_), row in zip(self.tables, perp):
+                np.add.reduce(sq[seg], axis=0, out=row)
+            np.subtract(np.einsum("ij,ij->j", Y, Y), perp, out=perp)
+            np.maximum(perp, 0.0, out=perp)
+            for (seg, w, rows), row in zip(self.tables, perp):
+                t = w @ sq[seg]
+                t += row
+                out[rows] = t
+            out *= self.data.n
+            out /= self.dd
+            return out
+        # summed over folds; a pair unusable on any fold is +inf
         blocks = sum(
             np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
             for tr, va, tables in self.folds
         )
+        out = np.empty((len(self.rank), B), order="F")
         out[self.rank] = blocks.reshape(out.shape)
-        return out, None
+        return out
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
         """Score matrix (pairs, B) in tie-break order; invalid pairs +inf."""
-        return self._score(Y)[0]
+        out = np.full((len(self.rank), Y.shape[1]), np.inf)
+        out[self.scored] = self._score(Y)
+        return out
 
     def select(self, Y: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Tie-broken argmin pair index per response column, (B,), and the
@@ -422,27 +424,26 @@ class _PairSelector:
 
         One whole-block ridge solve per candidate selected by some column,
         each column at its own lambda: ``V (F * U'Y)`` with ``V`` embedded in
-        the full p rows and ``F`` the factors of the column's selected pair.
-        A column that selected another candidate gets zero factors, so every
-        term of this candidate's product there is ``0 * x`` and adds an exact
-        zero.
-        ``offset`` is the first column's replicate number, for the message
-        when a column has no scoreable pair.
+        the full p rows and ``F`` the factors of the column's selected pair,
+        zero for a column that selected another candidate (every term of the
+        product there is ``0 * x``, an exact zero).  ``offset`` is the first
+        column's replicate number, for the message when a column has no
+        scoreable pair.
         """
-        scores, projections = self._score(Y)
-        idx = np.argmin(scores, axis=0)
-        best = scores[idx, np.arange(Y.shape[1])]
+        scores = self._score(Y)
+        if not len(scores):  # no scoreable pair: every column fails below
+            scores = np.full((1, Y.shape[1]), np.inf)
+        local = np.argmin(scores, axis=0)
+        best = scores[local, np.arange(Y.shape[1])]
         if not np.isfinite(best).all():
             b = int(np.argmax(~np.isfinite(best)))
-            raise SelectionFailureError(
-                f"replicate {offset + b}: no scoreable (model, lambda) pair"
-            )
+            raise SelectionFailureError(f"replicate {offset + b}: no scoreable (model, lambda) pair")
+        idx = self.scored[local]
         out = np.zeros((self.data.p, Y.shape[1]))
         selected = np.bincount(self.pair_scorer_index[idx], minlength=len(self.solves))
-        for si, ((V, F), count) in enumerate(zip(self.solves, selected)):
+        for (Ut, V, F), count in zip(self.solves, selected):
             if count:
-                UtY = self.scorers[si].U.T @ Y if projections is None else projections[si]
-                out += V @ (F[idx].T * UtY)
+                out += V @ (F[idx].T * (Ut @ Y))
         return idx, out
 
 
@@ -532,15 +533,13 @@ def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
     """Generalized cross-validation score ``n RSS(lam) / tr(I - H(lam))^2``."""
     lam = _penalty(lam)
     sc = _workspace(data, model, lam, "gcv_score at lambda=0")
-    w, denom, valid = sc.lambda_table((lam,))
+    _, denom, valid = sc.lambda_table((lam,))
     if not valid[0]:
         raise DegenerateScoreError(
             f"model {model.id!r} at lambda={lam:g}: tr(I - H) = {denom[0]:.3e} "
             "leaves no residual degrees of freedom"
         )
-    Y = data.y[:, None]
-    yy = np.einsum("ij,ij->j", Y, Y)
-    return float(sc.gcv_scores(sc.U.T @ Y, yy, w, (denom * denom)[:, None])[0, 0])
+    return float(_PairSelector(data, SelectorConfig((model,), (lam,))).scores(data.y[:, None])[0, 0])
 
 
 def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:

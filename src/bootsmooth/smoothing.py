@@ -36,10 +36,11 @@ from .selection import (
 
 # Replicates per chunk.  A constant: the chunk layout fixes the GEMM shapes
 # and the order of the running sums, and with them the output bytes.  Each
-# chunk pays a fixed cost of some 50 small numpy calls to select and solve,
-# which wider chunks spread over more replicates, while its n x width
-# blocks grow with the width: at 512 a fit on n = 400 rows ran slower than
-# at 256.
+# chunk pays a fixed cost in small numpy calls to select and solve, under
+# GCV 18 plus 5 per candidate and 5 per selected candidate (some 43 on a
+# fit_demand CV chunk), which wider chunks spread over more replicates,
+# while its n x width blocks grow with the width: at 512 a fit on n = 400
+# rows ran slower than at 256.
 REPLICATE_CHUNK = 256
 
 # Replicate b's generator: the one Philox generator re-keyed to stream

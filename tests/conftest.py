@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bootsmooth import (
     CandidateModel,
@@ -24,6 +26,11 @@ from bootsmooth import (
 )
 from bootsmooth.rng import _family
 from bootsmooth.tabular import read_blocks
+
+# HYPOTHESIS_PROFILE=derandomized draws the same examples on every run, so a
+# property failure found once is found again; unset, each run draws afresh.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE") or "default")
 
 
 def make_instance(rng: np.random.Generator, n: int, p: int, noise: float = 1.0) -> Dataset:

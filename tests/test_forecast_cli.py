@@ -471,19 +471,43 @@ class TestFitCommand:
         summary1.pop("threads"), summary2.pop("threads")
         assert summary1 == summary2
 
-    def test_kfold_folds_above_a_training_block_exit_2(self, tmp_path, rng, capsys):
-        # 30 rows in cv.k = 5 tuning folds: each training block holds 24 rows
+    @staticmethod
+    def run_kfold_on_30_rows(tmp_path, rng, command, k, folds, **overrides):
+        """``command``'s exit code under kfold with ``criterion_folds`` = ``folds``
+        on a 30-row train_csv tuned in ``cv.k`` = ``k`` folds."""
         X = rng.uniform(-3.0, 3.0, size=(30, 3))
         train, targets = tmp_path / "train.csv", tmp_path / "targets.csv"
         write_matrix_csv(train, X, X[:, 0] + rng.standard_normal(30))
         write_matrix_csv(targets, X[:2])
         cfg = base_matrix_config(train, targets)
-        cfg.update(criterion="kfold", criterion_folds=30)
-        cfg["cv"] = dict(cfg["cv"], k=5)
-        code = main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: cv_folds=30 exceeds the 24 rows") and err.count("\n") == 1
+        cfg.update(criterion="kfold", criterion_folds=folds)
+        cfg["cv"] = dict(cfg["cv"], k=k, **overrides)
+        return main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+
+    def test_kfold_folds_above_a_training_block_exit_2(self, tmp_path, rng, capsys):
+        # 30 rows in cv.k = 5 tuning folds: each training block holds 24 rows
+        assert self.run_kfold_on_30_rows(tmp_path, rng, "fit", 5, 30) == 2
+        assert capsys.readouterr().err == (
+            "config error: criterion_folds must be at most the 24 rows of the smallest CV "
+            "training block (30 minus the 6 held out at cv.k=5), got 30\n"
+        )
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("command", ["fit", "select-dist"])
+    @pytest.mark.parametrize("k, folds, block", [(5, 25, 24), (4, 23, 22)])
+    def test_kfold_folds_above_the_smallest_training_block_exit_2(
+        self, tmp_path, rng, capsys, command, k, folds, block
+    ):
+        # cv.k = 4 holds out 8, 8, 7 and 7 of the 30 rows: blocks of 22 and 23
+        assert self.run_kfold_on_30_rows(tmp_path, rng, command, k, folds) == 2
+        assert capsys.readouterr().err == (
+            f"config error: criterion_folds must be at most the {block} rows of the smallest CV "
+            f"training block (30 minus the {30 - block} held out at cv.k={k}), got {folds}\n"
+        )
+
+    def test_kfold_folds_of_the_smallest_training_block_run(self, tmp_path, rng):
+        small = dict(b_inner=5, sigma2_candidates=[1.0], gamma_candidates=[1.0])
+        assert self.run_kfold_on_30_rows(tmp_path, rng, "select-dist", 4, 22, **small) == 0
 
     def test_fit_does_not_import_scipy(self, tmp_path, matrix_files):
         # nor, after a fit and a simulate, the thread pool or its logging

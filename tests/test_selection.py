@@ -1,5 +1,6 @@
 """Estimation and selection: OLS, ridge, GCV, joint argmin."""
 
+import itertools
 import re
 
 import numpy as np
@@ -709,6 +710,91 @@ class TestCoefficientsBlock:
         full = sel.pair_scorer_index[idx] == 2
         lams = set(sel.pair_lambda[idx][full].tolist())
         assert 0.0 in lams and len(lams - {0.0}) >= 2
+
+    # Three candidates of two columns each interleave their tie-break rows.
+    # Column 5 repeats column 0, so "dup" is rank deficient: its lambda = 0
+    # pair is unscoreable, and the scored rows of its column count are
+    # neither consecutive nor evenly spaced.
+    LAYOUTS = {
+        "shared_count": (
+            CandidateModel("b", (0, 1)),
+            CandidateModel(7, (2, 3)),
+            CandidateModel("a", (0, 2)),
+            CandidateModel("w", (0, 1, 2, 3, 4)),
+        ),
+        "rank_deficient": (
+            CandidateModel("dup", (0, 5)),
+            CandidateModel("c", (1, 2)),
+            CandidateModel(3, (0, 1, 2, 3)),
+        ),
+    }
+
+    @pytest.mark.parametrize("B", [1, 2, 65])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_one_pass_is_bitwise_the_scores_and_the_separate_solve(self, layout, B):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-2.0, 2.0, size=(12, 6))
+        X[:, 5] = X[:, 0]
+        scale = np.logspace(-2.0, 2.0, B)
+        Y = (X[:, :2] @ np.array([1.0, -0.5]))[:, None] * scale + rng.standard_normal((12, B))
+        sel = _PairSelector(Dataset(rng.standard_normal(12), X), SelectorConfig(self.LAYOUTS[layout], self.GRID))
+        assert any(not isinstance(rows, slice) for *_, rows in sel.tables)
+        scores = sel.scores(Y)
+        assert scores.tobytes() == TestPairScores.stacked_scores(sel, Y).tobytes()
+        unscoreable = np.isinf(scores[:, 0])
+        assert unscoreable.sum() == (layout == "rank_deficient")
+        assert np.array_equal(np.flatnonzero(~unscoreable), sel.scored)
+        idx, C = sel.select(Y)
+        np.testing.assert_array_equal(idx, np.argmin(scores, axis=0))
+        assert C.tobytes() == self.separate_solve(sel, idx, Y).tobytes()
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_a_chunk_with_no_scoreable_pair_names_its_first_replicate(self, B):
+        # n = k = 2 leaves no residual degrees of freedom at lambda = 0
+        sel = _PairSelector(
+            Dataset(np.array([1.0, 2.0]), np.eye(2)),
+            SelectorConfig((CandidateModel("m", (0, 1)), CandidateModel("n", (1, 0))), (0.0,)),
+        )
+        assert len(sel.scored) == 0
+        assert np.all(np.isinf(sel.scores(np.ones((2, B)))))
+        with pytest.raises(SelectionFailureError, match=r"^replicate 17: no scoreable \(model, lambda\) pair$"):
+            sel.select(np.ones((2, B)), offset=17)
+
+
+class TestDuplicateCandidates:
+    """Candidates with the same columns score alike; the lowest id wins every tie."""
+
+    # "a" and 9 repeat the columns of "b", and 4 those of "q"; ints sort before strings
+    CANDIDATES = (
+        CandidateModel("b", (0, 1, 2)),
+        CandidateModel("a", (0, 1, 2)),
+        CandidateModel(9, (0, 1, 2)),
+        CandidateModel("q", (0,)),
+        CandidateModel(4, (0,)),
+    )
+
+    # Multi-column chunks, and one column on 15 rows: there, on OpenBLAS's
+    # Haswell kernels, one GEMM over all candidates' U' rounds the copies of
+    # a candidate apart, and the tie would be decided by rounding.
+    @pytest.mark.parametrize("n, B", [(3, 24), (20, 3), (30, 2), (15, 1)])
+    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
+    def test_every_order_selects_the_lowest_id(self, criterion, n, B):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-2.0, 2.0, size=(n, 4))
+        # the weight of columns 1 and 2 grows from zero, so both groups are selected
+        Y = X[:, :1] * 1.5 + X[:, 1:3].sum(axis=1, keepdims=True) * np.linspace(0.0, 0.8, B)
+        Y += rng.standard_normal((n, B))
+        data = Dataset(rng.standard_normal(n), X)
+        results = set()
+        for order in itertools.permutations(self.CANDIDATES):
+            cfg = SelectorConfig(order, (0.0, 0.5, 0.5, 3.0), criterion=criterion, cv_folds=3)
+            sel = _PairSelector(data, cfg)
+            idx, C = sel.select(Y)
+            ids = tuple(sel.pair_model_id[i] for i in idx)
+            results.add((ids, sel.pair_lambda[idx].tobytes(), C.tobytes()))
+        assert len(results) == 1
+        ids = set(results.pop()[0])
+        assert ids & {9, 4} and not ids & {"a", "b", "q"}
 
 
 class TestScalarLambdaBytes:
