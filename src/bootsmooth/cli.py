@@ -118,7 +118,7 @@ _CV_KEYS = (
 _STUDY_KEYS = ("n", "true_model_j", "noise_sd", "reps", "b", "sigma2_sweep", "gamma_sweep", "lambda_grid")
 _DISTRIBUTION_KEYS = ("gamma", "sigma2")
 _BASIS_KEYS = ("degree", "n_basis")
-_FIELD_NAMES = {"criterion_folds": "cv_folds", "dates": "date", "hours": "hour"}
+_FIELD_NAMES = {"dates": "date", "hours": "hour"}
 _MATRIX_KEYS = ("train_csv", "targets_csv", "candidates")
 _DEMAND_KEYS = (
     "demand_csv", "temperature_csv", "temp_domain", "hour_basis", "t_lags", "temp_basis",
@@ -270,9 +270,15 @@ def _tuning_grid(
     block += f" at cv.k={grid.k})"
     if p > n - held:
         raise ConfigError(f"the {p} design columns ({columns}) exceed {block}")
-    if selector.criterion == "kfold" and selector.cv_folds > n - held:
-        raise ConfigError(f"criterion_folds must be at most {block}, got {selector.cv_folds}")
+    _check_folds(selector, n - held, block)
     return grid
+
+
+def _check_folds(selector: SelectorConfig, n: int, rows: str) -> None:
+    """A ``ConfigError`` when a kfold ``selector`` has more folds than the ``n`` rows it selects
+    on, which ``rows`` names; checked before any fit."""
+    if selector.criterion == "kfold" and selector.criterion_folds > n:
+        raise ConfigError(f"criterion_folds must be at most {rows}, got {selector.criterion_folds}")
 
 
 def _matrix_inputs(cfg: dict, with_targets: bool = True):
@@ -380,7 +386,11 @@ def _forecast(
         cv_rows = (data.n, "the rows of train_csv", data.p, "the features of train_csv")
     else:
         selector, problems, cv_rows = _demand_inputs(cfg)
-    grid = _tuning_grid(cfg, run, selector, *cv_rows) if dist is None else None
+    if dist is None:
+        grid = _tuning_grid(cfg, run, selector, *cv_rows)
+    else:
+        grid = None
+        _check_folds(selector, cv_rows[0], f"the {cv_rows[0]} rows it selects on ({cv_rows[1]})")
     rows, surfaces = run_forecasts(
         problems, selector, grid, dist, run.b, run.alpha, run.seed, columns=cv_rows[3]
     )
@@ -456,6 +466,7 @@ def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
         raise ConfigError("sigma2_sweep must be nonempty")
     gamma = _value(_require(cfg, "gamma"), "float", "gamma")
     data, x_targets, truths, selector = _matrix_inputs(cfg)
+    _check_folds(selector, data.n, f"the {data.n} rows it selects on (the rows of train_csv)")
     curve = run_sigma_sweep(
         data,
         x_targets,

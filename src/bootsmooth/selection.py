@@ -116,19 +116,20 @@ class SelectorConfig:
 
     ``lambda_grid`` None means :func:`default_lambda_grid`.
     ``criterion`` is ``"gcv"`` (closed form, default) or ``"kfold"`` (summed
-    squared held-out error over ``cv_folds`` random folds, always drawn with
-    seed ``KFOLD_SEED``, 0).  Both score
-    a candidate's whole lambda grid per product on memoised workspaces, kfold
-    on the training block of each of its folds.  kfold needs at least
-    ``cv_folds`` rows in the dataset it selects on; under CV tuning that
-    dataset is a tuning fold's training block, smaller than the full data.
+    squared held-out error over ``criterion_folds`` random folds, always
+    drawn with seed ``KFOLD_SEED``, 0); each field is named as its config key.
+    Both score a candidate's whole lambda grid per product on memoised
+    workspaces, kfold on the training block of each of its folds.  kfold
+    needs at least ``criterion_folds`` rows in the dataset it selects on;
+    under CV tuning that dataset is a tuning fold's training block, smaller
+    than the full data.
     Its hash and its pairs' tie-break tables are computed once, when built.
     """
 
     candidates: tuple[CandidateModel, ...]
     lambda_grid: tuple[float, ...] | None = None
     criterion: str = "gcv"
-    cv_folds: int = 5
+    criterion_folds: int = 5
 
     def __post_init__(self):
         cands = tuple(self.candidates)
@@ -148,11 +149,11 @@ class SelectorConfig:
         if self.criterion not in ("gcv", "kfold"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
         # checked under gcv too, so a bad value is never ignored
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.criterion_folds < 2:
+            raise ValueError(f"criterion_folds must be >= 2, got {self.criterion_folds}")
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "lambda_grid", grid)
-        object.__setattr__(self, "_hash", hash((cands, grid, self.criterion, self.cv_folds)))
+        object.__setattr__(self, "_hash", hash((cands, grid, self.criterion, self.criterion_folds)))
         # ``order`` stably sorts pair si * L + li into tie-break order; ``rank`` inverts it
         keys = [(len(c.columns), lam, _id_key(c.id)) for c in cands for lam in grid]
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
@@ -292,9 +293,18 @@ def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndar
 
 
 def _training_block(data: Dataset, folds: list[np.ndarray], held: int) -> Dataset:
-    """Rows outside fold ``held``, memoised on ``data`` (kept for its lifetime)."""
-    rows = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != held]))
-    return data._derived(("rows", rows.tobytes()), lambda: Dataset(data.y[rows], data.X[rows]))
+    """Rows outside fold ``held``, memoised on ``data`` (kept for its lifetime).
+
+    ``folds`` partition the rows, as :func:`kfold_split`'s do, so the held-out
+    fold fixes the rest: it keys the memo, and the rows are gathered only when
+    the block is first built.
+    """
+
+    def build() -> Dataset:
+        rows = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != held]))
+        return Dataset(data.y[rows], data.X[rows])
+
+    return data._derived(("rows", folds[held].tobytes()), build)
 
 
 def _id_key(model_id) -> tuple:
@@ -363,13 +373,13 @@ class _PairSelector:
                 for si, (sc, end) in enumerate(zip(self.scorers, ends))
             ]
         else:
-            if config.cv_folds > data.n:
+            if config.criterion_folds > data.n:
                 raise ValueError(
-                    f"cv_folds={config.cv_folds} exceeds the {data.n} rows of the dataset it "
-                    "selects on (in CV tuning, a training block smaller than the full data)"
+                    f"criterion_folds={config.criterion_folds} exceeds the {data.n} rows of the "
+                    "dataset it selects on (in CV tuning, a training block smaller than the full data)"
                 )
             self.scored = np.arange(len(self.rank))
-            folds = kfold_split(data.n, config.cv_folds, KFOLD_SEED)
+            folds = kfold_split(data.n, config.criterion_folds, KFOLD_SEED)
             # (training rows, held-out rows, [(workspace, X_va V, factors, validity)] per candidate)
             self.folds = []
             for i, va in enumerate(folds):

@@ -7,15 +7,12 @@ window's design is built in one pass: one hour-basis evaluation, the
 temperature basis at all modeled days by one array recursion, and the lag
 columns as slices of one demand vector.
 
-CSV loaders for the demand and temperature schemas live here too.  They
-check each block of rows that :func:`~bootsmooth.tabular.read_blocks` hands
-them by whole columns, and walk a block row by row only when a bulk check
-fails, to name its first fault.
+The demand and temperature CSV loaders live here too: each is one call of
+:func:`~bootsmooth.tabular.read_keyed` with its key parsers.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +20,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .selection import Dataset
-from .tabular import finite_number, finite_numbers, iso_date, read_blocks
+from .tabular import iso_date, read_keyed
 
 
 @dataclass(frozen=True)
@@ -206,82 +203,25 @@ class DemandTable:
     dates: tuple
 
 
-def _parse_date(path, lineno: int, text: str) -> _dt.date:
+def _parse_hour(text: str) -> int:
+    """The hour ``text`` as an integer in 1..24; a ``ValueError`` naming the fault otherwise."""
     try:
-        return iso_date(text)
+        hour = int(text)
     except ValueError:
-        raise IngestionError(f"{path}:{lineno}: bad ISO date {text!r}") from None
-
-
-def _demand_rows(path, lineno: int, block, values: dict, days: dict) -> None:
-    """Add the ``block`` of rows from line ``lineno`` to ``values`` one row at a time.
-
-    Each row is checked in turn, so the first fault in the block is the one
-    raised, as an ``IngestionError`` naming its line.
-    """
-    for lineno, (date, hour, demand) in enumerate(block, lineno):
-        day = days.get(date)
-        if day is None:
-            day = days[date] = _parse_date(path, lineno, date)
-        try:
-            hour = int(hour)
-        except ValueError:
-            raise IngestionError(f"{path}:{lineno}: hour is not an integer: {hour!r}") from None
-        if not 1 <= hour <= 24:
-            raise IngestionError(f"{path}:{lineno}: hour must be in 1..24, got {hour}")
-        demand = finite_number(path, lineno, "demand", demand)
-        if (day, hour) in values:
-            raise IngestionError(f"{path}:{lineno}: duplicate entry for ({day}, {hour})")
-        values[(day, hour)] = demand
-
-
-def _demand_columns(block, values: dict, days: dict, hours: dict) -> dict | None:
-    """The ``block``'s ``(date, hour) -> demand`` entries, checked by whole columns.
-
-    Each date and hour text not seen before is parsed once into ``days`` or
-    ``hours``, which keep only the texts that pass.  None when a check
-    fails: a text that does not parse, an hour outside 1..24, a demand that
-    is not a finite number, or a key repeated in the block or in ``values``.
-    """
-    dates, hour_texts, demands = zip(*block)
-    try:
-        days.update((text, iso_date(text)) for text in set(dates).difference(days))
-        for text in set(hour_texts).difference(hours):
-            hour = int(text)
-            if not 1 <= hour <= 24:
-                return None
-            hours[text] = hour
-    except ValueError:
-        return None
-    numbers = finite_numbers(demands)
-    if numbers is None:
-        return None
-    keys = zip(map(days.__getitem__, dates), map(hours.__getitem__, hour_texts))
-    entries = dict(zip(keys, numbers))
-    if len(entries) < len(block) or not values.keys().isdisjoint(entries):
-        return None
-    return entries
+        raise ValueError(f"hour is not an integer: {text!r}") from None
+    if not 1 <= hour <= 24:
+        raise ValueError(f"hour must be in 1..24, got {hour}")
+    return hour
 
 
 def load_demand_csv(path: str | Path) -> DemandTable:
     """Load ``date,hour,demand`` rows; strict schema with line-numbered errors.
 
-    Each block of rows is checked by whole columns, and an hourly file
-    repeats each date text on 24 rows, so each distinct date and hour text
-    is parsed once.  Only a block that fails a bulk check is walked row by
-    row, which raises its first fault, as a line-by-line read would.
+    Read by :func:`~bootsmooth.tabular.read_keyed`.  An hourly file repeats each
+    date text on 24 rows and each hour text every day, so both keep their texts.
     """
-    values: dict = {}
     days: dict = {}
-    hours: dict = {}
-    blocks = read_blocks(path, ("date", "hour", "demand"))
-    next(blocks)
-    for lineno, block in blocks:
-        entries = _demand_columns(block, values, days, hours)
-        if entries is None:
-            _demand_rows(path, lineno, block, values, days)
-        else:
-            values.update(entries)
+    values = read_keyed(path, ("date", "hour", "demand"), (iso_date, _parse_hour), (days, {}))
     # the distinct days: a day has one text (YYYY-MM-DD only) and a row (a bad row ends the load)
     return DemandTable(values=values, dates=tuple(sorted(days.values())))
 
@@ -289,29 +229,9 @@ def load_demand_csv(path: str | Path) -> DemandTable:
 def load_temperature_csv(path: str | Path) -> dict:
     """Load ``date,mean_temp`` rows into a date -> temperature mapping.
 
-    Each block of rows is checked by whole columns; only a block that fails
-    is walked row by row, to raise its first fault.
+    Read by :func:`~bootsmooth.tabular.read_keyed`; a daily file holds each date text once.
     """
-    temps: dict = {}
-    blocks = read_blocks(path, ("date", "mean_temp"))
-    next(blocks)
-    for lineno, block in blocks:
-        dates, texts = zip(*block)
-        numbers = finite_numbers(texts)
-        try:
-            entries = {} if numbers is None else dict(zip(map(iso_date, dates), numbers))
-        except ValueError:
-            entries = {}
-        if len(entries) == len(block) and temps.keys().isdisjoint(entries):
-            temps.update(entries)
-            continue
-        for lineno, (date, temp) in enumerate(block, lineno):
-            day = _parse_date(path, lineno, date)
-            temp = finite_number(path, lineno, "mean_temp", temp)
-            if day in temps:
-                raise IngestionError(f"{path}:{lineno}: duplicate entry for {day}")
-            temps[day] = temp
-    return temps
+    return read_keyed(path, ("date", "mean_temp"), (iso_date,), (None,))
 
 
 def _tensor_rows(spec: DemandModelSpec, hour: int, temps) -> np.ndarray:

@@ -3,11 +3,11 @@
 Input: :func:`read_blocks` reads a UTF-8 CSV file in blocks of
 ``BLOCK_ROWS`` rows, refusing a missing or wrong header and a row of the
 wrong width.  A loader checks each block by whole columns, parsing its
-numbers with :func:`finite_numbers`; it walks the block row by row, with
-:func:`finite_number` and its other per-row checks, only when a bulk check
-fails, to name the first fault in file order.  Each refusal is an
-``IngestionError`` naming the path, the line and, for a bad value, the
-column.
+numbers with :func:`finite_numbers`, and walks it row by row, with
+:func:`finite_number`, only when a bulk check fails, to name the first fault
+in file order; :func:`read_keyed` does both with the same key parsers.  Each
+refusal is an ``IngestionError`` naming the path, the line and, for a bad
+value, the column.
 
 Output: reals are written with 17 significant digits so that
 ``float(fmt(x)) == x`` for every finite double; line terminators are fixed
@@ -29,12 +29,15 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import ConfigError, IngestionError
 
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# The one form iso_date takes, and its parse, bound once: a daily file parses each row's date.
+_iso_form = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+_from_iso = _dt.date.fromisoformat
 # Data rows per block of read_blocks, which bounds the rows a read holds at
 # once.  A block's field strings die between blocks, so a larger block only
 # raises peak memory: at 2,048 rows a one-year hourly demand fit peaked
@@ -119,23 +122,24 @@ def read_blocks(path: str | Path, header: Sequence[str] | None = None) -> Iterat
             if not first:
                 raise IngestionError(f"{path}:1: empty file or missing header")
             yield first
-            width, start, block, fault = len(first), 2, [], None
-            try:
-                for row in reader:
-                    if len(row) != width:
-                        lineno = start + len(block)
-                        fault = IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                        break
-                    block.append(row)
-                    if len(block) == BLOCK_ROWS:
-                        yield start, block
-                        start, block = start + BLOCK_ROWS, []
-            except (OSError, UnicodeDecodeError, csv.Error) as exc:
-                fault = exc
-            if block:
-                yield start, block
-            if fault is not None:
-                raise fault
+            width, start, full = len(first), 2, True
+            while full:
+                block, fault = [], None
+                try:
+                    # a row that fails to read leaves the rows before it in the block
+                    block.extend(islice(reader, BLOCK_ROWS))
+                except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                    fault = exc
+                widths = list(map(len, block))
+                if widths.count(width) < len(widths):
+                    bad = next(i for i, w in enumerate(widths) if w != width)
+                    fault = IngestionError(f"{path}:{start + bad}: expected {width} fields, got {widths[bad]}")
+                    del block[bad:]
+                if block:
+                    yield start, block
+                if fault is not None:
+                    raise fault
+                start, full = start + BLOCK_ROWS, len(block) == BLOCK_ROWS
     except OSError as exc:
         raise IngestionError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -169,6 +173,53 @@ def finite_numbers(texts: Iterable[str]) -> list[float] | None:
     return values if math.isfinite(sum(values)) else None
 
 
+def read_keyed(path: str | Path, header: Sequence[str], parsers: Sequence, memos: Sequence) -> dict:
+    """The rows of the CSV file ``path`` as ``key -> number``, in file order.
+
+    ``header`` names the key columns, each read by its function of ``parsers``
+    (a ``ValueError`` it raises is refused at the row's line), then a column of
+    finite numbers.  A key, its column's value or its columns' tuple, may not
+    repeat.  A key column whose texts repeat has a dict in ``memos`` (None
+    otherwise) that keeps each text parsed once.  Each block is checked by
+    whole columns, its keys before its numbers, so the memos hold the key texts
+    of a block that fails only :func:`finite_numbers`' overflow check.  A block
+    that fails is walked row by row, with the same parsers and
+    :func:`finite_number`, to raise its first fault.
+    """
+    values: dict = {}
+    blocks = read_blocks(path, header)
+    next(blocks)
+    for lineno, block in blocks:
+        *texts, numbers = zip(*block)
+        columns = []
+        try:
+            for parse, memo, column in zip(parsers, memos, texts):
+                if memo is not None:
+                    memo.update((text, parse(text)) for text in set(column).difference(memo))
+                    parse = memo.__getitem__
+                columns.append(map(parse, column))
+            numbers = finite_numbers(numbers)
+            keys = columns[0] if len(columns) == 1 else zip(*columns)
+            entries = {} if numbers is None else dict(zip(keys, numbers))
+        except ValueError:
+            entries = {}
+        if len(entries) == len(block) and values.keys().isdisjoint(entries):
+            values.update(entries)
+            continue
+        for lineno, row in enumerate(block, lineno):
+            try:
+                key = tuple(parse(text) for parse, text in zip(parsers, row))
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: {exc}") from None
+            number = finite_number(path, lineno, header[-1], row[-1])
+            key = key[0] if len(key) == 1 else key
+            if key in values:
+                shown = key if len(parsers) == 1 else f"({', '.join(map(str, key))})"
+                raise IngestionError(f"{path}:{lineno}: duplicate entry for {shown}")
+            values[key] = number
+    return values
+
+
 def write_json(path: str | Path, obj: object) -> None:
     with _output(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -181,12 +232,15 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def iso_date(text: str) -> _dt.date:
-    """The date ``text`` written ``YYYY-MM-DD``; ``ValueError`` for any other form.
+    """The date ``text`` written ``YYYY-MM-DD``; a ``ValueError`` naming it otherwise.
 
     ``date.fromisoformat`` alone also takes forms such as ``20240101`` and
     ``2024-W01-1`` from Python 3.11 on, so it would accept different input
     on different Python versions.
     """
-    if not _ISO_DATE.fullmatch(text):
-        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    return _dt.date.fromisoformat(text)
+    if _iso_form(text):
+        try:
+            return _from_iso(text)
+        except ValueError:
+            pass
+    raise ValueError(f"bad ISO date {text!r}")

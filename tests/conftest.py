@@ -219,6 +219,59 @@ def temperature_csv_oracle(path):
     return {dt.date.fromisoformat(date): float(temp) for date, temp in csv_header_and_rows(path)[1]}
 
 
+def keyed_csv_first_fault(path):
+    """The message of the first fault of a demand or temperature CSV, read row by row; None if none.
+
+    Its header names the schema (``date,hour,demand`` or ``date,mean_temp``).
+    Each row is read and checked in turn with the standard library alone: a
+    row the csv module cannot read, the field count, the date (ASCII
+    ``YYYY-MM-DD`` naming a calendar day), the hour (an integer in 1..24),
+    the number (a finite float), then the key.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        try:
+            return _first_row_fault(path, header, enumerate(reader, 2))
+        except csv.Error as exc:
+            return f"{path}:{reader.line_num}: {exc}"
+
+
+def _first_row_fault(path, header, rows):
+    """The message of the first fault among the ``(lineno, fields)`` of ``rows``; None if none."""
+    seen = set()
+    for lineno, row in rows:
+        where = f"{path}:{lineno}: "
+        if len(row) != len(header):
+            return where + f"expected {len(header)} fields, got {len(row)}"
+        date, *hour, number = row
+        digits = date[:4] + date[5:7] + date[8:]
+        try:
+            if len(date) != 10 or date[4] + date[7] != "--" or not set(digits) <= set("0123456789"):
+                raise ValueError(date)
+            key = day = dt.date(int(date[:4]), int(date[5:7]), int(date[8:]))
+        except ValueError:
+            return where + f"bad ISO date {date!r}"
+        if hour:  # the hour field of a demand row
+            try:
+                hour = int(hour[0])
+            except ValueError:
+                return where + f"hour is not an integer: {hour[0]!r}"
+            if not 1 <= hour <= 24:
+                return where + f"hour must be in 1..24, got {hour}"
+            key = (day, hour)
+        try:
+            value = float(number)
+        except ValueError:
+            return where + f"{header[-1]} is not a number: {number!r}"
+        if value in (math.inf, -math.inf) or value != value:
+            return where + f"{header[-1]} must be finite"
+        if key in seen:
+            return where + "duplicate entry for " + (f"({day}, {hour})" if key != day else f"{day}")
+        seen.add(key)
+    return None
+
+
 def matrix_csv_oracle(path):
     """``(y_or_None, X, names)`` of a well-formed matrix CSV, parsed row by row."""
     header, rows = csv_header_and_rows(path)

@@ -143,6 +143,12 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def write_text(path, text) -> str:
+    """Write ``text`` to ``path``; returns the path as a string."""
+    path.write_text(text)
+    return str(path)
+
+
 def read_report(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -508,6 +514,36 @@ class TestFitCommand:
     def test_kfold_folds_of_the_smallest_training_block_run(self, tmp_path, rng):
         small = dict(b_inner=5, sigma2_candidates=[1.0], gamma_candidates=[1.0])
         assert self.run_kfold_on_30_rows(tmp_path, rng, "select-dist", 4, 22, **small) == 0
+
+    @pytest.mark.parametrize("command", ["predict", "sweep-sigma"])
+    @pytest.mark.parametrize("folds", [12, 13])
+    def test_kfold_folds_above_the_rows_of_train_csv_exit_2(self, tmp_path, rng, capsys, command, folds):
+        # neither command tunes, so the folds split all 12 rows of train_csv
+        X = rng.uniform(-3.0, 3.0, size=(12, 2))
+        y = X[:, 0] + rng.standard_normal(12)
+        train, targets = tmp_path / "train.csv", tmp_path / "targets.csv"
+        write_matrix_csv(train, X, y)
+        write_matrix_csv(targets, X[:2], y[:2])
+        cfg = {
+            **base_matrix_config(train, targets),
+            "criterion": "kfold",
+            "criterion_folds": folds,
+            "distribution": {"sigma2": 1.0, "gamma": 1.0},
+            "sigma2_sweep": [1.0],
+            "gamma": 1.0,
+        }
+        out = tmp_path / "o"
+        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        if folds == 12:
+            assert code == 0
+            return
+        assert code == 2
+        # the CLI's message, not the selector's at fit time
+        assert capsys.readouterr().err == (
+            "config error: criterion_folds must be at most the 12 rows it selects on "
+            "(the rows of train_csv), got 13\n"
+        )
+        assert list(out.iterdir()) == []
 
     def test_fit_does_not_import_scipy(self, tmp_path, matrix_files):
         # nor, after a fit and a simulate, the thread pool or its logging
@@ -1306,6 +1342,83 @@ class TestExitCodes:
             assert err == "config error: lambda_grid entries must be finite and >= 0\n"
 
     @pytest.mark.parametrize(
+        "command, config, code, message",
+        [
+            ("fit", lambda t, m, d: {**m, "threads": 0}, 2, "config error: threads must be an integer >= 1"),
+            ("fit", lambda t, m, d: {**m, "b": 0}, 2, "config error: b must be an integer >= 1"),
+            (
+                "fit",
+                lambda t, m, d: "{",
+                2,
+                "config error: config file {config} is not valid JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)",
+            ),
+            ("fit", lambda t, m, d: "[1, 2]", 2, "config error: config root must be a JSON object"),
+            (
+                "fit",
+                lambda t, m, d: {**m, "train_csv": write_text(t / "features.csv", "x0,x1,x2\n1,2,3\n")},
+                2,
+                "config error: train_csv must carry a leading 'y' column",
+            ),
+            (
+                "fit",
+                lambda t, m, d: {**m, "targets_csv": write_text(t / "narrow.csv", "x0,x1\n1,2\n")},
+                2,
+                "config error: targets_csv has 2 feature columns, training data has 3",
+            ),
+            (
+                "fit",
+                lambda t, m, d: {**d, "temperature_csv": write_text(t / "temps0.csv", "date,mean_temp\n")},
+                2,
+                "config error: temperature file holds no rows",
+            ),
+            ("fit", lambda t, m, d: {**d, "temp_domain": [0, 10, 20]}, 2, "config error: temp_domain must be [lo, hi]"),
+            ("fit", lambda t, m, d: {**d, "window_days": 1}, 2, "config error: window_days must exceed t_lags=1"),
+            (
+                "sweep-sigma",
+                lambda t, m, d: {**d, "sigma2_sweep": [1.0], "gamma": 1.0},
+                2,
+                "config error: sweep-sigma runs on matrix-mode data",
+            ),
+            ("sweep-sigma", lambda t, m, d: {**m, "sigma2_sweep": []}, 2, "config error: sigma2_sweep must be nonempty"),
+            (
+                "fit",
+                lambda t, m, d: {**m, "train_csv": write_text(t / "bad.csv", "y,x0,x1,x2\n")},
+                3,
+                "ingestion error: {tmp}/bad.csv: no data rows",
+            ),
+            (
+                "fit",
+                lambda t, m, d: {**m, "train_csv": write_text(t / "bad.csv", "y\n1\n")},
+                3,
+                "ingestion error: {tmp}/bad.csv:1: no feature columns",
+            ),
+            (
+                "fit",
+                lambda t, m, d: {**m, "train_csv": write_text(t / "bad.csv", "")},
+                3,
+                "ingestion error: {tmp}/bad.csv:1: empty file or missing header",
+            ),
+        ],
+        ids=[
+            "threads", "b", "invalid_json", "root_not_object", "train_without_y", "targets_width",
+            "temperature_without_rows", "temp_domain_length", "window_days", "sweep_sigma_demand",
+            "sigma2_sweep_empty", "no_data_rows", "no_feature_columns", "empty_file",
+        ],
+    )
+    def test_each_refusal_exits_with_one_line_and_writes_nothing(
+        self, tmp_path, matrix_files, capsys, command, config, code, message
+    ):
+        cfg = config(tmp_path, every_command_config(matrix_files), demand_command_config(tmp_path))
+        path = tmp_path / "config.json"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == message.format(config=path, tmp=tmp_path) + "\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "override, message",
         [
             ({"cv": {"sigma2_count": 0}}, "cv: sigma2_count must be >= 1, got 0"),
@@ -1662,7 +1775,7 @@ class TestExitCodes:
 @pytest.mark.parametrize(
     "cls, names",
     [
-        (SelectorConfig, ("candidates", "lambda_grid", "criterion", "cv_folds")),
+        (SelectorConfig, ("candidates", "lambda_grid", "criterion", "criterion_folds")),
         (
             CvGrid,
             (

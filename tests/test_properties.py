@@ -7,7 +7,14 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from conftest import demand_csv_oracle, make_instance, matrix_csv_oracle, temperature_csv_oracle
+import pytest
+from conftest import (
+    demand_csv_oracle,
+    keyed_csv_first_fault,
+    make_instance,
+    matrix_csv_oracle,
+    temperature_csv_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +29,7 @@ from bootsmooth import (
     pbs_fit,
     select_fit,
 )
-from bootsmooth import tabular
+from bootsmooth import IngestionError, tabular
 
 _GRID = (0.0, 0.01, 0.3, 1.0, 10.0)
 
@@ -151,6 +158,72 @@ def test_temperature_loader_matches_the_row_by_row_oracle(days, block_rows, data
     temps, oracle = _load_both(text, load_temperature_csv, temperature_csv_oracle, block_rows)
     assert list(temps) == list(oracle)
     assert [v.hex() for v in temps.values()] == [v.hex() for v in oracle.values()]
+
+
+# Faults a demand or temperature row can hold, each as a function of the
+# row's fields and a drawn text that returns the faulty fields; a duplicate
+# is placed apart.
+_FAULTS = {
+    "bad_date": lambda row, text: [text, *row[1:]],
+    "hour_not_an_integer": lambda row, text: [row[0], text, *row[2:]],
+    "hour_out_of_range": lambda row, text: [row[0], text, *row[2:]],
+    "not_a_number": lambda row, text: [*row[:-1], text],
+    "not_finite": lambda row, text: [*row[:-1], text],
+    "short_row": lambda row, text: row[:-1],
+    "over_long": lambda row, text: [*row[:-1], text],
+}
+_FAULT_TEXTS = {
+    "bad_date": ("2022-13-01", "2022-02-30", "20220101", "2022-W01-1", " 2022-01-01", "2022-1-01",
+                 "\uff12022-01-01", "0000-01-01", ""),
+    "hour_not_an_integer": ("x", "1.5", "", "1e1", "nan", "1 2"),
+    "hour_out_of_range": ("0", "25", "-3", " 100 ", "0_0"),
+    "not_a_number": ("abc", "", "1..2", "0x10", "1e"),
+    "not_finite": ("nan", "inf", "-inf", "1e400", "-1e999", " NaN "),
+    "short_row": ("",),
+    # over the csv module's field size limit: a row it cannot read
+    "over_long": ("9" * 200_000,),
+}
+
+
+@pytest.mark.parametrize("hourly", [True, False], ids=["demand", "temperature"])
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40) | st.integers(257, 600),
+    faults=st.lists(
+        st.tuples(st.sampled_from(sorted(_FAULTS) + ["duplicate"]), st.integers(0, 10**6), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=6,
+    ),
+    block_rows=_BLOCKS,
+    data=st.data(),
+)
+def test_keyed_loader_names_the_oracles_first_fault(hourly, n, faults, block_rows, data):
+    start = dt.date(2023, 12, 20)
+    if hourly:
+        header, load = "date,hour,demand", load_demand_csv
+        rows = [[str(start + dt.timedelta(days=r // 24)), str(r % 24 + 1), f"{r}.5"] for r in range(n)]
+    else:
+        header, load = "date,mean_temp", load_temperature_csv
+        rows = [[str(start + dt.timedelta(days=r)), f"{r}.5"] for r in range(n)]
+    for kind, at, other in faults:
+        at, other = at % n, other % n
+        if kind == "duplicate":
+            # within one block or across blocks, as the block size and the two rows fall
+            rows[at] = [*rows[other][:-1], rows[at][-1]]
+        elif hourly or "hour" not in kind:
+            rows[at] = _FAULTS[kind](rows[at], data.draw(st.sampled_from(_FAULT_TEXTS[kind])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        expected = keyed_csv_first_fault(path)
+        blocks = nullcontext() if block_rows is None else mock.patch.object(tabular, "BLOCK_ROWS", block_rows)
+        with blocks:
+            if expected is None:
+                load(path)
+                return
+            with pytest.raises(IngestionError) as err:
+                load(path)
+    assert str(err.value) == expected
 
 
 @settings(max_examples=40, deadline=None)

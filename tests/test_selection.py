@@ -320,7 +320,7 @@ class TestSelectFit:
             candidates=candidates,
             lambda_grid=(0.0, 1.0),
             criterion="kfold",
-            cv_folds=3,
+            criterion_folds=3,
         )
         fit = select_fit(data, cfg)
 
@@ -396,7 +396,7 @@ class TestPairScores:
             CandidateModel("spike", (0, 7)),
             CandidateModel("wide", tuple(range(7))),
         )
-        cfg = SelectorConfig(candidates, self.GRID, criterion="kfold", cv_folds=4)
+        cfg = SelectorConfig(candidates, self.GRID, criterion="kfold", criterion_folds=4)
         Y = np.column_stack([data.y, rng.standard_normal(8)])
         sel = _PairSelector(data, cfg)
         scores = sel.scores(Y)
@@ -485,7 +485,7 @@ class TestPairScores:
             CandidateModel("dup", (0, 1, 5)),
             CandidateModel("sat", (0, 1, 2, 3, 4, 6)),
         )
-        cfg = SelectorConfig(candidates, self.GRID, criterion=criterion, cv_folds=3)
+        cfg = SelectorConfig(candidates, self.GRID, criterion=criterion, criterion_folds=3)
         sel = _PairSelector(data, cfg)
         Y = np.column_stack([data.y, rng.standard_normal((6, 4))])
         scores = sel.scores(Y)
@@ -681,7 +681,7 @@ class TestCoefficientsBlock:
     ])
     def test_every_column_matches_the_normal_equation_oracle(self, criterion, B, candidates, grid):
         data, Y = self.responses(7, B)
-        cfg = SelectorConfig(candidates, grid, criterion=criterion, cv_folds=5)
+        cfg = SelectorConfig(candidates, grid, criterion=criterion, criterion_folds=5)
         sel = _PairSelector(data, cfg)
         idx, C = sel.select(Y)
         assert C.shape == (6, B)
@@ -704,7 +704,7 @@ class TestCoefficientsBlock:
         # guards the instance above: one solve per candidate must serve
         # lambda = 0 and several lambda > 0 columns at once
         data, Y = self.responses(7, 64)
-        cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, cv_folds=5)
+        cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, criterion_folds=5)
         sel = _PairSelector(data, cfg)
         idx, _ = sel.select(Y)
         full = sel.pair_scorer_index[idx] == 2
@@ -787,7 +787,7 @@ class TestDuplicateCandidates:
         data = Dataset(rng.standard_normal(n), X)
         results = set()
         for order in itertools.permutations(self.CANDIDATES):
-            cfg = SelectorConfig(order, (0.0, 0.5, 0.5, 3.0), criterion=criterion, cv_folds=3)
+            cfg = SelectorConfig(order, (0.0, 0.5, 0.5, 3.0), criterion=criterion, criterion_folds=3)
             sel = _PairSelector(data, cfg)
             idx, C = sel.select(Y)
             ids = tuple(sel.pair_model_id[i] for i in idx)

@@ -241,7 +241,7 @@ class TestPbsFit:
         # width may change the summation order of ysum and cross, nothing else
         data = make_instance(rng, 14, 6)
         cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
-        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, cv_folds=4)
+        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, criterion_folds=4)
         dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
         B = 3 * smoothing.REPLICATE_CHUNK + 5
         fits = []
@@ -341,7 +341,7 @@ class TestPbsFit:
             candidates=(CandidateModel(1, (0,)), CandidateModel(2, (0, 1, 2))),
             lambda_grid=(0.0, 1.0),
             criterion="kfold",
-            cv_folds=3,
+            criterion_folds=3,
         )
         fit = pbs_fit(data, ResamplingDistribution(gamma=0.5, sigma2=1.0), 8, cfg, seed=4)
         responses = redrawn_responses(fit)

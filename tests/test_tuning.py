@@ -1,5 +1,7 @@
 """Cross-validated resampling-distribution selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import forget_cell_family, make_instance, read_float_table
@@ -25,6 +27,7 @@ from bootsmooth import (
     write_surface_csv,
 )
 from bootsmooth import tuning
+from bootsmooth.selection import _training_block, unbiased_variance
 
 
 def selector_for(p):
@@ -239,6 +242,17 @@ class TestCvSurface:
         with pytest.raises(SingularDesignError, match="fold 0"):
             cv_error_surface(data, grid, selector)
 
+    def test_training_block_is_memoised_by_its_held_out_fold(self, rng):
+        data = make_instance(rng, 20, 3)
+        folds = kfold_split(20, 4, seed=3)
+        block = _training_block(data, folds, 1)
+        rows = np.setdiff1d(np.arange(20), folds[1])
+        assert block.y.tobytes() == data.y[rows].tobytes()
+        assert block.X.tobytes() == data.X[rows].tobytes()
+        # a second lookup, with equal folds in new arrays, finds the same object
+        assert _training_block(data, [f.copy() for f in folds], 1) is block
+        assert _training_block(data, folds, 2) is not block
+
 
 class TestSelectDistribution:
     def test_direct_argmin(self):
@@ -308,6 +322,29 @@ class TestDefaults:
         data = Dataset(np.array([1.0, 2.0, 3.0]), np.array([[1.0], [2.0], [3.0]]))
         with pytest.raises(ValueError, match="zero"):
             default_sigma2_candidates(data)
+
+    def test_surface_without_sigma2_candidates_uses_the_defaults(self, rng):
+        data = make_instance(rng, 16, 3, noise=1.5)
+        grid = CvGrid(gamma_candidates=(0.0, 1.0), k=3, b_inner=10, seed=5, sigma2_count=3, sigma2_span=4.0)
+        derived = cv_error_surface(data, grid, selector_for(3))
+        sigma2s = default_sigma2_candidates(data, 3, 4.0)
+        explicit = cv_error_surface(data, replace(grid, sigma2_candidates=sigma2s), selector_for(3))
+        assert derived.sigma2_candidates == sigma2s
+        assert derived.errors.tobytes() == explicit.errors.tobytes()
+
+    def test_one_candidate_is_the_unbiased_variance(self, rng):
+        data = make_instance(rng, 12, 3)
+        assert default_sigma2_candidates(data, count=1, span=50.0) == (unbiased_variance(data),)
+
+    @pytest.mark.parametrize(
+        "count, span, message",
+        [(0, 10.0, "count must be >= 1"), (3, 0.0, "span must be finite and > 0, got 0.0"),
+         (3, float("inf"), "span must be finite and > 0, got inf")],
+    )
+    def test_count_and_span_refusals(self, rng, count, span, message):
+        with pytest.raises(ValueError) as err:
+            default_sigma2_candidates(make_instance(rng, 12, 3), count, span)
+        assert str(err.value) == message
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
