@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, NumericalError
+from .errors import ConfigError, IngestionError, NumericalError, SingularDesignError
 from .forecast import (
     TEMP_PAD,
     accuracy,
@@ -34,7 +34,7 @@ from .forecast import (
 from .selection import CandidateModel, Dataset, SelectorConfig
 from .simulation import StudyConfig, render_mse_svg, run_study, write_study_csvs
 from .smoothing import ResamplingDistribution
-from .splines import DemandModelSpec, SplineBasisSpec, load_demand_csv, load_temperature_csv
+from .splines import DemandModelSpec, SplineBasisSpec, _parse_hour, load_demand_csv, load_temperature_csv
 from .tabular import fmt, iso_date, staged_outputs, write_csv, write_json
 from .tuning import CvGrid, write_surface_csv
 
@@ -88,9 +88,7 @@ class DemandTargets:
                 days.append(iso_date(d))
             except ValueError:
                 raise ConfigError(f"bad target date {d!r}") from None
-        for h in hours:
-            if not 1 <= h <= 24:
-                raise ConfigError(f"target hour must be in 1..24, got {h}")
+        hours = [_parse_hour(h) for h in hours]
         object.__setattr__(self, "pairs", tuple((d, h) for d in days for h in hours))
 
 
@@ -256,47 +254,51 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
     return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
-def _tuning_grid(
-    cfg: dict, run: RunConfig, selector: SelectorConfig, n: int, rows: str, p: int, columns: str
-) -> CvGrid:
-    """The cv grid, with ``cv.k`` at most the ``n`` rows CV tunes on, and the ``p`` design columns
-    and a kfold ``selector``'s folds at most the rows of its smallest training block; ``rows``,
-    ``columns`` name them."""
-    grid = _cv_grid(cfg, run)
-    if grid.k > n:
-        raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
-    held = -(-n // grid.k)
-    block = f"the {n - held} rows of the smallest CV training block ({n} minus the {held} held out"
-    block += f" at cv.k={grid.k})"
-    if p > n - held:
-        raise ConfigError(f"the {p} design columns ({columns}) exceed {block}")
-    _check_folds(selector, n - held, block)
+def _checked_grid(cfg: dict, run: RunConfig, selector: SelectorConfig, sizes, tunes: bool) -> CvGrid | None:
+    """The cv grid of a run that ``tunes`` (else None), once ``sizes`` are checked before any fit.
+
+    ``sizes`` is ``(n, rows, p, columns)``: each problem's rows and design columns, and their
+    names.  Tuning needs ``cv.k`` at most ``n`` and ``p`` at most the rows of the smallest CV
+    training block; a kfold ``selector``'s folds may not exceed the rows it selects on: that
+    block's when the run tunes, else the ``n`` rows.
+    """
+    n, rows, p, columns = sizes
+    grid, selects_on = None, f"the {n} rows it selects on ({rows})"
+    if tunes:
+        grid = _cv_grid(cfg, run)
+        if grid.k > n:
+            raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
+        held = -(-n // grid.k)
+        n -= held
+        selects_on = f"the {n} rows of the smallest CV training block ({n + held} minus the {held}"
+        selects_on += f" held out at cv.k={grid.k})"
+        if p > n:
+            raise ConfigError(f"the {p} design columns ({columns}) exceed {selects_on}")
+    if selector.criterion == "kfold" and selector.criterion_folds > n:
+        raise ConfigError(f"criterion_folds must be at most {selects_on}, got {selector.criterion_folds}")
     return grid
 
 
-def _check_folds(selector: SelectorConfig, n: int, rows: str) -> None:
-    """A ``ConfigError`` when a kfold ``selector`` has more folds than the ``n`` rows it selects
-    on, which ``rows`` names; checked before any fit."""
-    if selector.criterion == "kfold" and selector.criterion_folds > n:
-        raise ConfigError(f"criterion_folds must be at most {rows}, got {selector.criterion_folds}")
-
-
 def _matrix_inputs(cfg: dict, with_targets: bool = True):
-    """A matrix config's training data, target rows and truths (None without
-    targets) and selector, read in that order: train CSV, targets CSV, candidates."""
+    """A matrix config's selector, its one problem and the rows and columns it fits, as
+    :func:`_demand_inputs` returns them; read in order: train CSV, targets CSV, candidates.
+
+    Without targets the problem's target rows, labels and truths are None."""
     y, X, _ = load_matrix_csv(_path(cfg, "train_csv"))
     if y is None:
         raise ConfigError("train_csv must carry a leading 'y' column")
     data = Dataset(y, X)
-    x_targets = truths = None
+    x_targets = labels = truths = None
     if with_targets:
         y, x_targets, _ = load_matrix_csv(_path(cfg, "targets_csv"))
         if x_targets.shape[1] != data.p:
             raise ConfigError(
                 f"targets_csv has {x_targets.shape[1]} feature columns, training data has {data.p}"
             )
+        labels = [str(t) for t in range(len(x_targets))]
         truths = None if y is None else list(y)
-    return data, x_targets, truths, _selector(cfg, _candidates(cfg, data.p))
+    sizes = (data.n, "the rows of train_csv", data.p, "the features of train_csv")
+    return _selector(cfg, _candidates(cfg, data.p)), [(data, x_targets, labels, truths)], sizes
 
 
 def _summary(command: str, run: RunConfig, **fields) -> dict:
@@ -380,20 +382,12 @@ def _forecast(
 ) -> int:
     """Fit and predict the targets: CV-tuned when ``dist`` is None, else at ``dist``."""
     mode = _mode(cfg)
-    if mode == "matrix":
-        data, x_targets, truths, selector = _matrix_inputs(cfg)
-        problems = [(data, x_targets, [str(t) for t in range(len(x_targets))], truths)]
-        cv_rows = (data.n, "the rows of train_csv", data.p, "the features of train_csv")
-    else:
-        selector, problems, cv_rows = _demand_inputs(cfg)
-    if dist is None:
-        grid = _tuning_grid(cfg, run, selector, *cv_rows)
-    else:
-        grid = None
-        _check_folds(selector, cv_rows[0], f"the {cv_rows[0]} rows it selects on ({cv_rows[1]})")
-    rows, surfaces = run_forecasts(
-        problems, selector, grid, dist, run.b, run.alpha, run.seed, columns=cv_rows[3]
-    )
+    selector, problems, sizes = (_matrix_inputs if mode == "matrix" else _demand_inputs)(cfg)
+    grid = _checked_grid(cfg, run, selector, sizes, tunes=dist is None)
+    try:
+        rows, surfaces = run_forecasts(problems, selector, grid, dist, run.b, run.alpha, run.seed)
+    except SingularDesignError as exc:
+        raise SingularDesignError(f"{exc}; the design's columns are {sizes[3]}") from exc
     surface = None
     selected = (None, None) if dist is None else (dist.sigma2, dist.gamma)
     if dist is None and mode == "matrix":
@@ -438,10 +432,8 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
             "select-dist runs on matrix-mode data; demand-mode fits select a "
             "distribution per rolling window inside 'fit'"
         )
-    data, _, _, selector = _matrix_inputs(cfg, with_targets=False)
-    grid = _tuning_grid(
-        cfg, run, selector, data.n, "the rows of train_csv", data.p, "the features of train_csv"
-    )
+    selector, [(data, *_)], sizes = _matrix_inputs(cfg, with_targets=False)
+    grid = _checked_grid(cfg, run, selector, sizes, tunes=True)
     surface, dist = tune_distribution(data, grid, selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
@@ -465,19 +457,9 @@ def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
     if not sweep:
         raise ConfigError("sigma2_sweep must be nonempty")
     gamma = _value(_require(cfg, "gamma"), "float", "gamma")
-    data, x_targets, truths, selector = _matrix_inputs(cfg)
-    _check_folds(selector, data.n, f"the {data.n} rows it selects on (the rows of train_csv)")
-    curve = run_sigma_sweep(
-        data,
-        x_targets,
-        truths,
-        sweep,
-        gamma,
-        selector,
-        run.b,
-        run.alpha,
-        run.seed,
-    )
+    selector, [(data, x_targets, _, truths)], sizes = _matrix_inputs(cfg)
+    _checked_grid(cfg, run, selector, sizes, tunes=False)
+    curve = run_sigma_sweep(data, x_targets, truths, sweep, gamma, selector, run.b, run.alpha, run.seed)
     write_csv(
         outdir / "sweep.csv",
         ["sigma2", "mspe", "coverage"],

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, NumericalError, SingularDesignError
+from .errors import ConfigError, IngestionError, NumericalError
 from .rng import derive_seed
 from .selection import (
     CandidateModel,
@@ -233,7 +233,6 @@ def run_forecasts(
     b: int,
     alpha: float,
     seed: int,
-    columns: str | None = None,
 ) -> tuple[list[TargetRow], list[CvSurface]]:
     """Report rows of each ``(data, x_targets, labels, truths)`` problem, in order.
 
@@ -244,8 +243,7 @@ def run_forecasts(
     with neither ``grid`` nor ``dist`` no problem is drawn (``ValueError``).
 
     A ``NumericalError`` of a one-target problem leads with ``target
-    <label>``; a ``SingularDesignError`` also ends naming the design's
-    ``columns`` (the setting that sets them), when given.
+    <label>``.
     """
     if grid is None and dist is None:
         raise ValueError("grid is required when dist is None")
@@ -265,8 +263,6 @@ def run_forecasts(
             message = str(exc)
             if len(labels) == 1 and not message.startswith(f"target {labels[0]}: "):
                 message = f"target {labels[0]}: {message}"
-            if columns is not None and isinstance(exc, SingularDesignError):
-                message += f"; the design's columns are {columns}"
             raise type(exc)(message) from exc
     return rows, surfaces
 

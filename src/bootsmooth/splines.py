@@ -1,11 +1,11 @@
 """B-spline bases and the hourly demand design matrix.
 
-Provides plain (clamped open-knot) and cyclic B-spline bases evaluated with
-the Cox-de Boor recursion, plus construction of the autoregressive +
-hour/temperature tensor-product design used for load regressions.  A
-window's design is built in one pass: one hour-basis evaluation, the
-temperature basis at all modeled days by one array recursion, and the lag
-columns as slices of one demand vector.
+Provides plain (clamped open-knot) and cyclic B-spline bases, evaluated at
+many points at once by one Cox-de Boor evaluator, plus construction of the
+autoregressive + hour/temperature tensor-product design used for load
+regressions.  A window's design and a target's feature row are rows of one
+builder, and :func:`_parse_hour` is the one hour rule (of the loader, the
+builder and the CLI).
 
 The demand and temperature CSV loaders live here too: each is one call of
 :func:`~bootsmooth.tabular.read_keyed` with its key parsers.
@@ -87,10 +87,9 @@ class SplineBasisSpec:
 
 
 def _nonzero_basis_values(knots: np.ndarray, degree: int, x, n_basis: int) -> tuple:
-    """Knot span and the degree+1 nonzero basis values at ``x`` (Cox-de Boor).
+    """Knot spans and the degree+1 nonzero basis values, (degree + 1, len(x)), at each point of ``x``.
 
-    ``x`` is a float, or a 1-D array whose points are evaluated together:
-    the values are then (degree + 1, len(x)), and each point takes the
+    One Cox-de Boor recursion over the 1-D array ``x``: each point takes the
     floating-point operations of a one-point evaluation, so its values do
     not depend on the other points.
     """
@@ -108,12 +107,6 @@ def _nonzero_basis_values(knots: np.ndarray, degree: int, x, n_basis: int) -> tu
     return span, np.array(vals)
 
 
-def _clamped_knots(spec: SplineBasisSpec) -> np.ndarray:
-    lo, hi = spec.domain
-    d = spec.degree
-    return np.concatenate([np.full(d + 1, lo), np.asarray(spec.interior_knots), np.full(d + 1, hi)])
-
-
 def bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     """All basis values at ``x`` for a plain (non-cyclic) basis.
 
@@ -125,23 +118,6 @@ def bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     return _bspline_rows(spec, [float(x)])[0]
 
 
-def _bspline_rows(spec: SplineBasisSpec, x) -> np.ndarray:
-    """All values of a plain basis at each point of ``x``, one row per point; (len(x), n_basis).
-
-    The first point outside the domain, in order, is the ``ValueError``.
-    """
-    x = np.asarray(x, dtype=float)
-    lo, hi = spec.domain
-    outside = ~((lo <= x) & (x <= hi))
-    if outside.any():
-        raise ValueError(f"x={float(x[outside][0])} outside basis domain [{lo}, {hi}]")
-    d = spec.degree
-    span, vals = _nonzero_basis_values(_clamped_knots(spec), d, x, spec.n_basis)
-    out = np.zeros((x.size, spec.n_basis))
-    out[np.arange(x.size)[:, None], span[:, None] - d + np.arange(d + 1)] = vals.T
-    return out
-
-
 def cyclic_bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     """All basis values at ``x`` for a cyclic basis; periodic in ``spec.period``.
 
@@ -150,21 +126,40 @@ def cyclic_bspline_basis(spec: SplineBasisSpec, x: float) -> np.ndarray:
     """
     if not spec.cyclic:
         raise ValueError("spec is not cyclic, use bspline_basis")
-    lo, _ = spec.domain
-    period = spec.period
+    return _bspline_rows(spec, [float(x)])[0]
+
+
+def _bspline_rows(spec: SplineBasisSpec, x) -> np.ndarray:
+    """All basis values at each point of ``x``, one row per point; (len(x), n_basis).
+
+    A plain basis has clamped knots and refuses the first point outside its
+    domain, in order, with a ``ValueError``.  A cyclic basis reduces each
+    point onto its domain, evaluates the plain basis of its q knot sites'
+    periodic extension (d extra on each side) and folds column j into column
+    j mod q, in ascending j.
+    """
+    x = np.asarray(x, dtype=float)
+    lo, hi = spec.domain
     d = spec.degree
-    sites = np.concatenate([[lo], np.asarray(spec.interior_knots)])
-    q = sites.size
-    # Periodic extension of the knot sites, d extra on each side.
-    idx = np.arange(-d, q + d + 1)
-    knots = sites[idx % q] + period * np.floor_divide(idx, q)
-    n_ordinary = q + d
-    xr = lo + float(np.mod(float(x) - lo, period))
-    span, vals = _nonzero_basis_values(knots, d, xr, n_ordinary)
-    out = np.zeros(q)
-    for offset, v in enumerate(vals):
-        out[(span - d + offset) % q] += v
-    return out
+    if spec.cyclic:
+        sites = np.concatenate([[lo], np.asarray(spec.interior_knots)])
+        q = sites.size
+        idx = np.arange(-d, q + d + 1)
+        knots = sites[idx % q] + spec.period * np.floor_divide(idx, q)
+        x = lo + np.mod(x - lo, spec.period)
+    else:
+        outside = ~((lo <= x) & (x <= hi))
+        if outside.any():
+            raise ValueError(f"x={float(x[outside][0])} outside basis domain [{lo}, {hi}]")
+        q = spec.n_basis
+        knots = np.concatenate([np.full(d + 1, lo), np.asarray(spec.interior_knots), np.full(d + 1, hi)])
+    n_ordinary = knots.size - d - 1
+    span, vals = _nonzero_basis_values(knots, d, x, n_ordinary)
+    out = np.zeros((x.size, n_ordinary))
+    out[np.arange(x.size)[:, None], span[:, None] - d + np.arange(d + 1)] = vals.T
+    for j in range(q, n_ordinary):
+        out[:, j % q] += out[:, j]
+    return out[:, :q]
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ class DemandTable:
 
 
 def _parse_hour(text: str) -> int:
-    """The hour ``text`` as an integer in 1..24; a ``ValueError`` naming the fault otherwise."""
+    """The hour ``text`` (or number) as an integer in 1..24; a ``ValueError`` naming the fault otherwise."""
     try:
         hour = int(text)
     except ValueError:
@@ -234,11 +229,27 @@ def load_temperature_csv(path: str | Path) -> dict:
     return read_keyed(path, ("date", "mean_temp"), (iso_date,), (None,))
 
 
-def _tensor_rows(spec: DemandModelSpec, hour: int, temps) -> np.ndarray:
-    """The hour/temperature tensor block at ``hour`` for each of ``temps``; (len(temps), Q*M)."""
-    h = cyclic_bspline_basis(spec.hour_basis, float(hour))
-    g = _bspline_rows(spec.temp_basis, temps)
-    return (h[None, :, None] * g[:, None, :]).reshape(len(g), -1)
+def _demand_rows(demand: DemandTable, temps: dict, spec: DemandModelSpec, hour, days, response: bool):
+    """``(y, X)``: the demand (None without ``response``) and design rows of ``days[t_lags:]``.
+
+    A row holds the ``t_lags`` lags (slices of one demand vector), then the
+    tensor block of one hour-basis row and the temperature basis at every
+    row's day together.  Missing keys, in day order, raise an ``IngestionError``.
+    """
+    hour = _parse_hour(hour)
+    t = spec.t_lags
+    lagged = days if response else days[:-1]
+    missing = [f"demand({d}, h={hour})" for d in lagged if (d, hour) not in demand.values]
+    missing += [f"temperature({d})" for d in days[t:] if d not in temps]
+    if missing:
+        raise IngestionError("missing keys: " + ", ".join(missing))
+    series = np.array([demand.values[(d, hour)] for d in lagged])
+    m = len(days) - t
+    lags = [series[t - k : t - k + m] for k in range(1, t + 1)]
+    h = _bspline_rows(spec.hour_basis, [hour])
+    g = _bspline_rows(spec.temp_basis, [temps[d] for d in days[t:]])
+    tensor = (h[:, :, None] * g[:, None, :]).reshape(m, -1)
+    return series[t:] if response else None, np.column_stack([*lags, tensor])
 
 
 def build_demand_design(
@@ -253,29 +264,14 @@ def build_demand_design(
     ``days`` is the temporally ordered modeling window; the first ``t_lags``
     entries serve only as lag context, the remaining entries are modeled.
     Each modeled day's row holds the same-hour demand of the ``t_lags``
-    preceding window days followed by the hour/temperature tensor block.
-    The design is built in one pass: the lag columns are slices of the
-    window's demand vector, the hour basis is evaluated once and the
-    temperature basis at every modeled day together.  Missing demand or
-    temperature keys raise an ``IngestionError`` listing them.
+    preceding window days followed by the hour/temperature tensor block,
+    built in one pass.  Missing demand or temperature keys raise an
+    ``IngestionError`` listing them.
     """
-    if not 1 <= int(hour) <= 24:
-        raise ValueError(f"hour must be in 1..24, got {hour}")
     days = list(days)
-    t = spec.t_lags
-    if len(days) <= t:
-        raise ValueError(f"window of {len(days)} days leaves no modeled day after {t} lags")
-    missing = [
-        f"demand({d}, h={hour})" for d in days if (d, int(hour)) not in demand.values
-    ]
-    missing += [f"temperature({d})" for d in days[t:] if d not in temps]
-    if missing:
-        raise IngestionError("missing keys: " + ", ".join(str(m) for m in missing))
-    hour = int(hour)
-    series = np.array([demand.values[(d, hour)] for d in days])
-    lags = [series[t - k : len(days) - k] for k in range(1, t + 1)]
-    tensor = _tensor_rows(spec, hour, [temps[d] for d in days[t:]])
-    return Dataset(series[t:], np.column_stack([*lags, tensor]))
+    if len(days) <= spec.t_lags:
+        raise ValueError(f"window of {len(days)} days leaves no modeled day after {spec.t_lags} lags")
+    return Dataset(*_demand_rows(demand, temps, spec, hour, days, response=True))
 
 
 def demand_feature_row(
@@ -286,19 +282,13 @@ def demand_feature_row(
     days,
     target_day,
 ) -> np.ndarray:
-    """Feature row predicting ``target_day`` from the window's trailing lags."""
+    """Feature row predicting ``target_day`` from the window's trailing lags.
+
+    It is the design row of ``target_day`` appended to ``days``, built
+    without the target's demand.
+    """
     days = list(days)
     if len(days) < spec.t_lags:
         raise ValueError(f"need at least {spec.t_lags} context days, got {len(days)}")
-    hour = int(hour)
-    missing = [
-        f"demand({days[-t]}, h={hour})"
-        for t in range(1, spec.t_lags + 1)
-        if (days[-t], hour) not in demand.values
-    ]
-    if target_day not in temps:
-        missing.append(f"temperature({target_day})")
-    if missing:
-        raise IngestionError("missing keys: " + ", ".join(missing))
-    lags = [demand.values[(days[-t], hour)] for t in range(1, spec.t_lags + 1)]
-    return np.concatenate([lags, _tensor_rows(spec, hour, [temps[target_day]])[0]])
+    context = days[-spec.t_lags :] + [target_day]
+    return _demand_rows(demand, temps, spec, hour, context, response=False)[1][0]

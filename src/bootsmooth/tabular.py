@@ -183,8 +183,9 @@ def read_keyed(path: str | Path, header: Sequence[str], parsers: Sequence, memos
     otherwise) that keeps each text parsed once.  Each block is checked by
     whole columns, its keys before its numbers, so the memos hold the key texts
     of a block that fails only :func:`finite_numbers`' overflow check.  A block
-    that fails is walked row by row, with the same parsers and
-    :func:`finite_number`, to raise its first fault.
+    is merged by one update, whose length shows a repeated key; one that fails
+    is walked row by row, with the same parsers and :func:`finite_number`, to
+    raise its first fault.
     """
     values: dict = {}
     blocks = read_blocks(path, header)
@@ -203,9 +204,12 @@ def read_keyed(path: str | Path, header: Sequence[str], parsers: Sequence, memos
             entries = {} if numbers is None else dict(zip(keys, numbers))
         except ValueError:
             entries = {}
-        if len(entries) == len(block) and values.keys().isdisjoint(entries):
-            values.update(entries)
+        seen = len(values)
+        values.update(entries)
+        if len(values) == seen + len(block):
             continue
+        # a fault, or a repeated key: walk the block from the keys read before it
+        values = dict(islice(values.items(), seen))
         for lineno, row in enumerate(block, lineno):
             try:
                 key = tuple(parse(text) for parse, text in zip(parsers, row))

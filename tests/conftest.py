@@ -7,6 +7,7 @@ inverses, and normal quantiles via erf and erfc bisection.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
@@ -175,6 +176,37 @@ def dense_smoothed_variance(fit, data: Dataset, x_new: np.ndarray) -> float:
     g = fit.distribution.gamma
     A = g * H + (1.0 - g) * np.eye(data.n)
     return float(cov @ (A @ A) @ cov) / fit.distribution.sigma2
+
+
+def cyclic_basis_oracle(spec, x: float) -> np.ndarray:
+    """The cyclic basis ``spec`` at ``x`` by the one-point loop, in plain Python floats.
+
+    ``x`` is reduced onto the domain; the Cox-de Boor recursion runs on the
+    periodic extension of the knot sites (d extra on each side), and each of
+    the d + 1 nonzero values is added into its column modulo the site count,
+    in ascending order.
+    """
+    lo, d = spec.domain[0], spec.degree
+    period = spec.domain[1] - lo
+    sites = [lo, *spec.interior_knots]
+    q = len(sites)
+    knots = [sites[i % q] + period * (i // q) for i in range(-d, q + d + 1)]
+    x = lo + float(np.mod(float(x) - lo, period))
+    span = min(max(bisect.bisect_right(knots, x) - 1, d), q + d - 1)
+    vals, left, right = [1.0], [None], [None]
+    for j in range(1, d + 1):
+        left.append(x - knots[span + 1 - j])
+        right.append(knots[span + j] - x)
+        saved = 0.0
+        for r in range(j):
+            tmp = vals[r] / (right[r + 1] + left[j - r])
+            vals[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        vals.append(saved)
+    out = [0.0] * q
+    for offset, v in enumerate(vals):
+        out[(span - d + offset) % q] += v
+    return np.array(out)
 
 
 def write_demand_files(tmp_path, rows, temps):

@@ -1375,6 +1375,37 @@ class TestExitCodes:
             ("fit", lambda t, m, d: {**d, "temp_domain": [0, 10, 20]}, 2, "config error: temp_domain must be [lo, hi]"),
             ("fit", lambda t, m, d: {**d, "window_days": 1}, 2, "config error: window_days must exceed t_lags=1"),
             (
+                "fit",
+                lambda t, m, d: {**d, "targets": [{**d["targets"][0], "hour": 25}]},
+                2,
+                "config error: targets[0]: hour must be in 1..24, got 25",
+            ),
+            (
+                "predict",
+                lambda t, m, d: {**d, "targets": {"dates": [d["targets"][0]["date"]], "hours": [9, 0]}},
+                2,
+                "config error: targets: hours must be in 1..24, got 0",
+            ),
+            (
+                "fit",
+                lambda t, m, d: {**d, "targets": [{"date": "2021-13-01", "hour": 9}]},
+                2,
+                "config error: targets[0]: bad target date '2021-13-01'",
+            ),
+            ("fit", lambda t, m, d: {**d, "targets": []}, 2, "config error: no targets configured"),
+            (
+                "predict",
+                lambda t, m, d: {**d, "targets": {"dates": [], "hours": [9]}},
+                2,
+                "config error: no targets configured",
+            ),
+            (
+                "fit",
+                lambda t, m, d: {**d, "targets": [{"date": "2000-01-03", "hour": 9}]},
+                2,
+                "config error: target 2000-01-03: only 0 same-weekday days of history, need 15",
+            ),
+            (
                 "sweep-sigma",
                 lambda t, m, d: {**d, "sigma2_sweep": [1.0], "gamma": 1.0},
                 2,
@@ -1402,7 +1433,9 @@ class TestExitCodes:
         ],
         ids=[
             "threads", "b", "invalid_json", "root_not_object", "train_without_y", "targets_width",
-            "temperature_without_rows", "temp_domain_length", "window_days", "sweep_sigma_demand",
+            "temperature_without_rows", "temp_domain_length", "window_days", "target_hour",
+            "targets_object_hours", "target_date", "targets_empty_list", "targets_empty_dates",
+            "target_without_history", "sweep_sigma_demand",
             "sigma2_sweep_empty", "no_data_rows", "no_feature_columns", "empty_file",
         ],
     )

@@ -4,7 +4,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from conftest import write_demand_files
+from conftest import cyclic_basis_oracle, write_demand_files
 
 from bootsmooth import (
     DemandModelSpec,
@@ -359,7 +359,7 @@ class TestCsvFaultOrder:
 
 
 class TestOnePassDesign:
-    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
     def test_array_basis_equals_one_point_evaluations(self, rng, degree):
         from bootsmooth.splines import _bspline_rows
 
@@ -367,6 +367,40 @@ class TestOnePassDesign:
         x = np.concatenate([[-8.5, 31.0], spec.interior_knots, rng.uniform(-8.5, 31.0, 200)])
         rows = _bspline_rows(spec, x)
         assert rows.tobytes() == np.array([bspline_basis(spec, v) for v in x]).tobytes()
+        # cyclic bases, multi-point and one-point, against the one-point loop, bitwise
+        for sites in range(1, 9):
+            for lo, period in ((0.0, 24.0), (-8.5, 39.5), (1.25, 0.75)):
+                spec = SplineBasisSpec.uniform_cyclic(degree, sites, lo, period)
+                x = np.concatenate(
+                    [
+                        [lo + k * period for k in range(-3, 4)],
+                        [s + k * period for s in spec.interior_knots for k in (-3, 0, 3)],
+                        lo + rng.uniform(-3.0, 3.0, 40) * period,
+                    ]
+                )
+                expected = np.array([cyclic_basis_oracle(spec, v) for v in x])
+                assert np.array([cyclic_bspline_basis(spec, v) for v in x]).tobytes() == expected.tobytes()
+                assert _bspline_rows(spec, x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t_lags", [1, 2, 3])
+    def test_feature_row_is_the_last_design_row_of_the_extended_window(self, t_lags):
+        table, temps, spec, days = demand_inputs(n_days=9, t_lags=t_lags, q=2, m=5)
+        window, day = days[:-1], days[-1]
+        row = demand_feature_row(table, temps, spec, 9, window, day)
+        data = build_demand_design(table, temps, spec, hour=9, days=window + [day])
+        assert row.tobytes() == data.X[-1].tobytes()
+
+    @pytest.mark.parametrize("hour", [0, 25])
+    def test_both_builders_refuse_an_hour_outside_1_to_24(self, hour):
+        table, temps, spec, days = demand_inputs(n_days=6, q=1, m=4)
+        # keys at the bad hour, so that only the hour rule can refuse it
+        values = {**table.values, **{(d, hour): 1.0 for d in days}}
+        table = type(table)(values=values, dates=table.dates)
+        message = f"^hour must be in 1..24, got {hour}$"
+        with pytest.raises(ValueError, match=message):
+            build_demand_design(table, temps, spec, hour=hour, days=days)
+        with pytest.raises(ValueError, match=message):
+            demand_feature_row(table, temps, spec, hour, days[:-1], days[-1])
 
     def test_first_temperature_outside_the_domain_is_named(self):
         table, temps, spec, days = demand_inputs(n_days=6, q=1, m=4)
