@@ -5,8 +5,9 @@ Subcommands: ``fit``, ``predict``, ``select-dist``, ``sweep-sigma``,
 flag overrides (``--seed``, ``--threads``, ``--alpha``, ``--out``) and writes
 its outputs into the ``--out`` directory.
 
-Exit codes: 0 success, 2 configuration error, 3 ingestion error, 4 numerical
-failure.  Any other exit (1, with a traceback) is a defect.
+Exit codes: 0 success, 2 configuration error (and a run out of memory, which
+names the replicate counts), 3 ingestion error, 4 numerical failure.  Any
+other exit (1, with a traceback) is a defect.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .forecast import (
     tune_distribution,
     write_report_csv,
 )
+from .rng import MAX_REPLICATES
 from .selection import CandidateModel, Dataset, SelectorConfig
 from .simulation import StudyConfig, render_mse_svg, run_study, write_study_csvs
 from .smoothing import ResamplingDistribution
@@ -61,6 +63,8 @@ class RunConfig:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.b < 1:
             raise ConfigError("b must be an integer >= 1")
+        if self.b > MAX_REPLICATES:
+            raise ConfigError(f"b must be at most 2**32, the replicates a seed's streams index, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -561,6 +565,14 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        # a run's arrays grow with its replicate counts; numpy's message names a shape, not a key
+        print(
+            "config error: out of memory; the replicate counts b, cv.b_inner and study.b "
+            "set the size of a run's arrays",
+            file=sys.stderr,
+        )
+        return 2
 
 
 def entrypoint() -> None:  # console-script shim

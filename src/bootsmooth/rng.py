@@ -15,6 +15,7 @@ SC 2011), so the draws are the bytes a fresh generator would give.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -33,6 +34,15 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
+
+# Replicates a seed's streams can index: replicate b is one spawn word, b < 2**32.
+MAX_REPLICATES = 2**32
+
+# Cells whose replicate keys one _cell_family call derives, at most.  A
+# family's keys and working arrays grow with cells x B: the 184 cells of the
+# default study sweeps at B = 200 peaked at 1.69 MB in one call.  32 keeps a
+# simulate replication (30 cells) and a fit_demand fold (18) to one call.
+FAMILY_CELLS = 32
 
 
 def _word(value) -> int:
@@ -153,7 +163,7 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     lo, hi = _word(lo), _word(hi)
     if not 0 <= lo <= hi:
         raise ValueError(f"replicate range must satisfy 0 <= lo <= hi, got {lo}..{hi}")
-    if hi > 2**32:
+    if hi > MAX_REPLICATES:
         raise ValueError(f"replicate index must be < 2**32, got hi={hi}")
     seed = _word(seed)
     row = _family["rows"].get(seed)
@@ -162,25 +172,41 @@ def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return _state(_words(seed, _POOL_SIZE) + [np.arange(lo, hi, dtype=np.uint32)], 4)
 
 
-def _cell_family(seed: int, prefix: tuple, shape: tuple, B: int) -> tuple[np.ndarray, np.ndarray]:
+def _cell_family(seed: int, prefix: tuple, shape: tuple, B: int, lo: int = 0, hi: int | None = None):
     """Seeds and replicate keys of the cells ``derive_seed(seed, *prefix, *index)``.
 
-    ``index`` runs over ``shape``.  Returns the cell seeds, uint64 of
-    ``shape``, and the memo that :func:`replicate_keys` serves, (*shape, B, 2)
-    uint64 read-only, ``keys[index] == replicate_keys(seeds[index], 0, B)``:
-    one :func:`_state` of the seeds' words with the replicate index
-    broadcast.  Every path word must be one ``SeedSequence`` word, < ``2**32``.
+    ``index`` runs over the cells ``lo..hi-1`` of ``shape`` in C order, by
+    default all of them.  Returns the cell seeds, uint64 (cells,), and the
+    memo that :func:`replicate_keys` serves, (cells, B, 2) uint64 read-only,
+    ``keys[c] == replicate_keys(seeds[c], 0, B)``: one :func:`_state` of the
+    seeds' words with the replicate index broadcast.  Every path word must
+    be one ``SeedSequence`` word, < ``2**32``.
     """
     prefix = [_word(p) for p in prefix]
-    if not all(0 <= p < 2**32 for p in prefix) or max(shape) > 2**32 or not 0 <= B <= 2**32:
+    if not all(0 <= p < 2**32 for p in prefix) or max(shape) > 2**32 or not 0 <= B <= MAX_REPLICATES:
         raise ValueError(f"path words must lie in 0..2**32-1 and B in 0..2**32, got {prefix}, {shape}, {B}")
-    seeds = derive_seed(seed, *prefix, *np.indices(shape, dtype=np.uint32).reshape(len(shape), -1))
+    cells = np.arange(lo, math.prod(shape) if hi is None else hi)
+    index = [i.astype(np.uint32) for i in np.unravel_index(cells, shape)]
+    seeds = derive_seed(seed, *prefix, *index)
     words = [(seeds & _MASK32)[:, None], (seeds >> 32)[:, None], 0, 0]
     keys = _state(words + [np.arange(B, dtype=np.uint32)], 4)
     keys.setflags(write=False)
     _family["rows"] = dict(zip(seeds.tolist(), range(seeds.size)))
     _family["keys"] = keys
-    return seeds.reshape(shape), keys.reshape(*shape, B, 2)
+    return seeds, keys
+
+
+def cell_seeds(seed: int, prefix: tuple, shape: tuple, B: int):
+    """The cell seeds ``derive_seed(seed, *prefix, *index)``, ``index`` over ``shape`` in C order, as ints.
+
+    The seeds and replicate keys of ``FAMILY_CELLS`` cells at a time are
+    derived in one :func:`_cell_family` pass as the iteration reaches them,
+    so :func:`replicate_keys` serves the keys of the cell just yielded, and
+    the family's memory stays bounded however many cells ``shape`` holds.
+    """
+    size = math.prod(shape)
+    for lo in range(0, size, FAMILY_CELLS):
+        yield from _cell_family(seed, prefix, shape, B, lo, min(lo + FAMILY_CELLS, size))[0].tolist()
 
 
 # The one Philox generator that keyed_generator re-keys, and the state it

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError
-from .rng import _cell_family, derive_seed, generator
+from .errors import NumericalError, SelectionFailureError
+from .rng import MAX_REPLICATES, cell_seeds, derive_seed, generator
 from .selection import (
     CandidateModel,
     Dataset,
@@ -66,6 +66,8 @@ class StudyConfig:
             raise ValueError("reps must be >= 1")
         if self.b < 1:
             raise ValueError("b must be >= 1")
+        if self.b > MAX_REPLICATES:
+            raise ValueError(f"b must be at most 2**32, the replicates a seed's streams index, got {self.b}")
         if not 0.0 <= self.noise_sd < np.inf:
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         s2 = _DEFAULT_SIGMA2_SWEEP if self.sigma2_sweep is None else self.sigma2_sweep
@@ -146,10 +148,13 @@ def run_study(config: StudyConfig) -> StudyResult:
     Replication r draws a fresh design and response from streams
     ``(master_seed, 0, r)`` and ``(master_seed, 1, r)``; the cell (r, i, j)
     fit uses seed ``derive_seed(master_seed, 2, r, i, j)``, derived with its
-    replicate keys for all cells of replication r at once.  Results are
-    averaged over replications in replication order.  A generated response
-    that is not finite (``noise_sd`` too large) is a ``NumericalError``
-    naming its replication.
+    replicate keys for the cells of replication r in batches of at most
+    ``rng.FAMILY_CELLS``.  A cell reads only the smoothed coefficients and
+    the selected models, so its fit skips the variance moments
+    (``moments=False``).  Results are averaged over replications in
+    replication order.  A generated response that is not finite
+    (``noise_sd`` too large) is a ``NumericalError`` naming its replication;
+    a cell whose selection fails names its replication and cell.
     """
     selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=config.lambda_grid)
     t, s = len(config.sigma2_sweep), len(config.gamma_sweep)
@@ -157,6 +162,11 @@ def run_study(config: StudyConfig) -> StudyResult:
     freqs = np.empty((config.reps, t, s, _N_MODELS))
     base_err = np.empty(config.reps)
     beta_true = np.concatenate([[1.0], true_coefficients(config.true_model_j)])
+    cells = [
+        (i, j, ResamplingDistribution(gamma=gamma, sigma2=sigma2))
+        for i, sigma2 in enumerate(config.sigma2_sweep)
+        for j, gamma in enumerate(config.gamma_sweep)
+    ]
 
     for r in range(config.reps):
         X = generate_design(config.n, _N_FEATURES, derive_seed(config.master_seed, _TAG_DESIGN, r))
@@ -171,20 +181,18 @@ def run_study(config: StudyConfig) -> StudyResult:
         data = Dataset(y, np.column_stack([np.ones(config.n), X]))
         baseline = select_fit(data, selector)
         base_err[r] = float(np.sum((baseline.coefficients - beta_true) ** 2))
-        seeds = _cell_family(config.master_seed, (_TAG_CELL, r), (t, s), config.b)[0].tolist()
-        for i, sigma2 in enumerate(config.sigma2_sweep):
-            for j, gamma in enumerate(config.gamma_sweep):
-                fit = pbs_fit(
-                    data,
-                    ResamplingDistribution(gamma=gamma, sigma2=sigma2),
-                    config.b,
-                    selector,
-                    seeds[i][j],
-                )
-                sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
-                # model ids are 1.._N_MODELS; slot 0 of the count stays empty
-                counts = np.bincount(fit.model_ids, minlength=_N_MODELS + 1)
-                freqs[r, i, j] = counts[1:] / config.b
+        seeds = cell_seeds(config.master_seed, (_TAG_CELL, r), (t, s), config.b)
+        for (i, j, dist), seed in zip(cells, seeds):
+            try:
+                fit = pbs_fit(data, dist, config.b, selector, seed, moments=False)
+            except SelectionFailureError as exc:
+                raise SelectionFailureError(
+                    f"replication {r}, sigma2={dist.sigma2!r}, gamma={dist.gamma!r}: {exc}"
+                ) from exc
+            sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
+            # model ids are 1.._N_MODELS; slot 0 of the count stays empty
+            counts = np.bincount(fit.model_ids, minlength=_N_MODELS + 1)
+            freqs[r, i, j] = counts[1:] / config.b
 
     result = StudyResult(
         sigma2_sweep=config.sigma2_sweep,

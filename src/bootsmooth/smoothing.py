@@ -11,11 +11,15 @@ A fit derives the Philox keys of all its replicates once and processes
 the replicates serially in chunks of ``REPLICATE_CHUNK`` (256), the last
 one partial.  Each chunk's response sums and cross moments are added to
 running totals in chunk order, so the GEMM shapes and the summation order,
-and with them the output bytes, depend only on the inputs.
+and with them the output bytes, depend only on the inputs.  Those moments
+feed only the delta-method variance: a fit made with ``moments=False`` (a
+CV cell, a study cell) skips them, and the variance and interval functions
+refuse it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -132,7 +136,11 @@ class PredictionInterval:
 
 def resampling_mean(data: Dataset, gamma: float) -> np.ndarray:
     """Resampling mean ``gamma X b_ols + (1 - gamma) y``, ``b_ols`` the memoised
-    :func:`ols_fit` of ``data``; exact at endpoints."""
+    :func:`ols_fit` of ``data``; exact at endpoints.
+
+    Memoised on ``data`` per ``gamma``, as :func:`ols_fit` is: a later call
+    returns the same read-only array.
+    """
     center = ols_fit(data).coefficients
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
@@ -141,7 +149,15 @@ def resampling_mean(data: Dataset, gamma: float) -> np.ndarray:
 
 
 def _mean_vector(data: Dataset, center: np.ndarray, gamma: float) -> np.ndarray:
-    return gamma * (data.X @ center) + (1.0 - gamma) * data.y
+    """The memo of :func:`resampling_mean`; ``center`` is ``ols_fit(data).coefficients``."""
+
+    def build() -> np.ndarray:
+        mean = gamma * (data.X @ center) + (1.0 - gamma) * data.y
+        mean.setflags(write=False)
+        return mean
+
+    # keyed by gamma's bits: -0.0 and 0.0 can round a mean's zeros to other signs
+    return data._derived(("mean", gamma.hex()), build)
 
 
 def _draw_block(mean: np.ndarray, sd: float, keys: list) -> np.ndarray:
@@ -192,6 +208,8 @@ def pbs_fit(
     B: int,
     selector: SelectorConfig,
     seed: int,
+    *,
+    moments: bool = True,
 ) -> PbsFit:
     """Run the full selection pipeline on B bootstrap replicates and average.
 
@@ -207,13 +225,17 @@ def pbs_fit(
         Candidate models and penalty grid applied to every replicate.
     seed : int
         Master seed; replicate b uses the substream (seed, b).
+    moments : bool
+        Accumulate ``cross_moment`` and ``ybar_star``, which only the
+        delta-method variance reads; False leaves them None and changes no
+        other field's bytes.
     """
     B = _replicate_count(B)
     # The one OLS fit; it refuses a rank-deficient design.  ``dist`` has
     # checked gamma, so the mean is that of resampling_mean.
     center = ols_fit(data).coefficients
     mean = _mean_vector(data, center, dist.gamma)
-    sd = float(np.sqrt(dist.sigma2))
+    sd = math.sqrt(dist.sigma2)
     sel = _PairSelector.for_data(data, selector)
 
     keys = replicate_keys(seed, 0, B).tolist()
@@ -222,8 +244,8 @@ def pbs_fit(
     model_ids: list = [None] * B
     # Running sums, added to in chunk order; any other order would change
     # the output bytes.
-    ysum = np.zeros(data.n)
-    cross = np.zeros((data.n, data.p))
+    ysum = np.zeros(data.n) if moments else None
+    cross = np.zeros((data.n, data.p)) if moments else None
 
     for lo in range(0, B, REPLICATE_CHUNK):
         hi = min(lo + REPLICATE_CHUNK, B)
@@ -232,18 +254,19 @@ def pbs_fit(
         coeffs[lo:hi] = C.T
         model_ids[lo:hi] = [sel.pair_model_id[i] for i in idx.tolist()]
         lambdas[lo:hi] = sel.pair_lambda[idx]
-        u = Y - mean[:, None]
-        c = C - center[:, None]
-        ysum += Y.sum(axis=1)
-        cross += u @ c.T
+        if moments:
+            u = Y - mean[:, None]
+            c = C - center[:, None]
+            ysum += Y.sum(axis=1)
+            cross += u @ c.T
 
     return PbsFit(
         beta_pbs=coeffs.mean(axis=0),
         coefficients=coeffs,
         model_ids=model_ids,
         lambdas=lambdas,
-        cross_moment=cross / B,
-        ybar_star=ysum / B,
+        cross_moment=cross / B if moments else None,
+        ybar_star=ysum / B if moments else None,
         mean_vector=mean,
         center_coefficients=center,
         distribution=dist,
@@ -264,7 +287,13 @@ def _finalize_variance(value: float, context: str) -> float:
 
 
 def _check_variance_inputs(fit: PbsFit, data: Dataset, x_rows) -> np.ndarray:
-    """``x_rows`` as finite (m, p) float rows, a (p,) row as one; refuses sigma2 = 0."""
+    """``x_rows`` as finite (m, p) float rows, a (p,) row as one; refuses a fit
+    made without moments and sigma2 = 0."""
+    if fit.cross_moment is None:
+        raise ValueError(
+            "the fit was made with moments=False and has no cross moment; "
+            "refit with moments=True for a delta-method variance"
+        )
     x_rows = np.atleast_2d(_feature_rows(x_rows, data.p))
     if fit.distribution.sigma2 == 0.0:
         raise NumericalError(

@@ -2,10 +2,15 @@
 
 K-fold CV over a (sigma2, gamma) candidate grid: each cell reruns the whole
 bootstrap-smoothing pipeline on the training block and accumulates squared
-held-out prediction error.  Each cell has its own derived seed, so any cell
-of the surface can be recomputed on its own: the seeds and replicate keys of
-one fold's cells are derived together, in one array pass, and a cell
-recomputed alone with its derived seed draws the same streams.
+held-out prediction error.  A cell is scored by the smoothed coefficients
+alone, so its fit skips the moments of the delta-method variance
+(``pbs_fit(..., moments=False)``).  What a fold fixes is set up once per
+fold: the training block, its OLS fit and resampling means, and the
+held-out rows are memoised on the data.  Each cell has its own derived
+seed, so any cell of the surface can be recomputed on its own: the seeds and
+replicate keys of a fold's cells are derived together, up to
+``rng.FAMILY_CELLS`` cells per array pass, and a cell recomputed alone with
+its derived seed draws the same streams.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, SingularDesignError
-from .rng import _cell_family
+from .errors import NumericalError, SelectionFailureError, SingularDesignError
+from .rng import MAX_REPLICATES, cell_seeds
 from .selection import Dataset, SelectorConfig, _training_block, kfold_split, unbiased_variance
 from .smoothing import ResamplingDistribution, pbs_fit
 from .tabular import fmt, write_csv
@@ -63,6 +68,10 @@ class CvGrid:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.b_inner < 1:
             raise ValueError(f"b_inner must be >= 1, got {self.b_inner}")
+        if self.b_inner > MAX_REPLICATES:
+            raise ValueError(
+                f"b_inner must be at most 2**32, the replicates a seed's streams index, got {self.b_inner}"
+            )
         if self.fold_mode not in ("random", "contiguous"):
             raise ValueError(f"unknown fold_mode {self.fold_mode!r}")
         # checked even when sigma2_candidates are given, so a bad value is never ignored
@@ -118,44 +127,52 @@ def cv_cell_error(
     rows.  The resampling mean is the training block's own OLS fit.  Exposed
     so that any cell can be recomputed in isolation from its derived seed.
     """
-    held = folds[fold_index]
-    train_data = _training_block(data, folds, fold_index)
+    train_data, y_held, X_held = _fold(data, folds, fold_index)
     try:
-        fit = pbs_fit(train_data, dist, b_inner, selector, seed)
+        fit = pbs_fit(train_data, dist, b_inner, selector, seed, moments=False)
     except SingularDesignError as exc:
         raise SingularDesignError(f"fold {fold_index}: {exc}") from exc
-    resid = data.y[held] - data.X[held] @ fit.beta_pbs
+    except SelectionFailureError as exc:
+        raise SelectionFailureError(
+            f"fold {fold_index}, sigma2={dist.sigma2!r}, gamma={dist.gamma!r}: {exc}"
+        ) from exc
+    resid = y_held - X_held @ fit.beta_pbs
     return float(resid @ resid)
+
+
+def _fold(data: Dataset, folds: list[np.ndarray], held: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """The training block of fold ``held`` and its held-out ``y`` and ``X`` rows,
+    memoised on ``data`` by the held-out fold, as the training block is."""
+    rows = folds[held]
+    return data._derived(
+        ("fold", rows.tobytes()),
+        lambda: (_training_block(data, folds, held), data.y[rows], data.X[rows]),
+    )
 
 
 def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> CvSurface:
     """K-fold CV error over the full (sigma2, gamma) candidate grid.
 
     Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``,
-    derived with its replicate keys for all cells of fold k at once; the
-    cell errors are summed over folds in fold order.
+    derived with its replicate keys for the cells of fold k in batches of
+    at most ``rng.FAMILY_CELLS``; the cell errors are summed over folds in
+    fold order.
     """
     if grid.sigma2_candidates is None:
         sigma2s = default_sigma2_candidates(data, grid.sigma2_count, grid.sigma2_span)
         grid = replace(grid, sigma2_candidates=sigma2s)
     folds = kfold_split(data.n, grid.k, grid.seed, grid.fold_mode)
     t, s = len(grid.sigma2_candidates), len(grid.gamma_candidates)
+    cells = [
+        (i, j, ResamplingDistribution(gamma=gamma, sigma2=sigma2))
+        for i, sigma2 in enumerate(grid.sigma2_candidates)
+        for j, gamma in enumerate(grid.gamma_candidates)
+    ]
     parts = np.empty((grid.k, t, s))
     for k in range(grid.k):
-        # one fold's cells at a time: the keys of a whole surface would
-        # raise the peak memory of a large surface by megabytes
-        seeds = _cell_family(grid.seed, (k,), (t, s), grid.b_inner)[0].tolist()
-        for i, sigma2 in enumerate(grid.sigma2_candidates):
-            for j, gamma in enumerate(grid.gamma_candidates):
-                parts[k, i, j] = cv_cell_error(
-                    data,
-                    folds,
-                    k,
-                    ResamplingDistribution(gamma=gamma, sigma2=sigma2),
-                    grid.b_inner,
-                    selector,
-                    seeds[i][j],
-                )
+        seeds = cell_seeds(grid.seed, (k,), (t, s), grid.b_inner)
+        for (i, j, dist), seed in zip(cells, seeds):
+            parts[k, i, j] = cv_cell_error(data, folds, k, dist, grid.b_inner, selector, seed)
     return CvSurface(parts.sum(axis=0), grid.sigma2_candidates, grid.gamma_candidates)
 
 

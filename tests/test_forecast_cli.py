@@ -50,6 +50,10 @@ from bootsmooth.forecast import tune_distribution, window_spec
 from bootsmooth.tabular import fmt
 
 
+# Why a replicate count is bounded, as the config errors say it.
+_STREAMS = "the replicates a seed's streams index"
+
+
 def write_matrix_csv(path, X, y=None, names=None):
     p = X.shape[1]
     names = names or [f"x{i}" for i in range(p)]
@@ -1347,6 +1351,10 @@ class TestExitCodes:
             ("fit", lambda t, m, d: {**m, "threads": 0}, 2, "config error: threads must be an integer >= 1"),
             ("fit", lambda t, m, d: {**m, "b": 0}, 2, "config error: b must be an integer >= 1"),
             (
+                "fit", lambda t, m, d: {**m, "b": 2**32 + 1}, 2,
+                f"config error: b must be at most 2**32, {_STREAMS}, got 4294967297",
+            ),
+            (
                 "fit",
                 lambda t, m, d: "{",
                 2,
@@ -1432,7 +1440,7 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "threads", "b", "invalid_json", "root_not_object", "train_without_y", "targets_width",
+            "threads", "b", "b_2**32+1", "invalid_json", "root_not_object", "train_without_y", "targets_width",
             "temperature_without_rows", "temp_domain_length", "window_days", "target_hour",
             "targets_object_hours", "target_date", "targets_empty_list", "targets_empty_dates",
             "target_without_history", "sweep_sigma_demand",
@@ -1491,10 +1499,20 @@ class TestExitCodes:
                 "predict", "demand", {"temp_basis": {"n_basis": 2}},
                 "temp_basis: n_basis must be >= degree + 1, got 2",
             ),
+            # a replicate count past what the streams index: refused before any array is built
+            (
+                "fit", "demand", {"cv": {"b_inner": 2**32 + 1}},
+                f"cv: b_inner must be at most 2**32, {_STREAMS}, got 4294967297",
+            ),
+            (
+                "simulate", "matrix", {"study": {"b": 2**32 + 1}},
+                f"study: b must be at most 2**32, {_STREAMS}, got 4294967297",
+            ),
         ],
         ids=[
             "cv.k", "cv.b_inner", "cv.fold_mode", "criterion_folds", "distribution.gamma", "study.reps",
             "hour_basis.degree", "temp_basis.degree", "temp_basis.n_basis",
+            "cv.b_inner_2**32+1", "study.b_2**32+1",
         ],
     )
     def test_a_bad_value_is_named_by_its_key_path(
@@ -1798,6 +1816,37 @@ class TestExitCodes:
         proc = run_python(tmp_path, "-m", "bootsmooth", "simulate", *args, "--out", "o")
         assert proc.returncode == 4
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+    def test_out_of_memory_names_the_replicate_counts(self, tmp_path, matrix_files, capsys, monkeypatch):
+        # numpy raises a MemoryError subclass, with a traceback, when an array cannot be allocated
+        def exhausted(study):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array with shape (1000000000, 2)")
+
+        monkeypatch.setattr(cli, "run_study", exhausted)
+        path, out = write_config(tmp_path, every_command_config(matrix_files)), tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: out of memory; the replicate counts b, cv.b_inner and study.b "
+            "set the size of a run's arrays\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_a_selection_failure_names_its_cell(self, tmp_path, capsys, command):
+        # sigma2 = 1e308 draws responses that no (model, lambda) pair can score
+        if command == "fit":
+            cfg = demand_command_config(tmp_path)
+            cfg["cv"]["sigma2_candidates"] = [1e308]
+            where = f"target {cfg['targets'][0]['date']}:09: fold 0, sigma2=1e+308, gamma=0.0"
+        else:
+            cfg = {"seed": 0, "study": {"n": 23, "reps": 2, "b": 20, "sigma2_sweep": [1e308]}}
+            where = "replication 0, sigma2=1e+308, gamma=0.0"
+        path, out = write_config(tmp_path, cfg), tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"numerical error: {where}: replicate 0: no scoreable (model, lambda) pair\n"
+        )
+        assert list(out.iterdir()) == []
 
     def test_bad_alpha_flag(self, tmp_path, matrix_files):
         train, targets = matrix_files

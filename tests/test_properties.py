@@ -162,7 +162,10 @@ def test_temperature_loader_matches_the_row_by_row_oracle(days, block_rows, data
 
 # Faults a demand or temperature row can hold, each as a function of the
 # row's fields and a drawn text that returns the faulty fields; a duplicate
-# is placed apart.
+# is placed apart.  Faults land on one row in turn, and earlier short_row
+# faults can leave it without the field a later fault rewrites: that fault
+# is skipped.  The first fault on a row always applies, so every kind stays
+# reachable.
 _FAULTS = {
     "bad_date": lambda row, text: [text, *row[1:]],
     "hour_not_an_integer": lambda row, text: [row[0], text, *row[2:]],
@@ -183,6 +186,8 @@ _FAULT_TEXTS = {
     # over the csv module's field size limit: a row it cannot read
     "over_long": ("9" * 200_000,),
 }
+# The fields a fault needs: the hour faults rewrite the second, the others the first or the last.
+_FAULT_FIELDS = {"hour_not_an_integer": 2, "hour_out_of_range": 2}
 
 
 @pytest.mark.parametrize("hourly", [True, False], ids=["demand", "temperature"])
@@ -207,6 +212,8 @@ def test_keyed_loader_names_the_oracles_first_fault(hourly, n, faults, block_row
         rows = [[str(start + dt.timedelta(days=r)), f"{r}.5"] for r in range(n)]
     for kind, at, other in faults:
         at, other = at % n, other % n
+        if len(rows[at]) < _FAULT_FIELDS.get(kind, 1):
+            continue
         if kind == "duplicate":
             # within one block or across blocks, as the block size and the two rows fall
             rows[at] = [*rows[other][:-1], rows[at][-1]]

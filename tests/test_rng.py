@@ -1,5 +1,8 @@
 """Random streams: seeds, keys and generators against numpy's own SeedSequence."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import forget_cell_family
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootsmooth import derive_seed, draw_replicates, kfold_split, smoothing
-from bootsmooth.rng import _cell_family, _family, generator, keyed_generator, replicate_keys
+from bootsmooth import rng
+from bootsmooth.rng import _cell_family, _family, cell_seeds, generator, keyed_generator, replicate_keys
 
 
 def seed_sequence_keys(seed, lo, hi):
@@ -83,12 +87,13 @@ class TestCellFamily:
     @staticmethod
     def check(seed, prefix, shape, B):
         seeds, keys = _cell_family(seed, prefix, shape, B)
-        assert seeds.shape == shape and keys.shape == (*shape, B, 2)
+        size = math.prod(shape)
+        assert seeds.shape == (size,) and keys.shape == (size, B, 2)
         assert seeds.dtype == keys.dtype == np.uint64
-        for index in np.ndindex(*shape):
+        for c, index in enumerate(np.ndindex(*shape)):
             cell = derive_seed(seed, *prefix, *index)
-            assert int(seeds[index]) == cell, index
-            np.testing.assert_array_equal(keys[index], seed_sequence_keys(cell, 0, B))
+            assert int(seeds[c]) == cell, index
+            np.testing.assert_array_equal(keys[c], seed_sequence_keys(cell, 0, B))
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("prefix, shape", PATHS)
@@ -126,6 +131,38 @@ class TestCellFamily:
         with pytest.raises(ValueError, match="read-only"):
             keys[0, 0, 0] = 0
 
+    @pytest.mark.parametrize("shape", [(1,), (rng.FAMILY_CELLS,), (rng.FAMILY_CELLS + 1,), (9, 8), (3, 5, 7)])
+    def test_cell_seeds_walk_the_cells_in_c_order(self, shape):
+        # every cell's seed, and its keys served from the family that is
+        # current when the cell is reached, a batch of FAMILY_CELLS cells
+        for index, cell in zip(np.ndindex(*shape), cell_seeds(2**64 + 3, (5,), shape, 3), strict=True):
+            assert cell == derive_seed(2**64 + 3, 5, *index), index
+            served = replicate_keys(cell, 0, 3)
+            assert np.shares_memory(served, _family["keys"])
+            assert served.tobytes() == seed_sequence_keys(cell, 0, 3).tobytes()
+            assert len(_family["rows"]) <= rng.FAMILY_CELLS
+
+    def test_cell_seeds_memory_does_not_grow_with_the_cells(self):
+        # the default study sweeps, 46 x 4 cells at B = 200: one family of all
+        # of them peaked at 1.69 MB; in batches the peak is one batch's
+        # working set plus the previous batch's keys
+        assert rng.FAMILY_CELLS >= 30  # a simulate replication's 30 cells take one family
+        shape, B = (46, 4), 200
+
+        def peak(derive):
+            tracemalloc.start()
+            try:
+                derive()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: _cell_family(7, (2, 0), shape, B))
+        one_batch = peak(lambda: _cell_family(7, (2, 0), shape, B, 0, rng.FAMILY_CELLS))
+        batched = peak(lambda: all(True for _ in cell_seeds(7, (2, 0), shape, B)))
+        assert batched < whole / 3, (batched, whole)
+        assert batched < 2 * one_batch, (batched, one_batch)
+
 
 class TestFamilyMemo:
     """replicate_keys serves the last family's cells, with the bytes it derives alone."""
@@ -133,7 +170,7 @@ class TestFamilyMemo:
     @pytest.mark.parametrize("lo, hi", [(0, 40), (7, 31), (39, 40), (5, 41), (0, 300)])
     def test_same_bytes_with_and_without_a_family(self, lo, hi):
         seeds, _ = _cell_family(11, (4,), (3, 2), 40)
-        cell = int(seeds[2, 1])
+        cell = int(seeds[5])
         served = replicate_keys(cell, lo, hi)
         # within the family's B a read-only view of its keys; past it a fresh derivation
         assert np.shares_memory(served, _family["keys"]) == (hi <= 40)

@@ -110,6 +110,30 @@ class TestResamplingMean:
             with pytest.raises(SingularDesignError, match="ols_fit"):
                 resampling_mean(data, 0.5)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_memoised_read_only_and_shared_with_the_fit(self, rng, gamma):
+        data = make_instance(rng, 10, 3)
+        mean = resampling_mean(data, gamma)
+        center = ols_fit(data).coefficients
+        assert mean.tobytes() == (gamma * (data.X @ center) + (1.0 - gamma) * data.y).tobytes()
+        assert resampling_mean(data, gamma) is mean
+        assert not mean.flags.writeable
+        fit = pbs_fit(data, ResamplingDistribution(gamma=gamma, sigma2=1.0), 3, small_selector(3), seed=2)
+        assert fit.mean_vector is mean
+        # a fresh Dataset derives the same bytes
+        assert resampling_mean(Dataset(data.y, data.X), gamma).tobytes() == mean.tobytes()
+
+    def test_gamma_of_either_zero_sign_keeps_its_own_mean(self, rng):
+        # y[0] = -0.0 takes the sign of gamma * (X b)[0], so the two zeros give two means
+        data = make_instance(rng, 10, 3)
+        y = data.y.copy()
+        y[0] = -0.0
+        data = Dataset(y, data.X)
+        for gamma in (0.0, -0.0, 0.0):
+            center = ols_fit(data).coefficients
+            want = gamma * (data.X @ center) + (1.0 - gamma) * data.y
+            assert resampling_mean(data, gamma).tobytes() == want.tobytes(), gamma
+
 
 class TestDrawReplicates:
     def test_zero_variance_collapses_to_mean(self):
@@ -348,6 +372,42 @@ class TestPbsFit:
         for b in range(fit.B):
             single = select_fit(Dataset(responses[b], data.X), cfg)
             assert (fit.model_ids[b], fit.lambdas[b]) == (single.model_id, single.lam)
+
+    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
+    @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
+    def test_without_moments_the_fit_keeps_its_bytes(self, rng, criterion, B):
+        # B straddles the chunk edges; only the two moments are left out
+        data = make_instance(rng, 14, 6)
+        cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
+        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, criterion_folds=4)
+        dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
+        full = pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17)
+        bare = pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17, moments=False)
+        for name in ("beta_pbs", "coefficients", "lambdas", "mean_vector", "center_coefficients"):
+            assert getattr(bare, name).tobytes() == getattr(full, name).tobytes(), name
+        assert bare.model_ids == full.model_ids
+        assert (bare.distribution, bare.seed, bare.B) == (full.distribution, full.seed, full.B)
+        assert bare.cross_moment is None and bare.ybar_star is None
+        assert full.cross_moment is not None and full.ybar_star is not None
+
+    def test_a_fit_without_moments_has_no_variance(self, rng):
+        data = make_instance(rng, 10, 3)
+        dist = ResamplingDistribution(gamma=0.5, sigma2=1.0)
+        fit = pbs_fit(data, dist, 5, small_selector(3), seed=8, moments=False)
+        message = (
+            "the fit was made with moments=False and has no cross moment; "
+            "refit with moments=True for a delta-method variance"
+        )
+        x = np.ones(3)
+        for call in (
+            lambda: smoothed_variances(fit, data, x[None, :]),
+            lambda: smoothed_variance(fit, data, x),
+            lambda: smoothed_variance_via_gram(fit, data, x),
+            lambda: prediction_interval(fit, data, x, 0.05),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_selection_failure_names_replicate(self, rng):
         data = Dataset(rng.standard_normal(3), np.eye(3))
