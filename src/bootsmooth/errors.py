@@ -35,4 +35,8 @@ class DegenerateScoreError(NumericalError):
 
 
 class SelectionFailureError(NumericalError):
-    """No (model, lambda) pair could be scored."""
+    """No (model, lambda) pair could be scored; ``column``: the block's first failing column."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column

@@ -447,7 +447,7 @@ class _PairSelector:
         best = scores[local, np.arange(Y.shape[1])]
         if not np.isfinite(best).all():
             b = int(np.argmax(~np.isfinite(best)))
-            raise SelectionFailureError(f"replicate {offset + b}: no scoreable (model, lambda) pair")
+            raise SelectionFailureError(f"replicate {offset + b}: no scoreable (model, lambda) pair", b)
         idx = self.scored[local]
         out = np.zeros((self.data.p, Y.shape[1]))
         selected = np.bincount(self.pair_scorer_index[idx], minlength=len(self.solves))

@@ -13,8 +13,9 @@ one partial.  Each chunk's response sums and cross moments are added to
 running totals in chunk order, so the GEMM shapes and the summation order,
 and with them the output bytes, depend only on the inputs.  Those moments
 feed only the delta-method variance: a fit made with ``moments=False`` (a
-CV cell, a study cell) skips them, and the variance and interval functions
-refuse it.
+study cell) skips them, and the variance and interval functions refuse it.
+:func:`_smoothed_cells` smooths the cells of a CV fold together, in full
+blocks of ``REPLICATE_CHUNK`` columns, each cell to the bytes it has alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, NumericalError
+from .errors import DegreesOfFreedomError, NumericalError, SelectionFailureError
 from .rng import keyed_generator, replicate_keys
 from .selection import (
     Dataset,
@@ -160,14 +161,16 @@ def _mean_vector(data: Dataset, center: np.ndarray, gamma: float) -> np.ndarray:
     return data._derived(("mean", gamma.hex()), build)
 
 
-def _draw_block(mean: np.ndarray, sd: float, keys: list) -> np.ndarray:
-    """One replicate column per Philox key in ``keys``, a slice of a fit's key list."""
+def _draw_block(mean: np.ndarray, sd, keys: list, width: int = 0) -> np.ndarray:
+    """One column ``mean + sd * z`` per Philox key in ``keys``, zero-padded to ``width``
+    columns if given; ``mean`` is (n, 1) or per column, ``sd`` a float or per column."""
     # Each replicate fills one contiguous row; one pass transposes the chunk.
     Z = np.empty((len(keys), mean.shape[0]))
     for key, row in zip(keys, Z):
         generator(key).standard_normal(out=row)
-    out = np.multiply(Z.T, sd, order="C")
-    out += mean[:, None]
+    out = np.zeros((mean.shape[0], width)) if width else np.empty(Z.T.shape)
+    block = np.multiply(Z.T, sd, out=out[:, : len(keys)])
+    block += mean
     return out
 
 
@@ -199,7 +202,7 @@ def draw_replicates(mean: np.ndarray, sigma2: float, B: int, seed: int) -> np.nd
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     B = _replicate_count(B)
     sd = float(np.sqrt(sigma2))
-    return _draw_block(mean, sd, replicate_keys(seed, 0, B).tolist()).T
+    return _draw_block(mean[:, None], sd, replicate_keys(seed, 0, B).tolist()).T
 
 
 def pbs_fit(
@@ -249,7 +252,7 @@ def pbs_fit(
 
     for lo in range(0, B, REPLICATE_CHUNK):
         hi = min(lo + REPLICATE_CHUNK, B)
-        Y = _draw_block(mean, sd, keys[lo:hi])
+        Y = _draw_block(mean[:, None], sd, keys[lo:hi])
         idx, C = sel.select(Y, offset=lo)
         coeffs[lo:hi] = C.T
         model_ids[lo:hi] = [sel.pair_model_id[i] for i in idx.tolist()]
@@ -261,7 +264,7 @@ def pbs_fit(
             cross += u @ c.T
 
     return PbsFit(
-        beta_pbs=coeffs.mean(axis=0),
+        beta_pbs=np.add.reduce(coeffs, axis=0) / B,
         coefficients=coeffs,
         model_ids=model_ids,
         lambdas=lambdas,
@@ -273,6 +276,46 @@ def pbs_fit(
         seed=int(seed),
         B=B,
     )
+
+
+def _smoothed_cells(data: Dataset, cells, B: int, selector: SelectorConfig):
+    """Each ``(dist, seed)`` cell's smoothed coefficients, averaged as
+    :func:`pbs_fit` averages them, in order.  The cells' replicates, end to
+    end, are drawn, selected and solved in blocks of exactly
+    ``REPLICATE_CHUNK`` columns, the last zero-padded."""
+    B = _replicate_count(B)
+    center = ols_fit(data).coefficients
+    sel = _PairSelector.for_data(data, selector)
+    keys, segments = [], []  # the block being filled: (dist, rows, first row, first column) per cell
+
+    def solve():
+        widths = np.diff([s[3] for s in segments] + [len(keys)])
+        means = np.stack([_mean_vector(data, center, s[0].gamma) for s in segments], axis=1)
+        sds = np.repeat([math.sqrt(s[0].sigma2) for s in segments], widths)
+        Y = _draw_block(np.repeat(means, widths, axis=1), sds, keys, REPLICATE_CHUNK)
+        try:
+            C = sel.select(Y)[1]
+        except SelectionFailureError as exc:  # named by its cell and its replicate in the cell
+            dist, _, lo, start = [s for s in segments if s[3] <= exc.column][-1]
+            where = f"sigma2={dist.sigma2!r}, gamma={dist.gamma!r}: replicate {lo + exc.column - start}"
+            raise SelectionFailureError(f"{where}: no scoreable (model, lambda) pair") from exc
+        for (_, rows, lo, start), width in zip(segments, widths):
+            rows[lo : lo + width] = C[:, start : start + width].T
+            if lo + width == B:
+                yield np.add.reduce(rows, axis=0) / B
+
+    for dist, seed in cells:
+        cell_keys, rows, lo = replicate_keys(seed, 0, B).tolist(), np.empty((B, data.p)), 0
+        while lo < B:
+            hi = min(B, lo + REPLICATE_CHUNK - len(keys))
+            segments.append((dist, rows, lo, len(keys)))
+            keys += cell_keys[lo:hi]
+            lo = hi
+            if len(keys) == REPLICATE_CHUNK:
+                yield from solve()
+                keys, segments = [], []
+    if keys:
+        yield from solve()
 
 
 def _finalize_variance(value: float, context: str) -> float:

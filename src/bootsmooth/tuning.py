@@ -2,15 +2,13 @@
 
 K-fold CV over a (sigma2, gamma) candidate grid: each cell reruns the whole
 bootstrap-smoothing pipeline on the training block and accumulates squared
-held-out prediction error.  A cell is scored by the smoothed coefficients
-alone, so its fit skips the moments of the delta-method variance
-(``pbs_fit(..., moments=False)``).  What a fold fixes is set up once per
-fold: the training block, its OLS fit and resampling means, and the
-held-out rows are memoised on the data.  Each cell has its own derived
-seed, so any cell of the surface can be recomputed on its own: the seeds and
-replicate keys of a fold's cells are derived together, up to
-``rng.FAMILY_CELLS`` cells per array pass, and a cell recomputed alone with
-its derived seed draws the same streams.
+held-out prediction error, scored by its smoothed coefficients alone.  A
+fold's cells are smoothed in one pass (``smoothing._smoothed_cells``) on the
+training block, OLS fit, resampling means and held-out rows memoised on the
+data.  Each cell has its own derived seed, so :func:`cv_cell_error`
+recomputes any cell on its own to the bytes it has in the surface (see the
+README's "Reproducibility"); the seeds and replicate keys of a fold's cells
+are derived together, up to ``rng.FAMILY_CELLS`` cells per array pass.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from .errors import NumericalError, SelectionFailureError, SingularDesignError
 from .rng import MAX_REPLICATES, cell_seeds
 from .selection import Dataset, SelectorConfig, _training_block, kfold_split, unbiased_variance
-from .smoothing import ResamplingDistribution, pbs_fit
+from .smoothing import ResamplingDistribution, _smoothed_cells
 from .tabular import fmt, write_csv
 
 DEFAULT_GAMMA_CANDIDATES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -124,20 +122,23 @@ def cv_cell_error(
 
     Runs bootstrap smoothing on the training block (all folds but
     ``fold_index``) and predicts the held-out rows with their own design
-    rows.  The resampling mean is the training block's own OLS fit.  Exposed
-    so that any cell can be recomputed in isolation from its derived seed.
+    rows.  The resampling mean is the training block's own OLS fit.  The
+    one-cell case of a surface's fold pass, with the same bytes: exposed so
+    that any cell can be recomputed in isolation from its derived seed.
     """
+    return _fold_errors(data, folds, fold_index, [(dist, seed)], b_inner, selector)[0]
+
+
+def _fold_errors(data, folds, fold_index, cells, b_inner, selector) -> list[float]:
+    """Squared held-out errors of the ``(dist, seed)`` cells of one fold, in order."""
     train_data, y_held, X_held = _fold(data, folds, fold_index)
     try:
-        fit = pbs_fit(train_data, dist, b_inner, selector, seed, moments=False)
+        resids = [y_held - X_held @ beta for beta in _smoothed_cells(train_data, cells, b_inner, selector)]
     except SingularDesignError as exc:
         raise SingularDesignError(f"fold {fold_index}: {exc}") from exc
     except SelectionFailureError as exc:
-        raise SelectionFailureError(
-            f"fold {fold_index}, sigma2={dist.sigma2!r}, gamma={dist.gamma!r}: {exc}"
-        ) from exc
-    resid = y_held - X_held @ fit.beta_pbs
-    return float(resid @ resid)
+        raise SelectionFailureError(f"fold {fold_index}, {exc}") from exc
+    return [float(resid @ resid) for resid in resids]
 
 
 def _fold(data: Dataset, folds: list[np.ndarray], held: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
@@ -155,25 +156,24 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
 
     Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``,
     derived with its replicate keys for the cells of fold k in batches of
-    at most ``rng.FAMILY_CELLS``; the cell errors are summed over folds in
-    fold order.
+    at most ``rng.FAMILY_CELLS``.  The cells of fold k are smoothed in one
+    pass, in C order, and their errors are summed over folds in fold order.
     """
     if grid.sigma2_candidates is None:
         sigma2s = default_sigma2_candidates(data, grid.sigma2_count, grid.sigma2_span)
         grid = replace(grid, sigma2_candidates=sigma2s)
     folds = kfold_split(data.n, grid.k, grid.seed, grid.fold_mode)
     t, s = len(grid.sigma2_candidates), len(grid.gamma_candidates)
-    cells = [
-        (i, j, ResamplingDistribution(gamma=gamma, sigma2=sigma2))
-        for i, sigma2 in enumerate(grid.sigma2_candidates)
-        for j, gamma in enumerate(grid.gamma_candidates)
+    dists = [
+        ResamplingDistribution(gamma=gamma, sigma2=sigma2)
+        for sigma2 in grid.sigma2_candidates
+        for gamma in grid.gamma_candidates
     ]
-    parts = np.empty((grid.k, t, s))
+    parts = np.empty((grid.k, t * s))
     for k in range(grid.k):
         seeds = cell_seeds(grid.seed, (k,), (t, s), grid.b_inner)
-        for (i, j, dist), seed in zip(cells, seeds):
-            parts[k, i, j] = cv_cell_error(data, folds, k, dist, grid.b_inner, selector, seed)
-    return CvSurface(parts.sum(axis=0), grid.sigma2_candidates, grid.gamma_candidates)
+        parts[k] = _fold_errors(data, folds, k, zip(dists, seeds), grid.b_inner, selector)
+    return CvSurface(parts.sum(axis=0).reshape(t, s), grid.sigma2_candidates, grid.gamma_candidates)
 
 
 def select_distribution(surface: CvSurface) -> ResamplingDistribution:

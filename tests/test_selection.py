@@ -757,8 +757,9 @@ class TestCoefficientsBlock:
         )
         assert len(sel.scored) == 0
         assert np.all(np.isinf(sel.scores(np.ones((2, B)))))
-        with pytest.raises(SelectionFailureError, match=r"^replicate 17: no scoreable \(model, lambda\) pair$"):
+        with pytest.raises(SelectionFailureError, match=r"^replicate 17: no scoreable \(model, lambda\) pair$") as err:
             sel.select(np.ones((2, B)), offset=17)
+        assert err.value.column == 0
 
 
 class TestDuplicateCandidates:

@@ -185,10 +185,25 @@ class TestDrawReplicates:
 
     def test_draw_block_is_a_c_contiguous_n_by_chunk_block(self):
         mean = np.linspace(-2.0, 3.0, 7)
-        block = smoothing._draw_block(mean, 1.5, replicate_keys(5, 0, 100).tolist()[64:])
+        block = smoothing._draw_block(mean[:, None], 1.5, replicate_keys(5, 0, 100).tolist()[64:])
         assert block.shape == (7, 36)
         assert block.flags.c_contiguous
         assert block.tobytes() == per_replicate_draws(mean, 2.25, 100, 5)[64:].T.tobytes()
+
+    def test_draw_block_takes_a_mean_and_sd_per_column(self):
+        # two cells side by side in one block draw the bytes each draws alone
+        means = [np.linspace(-2.0, 3.0, 7), np.linspace(4.0, 1.0, 7)]
+        keys = [replicate_keys(5, 0, 3).tolist(), replicate_keys(8, 0, 4).tolist()]
+        block = smoothing._draw_block(
+            np.repeat(np.stack(means, axis=1), [3, 4], axis=1), np.repeat([1.5, 0.0], [3, 4]), sum(keys, [])
+        )
+        assert block.flags.c_contiguous
+        alone = [smoothing._draw_block(m[:, None], sd, k) for m, sd, k in zip(means, (1.5, 0.0), keys)]
+        assert block.tobytes() == np.hstack(alone).tobytes()
+        assert np.array_equal(block[:, 3:], np.repeat(means[1][:, None], 4, axis=1))
+        padded = smoothing._draw_block(means[0][:, None], 1.5, keys[0], width=5)
+        assert padded.shape == (7, 5) and not padded[:, 3:].any()
+        assert np.ascontiguousarray(padded[:, :3]).tobytes() == alone[0].tobytes()
 
     def test_replicate_streams_do_not_depend_on_b(self):
         # replicate b owns stream (seed, b), so growing B extends the list
@@ -416,6 +431,86 @@ class TestPbsFit:
         )
         with pytest.raises(SelectionFailureError, match="replicate 0"):
             pbs_fit(data, ResamplingDistribution(gamma=0.0, sigma2=1.0), 8, cfg, seed=1)
+
+
+class TestSmoothedCells:
+    """A CV fold's cells smoothed together in full-width blocks, each cell
+    giving the bytes it gives alone."""
+
+    @staticmethod
+    def smooth(data, cells, B, cfg):
+        """The pass's cell means, and each column's selected pair index and
+        coefficients, (cells * B,) and (p, cells * B), read off its blocks.
+        Columns past the last cell's are set to NaN as the pass receives them."""
+        select = smoothing._PairSelector.select
+        picks, coefs, left = [], [], [len(cells) * B]
+
+        def recording(sel, Y, offset=0):
+            assert Y.shape[1] == smoothing.REPLICATE_CHUNK
+            idx, C = select(sel, Y, offset)
+            real = min(left[0], Y.shape[1])
+            left[0] -= real
+            assert not Y[:, real:].any()
+            C[:, real:] = np.nan
+            picks.append(idx[:real])
+            coefs.append(C[:, :real].copy())
+            return idx, C
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smoothing._PairSelector, "select", recording)
+            means = list(smoothing._smoothed_cells(data, iter(cells), B, cfg))
+        assert left == [0]
+        return means, np.concatenate(picks), np.hstack(coefs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        B=st.sampled_from([1, 7, 40, 100, 255, 256, 257, 513]),
+        count=st.integers(1, 20),
+        criterion=st.sampled_from(["gcv", "kfold"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cells_packed_give_the_bytes_of_each_cell_alone(self, B, count, criterion, seed):
+        rng = np.random.default_rng(seed)
+        data = make_instance(rng, 12, 4)
+        cfg = small_selector(4, (0.0, 0.1, 1.0, 10.0))
+        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, criterion_folds=3)
+        cells = [
+            (ResamplingDistribution(gamma=(c % 6) / 5, sigma2=0.5 + c), derive_seed(seed, c))
+            for c in range(count)
+        ]
+        means, picks, coefs = self.smooth(data, cells, B, cfg)
+        assert len(means) == count
+        for c, cell in enumerate(cells):
+            cols = slice(c * B, (c + 1) * B)
+            # padded columns never reach a cell's mean: each is the mean of its
+            # own columns, reduced over a C-ordered (B, p) block as pbs_fit's are
+            rows = np.ascontiguousarray(coefs[:, cols].T)
+            assert np.isfinite(means[c]).all()
+            assert means[c].tobytes() == (np.add.reduce(rows, axis=0) / B).tobytes()
+            (alone,), alone_picks, alone_coefs = self.smooth(data, [cell], B, cfg)
+            assert alone.tobytes() == means[c].tobytes()
+            assert alone_picks.tobytes() == picks[cols].tobytes()
+            assert alone_coefs.tobytes() == np.ascontiguousarray(coefs[:, cols]).tobytes()
+
+    def test_cells_agree_with_pbs_fit(self, rng):
+        data = make_instance(rng, 14, 4)
+        cfg = small_selector(4)
+        cells = [(ResamplingDistribution(gamma=g, sigma2=s2), derive_seed(3, i)) for i, (g, s2) in enumerate(
+            [(0.0, 1.0), (0.5, 2.0), (1.0, 0.0), (0.3, 4.0)]
+        )]
+        for (dist, seed), mean in zip(cells, smoothing._smoothed_cells(data, cells, 300, cfg)):
+            fit = pbs_fit(data, dist, 300, cfg, seed, moments=False)
+            np.testing.assert_allclose(mean, fit.beta_pbs, rtol=1e-12, atol=1e-14)
+
+    def test_a_failing_column_names_its_cell_and_replicate(self, rng):
+        # n = k = 3 leaves no residual degrees of freedom: every column fails,
+        # and the first cell is named at its replicate 0, not its block column
+        data = Dataset(rng.standard_normal(3), np.eye(3))
+        cfg = SelectorConfig(candidates=(CandidateModel("sat", (0, 1, 2)),), lambda_grid=(0.0,))
+        cells = [(ResamplingDistribution(gamma=0.5, sigma2=2.0), 1)]
+        with pytest.raises(SelectionFailureError) as err:
+            list(smoothing._smoothed_cells(data, cells, 8, cfg))
+        assert str(err.value) == "sigma2=2.0, gamma=0.5: replicate 0: no scoreable (model, lambda) pair"
 
 
 class TestGammaInvariance:

@@ -15,6 +15,7 @@ from bootsmooth import (
     Dataset,
     NumericalError,
     ResamplingDistribution,
+    SelectionFailureError,
     SelectorConfig,
     SingularDesignError,
     cv_cell_error,
@@ -26,7 +27,6 @@ from bootsmooth import (
     select_distribution,
     write_surface_csv,
 )
-from bootsmooth import tuning
 from bootsmooth.selection import _training_block, unbiased_variance
 
 
@@ -164,36 +164,25 @@ class TestCvSurface:
         )
         assert parts.sum(axis=0) == surface.errors[i, j]
 
-    def test_every_cell_recomputed_alone_bitwise(self, rng, monkeypatch):
-        # the surface derives a fold's cell seeds and keys together; each cell
-        # recomputed from its derived seed alone, with no family to serve its
-        # keys, gives the same bytes, and the folds sum to the surface
+    def test_every_cell_recomputed_alone_bitwise(self, rng):
+        # a fold's six cells of 100 replicates are smoothed together, the third
+        # and the sixth straddling two 256-column blocks; each cell recomputed
+        # alone from its derived seed, with no family to serve its keys, gives
+        # the same bytes, and the folds sum to the surface
         data = make_instance(rng, 18, 3)
         selector = selector_for(3)
         grid = CvGrid(
-            sigma2_candidates=(1.0, 3.0, 9.0), gamma_candidates=(0.2, 0.8), k=3, b_inner=30, seed=56
+            sigma2_candidates=(1.0, 3.0, 9.0), gamma_candidates=(0.2, 0.8), k=3, b_inner=100, seed=56
         )
-        cells = []
-        cell_error = tuning.cv_cell_error
-
-        def recording(*args):
-            cells.append((args, cell_error(*args)))
-            return cells[-1][1]
-
-        monkeypatch.setattr(tuning, "cv_cell_error", recording)
         surface = cv_error_surface(data, grid, selector)
         folds = kfold_split(data.n, 3, seed=56, mode="random")
         parts = np.empty((3, 3, 2))
-        cell = iter(cells)
         for k in range(3):
             for i, s2 in enumerate(grid.sigma2_candidates):
                 for j, g in enumerate(grid.gamma_candidates):
-                    (*_, seed), error = next(cell)
-                    assert seed == derive_seed(56, k, i, j)
                     forget_cell_family()
                     dist = ResamplingDistribution(gamma=g, sigma2=s2)
-                    parts[k, i, j] = cell_error(data, folds, k, dist, 30, selector, seed)
-                    assert parts[k, i, j] == error, (k, i, j)
+                    parts[k, i, j] = cv_cell_error(data, folds, k, dist, 100, selector, derive_seed(56, k, i, j))
         assert parts.sum(axis=0).tobytes() == surface.errors.tobytes()
 
     def test_thread_count_invariance(self, rng):
@@ -241,6 +230,29 @@ class TestCvSurface:
         )
         with pytest.raises(SingularDesignError, match="fold 0"):
             cv_error_surface(data, grid, selector)
+
+    def test_selection_failure_names_the_first_failing_cell_and_its_replicate(self):
+        # the cells (7e305, 0.0) and (7e305, 1.0) fill columns 200-299 and
+        # 300-399 of fold 0 and first fail at their replicates 79 and 29: in
+        # block 1, columns 23 and 73.  The message names the first cell, at
+        # its replicate within the cell, as its own pbs_fit does.
+        data = make_instance(np.random.default_rng(1), 18, 3)
+        selector = selector_for(3)
+        grid = CvGrid(
+            sigma2_candidates=(1.0, 7e305), gamma_candidates=(0.0, 1.0), k=3, b_inner=100, seed=1
+        )
+        train = _training_block(data, kfold_split(data.n, 3, seed=1), 0)
+        alone = []
+        with np.errstate(all="ignore"):
+            for j, gamma in enumerate(grid.gamma_candidates):
+                dist = ResamplingDistribution(gamma=gamma, sigma2=7e305)
+                with pytest.raises(SelectionFailureError) as err:
+                    pbs_fit(train, dist, 100, selector, derive_seed(1, 0, 1, j), moments=False)
+                alone.append(str(err.value))
+            assert alone == [f"replicate {r}: no scoreable (model, lambda) pair" for r in (79, 29)]
+            with pytest.raises(SelectionFailureError) as err:
+                cv_error_surface(data, grid, selector)
+        assert str(err.value) == f"fold 0, sigma2=7e+305, gamma=0.0: {alone[0]}"
 
     def test_training_block_is_memoised_by_its_held_out_fold(self, rng):
         data = make_instance(rng, 20, 3)
