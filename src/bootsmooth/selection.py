@@ -330,13 +330,14 @@ class _PairSelector:
     Scores fill a Fortran-ordered block, so the argmin reads each response
     column contiguously, one row per scored pair: tie-break row ``scored[i]``
     in row i.  kfold scores every pair, +inf where unusable on any fold; GCV
-    only the scoreable ones.  Under GCV each candidate's ``U'Y``, by its own
-    GEMM (one GEMM over all of them rounds differently), fills its rows of one
-    stacked block that one product squares in place; its column sums fill its
-    row of a (C, B) block that one subtract and one clamp turn into
-    ``max(y'y - |U'y|^2, 0)``; its weight GEMM plus that row fills its scored
-    rows (a slice when they are consecutive, as for a column count no other
-    candidate shares); one ``*= n`` and one ``/= tr(I - H)^2`` finish it.
+    only the scoreable ones.  Under GCV each candidate owns r + 1 rows of one
+    stacked block: its ``U'Y`` by its own GEMM (one over all of them rounds
+    differently), squared in place, and ``max(y'y - |U'y|^2, 0)``.  Its table
+    ``A = [w n/tr(I - H)^2 | n/tr(I - H)^2]'`` over its scoreable lambdas is
+    built once, so one product of those rows' transpose and ``A`` gives its
+    final scores, written in place into the score block's C-ordered transpose
+    when its scored rows are consecutive, as for a column count no other
+    candidate shares.
 
     For the solve, each candidate also keeps its ``V`` embedded in the full
     p rows and, per tie-break pair, its ridge factors ``s / (s^2 + lam)`` at
@@ -365,13 +366,13 @@ class _PairSelector:
             w, denom, valid = zip(*(sc.lambda_table(lams) for sc in self.scorers))
             scoreable = np.array(valid)[self.pair_scorer_index, lam_index]
             self.scored = np.flatnonzero(scoreable)
-            self.dd = np.array([d * d for d in denom])[self.pair_scorer_index, lam_index][scoreable, None]
             row = (np.cumsum(scoreable) - 1)[ranks]  # scored row of pair si * L + li
-            ends = np.cumsum([sc.s.size for sc in self.scorers]).tolist()
-            self.tables = [  # (rows of the U'Y block, scoreable weights, scored rows)
-                (slice(end - sc.s.size, end), w[si][valid[si]], _rows(row[si][valid[si]]))
-                for si, (sc, end) in enumerate(zip(self.scorers, ends))
-            ]
+            self.perp_rows = np.cumsum([sc.s.size + 1 for sc in self.scorers]) - 1
+            self.tables = []  # (rows of the stacked block, [w n/tr^2 | n/tr^2]', scored rows)
+            for si, (end, ok) in enumerate(zip((self.perp_rows + 1).tolist(), valid)):
+                scale = data.n / denom[si][ok, None] ** 2
+                A = np.hstack([w[si][ok] * scale, scale]).T.copy()
+                self.tables.append((slice(end - len(A), end), A, _rows(row[si][ok])))
         else:
             if config.criterion_folds > data.n:
                 raise ValueError(
@@ -398,20 +399,18 @@ class _PairSelector:
         if self.config.criterion == "gcv":
             out = np.empty((len(self.scored), B), order="F")
             sq = np.empty((self.tables[-1][0].stop, B))
-            for (Ut, *_), (seg, *_) in zip(self.solves, self.tables):
-                np.matmul(Ut, Y, out=sq[seg])
-            sq *= sq
             perp = np.empty((len(self.tables), B))
-            for (seg, *_), row in zip(self.tables, perp):
-                np.add.reduce(sq[seg], axis=0, out=row)
+            for (Ut, *_), (seg, *_), row in zip(self.solves, self.tables, perp):
+                u = np.matmul(Ut, Y, out=sq[seg.start : seg.stop - 1])
+                u *= u
+                np.add.reduce(u, axis=0, out=row)
             np.subtract(np.einsum("ij,ij->j", Y, Y), perp, out=perp)
-            np.maximum(perp, 0.0, out=perp)
-            for (seg, w, rows), row in zip(self.tables, perp):
-                t = w @ sq[seg]
-                t += row
-                out[rows] = t
-            out *= self.data.n
-            out /= self.dd
+            sq[self.perp_rows] = np.maximum(perp, 0.0, out=perp)
+            for seg, A, rows in self.tables:
+                if isinstance(rows, slice):
+                    np.matmul(sq[seg].T, A, out=out.T[:, rows])
+                else:
+                    out.T[:, rows] = sq[seg].T @ A
             return out
         # summed over folds; a pair unusable on any fold is +inf
         blocks = sum(

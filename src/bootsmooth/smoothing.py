@@ -42,7 +42,7 @@ from .selection import (
 # Replicates per chunk.  A constant: the chunk layout fixes the GEMM shapes
 # and the order of the running sums, and with them the output bytes.  Each
 # chunk pays a fixed cost in small numpy calls to select and solve, under
-# GCV 18 plus 5 per candidate and 5 per selected candidate (some 43 on a
+# GCV 16 plus 4 per candidate and 5 per selected candidate (some 38 on a
 # fit_demand CV chunk), which wider chunks spread over more replicates,
 # while its n x width blocks grow with the width: at 512 a fit on n = 400
 # rows ran slower than at 256.

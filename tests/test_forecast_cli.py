@@ -1804,18 +1804,30 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "study, message",
         [
-            ({"sigma2_sweep": [1e306]}, "numerical error: "),
+            ({"sigma2_sweep": [6e306]}, "numerical error: "),
             ({"sigma2_sweep": [1e307]}, "numerical error: "),
             ({"noise_sd": 1e308}, "numerical error: replication 0: "),
         ],
-        ids=["1e+306", "1e+307", "noise_sd_1e308"],
+        ids=["6e+306", "1e+307", "noise_sd_1e308"],
     )
     def test_overflow_exits_4_with_one_line(self, tmp_path, study, message):
+        # at 6e306 the first cell's GCV scores overflow from its replicate 8 on
         cfg = {"seed": 0, "study": {"n": 23, "reps": 2, "b": 20, **study}}
         args = ["--config", str(write_config(tmp_path, cfg)), "--threads", "2"]
         proc = run_python(tmp_path, "-m", "bootsmooth", "simulate", *args, "--out", "o")
         assert proc.returncode == 4
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+    def test_sigma2_1e306_scores_without_overflow(self, tmp_path):
+        # GCV scales each weight by n / tr(I - H)^2 before its sum, so no
+        # score passes through n times the residual sum, which overflowed here
+        cfg = {"seed": 0, "study": {"n": 23, "reps": 2, "b": 20, "sigma2_sweep": [1e306]}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        _, mse_rows = read_float_table(out / "study_mse.csv", ("sigma2", "gamma", "value"))
+        _, freq_rows = read_float_table(out / "study_freq.csv", ("sigma2", "gamma", "model_id", "value"))
+        assert mse_rows and freq_rows
+        assert np.isfinite(mse_rows).all() and np.isfinite(freq_rows).all()
 
     def test_out_of_memory_names_the_replicate_counts(self, tmp_path, matrix_files, capsys, monkeypatch):
         # numpy raises a MemoryError subclass, with a traceback, when an array cannot be allocated

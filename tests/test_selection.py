@@ -462,8 +462,10 @@ class TestPairScores:
                 sq = UtY * UtY
                 perp = np.einsum("ij,ij->j", Y, Y) - sq.sum(axis=0)
                 np.maximum(perp, 0.0, out=perp)
+                scale = sc.n / (denom * denom)[valid, None]
+                A = np.ascontiguousarray(np.hstack([w[valid] * scale, scale]).T)
                 out = np.full((len(denom), Y.shape[1]), np.inf)
-                out[valid] = sc.n * (w[valid] @ sq + perp) / (denom * denom)[valid, None]
+                out[valid] = (np.vstack([sq, perp]).T @ A).T
                 blocks.append(out)
         else:
             blocks = sum(

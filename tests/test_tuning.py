@@ -232,27 +232,28 @@ class TestCvSurface:
             cv_error_surface(data, grid, selector)
 
     def test_selection_failure_names_the_first_failing_cell_and_its_replicate(self):
-        # the cells (7e305, 0.0) and (7e305, 1.0) fill columns 200-299 and
-        # 300-399 of fold 0 and first fail at their replicates 79 and 29: in
-        # block 1, columns 23 and 73.  The message names the first cell, at
-        # its replicate within the cell, as its own pbs_fit does.
+        # the cells (7e306, 0.0) and (7e306, 1.0) fill columns 200-299 and
+        # 300-399 of fold 0 and first fail at their replicates 19 and 13:
+        # column 219 of block 0 and column 57 of block 1.  The message names
+        # the first cell, at its replicate within the cell, as its own
+        # pbs_fit does.
         data = make_instance(np.random.default_rng(1), 18, 3)
         selector = selector_for(3)
         grid = CvGrid(
-            sigma2_candidates=(1.0, 7e305), gamma_candidates=(0.0, 1.0), k=3, b_inner=100, seed=1
+            sigma2_candidates=(1.0, 7e306), gamma_candidates=(0.0, 1.0), k=3, b_inner=100, seed=1
         )
         train = _training_block(data, kfold_split(data.n, 3, seed=1), 0)
         alone = []
         with np.errstate(all="ignore"):
             for j, gamma in enumerate(grid.gamma_candidates):
-                dist = ResamplingDistribution(gamma=gamma, sigma2=7e305)
+                dist = ResamplingDistribution(gamma=gamma, sigma2=7e306)
                 with pytest.raises(SelectionFailureError) as err:
                     pbs_fit(train, dist, 100, selector, derive_seed(1, 0, 1, j), moments=False)
                 alone.append(str(err.value))
-            assert alone == [f"replicate {r}: no scoreable (model, lambda) pair" for r in (79, 29)]
+            assert alone == [f"replicate {r}: no scoreable (model, lambda) pair" for r in (19, 13)]
             with pytest.raises(SelectionFailureError) as err:
                 cv_error_surface(data, grid, selector)
-        assert str(err.value) == f"fold 0, sigma2=7e+305, gamma=0.0: {alone[0]}"
+        assert str(err.value) == f"fold 0, sigma2=7e+306, gamma=0.0: {alone[0]}"
 
     def test_training_block_is_memoised_by_its_held_out_fold(self, rng):
         data = make_instance(rng, 20, 3)
