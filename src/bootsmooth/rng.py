@@ -10,7 +10,10 @@ numpy's own in ``tests/test_rng.py``.  Replicate ``b`` of a fit owns stream
 ``(seed, b)``, and :func:`keyed_generator` re-keys one Philox generator to
 each replicate's key in turn.  A Philox stream is fully defined by its key
 and counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011), so the draws are the bytes a fresh generator would give.
+SC 2011), so the draws are the bytes a fresh generator would give.  The
+cells of a CV surface or a study replication have their seeds and replicate
+keys derived together, by :func:`cell_families`, in key passes bounded by
+``FAMILY_KEYS`` replicate keys rather than by a count of cells.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ _XSHIFT = 16
 # Replicates a seed's streams can index: replicate b is one spawn word, b < 2**32.
 MAX_REPLICATES = 2**32
 
-# Cells whose replicate keys one _cell_family call derives, at most.  A
-# family's keys and working arrays grow with cells x B: the 184 cells of the
-# default study sweeps at B = 200 peaked at 1.69 MB in one call.  32 keeps a
-# simulate replication (30 cells) and a fit_demand fold (18) to one call.
-FAMILY_CELLS = 32
+# Replicate keys one _cell_family call derives, at most; a cell of more
+# replicates takes a pass of its own.  A pass's keys and working arrays grow
+# with cells x B: the 184 cells of the default study sweeps at B = 200
+# peaked at 1.69 MB in one call.  32 cells of 200 keep a simulate
+# replication (30 cells at B = 200) and a whole fit_demand surface (54 cells
+# at B = 40) to one call.
+FAMILY_KEYS = 32 * 200
 
 
 def _word(value) -> int:
@@ -196,17 +201,24 @@ def _cell_family(seed: int, prefix: tuple, shape: tuple, B: int, lo: int = 0, hi
     return seeds, keys
 
 
-def cell_seeds(seed: int, prefix: tuple, shape: tuple, B: int):
-    """The cell seeds ``derive_seed(seed, *prefix, *index)``, ``index`` over ``shape`` in C order, as ints.
+def cell_families(seed: int, prefix: tuple, shape: tuple, B: int):
+    """The seeds and replicate keys of the cells ``derive_seed(seed, *prefix, *index)``,
+    ``index`` over ``shape`` in C order, one :func:`_cell_family` pass at a time.
 
-    The seeds and replicate keys of ``FAMILY_CELLS`` cells at a time are
-    derived in one :func:`_cell_family` pass as the iteration reaches them,
-    so :func:`replicate_keys` serves the keys of the cell just yielded, and
-    the family's memory stays bounded however many cells ``shape`` holds.
+    Each pass derives the next ``max(1, FAMILY_KEYS // B)`` cells as the
+    iteration reaches them, so the keys in memory stay bounded however many
+    cells ``shape`` holds.
     """
-    size = math.prod(shape)
-    for lo in range(0, size, FAMILY_CELLS):
-        yield from _cell_family(seed, prefix, shape, B, lo, min(lo + FAMILY_CELLS, size))[0].tolist()
+    size, step = math.prod(shape), max(1, FAMILY_KEYS // max(B, 1))
+    for lo in range(0, size, step):
+        yield _cell_family(seed, prefix, shape, B, lo, min(lo + step, size))
+
+
+def cell_seeds(seed: int, prefix: tuple, shape: tuple, B: int):
+    """The cell seeds of :func:`cell_families`, as ints; :func:`replicate_keys`
+    serves the keys of the cell just yielded from the pass that holds it."""
+    for seeds, _ in cell_families(seed, prefix, shape, B):
+        yield from seeds.tolist()
 
 
 # The one Philox generator that keyed_generator re-keys, and the state it

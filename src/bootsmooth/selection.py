@@ -236,29 +236,16 @@ class _DesignScorer:
         return data._derived(("scorer", model), lambda: cls(data.X[:, cols], model, cols))
 
     def lambda_table(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """GCV weights ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,) and validity (L,).
-
-        ``d = s^2 / (s^2 + lam)`` over the r = min(n, k) singular values is
-        exactly 1 at lambda = 0.  A lambda is scoreable when the trace exceeds
-        ``n * _TRACE_EPS`` and, at lambda = 0, the design has full column rank.
-        """
-        lam = np.asarray(grid, dtype=float)[:, None]
-        d = np.divide(self.s2, self.s2 + lam, out=np.ones((len(lam), self.s2.size)), where=lam > 0)
-        denom = self.n - d.sum(axis=1)
-        valid = (denom > self.n * _TRACE_EPS) & ((lam[:, 0] > 0.0) | self.full_rank)
-        return (1.0 - d) ** 2, denom, valid
+        """GCV weights ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,) and validity (L,),
+        as :func:`_lambda_tables` computes them."""
+        return _lambda_tables([self], grid)[0][:3]
 
     def ridge_factors(self, grid) -> tuple[np.ndarray, np.ndarray]:
-        """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity (L,).
-
-        lambda = 0 is usable only on a design of full column rank.  The one
-        computation of the ridge factors behind every solve.
-        """
+        """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity
+        (L,), as :func:`_lambda_tables` computes them; the factors behind every solve."""
         lam = np.asarray(grid, dtype=float)[:, None]
         valid = (lam[:, 0] > 0.0) | self.full_rank
-        f = np.zeros((len(lam), self.s.size))
-        np.divide(self.s, self.s2 + lam, out=f, where=valid[:, None])
-        return f, valid
+        return _ridge_factors(self.s, self.s2, lam, valid[:, None])[1], valid
 
     def heldout_errors(self, Y_tr, Y_va, XvaV, f, valid) -> np.ndarray:
         """Squared ``Y_va`` error of ridge fits to ``Y_tr``; (L, B), +inf where invalid."""
@@ -272,6 +259,41 @@ class _DesignScorer:
         coef[self.columns] = (self.V @ (f.T * (self.U.T @ data.y[:, None])))[:, 0]
         resid = data.y - data.X @ coef
         return FitResult(coef, self.model.id, lam, float(resid @ resid))
+
+
+def _lambda_tables(scorers, grid) -> list[tuple]:
+    """Per workspace of ``scorers``, over the penalties ``grid``: its GCV weights
+    ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,), GCV validity (L,), ridge factors
+    ``s / (s^2 + lam)`` (L, r) and their validity (L,), from one pass of
+    ``s^2 + lam`` over the workspaces' r = min(n, k) singular values end to end.
+
+    ``d = s^2 / (s^2 + lam)`` is exactly 1 at lambda = 0.  lambda = 0 is
+    usable only on a design of full column rank (the factors are zero
+    otherwise); a lambda is GCV-scoreable when it is usable and the trace
+    exceeds ``n * _TRACE_EPS``.
+    """
+    lam = np.asarray(grid, dtype=float)[:, None]
+    sizes = [sc.s.size for sc in scorers]
+    usable = (lam > 0.0) | np.repeat([sc.full_rank for sc in scorers], sizes)
+    s2 = np.concatenate([sc.s2 for sc in scorers])
+    total, f = _ridge_factors(np.concatenate([sc.s for sc in scorers]), s2, lam, usable)
+    d = np.divide(s2, total, out=np.ones(total.shape), where=lam > 0)
+    w = (1.0 - d) ** 2
+    tables, end = [], 0
+    for sc, size in zip(scorers, sizes):
+        seg, end = slice(end, end + size), end + size
+        denom = sc.n - d[:, seg].sum(axis=1)
+        ok = usable[:, seg.start]
+        tables.append((w[:, seg], denom, (denom > sc.n * _TRACE_EPS) & ok, f[:, seg], ok))
+    return tables
+
+
+def _ridge_factors(s, s2, lam, usable) -> tuple[np.ndarray, np.ndarray]:
+    """``s^2 + lam`` and the ridge factors ``s / (s^2 + lam)``, zero where not
+    ``usable``; (L, r) each, over the singular values ``s``, their squares
+    ``s2`` and the penalties ``lam``, (L, 1)."""
+    total = s2 + lam
+    return total, np.divide(s, total, out=np.zeros(total.shape), where=usable)
 
 
 def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndarray]:
@@ -334,7 +356,8 @@ class _PairSelector:
     stacked block: its ``U'Y`` by its own GEMM (one over all of them rounds
     differently), squared in place, and ``max(y'y - |U'y|^2, 0)``.  Its table
     ``A = [w n/tr(I - H)^2 | n/tr(I - H)^2]'`` over its scoreable lambdas is
-    built once, so one product of those rows' transpose and ``A`` gives its
+    built once, from one :func:`_lambda_tables` pass over all the
+    candidates, so one product of those rows' transpose and ``A`` gives its
     final scores, written in place into the score block's C-ordered transpose
     when its scored rows are consecutive, as for a column count no other
     candidate shares.
@@ -355,15 +378,15 @@ class _PairSelector:
         lams = np.asarray(config.lambda_grid)
         self.rank, self.pair_scorer_index, lam_index, self.pair_lambda, self.pair_model_id = config._pairs
         ranks = self.rank.reshape(len(self.scorers), -1)  # tie-break row of pair si * L + li
+        w, denom, valid, factors, _ = zip(*_lambda_tables(self.scorers, lams))
         self.solves = []  # (U', embedded V, factors per tie-break pair)
-        for sc, mine in zip(self.scorers, ranks):
+        for sc, mine, f in zip(self.scorers, ranks, factors):
             V = np.zeros((data.p, sc.V.shape[1]))
             V[sc.columns] = sc.V
             F = np.zeros((len(self.rank), sc.s.size))
-            F[mine] = sc.ridge_factors(lams)[0]
+            F[mine] = f
             self.solves.append((sc.U.T, V, F))
         if config.criterion == "gcv":
-            w, denom, valid = zip(*(sc.lambda_table(lams) for sc in self.scorers))
             scoreable = np.array(valid)[self.pair_scorer_index, lam_index]
             self.scored = np.flatnonzero(scoreable)
             row = (np.cumsum(scoreable) - 1)[ranks]  # scored row of pair si * L + li
@@ -386,7 +409,9 @@ class _PairSelector:
             for i, va in enumerate(folds):
                 block, X_va = _training_block(data, folds, i), data.X[va]
                 ws = [_DesignScorer.for_data(block, m) for m in config.candidates]
-                tables = [(sc, X_va[:, sc.columns] @ sc.V, *sc.ridge_factors(lams)) for sc in ws]
+                tables = [
+                    (sc, X_va[:, sc.columns] @ sc.V, f, ok) for sc, (*_, f, ok) in zip(ws, _lambda_tables(ws, lams))
+                ]
                 self.folds.append((np.setdiff1d(np.arange(data.n), va), va, tables))
 
     @classmethod

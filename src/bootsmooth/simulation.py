@@ -148,8 +148,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     Replication r draws a fresh design and response from streams
     ``(master_seed, 0, r)`` and ``(master_seed, 1, r)``; the cell (r, i, j)
     fit uses seed ``derive_seed(master_seed, 2, r, i, j)``, derived with its
-    replicate keys for the cells of replication r in batches of at most
-    ``rng.FAMILY_CELLS``.  A cell reads only the smoothed coefficients and
+    replicate keys for the cells of replication r in key passes of at most
+    ``rng.FAMILY_KEYS`` keys.  A cell reads only the smoothed coefficients and
     the selected models, so its fit skips the variance moments
     (``moments=False``).  Results are averaged over replications in
     replication order.  A generated response that is not finite

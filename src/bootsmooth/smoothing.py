@@ -15,7 +15,10 @@ and with them the output bytes, depend only on the inputs.  Those moments
 feed only the delta-method variance: a fit made with ``moments=False`` (a
 study cell) skips them, and the variance and interval functions refuse it.
 :func:`_smoothed_cells` smooths the cells of a CV fold together, in full
-blocks of ``REPLICATE_CHUNK`` columns, each cell to the bytes it has alone.
+blocks of ``REPLICATE_CHUNK`` columns, each cell to the bytes it has alone:
+a block takes its columns' keys as a slice of their key pass, and their
+resampling means and scales through each column's cell, ``column // B``;
+the coefficient rows of the cells one key pass holds are averaged together.
 """
 
 from __future__ import annotations
@@ -278,43 +281,57 @@ def pbs_fit(
     )
 
 
-def _smoothed_cells(data: Dataset, cells, B: int, selector: SelectorConfig):
-    """Each ``(dist, seed)`` cell's smoothed coefficients, averaged as
-    :func:`pbs_fit` averages them, in order.  The cells' replicates, end to
-    end, are drawn, selected and solved in blocks of exactly
-    ``REPLICATE_CHUNK`` columns, the last zero-padded."""
+def _smoothed_cells(data: Dataset, groups, B: int, selector: SelectorConfig):
+    """Each cell's smoothed coefficients, averaged as :func:`pbs_fit` averages
+    them, in order.
+
+    ``groups`` yields ``(dists, keys)``: the distributions of consecutive
+    cells and their replicate keys, (cells, B, 2) uint64, such as the cells
+    of one key pass.  The cells' replicates, end to end, are drawn, selected
+    and solved in blocks of exactly ``REPLICATE_CHUNK`` columns, the last
+    zero-padded; column c of a group is replicate ``c % B`` of its cell
+    ``c // B``.  A group's coefficient rows are reduced together once its
+    last column is solved.
+    """
     B = _replicate_count(B)
     center = ols_fit(data).coefficients
     sel = _PairSelector.for_data(data, selector)
-    keys, segments = [], []  # the block being filled: (dist, rows, first row, first column) per cell
+    block, width = [], 0  # the block being filled: (group, first column, end column, block column) per piece
 
     def solve():
-        widths = np.diff([s[3] for s in segments] + [len(keys)])
-        means = np.stack([_mean_vector(data, center, s[0].gamma) for s in segments], axis=1)
-        sds = np.repeat([math.sqrt(s[0].sigma2) for s in segments], widths)
-        Y = _draw_block(np.repeat(means, widths, axis=1), sds, keys, REPLICATE_CHUNK)
+        keys, means, sds = [], [], []
+        for (_, flat, mean, sd, _), lo, hi, _ in block:
+            cell = np.arange(lo, hi) // B
+            keys += flat[lo:hi].tolist()
+            means.append(mean[:, cell])
+            sds.append(sd[cell])
+        Y = _draw_block(np.hstack(means), np.concatenate(sds), keys, REPLICATE_CHUNK)
         try:
             C = sel.select(Y)[1]
         except SelectionFailureError as exc:  # named by its cell and its replicate in the cell
-            dist, _, lo, start = [s for s in segments if s[3] <= exc.column][-1]
-            where = f"sigma2={dist.sigma2!r}, gamma={dist.gamma!r}: replicate {lo + exc.column - start}"
+            (dists, *_), lo, _, start = [piece for piece in block if piece[3] <= exc.column][-1]
+            cell, replicate = divmod(lo + exc.column - start, B)
+            where = f"sigma2={dists[cell].sigma2!r}, gamma={dists[cell].gamma!r}: replicate {replicate}"
             raise SelectionFailureError(f"{where}: no scoreable (model, lambda) pair") from exc
-        for (_, rows, lo, start), width in zip(segments, widths):
-            rows[lo : lo + width] = C[:, start : start + width].T
-            if lo + width == B:
-                yield np.add.reduce(rows, axis=0) / B
+        for (dists, *_, rows), lo, hi, start in block:
+            rows[lo:hi] = C[:, start : start + hi - lo].T
+            if hi == len(rows):
+                yield from np.add.reduce(rows.reshape(len(dists), B, -1), axis=1) / B
 
-    for dist, seed in cells:
-        cell_keys, rows, lo = replicate_keys(seed, 0, B).tolist(), np.empty((B, data.p)), 0
-        while lo < B:
-            hi = min(B, lo + REPLICATE_CHUNK - len(keys))
-            segments.append((dist, rows, lo, len(keys)))
-            keys += cell_keys[lo:hi]
+    for dists, keys in groups:
+        mean = np.stack([_mean_vector(data, center, dist.gamma) for dist in dists], axis=1)
+        sd = np.array([math.sqrt(dist.sigma2) for dist in dists])
+        group = (dists, keys.reshape(-1, 2), mean, sd, np.empty((len(dists) * B, data.p)))
+        lo = 0
+        while lo < len(dists) * B:
+            hi = min(len(dists) * B, lo + REPLICATE_CHUNK - width)
+            block.append((group, lo, hi, width))
+            width += hi - lo
             lo = hi
-            if len(keys) == REPLICATE_CHUNK:
+            if width == REPLICATE_CHUNK:
                 yield from solve()
-                keys, segments = [], []
-    if keys:
+                block, width = [], 0
+    if block:
         yield from solve()
 
 

@@ -183,16 +183,17 @@ def read_keyed(path: str | Path, header: Sequence[str], parsers: Sequence, memos
     otherwise) that keeps each text parsed once.  Each block is checked by
     whole columns, its keys before its numbers, so the memos hold the key texts
     of a block that fails only :func:`finite_numbers`' overflow check.  A block
-    is merged by one update, whose length shows a repeated key; one that fails
-    is walked row by row, with the same parsers and :func:`finite_number`, to
-    raise its first fault.
+    is merged straight into the result by one update, whose length shows a
+    repeated key; one that fails is walked row by row from the entries before
+    it, with the same parsers and :func:`finite_number`, to raise its first
+    fault.
     """
     values: dict = {}
     blocks = read_blocks(path, header)
     next(blocks)
     for lineno, block in blocks:
         *texts, numbers = zip(*block)
-        columns = []
+        columns, seen = [], len(values)
         try:
             for parse, memo, column in zip(parsers, memos, texts):
                 if memo is not None:
@@ -200,15 +201,14 @@ def read_keyed(path: str | Path, header: Sequence[str], parsers: Sequence, memos
                     parse = memo.__getitem__
                 columns.append(map(parse, column))
             numbers = finite_numbers(numbers)
-            keys = columns[0] if len(columns) == 1 else zip(*columns)
-            entries = {} if numbers is None else dict(zip(keys, numbers))
+            if numbers is not None:
+                values.update(zip(columns[0] if len(columns) == 1 else zip(*columns), numbers))
         except ValueError:
-            entries = {}
-        seen = len(values)
-        values.update(entries)
+            pass
         if len(values) == seen + len(block):
             continue
-        # a fault, or a repeated key: walk the block from the keys read before it
+        # a fault, or a repeated key: walk the block from the keys read before
+        # it, dropping what a merge cut short by a fault added
         values = dict(islice(values.items(), seen))
         for lineno, row in enumerate(block, lineno):
             try:

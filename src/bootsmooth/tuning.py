@@ -7,8 +7,10 @@ fold's cells are smoothed in one pass (``smoothing._smoothed_cells``) on the
 training block, OLS fit, resampling means and held-out rows memoised on the
 data.  Each cell has its own derived seed, so :func:`cv_cell_error`
 recomputes any cell on its own to the bytes it has in the surface (see the
-README's "Reproducibility"); the seeds and replicate keys of a fold's cells
-are derived together, up to ``rng.FAMILY_CELLS`` cells per array pass.
+README's "Reproducibility").  The seeds and replicate keys of all a
+surface's cells are derived in one walk over (fold, sigma2, gamma), in key
+passes of at most ``rng.FAMILY_KEYS`` keys (a whole fit_demand surface
+takes one), and each fold's pass reads its cells' keys from them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, SelectionFailureError, SingularDesignError
-from .rng import MAX_REPLICATES, cell_seeds
+from .rng import MAX_REPLICATES, cell_families, replicate_keys
 from .selection import Dataset, SelectorConfig, _training_block, kfold_split, unbiased_variance
 from .smoothing import ResamplingDistribution, _smoothed_cells
 from .tabular import fmt, write_csv
@@ -126,14 +128,19 @@ def cv_cell_error(
     one-cell case of a surface's fold pass, with the same bytes: exposed so
     that any cell can be recomputed in isolation from its derived seed.
     """
-    return _fold_errors(data, folds, fold_index, [(dist, seed)], b_inner, selector)[0]
+    return _fold_errors(data, folds, fold_index, _one_cell(dist, seed, b_inner), b_inner, selector)[0]
 
 
-def _fold_errors(data, folds, fold_index, cells, b_inner, selector) -> list[float]:
-    """Squared held-out errors of the ``(dist, seed)`` cells of one fold, in order."""
+def _one_cell(dist: ResamplingDistribution, seed: int, B: int):
+    """The cell as a one-cell group of the fold pass, its keys derived when the pass reaches it."""
+    yield [dist], replicate_keys(seed, 0, B)[None]
+
+
+def _fold_errors(data, folds, fold_index, groups, b_inner, selector) -> list[float]:
+    """Squared held-out errors of one fold's cells, given as ``(dists, keys)`` groups, in order."""
     train_data, y_held, X_held = _fold(data, folds, fold_index)
     try:
-        resids = [y_held - X_held @ beta for beta in _smoothed_cells(train_data, cells, b_inner, selector)]
+        resids = [y_held - X_held @ beta for beta in _smoothed_cells(train_data, groups, b_inner, selector)]
     except SingularDesignError as exc:
         raise SingularDesignError(f"fold {fold_index}: {exc}") from exc
     except SelectionFailureError as exc:
@@ -154,10 +161,12 @@ def _fold(data: Dataset, folds: list[np.ndarray], held: int) -> tuple[Dataset, n
 def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> CvSurface:
     """K-fold CV error over the full (sigma2, gamma) candidate grid.
 
-    Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``,
-    derived with its replicate keys for the cells of fold k in batches of
-    at most ``rng.FAMILY_CELLS``.  The cells of fold k are smoothed in one
-    pass, in C order, and their errors are summed over folds in fold order.
+    Cell (k, i, j) uses the seed derived from ``(grid.seed, k, i, j)``.  The
+    seeds and replicate keys of all the surface's cells are derived in C
+    order by one :func:`rng.cell_families` walk, in passes of at most
+    ``rng.FAMILY_KEYS`` keys.  The cells of fold k are smoothed in one pass,
+    in C order, each fold's share of a key pass as one group, and their
+    errors are summed over folds in fold order.
     """
     if grid.sigma2_candidates is None:
         sigma2s = default_sigma2_candidates(data, grid.sigma2_count, grid.sigma2_span)
@@ -169,10 +178,22 @@ def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> C
         for sigma2 in grid.sigma2_candidates
         for gamma in grid.gamma_candidates
     ]
+    passes = (keys for _, keys in cell_families(grid.seed, (), (grid.k, t, s), grid.b_inner))
+    rest = ()  # the keys of the current pass not yet handed to a fold
+
+    def fold_groups():  # the next fold's cells, one group per key pass they lie in
+        nonlocal rest
+        first = 0
+        while first < len(dists):
+            if not len(rest):
+                rest = next(passes)
+            count = min(len(rest), len(dists) - first)
+            yield dists[first : first + count], rest[:count]
+            rest, first = rest[count:], first + count
+
     parts = np.empty((grid.k, t * s))
     for k in range(grid.k):
-        seeds = cell_seeds(grid.seed, (k,), (t, s), grid.b_inner)
-        parts[k] = _fold_errors(data, folds, k, zip(dists, seeds), grid.b_inner, selector)
+        parts[k] = _fold_errors(data, folds, k, fold_groups(), grid.b_inner, selector)
     return CvSurface(parts.sum(axis=0).reshape(t, s), grid.sigma2_candidates, grid.gamma_candidates)
 
 

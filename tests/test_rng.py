@@ -131,22 +131,26 @@ class TestCellFamily:
         with pytest.raises(ValueError, match="read-only"):
             keys[0, 0, 0] = 0
 
-    @pytest.mark.parametrize("shape", [(1,), (rng.FAMILY_CELLS,), (rng.FAMILY_CELLS + 1,), (9, 8), (3, 5, 7)])
-    def test_cell_seeds_walk_the_cells_in_c_order(self, shape):
-        # every cell's seed, and its keys served from the family that is
-        # current when the cell is reached, a batch of FAMILY_CELLS cells
-        for index, cell in zip(np.ndindex(*shape), cell_seeds(2**64 + 3, (5,), shape, 3), strict=True):
+    @pytest.mark.parametrize("B", [3, 200, rng.FAMILY_KEYS + 1])
+    @pytest.mark.parametrize("shape", [(1,), (32,), (33,), (9, 8), (3, 5, 7)])
+    def test_cell_seeds_walk_the_cells_in_c_order(self, shape, B):
+        # every cell's seed, and its keys served from the key pass that is
+        # current when the cell is reached: max(1, FAMILY_KEYS // B) cells,
+        # 32 at B = 200, so the larger shapes take several passes
+        for index, cell in zip(np.ndindex(*shape), cell_seeds(2**64 + 3, (5,), shape, B), strict=True):
             assert cell == derive_seed(2**64 + 3, 5, *index), index
             served = replicate_keys(cell, 0, 3)
             assert np.shares_memory(served, _family["keys"])
             assert served.tobytes() == seed_sequence_keys(cell, 0, 3).tobytes()
-            assert len(_family["rows"]) <= rng.FAMILY_CELLS
+            assert _family["keys"].shape[:2] == (len(_family["rows"]), B)
+            assert len(_family["rows"]) * B <= max(B, rng.FAMILY_KEYS)
 
     def test_cell_seeds_memory_does_not_grow_with_the_cells(self):
         # the default study sweeps, 46 x 4 cells at B = 200: one family of all
-        # of them peaked at 1.69 MB; in batches the peak is one batch's
-        # working set plus the previous batch's keys
-        assert rng.FAMILY_CELLS >= 30  # a simulate replication's 30 cells take one family
+        # of them peaked at 1.69 MB; in passes of at most FAMILY_KEYS keys the
+        # peak is one pass's working set plus the previous pass's keys
+        assert rng.FAMILY_KEYS >= 30 * 200  # a simulate replication's 30 cells take one pass
+        assert rng.FAMILY_KEYS >= 3 * 18 * 40  # so does a whole fit_demand surface
         shape, B = (46, 4), 200
 
         def peak(derive):
@@ -158,7 +162,7 @@ class TestCellFamily:
                 tracemalloc.stop()
 
         whole = peak(lambda: _cell_family(7, (2, 0), shape, B))
-        one_batch = peak(lambda: _cell_family(7, (2, 0), shape, B, 0, rng.FAMILY_CELLS))
+        one_batch = peak(lambda: _cell_family(7, (2, 0), shape, B, 0, rng.FAMILY_KEYS // B))
         batched = peak(lambda: all(True for _ in cell_seeds(7, (2, 0), shape, B)))
         assert batched < whole / 3, (batched, whole)
         assert batched < 2 * one_batch, (batched, one_batch)

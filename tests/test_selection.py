@@ -30,7 +30,7 @@ from bootsmooth import (
     select_fit,
     unbiased_variance,
 )
-from bootsmooth.selection import KFOLD_SEED, _DesignScorer, _id_key, _PairSelector
+from bootsmooth.selection import _TRACE_EPS, KFOLD_SEED, _DesignScorer, _id_key, _lambda_tables, _PairSelector
 from bootsmooth.smoothing import REPLICATE_CHUNK
 
 
@@ -506,6 +506,44 @@ class TestPairScores:
         for row, (si, lam) in enumerate(zip(sel.pair_scorer_index, sel.pair_lambda)):
             expected = pytest.approx(scores[row], rel=4 * np.finfo(float).eps)
             assert gcv_score(data, self.CANDIDATES[si], lam) == expected, row
+
+
+class TestLambdaTables:
+    @staticmethod
+    def alone(sc, grid):
+        """One candidate's tables by the per-candidate formulas, written out."""
+        lam = np.asarray(grid, dtype=float)[:, None]
+        d = np.divide(sc.s2, sc.s2 + lam, out=np.ones((len(lam), sc.s.size)), where=lam > 0)
+        denom = sc.n - d.sum(axis=1)
+        usable = (lam[:, 0] > 0.0) | sc.full_rank
+        f = np.zeros((len(lam), sc.s.size))
+        np.divide(sc.s, sc.s2 + lam, out=f, where=usable[:, None])
+        return (1.0 - d) ** 2, denom, (denom > sc.n * _TRACE_EPS) & usable, f, usable
+
+    def test_one_pass_over_the_candidates_equals_each_alone(self):
+        # a rank-deficient candidate (lambda = 0 unusable), one of r = 9
+        # singular values (numpy sums 8 or more pairwise) and one of r = 1,
+        # over a grid that repeats a lambda
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((12, 10))
+        X[:, 9] = X[:, 0]
+        data = Dataset(rng.standard_normal(12), X)
+        cands = (CandidateModel("dup", (0, 9)), CandidateModel("wide", tuple(range(9))), CandidateModel("one", (3,)))
+        grid = (0.0, 0.1, 0.1, 1.0, 10.0)
+        scorers = [_DesignScorer.for_data(data, m) for m in cands]
+        assert not scorers[0].full_rank and scorers[1].s.size == 9
+        stacked = _lambda_tables(scorers, grid)
+        for sc, tables in zip(scorers, stacked):
+            mine = (*sc.lambda_table(grid), *sc.ridge_factors(grid))
+            for got, each, written in zip(tables, mine, self.alone(sc, grid), strict=True):
+                assert got.tobytes() == each.tobytes() == written.tobytes()
+            assert tables[0][1].tobytes() == tables[0][2].tobytes()  # the repeated lambda
+        w, denom, valid, f, usable = stacked[0]
+        assert not usable[0] and not valid[0] and not f[0].any()
+        # the selector's solve factors are the one pass's, per tie-break pair
+        sel = _PairSelector(data, SelectorConfig(cands, grid))
+        for (_, _, F), mine, tables in zip(sel.solves, sel.rank.reshape(len(cands), -1), stacked, strict=True):
+            assert F[mine].tobytes() == tables[3].tobytes()
 
 
 class TestRidgePredictionVariance:

@@ -438,10 +438,20 @@ class TestSmoothedCells:
     giving the bytes it gives alone."""
 
     @staticmethod
-    def smooth(data, cells, B, cfg):
+    def groups(cells, B, size=1):
+        """The ``(dist, seed)`` cells as the pass's ``(dists, keys)`` groups of ``size`` cells."""
+        parts = [cells[lo : lo + size] for lo in range(0, len(cells), size)]
+        return [
+            ([dist for dist, _ in part], np.stack([replicate_keys(seed, 0, B) for _, seed in part]))
+            for part in parts
+        ]
+
+    @classmethod
+    def smooth(cls, data, cells, B, cfg, size=1):
         """The pass's cell means, and each column's selected pair index and
-        coefficients, (cells * B,) and (p, cells * B), read off its blocks.
-        Columns past the last cell's are set to NaN as the pass receives them."""
+        coefficients, (cells * B,) and (p, cells * B), read off its blocks,
+        the cells given in groups of ``size``.  Columns past the last cell's
+        are set to NaN as the pass receives them."""
         select = smoothing._PairSelector.select
         picks, coefs, left = [], [], [len(cells) * B]
 
@@ -458,7 +468,7 @@ class TestSmoothedCells:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(smoothing._PairSelector, "select", recording)
-            means = list(smoothing._smoothed_cells(data, iter(cells), B, cfg))
+            means = list(smoothing._smoothed_cells(data, iter(cls.groups(cells, B, size)), B, cfg))
         assert left == [0]
         return means, np.concatenate(picks), np.hstack(coefs)
 
@@ -468,8 +478,9 @@ class TestSmoothedCells:
         count=st.integers(1, 20),
         criterion=st.sampled_from(["gcv", "kfold"]),
         seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 20),
     )
-    def test_cells_packed_give_the_bytes_of_each_cell_alone(self, B, count, criterion, seed):
+    def test_cells_packed_give_the_bytes_of_each_cell_alone(self, B, count, criterion, seed, size):
         rng = np.random.default_rng(seed)
         data = make_instance(rng, 12, 4)
         cfg = small_selector(4, (0.0, 0.1, 1.0, 10.0))
@@ -478,7 +489,7 @@ class TestSmoothedCells:
             (ResamplingDistribution(gamma=(c % 6) / 5, sigma2=0.5 + c), derive_seed(seed, c))
             for c in range(count)
         ]
-        means, picks, coefs = self.smooth(data, cells, B, cfg)
+        means, picks, coefs = self.smooth(data, cells, B, cfg, size)
         assert len(means) == count
         for c, cell in enumerate(cells):
             cols = slice(c * B, (c + 1) * B)
@@ -498,7 +509,7 @@ class TestSmoothedCells:
         cells = [(ResamplingDistribution(gamma=g, sigma2=s2), derive_seed(3, i)) for i, (g, s2) in enumerate(
             [(0.0, 1.0), (0.5, 2.0), (1.0, 0.0), (0.3, 4.0)]
         )]
-        for (dist, seed), mean in zip(cells, smoothing._smoothed_cells(data, cells, 300, cfg)):
+        for (dist, seed), mean in zip(cells, smoothing._smoothed_cells(data, self.groups(cells, 300, 3), 300, cfg)):
             fit = pbs_fit(data, dist, 300, cfg, seed, moments=False)
             np.testing.assert_allclose(mean, fit.beta_pbs, rtol=1e-12, atol=1e-14)
 
@@ -509,8 +520,28 @@ class TestSmoothedCells:
         cfg = SelectorConfig(candidates=(CandidateModel("sat", (0, 1, 2)),), lambda_grid=(0.0,))
         cells = [(ResamplingDistribution(gamma=0.5, sigma2=2.0), 1)]
         with pytest.raises(SelectionFailureError) as err:
-            list(smoothing._smoothed_cells(data, cells, 8, cfg))
+            list(smoothing._smoothed_cells(data, self.groups(cells, 8), 8, cfg))
         assert str(err.value) == "sigma2=2.0, gamma=0.5: replicate 0: no scoreable (model, lambda) pair"
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_a_failing_column_inside_a_block_names_its_cell_and_replicate(self, size):
+        # at sigma2 = 1e307 some replicates overflow; the fourth cell fills
+        # columns 300-399 of the pass, inside block 1, whose first columns
+        # belong to the third cell and, for groups of 2 and 4, to the fourth
+        # cell's group; its first failure is named as its own pbs_fit names it
+        data = make_instance(np.random.default_rng(1), 12, 3)
+        cfg = small_selector(3)
+        bad = ResamplingDistribution(gamma=0.0, sigma2=1e307)
+        cells = [(ResamplingDistribution(gamma=0.5, sigma2=1.0 + c), derive_seed(9, c)) for c in range(5)]
+        cells[3] = (bad, derive_seed(9, 3))
+        with np.errstate(all="ignore"):
+            with pytest.raises(SelectionFailureError) as alone:
+                pbs_fit(data, bad, 100, cfg, derive_seed(9, 3), moments=False)
+            replicate = int(str(alone.value).split()[1].rstrip(":"))
+            with pytest.raises(SelectionFailureError) as err:
+                list(smoothing._smoothed_cells(data, self.groups(cells, 100, size), 100, cfg))
+        assert err.value.__cause__.column == 300 + replicate - smoothing.REPLICATE_CHUNK
+        assert str(err.value) == f"sigma2=1e+307, gamma=0.0: {alone.value}"
 
 
 class TestGammaInvariance:

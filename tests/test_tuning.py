@@ -27,6 +27,7 @@ from bootsmooth import (
     select_distribution,
     write_surface_csv,
 )
+from bootsmooth import rng as rng_module
 from bootsmooth.selection import _training_block, unbiased_variance
 
 
@@ -185,7 +186,45 @@ class TestCvSurface:
                     parts[k, i, j] = cv_cell_error(data, folds, k, dist, 100, selector, derive_seed(56, k, i, j))
         assert parts.sum(axis=0).tobytes() == surface.errors.tobytes()
 
-    def test_thread_count_invariance(self, rng):
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        """The (shape, first cell, end cell) of each key pass from here on."""
+        calls, family = [], rng_module._cell_family
+
+        def counted(seed, prefix, shape, B, lo, hi):
+            calls.append((shape, lo, hi))
+            return family(seed, prefix, shape, B, lo, hi)
+
+        monkeypatch.setattr(rng_module, "_cell_family", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "bound, cells", [(100, [1] * 18), (400, [4, 4, 4, 4, 2]), (2**62, [18])], ids=["one", "four", "all"]
+    )
+    def test_surface_bytes_do_not_depend_on_the_key_bound(self, rng, monkeypatch, bound, cells):
+        # key passes of one cell, of four (straddling the folds of six cells)
+        # and of the whole surface give the bytes of the default's one pass
+        data = make_instance(rng, 18, 3)
+        selector = selector_for(3)
+        grid = CvGrid(
+            sigma2_candidates=(1.0, 3.0, 9.0), gamma_candidates=(0.2, 0.8), k=3, b_inner=100, seed=56
+        )
+        default = cv_error_surface(data, grid, selector)
+        passes = self.count_passes(monkeypatch)
+        monkeypatch.setattr(rng_module, "FAMILY_KEYS", bound)
+        surface = cv_error_surface(data, grid, selector)
+        assert surface.errors.tobytes() == default.errors.tobytes()
+        assert [hi - lo for _, lo, hi in passes] == cells
+
+    def test_a_fit_demand_surface_takes_one_key_pass(self, rng, monkeypatch):
+        # 3 folds x 6 sigma2 x 3 gamma cells of 40 replicates: 2,160 keys
+        data = make_instance(rng, 14, 3)
+        grid = CvGrid(sigma2_count=6, gamma_candidates=(0.0, 0.5, 1.0), k=3, b_inner=40, seed=2)
+        passes = self.count_passes(monkeypatch)
+        cv_error_surface(data, grid, selector_for(3))
+        assert passes == [((3, 6, 3), 0, 54)]
+
+    def test_a_warm_dataset_gives_the_bytes_of_a_fresh_one(self, rng):
         data = make_instance(rng, 15, 3)
         selector = selector_for(3)
         grid = CvGrid(
@@ -199,7 +238,7 @@ class TestCvSurface:
             np.testing.assert_array_equal(a.errors, b.errors)
             assert a.selected == b.selected
 
-    def test_shared_workspaces_under_thread_contention(self, rng):
+    def test_cells_cycling_on_one_dataset_reuse_its_fold_workspaces(self, rng):
         # 24 cells cycling through the folds of one Dataset reuse its fold
         # workspaces and equal the same cells on fresh Datasets.
         data = make_instance(rng, 15, 3)
