@@ -112,7 +112,7 @@ _JSON_TYPES = {
 # top-level values read one by one.  A key names its field, except as
 # _FIELD_NAMES says; a key named as its field's plural holds a list of them.
 _RUN_KEYS = ("seed", "threads", "alpha", "b")
-_SELECTOR_KEYS = ("lambda_grid", "criterion", "criterion_folds")
+_SELECTOR_KEYS = ("lambda_grid",)
 _CV_KEYS = (
     "k", "sigma2_candidates", "sigma2_count", "sigma2_span", "gamma_candidates",
     "b_inner", "fold_mode",
@@ -258,28 +258,23 @@ def _cv_grid(cfg: dict, run: RunConfig) -> CvGrid:
     return _read(CvGrid, cfg.get("cv", {}), "cv", _CV_KEYS, b_inner=run.b)
 
 
-def _checked_grid(cfg: dict, run: RunConfig, selector: SelectorConfig, sizes, tunes: bool) -> CvGrid | None:
-    """The cv grid of a run that ``tunes`` (else None), once ``sizes`` are checked before any fit.
+def _checked_grid(cfg: dict, run: RunConfig, sizes) -> CvGrid:
+    """The cv grid of a run that tunes, once ``sizes`` are checked before any fit.
 
     ``sizes`` is ``(n, rows, p, columns)``: each problem's rows and design columns, and their
     names.  Tuning needs ``cv.k`` at most ``n`` and ``p`` at most the rows of the smallest CV
-    training block; a kfold ``selector``'s folds may not exceed the rows it selects on: that
-    block's when the run tunes, else the ``n`` rows.
+    training block.
     """
     n, rows, p, columns = sizes
-    grid, selects_on = None, f"the {n} rows it selects on ({rows})"
-    if tunes:
-        grid = _cv_grid(cfg, run)
-        if grid.k > n:
-            raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
-        held = -(-n // grid.k)
-        n -= held
-        selects_on = f"the {n} rows of the smallest CV training block ({n + held} minus the {held}"
-        selects_on += f" held out at cv.k={grid.k})"
-        if p > n:
-            raise ConfigError(f"the {p} design columns ({columns}) exceed {selects_on}")
-    if selector.criterion == "kfold" and selector.criterion_folds > n:
-        raise ConfigError(f"criterion_folds must be at most {selects_on}, got {selector.criterion_folds}")
+    grid = _cv_grid(cfg, run)
+    if grid.k > n:
+        raise ConfigError(f"cv.k must be at most the {n} rows CV tunes on ({rows}), got {grid.k}")
+    held = -(-n // grid.k)
+    if p > n - held:
+        raise ConfigError(
+            f"the {p} design columns ({columns}) exceed the {n - held} rows of the smallest CV "
+            f"training block ({n} minus the {held} held out at cv.k={grid.k})"
+        )
     return grid
 
 
@@ -312,9 +307,6 @@ def _summary(command: str, run: RunConfig, **fields) -> dict:
 
 def _demand_inputs(cfg: dict):
     """The demand config's selector, its lazy problems and each window's rows and columns."""
-    for key in ("criterion", "criterion_folds"):
-        if key in cfg:
-            raise ConfigError(f"'{key}' applies to matrix mode only; demand mode selects by GCV")
     demand = load_demand_csv(_path(cfg, "demand_csv"))
     temps = load_temperature_csv(_path(cfg, "temperature_csv"))
     dom = _value(cfg.get("temp_domain"), "tuple[float, ...] | None", "temp_domain")
@@ -387,7 +379,7 @@ def _forecast(
     """Fit and predict the targets: CV-tuned when ``dist`` is None, else at ``dist``."""
     mode = _mode(cfg)
     selector, problems, sizes = (_matrix_inputs if mode == "matrix" else _demand_inputs)(cfg)
-    grid = _checked_grid(cfg, run, selector, sizes, tunes=dist is None)
+    grid = _checked_grid(cfg, run, sizes) if dist is None else None
     try:
         rows, surfaces = run_forecasts(problems, selector, grid, dist, run.b, run.alpha, run.seed)
     except SingularDesignError as exc:
@@ -437,7 +429,7 @@ def cmd_select_dist(cfg: dict, run: RunConfig, outdir: Path) -> int:
             "distribution per rolling window inside 'fit'"
         )
     selector, [(data, *_)], sizes = _matrix_inputs(cfg, with_targets=False)
-    grid = _checked_grid(cfg, run, selector, sizes, tunes=True)
+    grid = _checked_grid(cfg, run, sizes)
     surface, dist = tune_distribution(data, grid, selector, run.seed)
     write_surface_csv(surface, outdir / "surface.csv")
     write_json(
@@ -461,8 +453,7 @@ def cmd_sweep_sigma(cfg: dict, run: RunConfig, outdir: Path) -> int:
     if not sweep:
         raise ConfigError("sigma2_sweep must be nonempty")
     gamma = _value(_require(cfg, "gamma"), "float", "gamma")
-    selector, [(data, x_targets, _, truths)], sizes = _matrix_inputs(cfg)
-    _checked_grid(cfg, run, selector, sizes, tunes=False)
+    selector, [(data, x_targets, _, truths)], _ = _matrix_inputs(cfg)
     curve = run_sigma_sweep(data, x_targets, truths, sweep, gamma, selector, run.b, run.alpha, run.seed)
     write_csv(
         outdir / "sweep.csv",

@@ -2,9 +2,9 @@
 
 OLS, ridge and GCV all run through one SVD workspace per candidate submatrix,
 built once per dataset, so scoring one response vector and a whole block of
-bootstrap responses follow identical arithmetic.  ``select_fit`` minimises the
-configured criterion over every (candidate, lambda) pair with a deterministic
-tie-break: fewer columns first, then smaller lambda, then lower model id.
+bootstrap responses follow identical arithmetic.  ``select_fit`` minimises GCV
+over every (candidate, lambda) pair with a deterministic tie-break: fewer
+columns first, then smaller lambda, then lower model id.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .rng import generator
 RCOND_MIN = 1e-12
 # Relative floor under which tr(I - H) is treated as zero (saturated fit).
 _TRACE_EPS = 1e-12
-# Seed of the kfold criterion's random folds.
-KFOLD_SEED = 0
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -112,24 +110,16 @@ class CandidateModel:
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Candidate set, penalty grid and scoring criterion for ``select_fit``.
+    """Candidate set and penalty grid over which ``select_fit`` minimises GCV.
 
-    ``lambda_grid`` None means :func:`default_lambda_grid`.
-    ``criterion`` is ``"gcv"`` (closed form, default) or ``"kfold"`` (summed
-    squared held-out error over ``criterion_folds`` random folds, always
-    drawn with seed ``KFOLD_SEED``, 0); each field is named as its config key.
-    Both score a candidate's whole lambda grid per product on memoised
-    workspaces, kfold on the training block of each of its folds.  kfold
-    needs at least ``criterion_folds`` rows in the dataset it selects on;
-    under CV tuning that dataset is a tuning fold's training block, smaller
-    than the full data.
+    ``lambda_grid`` None means :func:`default_lambda_grid`; each field is
+    named as its config key.  GCV scores a candidate's whole lambda grid per
+    product on memoised workspaces.
     Its hash and its pairs' tie-break tables are computed once, when built.
     """
 
     candidates: tuple[CandidateModel, ...]
     lambda_grid: tuple[float, ...] | None = None
-    criterion: str = "gcv"
-    criterion_folds: int = 5
 
     def __post_init__(self):
         cands = tuple(self.candidates)
@@ -146,14 +136,9 @@ class SelectorConfig:
             raise ValueError("lambda_grid entries must be finite and >= 0")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be sorted ascending")
-        if self.criterion not in ("gcv", "kfold"):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        # checked under gcv too, so a bad value is never ignored
-        if self.criterion_folds < 2:
-            raise ValueError(f"criterion_folds must be >= 2, got {self.criterion_folds}")
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "lambda_grid", grid)
-        object.__setattr__(self, "_hash", hash((cands, grid, self.criterion, self.criterion_folds)))
+        object.__setattr__(self, "_hash", hash((cands, grid)))
         # ``order`` stably sorts pair si * L + li into tie-break order; ``rank`` inverts it
         keys = [(len(c.columns), lam, _id_key(c.id)) for c in cands for lam in grid]
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
@@ -241,16 +226,12 @@ class _DesignScorer:
         return _lambda_tables([self], grid)[0][:3]
 
     def ridge_factors(self, grid) -> tuple[np.ndarray, np.ndarray]:
-        """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, and validity
-        (L,), as :func:`_lambda_tables` computes them; the factors behind every solve."""
+        """``s / (s^2 + lam)`` (L, r), zero where lambda is unusable, as
+        :func:`_lambda_tables` computes them, and their validity (L,); the
+        factors behind every solve."""
         lam = np.asarray(grid, dtype=float)[:, None]
         valid = (lam[:, 0] > 0.0) | self.full_rank
         return _ridge_factors(self.s, self.s2, lam, valid[:, None])[1], valid
-
-    def heldout_errors(self, Y_tr, Y_va, XvaV, f, valid) -> np.ndarray:
-        """Squared ``Y_va`` error of ridge fits to ``Y_tr``; (L, B), +inf where invalid."""
-        resid = Y_va - XvaV @ (f[:, :, None] * (self.U.T @ Y_tr))
-        return np.where(valid[:, None], np.einsum("lij,lij->lj", resid, resid), np.inf)
 
     def fit(self, data: Dataset, lam: float) -> FitResult:
         """Ridge fit ``(X'X + lam I)^-1 X'y`` of ``data.y``, embedded in the full p-space."""
@@ -263,9 +244,9 @@ class _DesignScorer:
 
 def _lambda_tables(scorers, grid) -> list[tuple]:
     """Per workspace of ``scorers``, over the penalties ``grid``: its GCV weights
-    ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,), GCV validity (L,), ridge factors
-    ``s / (s^2 + lam)`` (L, r) and their validity (L,), from one pass of
-    ``s^2 + lam`` over the workspaces' r = min(n, k) singular values end to end.
+    ``(1 - d)^2`` (L, r), ``tr(I - H)`` (L,), GCV validity (L,) and ridge
+    factors ``s / (s^2 + lam)`` (L, r), from one pass of ``s^2 + lam`` over
+    the workspaces' r = min(n, k) singular values end to end.
 
     ``d = s^2 / (s^2 + lam)`` is exactly 1 at lambda = 0.  lambda = 0 is
     usable only on a design of full column rank (the factors are zero
@@ -283,8 +264,8 @@ def _lambda_tables(scorers, grid) -> list[tuple]:
     for sc, size in zip(scorers, sizes):
         seg, end = slice(end, end + size), end + size
         denom = sc.n - d[:, seg].sum(axis=1)
-        ok = usable[:, seg.start]
-        tables.append((w[:, seg], denom, (denom > sc.n * _TRACE_EPS) & ok, f[:, seg], ok))
+        valid = (denom > sc.n * _TRACE_EPS) & usable[:, seg.start]
+        tables.append((w[:, seg], denom, valid, f[:, seg]))
     return tables
 
 
@@ -314,21 +295,6 @@ def kfold_split(n: int, k: int, seed: int, mode: str = "random") -> list[np.ndar
     return [np.sort(block) for block in np.array_split(order, k)]
 
 
-def _training_block(data: Dataset, folds: list[np.ndarray], held: int) -> Dataset:
-    """Rows outside fold ``held``, memoised on ``data`` (kept for its lifetime).
-
-    ``folds`` partition the rows, as :func:`kfold_split`'s do, so the held-out
-    fold fixes the rest: it keys the memo, and the rows are gathered only when
-    the block is first built.
-    """
-
-    def build() -> Dataset:
-        rows = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != held]))
-        return Dataset(data.y[rows], data.X[rows])
-
-    return data._derived(("rows", folds[held].tobytes()), build)
-
-
 def _id_key(model_id) -> tuple:
     # ints sort before strings, with no cross-type compare
     return (isinstance(model_id, str), model_id)
@@ -350,10 +316,9 @@ class _PairSelector:
     (candidate si, lambda li) has tie-break row ``rank[si * L + li]``.
 
     Scores fill a Fortran-ordered block, so the argmin reads each response
-    column contiguously, one row per scored pair: tie-break row ``scored[i]``
-    in row i.  kfold scores every pair, +inf where unusable on any fold; GCV
-    only the scoreable ones.  Under GCV each candidate owns r + 1 rows of one
-    stacked block: its ``U'Y`` by its own GEMM (one over all of them rounds
+    column contiguously, one row per scoreable pair: tie-break row
+    ``scored[i]`` in row i.  Each candidate owns r + 1 rows of one stacked
+    block: its ``U'Y`` by its own GEMM (one over all of them rounds
     differently), squared in place, and ``max(y'y - |U'y|^2, 0)``.  Its table
     ``A = [w n/tr(I - H)^2 | n/tr(I - H)^2]'`` over its scoreable lambdas is
     built once, from one :func:`_lambda_tables` pass over all the
@@ -373,12 +338,11 @@ class _PairSelector:
 
     def __init__(self, data: Dataset, config: SelectorConfig):
         self.data = data
-        self.config = config
         self.scorers = [_DesignScorer.for_data(data, m) for m in config.candidates]
         lams = np.asarray(config.lambda_grid)
         self.rank, self.pair_scorer_index, lam_index, self.pair_lambda, self.pair_model_id = config._pairs
         ranks = self.rank.reshape(len(self.scorers), -1)  # tie-break row of pair si * L + li
-        w, denom, valid, factors, _ = zip(*_lambda_tables(self.scorers, lams))
+        w, denom, valid, factors = zip(*_lambda_tables(self.scorers, lams))
         self.solves = []  # (U', embedded V, factors per tie-break pair)
         for sc, mine, f in zip(self.scorers, ranks, factors):
             V = np.zeros((data.p, sc.V.shape[1]))
@@ -386,33 +350,15 @@ class _PairSelector:
             F = np.zeros((len(self.rank), sc.s.size))
             F[mine] = f
             self.solves.append((sc.U.T, V, F))
-        if config.criterion == "gcv":
-            scoreable = np.array(valid)[self.pair_scorer_index, lam_index]
-            self.scored = np.flatnonzero(scoreable)
-            row = (np.cumsum(scoreable) - 1)[ranks]  # scored row of pair si * L + li
-            self.perp_rows = np.cumsum([sc.s.size + 1 for sc in self.scorers]) - 1
-            self.tables = []  # (rows of the stacked block, [w n/tr^2 | n/tr^2]', scored rows)
-            for si, (end, ok) in enumerate(zip((self.perp_rows + 1).tolist(), valid)):
-                scale = data.n / denom[si][ok, None] ** 2
-                A = np.hstack([w[si][ok] * scale, scale]).T.copy()
-                self.tables.append((slice(end - len(A), end), A, _rows(row[si][ok])))
-        else:
-            if config.criterion_folds > data.n:
-                raise ValueError(
-                    f"criterion_folds={config.criterion_folds} exceeds the {data.n} rows of the "
-                    "dataset it selects on (in CV tuning, a training block smaller than the full data)"
-                )
-            self.scored = np.arange(len(self.rank))
-            folds = kfold_split(data.n, config.criterion_folds, KFOLD_SEED)
-            # (training rows, held-out rows, [(workspace, X_va V, factors, validity)] per candidate)
-            self.folds = []
-            for i, va in enumerate(folds):
-                block, X_va = _training_block(data, folds, i), data.X[va]
-                ws = [_DesignScorer.for_data(block, m) for m in config.candidates]
-                tables = [
-                    (sc, X_va[:, sc.columns] @ sc.V, f, ok) for sc, (*_, f, ok) in zip(ws, _lambda_tables(ws, lams))
-                ]
-                self.folds.append((np.setdiff1d(np.arange(data.n), va), va, tables))
+        scoreable = np.array(valid)[self.pair_scorer_index, lam_index]
+        self.scored = np.flatnonzero(scoreable)
+        row = (np.cumsum(scoreable) - 1)[ranks]  # scored row of pair si * L + li
+        self.perp_rows = np.cumsum([sc.s.size + 1 for sc in self.scorers]) - 1
+        self.tables = []  # (rows of the stacked block, [w n/tr^2 | n/tr^2]', scored rows)
+        for si, (end, ok) in enumerate(zip((self.perp_rows + 1).tolist(), valid)):
+            scale = data.n / denom[si][ok, None] ** 2
+            A = np.hstack([w[si][ok] * scale, scale]).T.copy()
+            self.tables.append((slice(end - len(A), end), A, _rows(row[si][ok])))
 
     @classmethod
     def for_data(cls, data: Dataset, config: SelectorConfig) -> "_PairSelector":
@@ -421,29 +367,20 @@ class _PairSelector:
     def _score(self, Y: np.ndarray) -> np.ndarray:
         """Scores of the scored pairs, (rows, B)."""
         B = Y.shape[1]
-        if self.config.criterion == "gcv":
-            out = np.empty((len(self.scored), B), order="F")
-            sq = np.empty((self.tables[-1][0].stop, B))
-            perp = np.empty((len(self.tables), B))
-            for (Ut, *_), (seg, *_), row in zip(self.solves, self.tables, perp):
-                u = np.matmul(Ut, Y, out=sq[seg.start : seg.stop - 1])
-                u *= u
-                np.add.reduce(u, axis=0, out=row)
-            np.subtract(np.einsum("ij,ij->j", Y, Y), perp, out=perp)
-            sq[self.perp_rows] = np.maximum(perp, 0.0, out=perp)
-            for seg, A, rows in self.tables:
-                if isinstance(rows, slice):
-                    np.matmul(sq[seg].T, A, out=out.T[:, rows])
-                else:
-                    out.T[:, rows] = sq[seg].T @ A
-            return out
-        # summed over folds; a pair unusable on any fold is +inf
-        blocks = sum(
-            np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
-            for tr, va, tables in self.folds
-        )
-        out = np.empty((len(self.rank), B), order="F")
-        out[self.rank] = blocks.reshape(out.shape)
+        out = np.empty((len(self.scored), B), order="F")
+        sq = np.empty((self.tables[-1][0].stop, B))
+        perp = np.empty((len(self.tables), B))
+        for (Ut, *_), (seg, *_), row in zip(self.solves, self.tables, perp):
+            u = np.matmul(Ut, Y, out=sq[seg.start : seg.stop - 1])
+            u *= u
+            np.add.reduce(u, axis=0, out=row)
+        np.subtract(np.einsum("ij,ij->j", Y, Y), perp, out=perp)
+        sq[self.perp_rows] = np.maximum(perp, 0.0, out=perp)
+        for seg, A, rows in self.tables:
+            if isinstance(rows, slice):
+                np.matmul(sq[seg].T, A, out=out.T[:, rows])
+            else:
+                out.T[:, rows] = sq[seg].T @ A
         return out
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
@@ -577,7 +514,7 @@ def gcv_score(data: Dataset, model: CandidateModel, lam: float) -> float:
 
 
 def select_fit(data: Dataset, config: SelectorConfig) -> FitResult:
-    """Fit minimising the criterion over candidates x lambda_grid.
+    """Fit minimising GCV over candidates x lambda_grid.
 
     Unscoreable pairs (rank deficient at lambda=0, saturated trace) are
     skipped; if every pair is unscoreable a ``SelectionFailureError`` is

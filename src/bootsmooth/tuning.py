@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, SelectionFailureError, SingularDesignError
 from .rng import MAX_REPLICATES, cell_families, replicate_keys
-from .selection import Dataset, SelectorConfig, _training_block, kfold_split, unbiased_variance
+from .selection import Dataset, SelectorConfig, kfold_split, unbiased_variance
 from .smoothing import ResamplingDistribution, _smoothed_cells
 from .tabular import fmt, write_csv
 
@@ -150,12 +150,19 @@ def _fold_errors(data, folds, fold_index, groups, b_inner, selector) -> list[flo
 
 def _fold(data: Dataset, folds: list[np.ndarray], held: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
     """The training block of fold ``held`` and its held-out ``y`` and ``X`` rows,
-    memoised on ``data`` by the held-out fold, as the training block is."""
+    memoised on ``data`` (kept for its lifetime).
+
+    ``folds`` partition the rows, as :func:`kfold_split`'s do, so the held-out
+    fold fixes the rest: it keys the memo, and the rows are gathered only when
+    the fold is first built.
+    """
     rows = folds[held]
-    return data._derived(
-        ("fold", rows.tobytes()),
-        lambda: (_training_block(data, folds, held), data.y[rows], data.X[rows]),
-    )
+
+    def build():
+        train = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != held]))
+        return Dataset(data.y[train], data.X[train]), data.y[rows], data.X[rows]
+
+    return data._derived(("fold", rows.tobytes()), build)
 
 
 def cv_error_surface(data: Dataset, grid: CvGrid, selector: SelectorConfig) -> CvSurface:

@@ -463,92 +463,6 @@ class TestFitCommand:
         summary1.pop("threads"), summary8.pop("threads")
         assert summary1 == summary8
 
-    def test_kfold_criterion_fit(self, tmp_path, matrix_files):
-        cfg = base_matrix_config(*matrix_files)
-        cfg.update(candidates=[[0], [0, 1], [0, 1, 2]], criterion="kfold", criterion_folds=3)
-        cfg_path = write_config(tmp_path, cfg)
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["fit", "--config", str(cfg_path), "--threads", "1", "--out", str(out1)]) == 0
-        assert main(["fit", "--config", str(cfg_path), "--threads", "2", "--out", str(out2)]) == 0
-        rows = read_report(out1 / "report.csv")
-        assert len(rows) == 6
-        for key in ("prediction", "lower", "upper", "ridge_prediction", "ridge_lower", "ridge_upper"):
-            assert all(np.isfinite(float(r[key])) for r in rows), key
-        for name in ("report.csv", "surface.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-        summary1 = json.loads((out1 / "summary.json").read_text())
-        summary2 = json.loads((out2 / "summary.json").read_text())
-        summary1.pop("threads"), summary2.pop("threads")
-        assert summary1 == summary2
-
-    @staticmethod
-    def run_kfold_on_30_rows(tmp_path, rng, command, k, folds, **overrides):
-        """``command``'s exit code under kfold with ``criterion_folds`` = ``folds``
-        on a 30-row train_csv tuned in ``cv.k`` = ``k`` folds."""
-        X = rng.uniform(-3.0, 3.0, size=(30, 3))
-        train, targets = tmp_path / "train.csv", tmp_path / "targets.csv"
-        write_matrix_csv(train, X, X[:, 0] + rng.standard_normal(30))
-        write_matrix_csv(targets, X[:2])
-        cfg = base_matrix_config(train, targets)
-        cfg.update(criterion="kfold", criterion_folds=folds)
-        cfg["cv"] = dict(cfg["cv"], k=k, **overrides)
-        return main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
-
-    def test_kfold_folds_above_a_training_block_exit_2(self, tmp_path, rng, capsys):
-        # 30 rows in cv.k = 5 tuning folds: each training block holds 24 rows
-        assert self.run_kfold_on_30_rows(tmp_path, rng, "fit", 5, 30) == 2
-        assert capsys.readouterr().err == (
-            "config error: criterion_folds must be at most the 24 rows of the smallest CV "
-            "training block (30 minus the 6 held out at cv.k=5), got 30\n"
-        )
-        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
-
-    @pytest.mark.parametrize("command", ["fit", "select-dist"])
-    @pytest.mark.parametrize("k, folds, block", [(5, 25, 24), (4, 23, 22)])
-    def test_kfold_folds_above_the_smallest_training_block_exit_2(
-        self, tmp_path, rng, capsys, command, k, folds, block
-    ):
-        # cv.k = 4 holds out 8, 8, 7 and 7 of the 30 rows: blocks of 22 and 23
-        assert self.run_kfold_on_30_rows(tmp_path, rng, command, k, folds) == 2
-        assert capsys.readouterr().err == (
-            f"config error: criterion_folds must be at most the {block} rows of the smallest CV "
-            f"training block (30 minus the {30 - block} held out at cv.k={k}), got {folds}\n"
-        )
-
-    def test_kfold_folds_of_the_smallest_training_block_run(self, tmp_path, rng):
-        small = dict(b_inner=5, sigma2_candidates=[1.0], gamma_candidates=[1.0])
-        assert self.run_kfold_on_30_rows(tmp_path, rng, "select-dist", 4, 22, **small) == 0
-
-    @pytest.mark.parametrize("command", ["predict", "sweep-sigma"])
-    @pytest.mark.parametrize("folds", [12, 13])
-    def test_kfold_folds_above_the_rows_of_train_csv_exit_2(self, tmp_path, rng, capsys, command, folds):
-        # neither command tunes, so the folds split all 12 rows of train_csv
-        X = rng.uniform(-3.0, 3.0, size=(12, 2))
-        y = X[:, 0] + rng.standard_normal(12)
-        train, targets = tmp_path / "train.csv", tmp_path / "targets.csv"
-        write_matrix_csv(train, X, y)
-        write_matrix_csv(targets, X[:2], y[:2])
-        cfg = {
-            **base_matrix_config(train, targets),
-            "criterion": "kfold",
-            "criterion_folds": folds,
-            "distribution": {"sigma2": 1.0, "gamma": 1.0},
-            "sigma2_sweep": [1.0],
-            "gamma": 1.0,
-        }
-        out = tmp_path / "o"
-        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
-        if folds == 12:
-            assert code == 0
-            return
-        assert code == 2
-        # the CLI's message, not the selector's at fit time
-        assert capsys.readouterr().err == (
-            "config error: criterion_folds must be at most the 12 rows it selects on "
-            "(the rows of train_csv), got 13\n"
-        )
-        assert list(out.iterdir()) == []
-
     def test_fit_does_not_import_scipy(self, tmp_path, matrix_files):
         # nor, after a fit and a simulate, the thread pool or its logging
         cfg_path = write_config(tmp_path, base_matrix_config(*matrix_files))
@@ -970,26 +884,6 @@ class TestDemandCommand:
             code = main(["fit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
             assert code == 2, bad
 
-    @pytest.mark.parametrize("command", ["fit", "predict"])
-    @pytest.mark.parametrize("key, value", [("criterion", "kfold"), ("criterion_folds", 3)])
-    def test_matrix_only_keys_are_refused(self, tmp_path, capsys, command, key, value):
-        dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
-        dpath, tpath = write_demand_files(tmp_path, demand_rows, temp_rows)
-        cfg = {
-            "mode": "demand",
-            "demand_csv": str(dpath),
-            "temperature_csv": str(tpath),
-            "targets": [{"date": dates[-1].isoformat(), "hour": 9}],
-            "distribution": {"sigma2": 4.0, "gamma": 0.5},
-            key: value,
-        }
-        out = tmp_path / "o"
-        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: '{key}' applies to matrix mode only")
-        assert err.count("\n") == 1
-        assert not (out / "report.csv").exists()
-
     @pytest.mark.parametrize("key, value", [("demand_csv", None), ("temperature_csv", 0)])
     def test_non_string_paths_are_refused(self, tmp_path, capsys, key, value):
         dates, demand_rows, temp_rows, _ = synth_weekday_demand(seed=3)
@@ -1269,6 +1163,52 @@ class TestExitCodes:
         )
         assert list(out.iterdir()) == []
 
+    @staticmethod
+    def matrix_run(tmp_path, rng, command, n, p, k):
+        """``command``'s exit code on an ``n`` x ``p`` train_csv tuned in ``cv.k`` = ``k`` folds."""
+        train, targets = tmp_path / "train.csv", tmp_path / "targets.csv"
+        X = rng.uniform(-3.0, 3.0, size=(n, p))
+        write_matrix_csv(train, X, X[:, 0] + rng.standard_normal(n))
+        write_matrix_csv(targets, X[:2], X[:2, 0])
+        cfg = {
+            **base_matrix_config(train, targets),
+            "b": 5,
+            "cv": {"k": k, "sigma2_candidates": [1.0], "gamma_candidates": [1.0], "b_inner": 5},
+            "distribution": {"sigma2": 1.0, "gamma": 1.0},
+            "sigma2_sweep": [1.0],
+            "gamma": 1.0,
+        }
+        out = tmp_path / f"o{p}"
+        return main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("command", ["fit", "select-dist"])
+    @pytest.mark.parametrize("n, k, block", [(6, 2, 3), (7, 2, 3), (10, 4, 7)])
+    def test_design_as_wide_as_the_smallest_training_block_runs(
+        self, tmp_path, rng, capsys, command, n, k, block
+    ):
+        # cv.k = 2 holds out 4 and 3 of 7 rows; cv.k = 4 holds out 3, 3, 2 and 2 of 10
+        code, out = self.matrix_run(tmp_path, rng, command, n, block, k)
+        assert code == 0
+        assert (out / "surface.csv").exists()
+        code, out = self.matrix_run(tmp_path, rng, command, n, block + 1, k)
+        assert code == 2
+        held = n - block
+        assert capsys.readouterr().err == (
+            f"config error: the {block + 1} design columns (the features of train_csv) exceed the "
+            f"{block} rows of the smallest CV training block ({n} minus the {held} held out at cv.k={k})\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["predict", "sweep-sigma"])
+    def test_a_command_that_does_not_tune_takes_a_design_wider_than_a_training_block(
+        self, tmp_path, rng, command
+    ):
+        # 6 rows in cv.k = 2 folds leave training blocks of 3, narrower than
+        # the 5 columns; neither command splits the rows, so both run
+        code, out = self.matrix_run(tmp_path, rng, command, 6, 5, 2)
+        assert code == 0
+        assert any(out.iterdir())
+
     def test_numerical_error(self, tmp_path, rng):
         # a repeated column: every training block is tall enough, none has full rank
         # (the 3 x 5 design this test used is now a config error, tested above)
@@ -1299,7 +1239,7 @@ class TestExitCodes:
             ("fit", {"lambda_grid": 5}),
             ("fit", {"candidates": [1, 2]}),
             ("fit", {"alpha": None}),
-            ("fit", {"criterion_folds": [3]}),
+            ("fit", {"threads": [3]}),
             ("fit", {"b": True}),
             ("fit", {"cv": {"k": 4, "sigma2_candidates": [1.0], "gamma_candidates": 0.5}}),
             ("fit", {"seed": True}),
@@ -1322,7 +1262,7 @@ class TestExitCodes:
         ids=[
             "lambda_grid", "cv_k_above_n", "cv_not_object", "column_range", "sweep", "seed",
             "cv_number", "lambda_grid_number", "candidate_number", "alpha_null",
-            "criterion_folds_list", "b_bool", "gamma_candidates_number", "seed_bool",
+            "threads_list", "b_bool", "gamma_candidates_number", "seed_bool",
             "svg_string", "cv_k_float", "lambda_nan", "lambda_overflow",
             "candidate_id_list", "train_csv_null", "targets_csv_int", "sigma2_span_zero",
             "gamma_candidates_null", "noise_sd_nan", "noise_sd_infinity",
@@ -1464,15 +1404,15 @@ class TestExitCodes:
         [
             ({"cv": {"sigma2_count": 0}}, "cv: sigma2_count must be >= 1, got 0"),
             ({"cv": {"sigma2_span": -1}}, "cv: sigma2_span must be finite and > 0, got -1.0"),
-            ({"criterion_folds": 0}, "criterion_folds must be >= 2, got 0"),
+            ({"threads": 0}, "threads must be an integer >= 1"),
         ],
-        ids=["sigma2_count", "sigma2_span", "criterion_folds"],
+        ids=["sigma2_count", "sigma2_span", "threads"],
     )
     def test_a_value_the_run_does_not_use_is_still_checked(
         self, tmp_path, matrix_files, capsys, override, message
     ):
         # explicit sigma2 candidates leave sigma2_count and sigma2_span unused, and
-        # GCV leaves criterion_folds unused; each used to exit 0 and write outputs
+        # threads reaches only summary.json; each is refused before any output
         cfg = base_matrix_config(*matrix_files)
         cfg["cv"].update(override.get("cv", {}))
         cfg.update({key: value for key, value in override.items() if key != "cv"})
@@ -1487,7 +1427,7 @@ class TestExitCodes:
             ("fit", "matrix", {"cv": {"k": 1}}, "cv: k must be >= 2, got 1"),
             ("fit", "matrix", {"cv": {"b_inner": 0}}, "cv: b_inner must be >= 1, got 0"),
             ("select-dist", "matrix", {"cv": {"fold_mode": "odd"}}, "cv: unknown fold_mode 'odd'"),
-            ("fit", "matrix", {"criterion_folds": 0}, "criterion_folds must be >= 2, got 0"),
+            ("fit", "matrix", {"lambda_grid": [1.0, 0.5]}, "lambda_grid must be sorted ascending"),
             (
                 "predict", "matrix", {"distribution": {"gamma": 2, "sigma2": 1}},
                 "distribution: gamma must be in [0, 1], got 2.0",
@@ -1510,7 +1450,7 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "cv.k", "cv.b_inner", "cv.fold_mode", "criterion_folds", "distribution.gamma", "study.reps",
+            "cv.k", "cv.b_inner", "cv.fold_mode", "lambda_grid", "distribution.gamma", "study.reps",
             "hour_basis.degree", "temp_basis.degree", "temp_basis.n_basis",
             "cv.b_inner_2**32+1", "study.b_2**32+1",
         ],
@@ -1524,6 +1464,18 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["matrix", "demand"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    @pytest.mark.parametrize("key", ["criterion", "criterion_folds"])
+    @pytest.mark.parametrize("value", ["kfold", "gcv", 3])
+    def test_the_removed_selector_keys_are_unknown(self, tmp_path, matrix_files, capsys, mode, command, key, value):
+        # GCV is the one selector; the keys that chose another are refused with any value
+        base = every_command_config(matrix_files) if mode == "matrix" else demand_command_config(tmp_path)
+        path, out = write_config(tmp_path, {**base, key: value}), tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, override, key",
@@ -1869,7 +1821,7 @@ class TestExitCodes:
 @pytest.mark.parametrize(
     "cls, names",
     [
-        (SelectorConfig, ("candidates", "lambda_grid", "criterion", "criterion_folds")),
+        (SelectorConfig, ("candidates", "lambda_grid")),
         (
             CvGrid,
             (

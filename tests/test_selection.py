@@ -8,7 +8,6 @@ import pytest
 from conftest import (
     brute_force_select,
     dense_gcv,
-    dense_kfold_error,
     make_instance,
     normal_equation_coefficients,
 )
@@ -23,14 +22,13 @@ from bootsmooth import (
     SelectorConfig,
     SingularDesignError,
     gcv_score,
-    kfold_split,
     ols_fit,
     ridge_fit,
     ridge_prediction_variance,
     select_fit,
     unbiased_variance,
 )
-from bootsmooth.selection import _TRACE_EPS, KFOLD_SEED, _DesignScorer, _id_key, _lambda_tables, _PairSelector
+from bootsmooth.selection import _TRACE_EPS, _DesignScorer, _id_key, _lambda_tables, _PairSelector
 from bootsmooth.smoothing import REPLICATE_CHUNK
 
 
@@ -313,36 +311,20 @@ class TestSelectFit:
         outside = [i for i in range(4) if i not in cols]
         assert all(fit.coefficients[i] == 0.0 for i in outside)
 
-    def test_kfold_criterion_matches_manual_loop(self, rng):
-        data = make_instance(rng, 12, 3)
-        candidates = (CandidateModel(1, (0,)), CandidateModel(2, (0, 1, 2)))
-        cfg = SelectorConfig(
-            candidates=candidates,
-            lambda_grid=(0.0, 1.0),
-            criterion="kfold",
-            criterion_folds=3,
-        )
+    @pytest.mark.parametrize("n, p", [(12, 3), (9, 5), (30, 6)])
+    def test_gcv_matches_a_manual_loop_over_the_dense_oracle(self, rng, n, p):
+        # every pair scored by an explicit hat matrix, the least taken under
+        # the tie-break key (score, columns, lambda, id)
+        data = make_instance(rng, n, p)
+        candidates = tuple(CandidateModel(c, tuple(range(c))) for c in range(1, p + 1))
+        cfg = SelectorConfig(candidates, (0.0, 0.3, 2.0))
         fit = select_fit(data, cfg)
-
-        # manual loop with the same fold layout
-        from bootsmooth.rng import generator as _gen
-
-        perm = _gen(KFOLD_SEED).permutation(12)
-        blocks = [np.sort(perm[0:4]), np.sort(perm[4:8]), np.sort(perm[8:12])]
-        best = None
-        for model in candidates:
-            for lam in cfg.lambda_grid:
-                err = 0.0
-                for va in blocks:
-                    tr = np.setdiff1d(np.arange(12), va)
-                    sub = Dataset(data.y[tr], data.X[tr])
-                    beta = ridge_fit(sub, model, lam).coefficients
-                    r = data.y[va] - data.X[va] @ beta
-                    err += float(r @ r)
-                key = (err, len(model.columns), lam, model.id)
-                if best is None or key < best[0]:
-                    best = (key, model.id, lam)
-        assert (fit.model_id, fit.lam) == (best[1], best[2])
+        best = min(
+            (dense_gcv(data, model, lam), len(model.columns), lam, model.id)
+            for model in candidates
+            for lam in cfg.lambda_grid
+        )
+        assert (fit.model_id, fit.lam) == (best[3], best[2])
 
     def test_lambda_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -386,30 +368,23 @@ class TestPairScores:
         ]
         assert keys == sorted(keys)
 
-    def test_every_kfold_row_equals_the_dense_oracle(self, rng):
-        # 8 rows in 4 folds leave 6 training rows.  Column 7 is nonzero on row 0
-        # only, so the training block that holds row 0 out has a zero column; the
-        # 7-column candidate has more columns than any training block has rows.
-        X = np.column_stack([rng.uniform(-3.0, 3.0, size=(8, 7)), np.eye(8)[:, 0]])
-        data = Dataset(X[:, :2] @ np.array([1.0, -2.0]) + rng.standard_normal(8), X)
-        candidates = self.CANDIDATES[::2] + (
-            CandidateModel("spike", (0, 7)),
-            CandidateModel("wide", tuple(range(7))),
-        )
-        cfg = SelectorConfig(candidates, self.GRID, criterion="kfold", criterion_folds=4)
-        Y = np.column_stack([data.y, rng.standard_normal(8)])
-        sel = _PairSelector(data, cfg)
+    @pytest.mark.parametrize("n", [6, 7, 8, 12])
+    def test_every_gcv_row_equals_the_dense_oracle(self, rng, n):
+        # "wide" has 7 columns: more than 6 rows leave no lambda = 0 fit, and
+        # 7 rows saturate at lambda = 0 with a zero trace; both score +inf there
+        X = rng.uniform(-3.0, 3.0, size=(n, 7))
+        data = Dataset(X[:, :2] @ np.array([1.0, -2.0]) + rng.standard_normal(n), X)
+        candidates = self.CANDIDATES[::2] + (CandidateModel("wide", tuple(range(7))),)
+        sel = _PairSelector(data, SelectorConfig(candidates, self.GRID))
+        Y = np.column_stack([data.y, rng.standard_normal((n, 2))])
         scores = sel.scores(Y)
-        folds = kfold_split(8, 4, seed=KFOLD_SEED)
         for row, (si, lam) in enumerate(zip(sel.pair_scorer_index, sel.pair_lambda)):
-            for j in range(2):
-                expected = dense_kfold_error(Dataset(Y[:, j], X), candidates[si], lam, folds)
-                assert scores[row, j] == pytest.approx(expected, rel=1e-12), (row, j)
-        rows = zip(sel.pair_scorer_index, sel.pair_lambda, scores[:, 0])
-        at_zero = {candidates[si].id: s for si, lam, s in rows if lam == 0.0}
-        assert at_zero["spike"] == at_zero["wide"] == np.inf
-        assert np.isfinite(at_zero["a"]) and at_zero["a"] == at_zero["b"]
-        assert np.all(np.isfinite(scores[sel.pair_lambda > 0.0]))
+            if lam == 0.0 and len(candidates[si].columns) >= n:
+                assert np.all(scores[row] == np.inf), row
+                continue
+            for j in range(Y.shape[1]):
+                expected = dense_gcv(Dataset(Y[:, j], X), candidates[si], lam)
+                assert scores[row, j] == pytest.approx(expected, rel=1e-9), (row, j)
 
     def test_select_fit_follows_the_tie_break(self, rng):
         for _ in range(10):
@@ -446,38 +421,30 @@ class TestPairScores:
         assert (fit.model_id, fit.lam) == brute_force_select(data, cfg)
 
     @staticmethod
-    def stacked_scores(sel, Y):
+    def stacked_scores(sel, grid, Y):
         """The scores stacked per candidate and then put in tie-break order.
 
-        Per candidate, a +inf block over its whole lambda table with the
-        scoreable rows filled in; for kfold, the fold-summed (C, L, B) block.
-        The blocks are stacked and gathered through the tie-break order.
+        Per candidate, a +inf block over its whole lambda table on ``grid``
+        with the scoreable rows filled in.  The blocks are stacked and
+        gathered through the tie-break order.
         """
-        cfg = sel.config
-        if cfg.criterion == "gcv":
-            blocks = []
-            for sc in sel.scorers:
-                w, denom, valid = sc.lambda_table(cfg.lambda_grid)
-                UtY = sc.U.T @ Y
-                sq = UtY * UtY
-                perp = np.einsum("ij,ij->j", Y, Y) - sq.sum(axis=0)
-                np.maximum(perp, 0.0, out=perp)
-                scale = sc.n / (denom * denom)[valid, None]
-                A = np.ascontiguousarray(np.hstack([w[valid] * scale, scale]).T)
-                out = np.full((len(denom), Y.shape[1]), np.inf)
-                out[valid] = (np.vstack([sq, perp]).T @ A).T
-                blocks.append(out)
-        else:
-            blocks = sum(
-                np.stack([sc.heldout_errors(Y[tr], Y[va], *t) for sc, *t in tables])
-                for tr, va, tables in sel.folds
-            )
-        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in sel.scorers for lam in cfg.lambda_grid]
+        blocks = []
+        for sc in sel.scorers:
+            w, denom, valid = sc.lambda_table(grid)
+            UtY = sc.U.T @ Y
+            sq = UtY * UtY
+            perp = np.einsum("ij,ij->j", Y, Y) - sq.sum(axis=0)
+            np.maximum(perp, 0.0, out=perp)
+            scale = sc.n / (denom * denom)[valid, None]
+            A = np.ascontiguousarray(np.hstack([w[valid] * scale, scale]).T)
+            out = np.full((len(denom), Y.shape[1]), np.inf)
+            out[valid] = (np.vstack([sq, perp]).T @ A).T
+            blocks.append(out)
+        keys = [(sc.k, lam, _id_key(sc.model.id)) for sc in sel.scorers for lam in grid]
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
         return np.vstack(blocks)[order]
 
-    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
-    def test_scores_are_bitwise_the_stacked_scores(self, rng, criterion):
+    def test_scores_are_bitwise_the_stacked_scores(self, rng):
         # 6 rows: column 5 repeats column 0, so "dup" is rank deficient at
         # lambda = 0, and "sat" has 6 full-rank columns, a zero trace there.
         X = rng.uniform(-3.0, 3.0, size=(6, 7))
@@ -487,11 +454,10 @@ class TestPairScores:
             CandidateModel("dup", (0, 1, 5)),
             CandidateModel("sat", (0, 1, 2, 3, 4, 6)),
         )
-        cfg = SelectorConfig(candidates, self.GRID, criterion=criterion, criterion_folds=3)
-        sel = _PairSelector(data, cfg)
+        sel = _PairSelector(data, SelectorConfig(candidates, self.GRID))
         Y = np.column_stack([data.y, rng.standard_normal((6, 4))])
         scores = sel.scores(Y)
-        assert scores.tobytes() == self.stacked_scores(sel, Y).tobytes()
+        assert scores.tobytes() == self.stacked_scores(sel, self.GRID, Y).tobytes()
         rows = zip(sel.pair_scorer_index, sel.pair_lambda, scores[:, 0])
         at_zero = {candidates[si].id: s for si, lam, s in rows if lam == 0.0}
         assert at_zero["dup"] == at_zero["sat"] == np.inf
@@ -518,7 +484,7 @@ class TestLambdaTables:
         usable = (lam[:, 0] > 0.0) | sc.full_rank
         f = np.zeros((len(lam), sc.s.size))
         np.divide(sc.s, sc.s2 + lam, out=f, where=usable[:, None])
-        return (1.0 - d) ** 2, denom, (denom > sc.n * _TRACE_EPS) & usable, f, usable
+        return (1.0 - d) ** 2, denom, (denom > sc.n * _TRACE_EPS) & usable, f
 
     def test_one_pass_over_the_candidates_equals_each_alone(self):
         # a rank-deficient candidate (lambda = 0 unusable), one of r = 9
@@ -534,12 +500,12 @@ class TestLambdaTables:
         assert not scorers[0].full_rank and scorers[1].s.size == 9
         stacked = _lambda_tables(scorers, grid)
         for sc, tables in zip(scorers, stacked):
-            mine = (*sc.lambda_table(grid), *sc.ridge_factors(grid))
+            mine = (*sc.lambda_table(grid), sc.ridge_factors(grid)[0])
             for got, each, written in zip(tables, mine, self.alone(sc, grid), strict=True):
                 assert got.tobytes() == each.tobytes() == written.tobytes()
             assert tables[0][1].tobytes() == tables[0][2].tobytes()  # the repeated lambda
-        w, denom, valid, f, usable = stacked[0]
-        assert not usable[0] and not valid[0] and not f[0].any()
+        w, denom, valid, f = stacked[0]
+        assert not scorers[0].ridge_factors(grid)[1][0] and not valid[0] and not f[0].any()
         # the selector's solve factors are the one pass's, per tie-break pair
         sel = _PairSelector(data, SelectorConfig(cands, grid))
         for (_, _, F), mine, tables in zip(sel.solves, sel.rank.reshape(len(cands), -1), stacked, strict=True):
@@ -709,20 +675,18 @@ class TestCoefficientsBlock:
                 out += V @ (F.T * (sc.U.T @ Y))
         return out
 
-    @pytest.mark.parametrize("criterion, B, candidates, grid", [
-        pytest.param(criterion, B, candidates, grid, id=f"{prefix}{B}-{criterion}")
+    @pytest.mark.parametrize("B, candidates, grid", [
+        pytest.param(B, candidates, grid, id=f"{prefix}{B}")
         for prefix, candidates, grid in (
             ("", CANDIDATES, GRID),
             # identical columns under two ids, and a repeated lambda
             ("pair_scores-", TestPairScores.CANDIDATES, TestPairScores.GRID),
         )
         for B in (1, 63, 64, 65, 130, REPLICATE_CHUNK, REPLICATE_CHUNK + 1)
-        for criterion in ("gcv", "kfold")
     ])
-    def test_every_column_matches_the_normal_equation_oracle(self, criterion, B, candidates, grid):
+    def test_every_column_matches_the_normal_equation_oracle(self, B, candidates, grid):
         data, Y = self.responses(7, B)
-        cfg = SelectorConfig(candidates, grid, criterion=criterion, criterion_folds=5)
-        sel = _PairSelector(data, cfg)
+        sel = _PairSelector(data, SelectorConfig(candidates, grid))
         idx, C = sel.select(Y)
         assert C.shape == (6, B)
         # the one pass selects what the score matrix does, and solves to the
@@ -739,13 +703,11 @@ class TestCoefficientsBlock:
             assert np.all(C[off, b] == 0.0), b
             assert np.max(np.abs(C[:, b] - want)) <= 1e-9 * np.max(np.abs(want)), b
 
-    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
-    def test_one_chunk_mixes_lambda_zero_with_positive_lambdas(self, criterion):
+    def test_one_chunk_mixes_lambda_zero_with_positive_lambdas(self):
         # guards the instance above: one solve per candidate must serve
         # lambda = 0 and several lambda > 0 columns at once
         data, Y = self.responses(7, 64)
-        cfg = SelectorConfig(self.CANDIDATES, self.GRID, criterion=criterion, criterion_folds=5)
-        sel = _PairSelector(data, cfg)
+        sel = _PairSelector(data, SelectorConfig(self.CANDIDATES, self.GRID))
         idx, _ = sel.select(Y)
         full = sel.pair_scorer_index[idx] == 2
         lams = set(sel.pair_lambda[idx][full].tolist())
@@ -780,7 +742,7 @@ class TestCoefficientsBlock:
         sel = _PairSelector(Dataset(rng.standard_normal(12), X), SelectorConfig(self.LAYOUTS[layout], self.GRID))
         assert any(not isinstance(rows, slice) for *_, rows in sel.tables)
         scores = sel.scores(Y)
-        assert scores.tobytes() == TestPairScores.stacked_scores(sel, Y).tobytes()
+        assert scores.tobytes() == TestPairScores.stacked_scores(sel, self.GRID, Y).tobytes()
         unscoreable = np.isinf(scores[:, 0])
         assert unscoreable.sum() == (layout == "rank_deficient")
         assert np.array_equal(np.flatnonzero(~unscoreable), sel.scored)
@@ -818,8 +780,7 @@ class TestDuplicateCandidates:
     # Haswell kernels, one GEMM over all candidates' U' rounds the copies of
     # a candidate apart, and the tie would be decided by rounding.
     @pytest.mark.parametrize("n, B", [(3, 24), (20, 3), (30, 2), (15, 1)])
-    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
-    def test_every_order_selects_the_lowest_id(self, criterion, n, B):
+    def test_every_order_selects_the_lowest_id(self, n, B):
         rng = np.random.default_rng(5)
         X = rng.uniform(-2.0, 2.0, size=(n, 4))
         # the weight of columns 1 and 2 grows from zero, so both groups are selected
@@ -828,8 +789,7 @@ class TestDuplicateCandidates:
         data = Dataset(rng.standard_normal(n), X)
         results = set()
         for order in itertools.permutations(self.CANDIDATES):
-            cfg = SelectorConfig(order, (0.0, 0.5, 0.5, 3.0), criterion=criterion, criterion_folds=3)
-            sel = _PairSelector(data, cfg)
+            sel = _PairSelector(data, SelectorConfig(order, (0.0, 0.5, 0.5, 3.0)))
             idx, C = sel.select(Y)
             ids = tuple(sel.pair_model_id[i] for i in idx)
             results.add((ids, sel.pair_lambda[idx].tobytes(), C.tobytes()))

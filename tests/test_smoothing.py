@@ -32,6 +32,7 @@ from bootsmooth import (
     resampling_mean,
     residual_variance_pbs,
     ridge_fit,
+    select_fit,
     smoothed_variance,
     smoothed_variance_via_gram,
     smoothed_variances,
@@ -274,13 +275,11 @@ class TestPbsFit:
         want = per_replicate_draws(fit.mean_vector, sigma2, B, seed)
         assert drawn.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
-    def test_chunk_width_moves_only_the_running_sums(self, rng, monkeypatch, criterion):
+    def test_chunk_width_moves_only_the_running_sums(self, rng, monkeypatch):
         # B spans 13 chunks of 64 and several of the shipped width; the
         # width may change the summation order of ysum and cross, nothing else
         data = make_instance(rng, 14, 6)
         cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
-        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, criterion_folds=4)
         dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
         B = 3 * smoothing.REPLICATE_CHUNK + 5
         fits = []
@@ -372,29 +371,25 @@ class TestPbsFit:
                 fit.coefficients[b], single.coefficients, rtol=1e-9, atol=1e-12
             )
 
-    def test_kfold_criterion_inside_replicates(self, rng):
-        from bootsmooth import select_fit
-
+    @pytest.mark.parametrize("B", [1, 64, 257])
+    def test_each_replicate_selects_what_select_fit_does_on_its_responses(self, rng, B):
+        # the block selection of a chunk picks each replicate's own GCV pair
         data = make_instance(rng, 12, 3)
         cfg = SelectorConfig(
             candidates=(CandidateModel(1, (0,)), CandidateModel(2, (0, 1, 2))),
             lambda_grid=(0.0, 1.0),
-            criterion="kfold",
-            criterion_folds=3,
         )
-        fit = pbs_fit(data, ResamplingDistribution(gamma=0.5, sigma2=1.0), 8, cfg, seed=4)
+        fit = pbs_fit(data, ResamplingDistribution(gamma=0.5, sigma2=1.0), B, cfg, seed=4)
         responses = redrawn_responses(fit)
         for b in range(fit.B):
             single = select_fit(Dataset(responses[b], data.X), cfg)
-            assert (fit.model_ids[b], fit.lambdas[b]) == (single.model_id, single.lam)
+            assert (fit.model_ids[b], fit.lambdas[b]) == (single.model_id, single.lam), b
 
-    @pytest.mark.parametrize("criterion", ["gcv", "kfold"])
     @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
-    def test_without_moments_the_fit_keeps_its_bytes(self, rng, criterion, B):
+    def test_without_moments_the_fit_keeps_its_bytes(self, rng, B):
         # B straddles the chunk edges; only the two moments are left out
         data = make_instance(rng, 14, 6)
         cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
-        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, criterion_folds=4)
         dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
         full = pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17)
         bare = pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17, moments=False)
@@ -476,15 +471,13 @@ class TestSmoothedCells:
     @given(
         B=st.sampled_from([1, 7, 40, 100, 255, 256, 257, 513]),
         count=st.integers(1, 20),
-        criterion=st.sampled_from(["gcv", "kfold"]),
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 20),
     )
-    def test_cells_packed_give_the_bytes_of_each_cell_alone(self, B, count, criterion, seed, size):
+    def test_cells_packed_give_the_bytes_of_each_cell_alone(self, B, count, seed, size):
         rng = np.random.default_rng(seed)
         data = make_instance(rng, 12, 4)
         cfg = small_selector(4, (0.0, 0.1, 1.0, 10.0))
-        cfg = SelectorConfig(cfg.candidates, cfg.lambda_grid, criterion=criterion, criterion_folds=3)
         cells = [
             (ResamplingDistribution(gamma=(c % 6) / 5, sigma2=0.5 + c), derive_seed(seed, c))
             for c in range(count)

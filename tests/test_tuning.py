@@ -28,7 +28,8 @@ from bootsmooth import (
     write_surface_csv,
 )
 from bootsmooth import rng as rng_module
-from bootsmooth.selection import _training_block, unbiased_variance
+from bootsmooth.selection import unbiased_variance
+from bootsmooth.tuning import _fold
 
 
 def selector_for(p):
@@ -254,7 +255,7 @@ class TestCvSurface:
         results = [cell(shared, c) for c in range(24)]
         assert results == [serial[c % 3] for c in range(24)]
         # one memoised training block per fold, each with one selector
-        blocks = [v for key, v in shared._memo.items() if key[0] == "rows"]
+        blocks = [v[0] for key, v in shared._memo.items() if key[0] == "fold"]
         assert len(blocks) == 3
         assert all(sum(key[0] == "selector" for key in b._memo) == 1 for b in blocks)
 
@@ -281,7 +282,7 @@ class TestCvSurface:
         grid = CvGrid(
             sigma2_candidates=(1.0, 7e306), gamma_candidates=(0.0, 1.0), k=3, b_inner=100, seed=1
         )
-        train = _training_block(data, kfold_split(data.n, 3, seed=1), 0)
+        train = _fold(data, kfold_split(data.n, 3, seed=1), 0)[0]
         alone = []
         with np.errstate(all="ignore"):
             for j, gamma in enumerate(grid.gamma_candidates):
@@ -297,13 +298,33 @@ class TestCvSurface:
     def test_training_block_is_memoised_by_its_held_out_fold(self, rng):
         data = make_instance(rng, 20, 3)
         folds = kfold_split(20, 4, seed=3)
-        block = _training_block(data, folds, 1)
+        block = _fold(data, folds, 1)[0]
         rows = np.setdiff1d(np.arange(20), folds[1])
         assert block.y.tobytes() == data.y[rows].tobytes()
         assert block.X.tobytes() == data.X[rows].tobytes()
         # a second lookup, with equal folds in new arrays, finds the same object
-        assert _training_block(data, [f.copy() for f in folds], 1) is block
-        assert _training_block(data, folds, 2) is not block
+        assert _fold(data, [f.copy() for f in folds], 1)[0] is block
+        assert _fold(data, folds, 2)[0] is not block
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_a_surface_memoises_each_fold_once(self, rng, k):
+        # one memo entry per held-out fold: its training block and held-out
+        # rows; no other entry holds a second copy of the block
+        data = make_instance(rng, 20, 3)
+        grid = CvGrid(sigma2_candidates=(1.0, 2.0), gamma_candidates=(0.0, 1.0), k=k, b_inner=10, seed=2)
+        cv_error_surface(data, grid, selector_for(3))
+        folds = kfold_split(20, k, grid.seed, grid.fold_mode)
+        entries = {key: v for key, v in data._memo.items() if key[0] == "fold"}
+        assert sorted(entries) == sorted(("fold", f.tobytes()) for f in folds)
+        for held, rows in enumerate(folds):
+            block, y_held, X_held = entries["fold", rows.tobytes()]
+            train = np.setdiff1d(np.arange(20), rows)
+            assert block.y.tobytes() == data.y[train].tobytes()
+            assert block.X.tobytes() == data.X[train].tobytes()
+            assert y_held.tobytes() == data.y[rows].tobytes()
+            assert X_held.tobytes() == data.X[rows].tobytes()
+            assert _fold(data, folds, held)[0] is block
+        assert not any(isinstance(v, Dataset) for v in data._memo.values())
 
 
 class TestSelectDistribution:
