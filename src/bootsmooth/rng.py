@@ -13,7 +13,9 @@ and counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC 2011), so the draws are the bytes a fresh generator would give.  The
 cells of a CV surface or a study replication have their seeds and replicate
 keys derived together, by :func:`cell_families`, in key passes bounded by
-``FAMILY_KEYS`` replicate keys rather than by a count of cells.
+``FAMILY_KEYS`` replicate keys rather than by a count of cells, and the
+smoothing pass reads each cell's keys from its pass.  Nothing is memoised:
+:func:`replicate_keys`, one seed's keys, depends on its arguments alone.
 """
 
 from __future__ import annotations
@@ -152,37 +154,28 @@ def generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_state(words, 4)))
 
 
-# The last cell family's replicate keys, (cells, B, 2), and each cell seed's row.
-_family = {"rows": {}, "keys": np.empty((0, 0, 2), dtype=np.uint64)}
-
-
 def replicate_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     """Philox keys of the streams ``(seed, b)`` for ``b`` in ``lo..hi-1``; (hi-lo, 2) uint64.
 
     Row ``b - lo`` equals ``SeedSequence(seed, spawn_key=(b,)).generate_state(2,
-    np.uint64)``.  A seed of the last :func:`_cell_family`, with ``hi`` within
-    its B, is served from its keys as a read-only view (keys depend on the
-    seed alone); else they are one :func:`_state` over the spawn words.  A
-    spawn word ``b >= 2**32`` would take two words in ``SeedSequence``; it is refused.
+    np.uint64)``: one :func:`_state` over the spawn words, a new array that
+    depends on the arguments alone.  A spawn word ``b >= 2**32`` would take
+    two words in ``SeedSequence``; it is refused.
     """
     lo, hi = _word(lo), _word(hi)
     if not 0 <= lo <= hi:
         raise ValueError(f"replicate range must satisfy 0 <= lo <= hi, got {lo}..{hi}")
     if hi > MAX_REPLICATES:
         raise ValueError(f"replicate index must be < 2**32, got hi={hi}")
-    seed = _word(seed)
-    row = _family["rows"].get(seed)
-    if row is not None and hi <= _family["keys"].shape[1]:
-        return _family["keys"][row, lo:hi]
-    return _state(_words(seed, _POOL_SIZE) + [np.arange(lo, hi, dtype=np.uint32)], 4)
+    return _state(_words(_word(seed), _POOL_SIZE) + [np.arange(lo, hi, dtype=np.uint32)], 4)
 
 
 def _cell_family(seed: int, prefix: tuple, shape: tuple, B: int, lo: int = 0, hi: int | None = None):
     """Seeds and replicate keys of the cells ``derive_seed(seed, *prefix, *index)``.
 
     ``index`` runs over the cells ``lo..hi-1`` of ``shape`` in C order, by
-    default all of them.  Returns the cell seeds, uint64 (cells,), and the
-    memo that :func:`replicate_keys` serves, (cells, B, 2) uint64 read-only,
+    default all of them.  Returns the cell seeds, uint64 (cells,), and their
+    replicate keys, (cells, B, 2) uint64 read-only,
     ``keys[c] == replicate_keys(seeds[c], 0, B)``: one :func:`_state` of the
     seeds' words with the replicate index broadcast.  Every path word must
     be one ``SeedSequence`` word, < ``2**32``.
@@ -196,8 +189,6 @@ def _cell_family(seed: int, prefix: tuple, shape: tuple, B: int, lo: int = 0, hi
     words = [(seeds & _MASK32)[:, None], (seeds >> 32)[:, None], 0, 0]
     keys = _state(words + [np.arange(B, dtype=np.uint32)], 4)
     keys.setflags(write=False)
-    _family["rows"] = dict(zip(seeds.tolist(), range(seeds.size)))
-    _family["keys"] = keys
     return seeds, keys
 
 
@@ -212,13 +203,6 @@ def cell_families(seed: int, prefix: tuple, shape: tuple, B: int):
     size, step = math.prod(shape), max(1, FAMILY_KEYS // max(B, 1))
     for lo in range(0, size, step):
         yield _cell_family(seed, prefix, shape, B, lo, min(lo + step, size))
-
-
-def cell_seeds(seed: int, prefix: tuple, shape: tuple, B: int):
-    """The cell seeds of :func:`cell_families`, as ints; :func:`replicate_keys`
-    serves the keys of the cell just yielded from the pass that holds it."""
-    for seeds, _ in cell_families(seed, prefix, shape, B):
-        yield from seeds.tolist()
 
 
 # The one Philox generator that keyed_generator re-keys, and the state it

@@ -9,19 +9,20 @@ estimation error, and the per-cell model-selection frequencies are recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, SelectionFailureError
-from .rng import MAX_REPLICATES, cell_seeds, derive_seed, generator
+from .rng import MAX_REPLICATES, cell_families, derive_seed, generator
 from .selection import (
     CandidateModel,
     Dataset,
     SelectorConfig,
     select_fit,
 )
-from .smoothing import ResamplingDistribution, pbs_fit
+from .smoothing import ResamplingDistribution, _smoothed_cells
 from .tabular import fmt, write_csv, write_text
 
 _N_FEATURES = 20
@@ -147,14 +148,16 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     Replication r draws a fresh design and response from streams
     ``(master_seed, 0, r)`` and ``(master_seed, 1, r)``; the cell (r, i, j)
-    fit uses seed ``derive_seed(master_seed, 2, r, i, j)``, derived with its
+    uses seed ``derive_seed(master_seed, 2, r, i, j)``, derived with its
     replicate keys for the cells of replication r in key passes of at most
-    ``rng.FAMILY_KEYS`` keys.  A cell reads only the smoothed coefficients and
-    the selected models, so its fit skips the variance moments
-    (``moments=False``).  Results are averaged over replications in
-    replication order.  A generated response that is not finite
-    (``noise_sd`` too large) is a ``NumericalError`` naming its replication;
-    a cell whose selection fails names its replication and cell.
+    ``rng.FAMILY_KEYS`` keys, read as they are needed.  A replication's cells
+    are smoothed in one pass (``smoothing._smoothed_cells``, the engine of a
+    CV fold), in C order; each cell reads its smoothed coefficients and its
+    selection count per candidate, the bytes that ``pbs_fit`` gives the cell
+    alone.  Results are averaged over replications in replication order.  A
+    generated response that is not finite (``noise_sd`` too large) is a
+    ``NumericalError`` naming its replication; a cell whose selection fails
+    names its replication, its cell and its replicate.
     """
     selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=config.lambda_grid)
     t, s = len(config.sigma2_sweep), len(config.gamma_sweep)
@@ -162,10 +165,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     freqs = np.empty((config.reps, t, s, _N_MODELS))
     base_err = np.empty(config.reps)
     beta_true = np.concatenate([[1.0], true_coefficients(config.true_model_j)])
-    cells = [
-        (i, j, ResamplingDistribution(gamma=gamma, sigma2=sigma2))
-        for i, sigma2 in enumerate(config.sigma2_sweep)
-        for j, gamma in enumerate(config.gamma_sweep)
+    dists = [
+        ResamplingDistribution(gamma=gamma, sigma2=sigma2)
+        for sigma2 in config.sigma2_sweep
+        for gamma in config.gamma_sweep
     ]
 
     for r in range(config.reps):
@@ -181,18 +184,17 @@ def run_study(config: StudyConfig) -> StudyResult:
         data = Dataset(y, np.column_stack([np.ones(config.n), X]))
         baseline = select_fit(data, selector)
         base_err[r] = float(np.sum((baseline.coefficients - beta_true) ** 2))
-        seeds = cell_seeds(config.master_seed, (_TAG_CELL, r), (t, s), config.b)
-        for (i, j, dist), seed in zip(cells, seeds):
-            try:
-                fit = pbs_fit(data, dist, config.b, selector, seed, moments=False)
-            except SelectionFailureError as exc:
-                raise SelectionFailureError(
-                    f"replication {r}, sigma2={dist.sigma2!r}, gamma={dist.gamma!r}: {exc}"
-                ) from exc
-            sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
-            # model ids are 1.._N_MODELS; slot 0 of the count stays empty
-            counts = np.bincount(fit.model_ids, minlength=_N_MODELS + 1)
-            freqs[r, i, j] = counts[1:] / config.b
+        cells = iter(dists)
+        passes = cell_families(config.master_seed, (_TAG_CELL, r), (t, s), config.b)
+        groups = ((list(islice(cells, len(keys))), keys) for _, keys in passes)
+        try:
+            # the candidates are the models 1.._N_MODELS, in order
+            for c, (beta, counts) in enumerate(_smoothed_cells(data, groups, config.b, selector)):
+                i, j = divmod(c, s)
+                sq_err[r, i, j] = float(np.sum((beta - beta_true) ** 2))
+                freqs[r, i, j] = counts / config.b
+        except SelectionFailureError as exc:
+            raise SelectionFailureError(f"replication {r}, {exc}") from exc
 
     result = StudyResult(
         sigma2_sweep=config.sigma2_sweep,

@@ -11,14 +11,14 @@ A fit derives the Philox keys of all its replicates once and processes
 the replicates serially in chunks of ``REPLICATE_CHUNK`` (256), the last
 one partial.  Each chunk's response sums and cross moments are added to
 running totals in chunk order, so the GEMM shapes and the summation order,
-and with them the output bytes, depend only on the inputs.  Those moments
-feed only the delta-method variance: a fit made with ``moments=False`` (a
-study cell) skips them, and the variance and interval functions refuse it.
-:func:`_smoothed_cells` smooths the cells of a CV fold together, in full
-blocks of ``REPLICATE_CHUNK`` columns, each cell to the bytes it has alone:
-a block takes its columns' keys as a slice of their key pass, and their
-resampling means and scales through each column's cell, ``column // B``;
-the coefficient rows of the cells one key pass holds are averaged together.
+and with them the output bytes, depend only on the inputs.
+:func:`_smoothed_cells` is the one engine for a grid of cells on one
+dataset, the cells of a CV fold or of a study replication: it smooths them
+together, in full blocks of ``REPLICATE_CHUNK`` columns, each cell to the
+bytes it has alone.  A block takes its columns' keys as a slice of their
+key pass, and their resampling means and scales through each column's cell,
+``column // B``; the cells a block completes are averaged, and their
+selections counted, together.
 """
 
 from __future__ import annotations
@@ -214,8 +214,6 @@ def pbs_fit(
     B: int,
     selector: SelectorConfig,
     seed: int,
-    *,
-    moments: bool = True,
 ) -> PbsFit:
     """Run the full selection pipeline on B bootstrap replicates and average.
 
@@ -231,10 +229,6 @@ def pbs_fit(
         Candidate models and penalty grid applied to every replicate.
     seed : int
         Master seed; replicate b uses the substream (seed, b).
-    moments : bool
-        Accumulate ``cross_moment`` and ``ybar_star``, which only the
-        delta-method variance reads; False leaves them None and changes no
-        other field's bytes.
     """
     B = _replicate_count(B)
     # The one OLS fit; it refuses a rank-deficient design.  ``dist`` has
@@ -250,8 +244,8 @@ def pbs_fit(
     model_ids: list = [None] * B
     # Running sums, added to in chunk order; any other order would change
     # the output bytes.
-    ysum = np.zeros(data.n) if moments else None
-    cross = np.zeros((data.n, data.p)) if moments else None
+    ysum = np.zeros(data.n)
+    cross = np.zeros((data.n, data.p))
 
     for lo in range(0, B, REPLICATE_CHUNK):
         hi = min(lo + REPLICATE_CHUNK, B)
@@ -260,19 +254,18 @@ def pbs_fit(
         coeffs[lo:hi] = C.T
         model_ids[lo:hi] = [sel.pair_model_id[i] for i in idx.tolist()]
         lambdas[lo:hi] = sel.pair_lambda[idx]
-        if moments:
-            u = Y - mean[:, None]
-            c = C - center[:, None]
-            ysum += Y.sum(axis=1)
-            cross += u @ c.T
+        u = Y - mean[:, None]
+        c = C - center[:, None]
+        ysum += Y.sum(axis=1)
+        cross += u @ c.T
 
     return PbsFit(
         beta_pbs=np.add.reduce(coeffs, axis=0) / B,
         coefficients=coeffs,
         model_ids=model_ids,
         lambdas=lambdas,
-        cross_moment=cross / B if moments else None,
-        ybar_star=ysum / B if moments else None,
+        cross_moment=cross / B,
+        ybar_star=ysum / B,
         mean_vector=mean,
         center_coefficients=center,
         distribution=dist,
@@ -283,45 +276,60 @@ def pbs_fit(
 
 def _smoothed_cells(data: Dataset, groups, B: int, selector: SelectorConfig):
     """Each cell's smoothed coefficients, averaged as :func:`pbs_fit` averages
-    them, in order.
+    them, and its selection count per candidate of ``selector``, in order.
 
     ``groups`` yields ``(dists, keys)``: the distributions of consecutive
     cells and their replicate keys, (cells, B, 2) uint64, such as the cells
-    of one key pass.  The cells' replicates, end to end, are drawn, selected
-    and solved in blocks of exactly ``REPLICATE_CHUNK`` columns, the last
-    zero-padded; column c of a group is replicate ``c % B`` of its cell
-    ``c // B``.  A group's coefficient rows are reduced together once its
-    last column is solved.
+    of one key pass; it is read as the blocks need it.  The cells'
+    replicates, end to end, are drawn, selected and solved in blocks of
+    exactly ``REPLICATE_CHUNK`` columns, the last zero-padded; column c of a
+    group is replicate ``c % B`` of its cell ``c // B``.  A window of
+    ``B + REPLICATE_CHUNK`` rows holds the solved columns of the cells still
+    open; after each block, the cells it completed are reduced together and
+    their picks counted by one ``bincount``.
     """
     B = _replicate_count(B)
     center = ols_fit(data).coefficients
     sel = _PairSelector.for_data(data, selector)
-    block, width = [], 0  # the block being filled: (group, first column, end column, block column) per piece
+    count = len(sel.solves)
+    # The window: the coefficient row and the selected candidate of each
+    # solved column of the open cells, ``held`` rows of them.  The block
+    # being filled: (group, first column, end column, block column) per
+    # piece, ``width`` columns in all.
+    rows, picks = np.empty((B + REPLICATE_CHUNK, data.p)), np.empty(B + REPLICATE_CHUNK, dtype=np.intp)
+    held, block, width = 0, [], 0
 
     def solve():
+        nonlocal held
         keys, means, sds = [], [], []
-        for (_, flat, mean, sd, _), lo, hi, _ in block:
+        for (_, flat, mean, sd), lo, hi, _ in block:
             cell = np.arange(lo, hi) // B
             keys += flat[lo:hi].tolist()
             means.append(mean[:, cell])
             sds.append(sd[cell])
         Y = _draw_block(np.hstack(means), np.concatenate(sds), keys, REPLICATE_CHUNK)
         try:
-            C = sel.select(Y)[1]
+            idx, C = sel.select(Y)
         except SelectionFailureError as exc:  # named by its cell and its replicate in the cell
             (dists, *_), lo, _, start = [piece for piece in block if piece[3] <= exc.column][-1]
             cell, replicate = divmod(lo + exc.column - start, B)
             where = f"sigma2={dists[cell].sigma2!r}, gamma={dists[cell].gamma!r}: replicate {replicate}"
             raise SelectionFailureError(f"{where}: no scoreable (model, lambda) pair") from exc
-        for (dists, *_, rows), lo, hi, start in block:
-            rows[lo:hi] = C[:, start : start + hi - lo].T
-            if hi == len(rows):
-                yield from np.add.reduce(rows.reshape(len(dists), B, -1), axis=1) / B
+        end = held + width
+        rows[held:end] = C[:, :width].T
+        picks[held:end] = sel.pair_scorer_index[idx[:width]]
+        done = end - end % B  # the rows of the cells this block completed
+        cells = done // B
+        coefficients = np.add.reduce(rows[:done].reshape(cells, B, data.p), axis=1) / B
+        counts = np.bincount(np.arange(done) // B * count + picks[:done], minlength=cells * count)
+        held = end - done
+        rows[:held], picks[:held] = rows[done:end], picks[done:end]
+        return zip(coefficients, counts.reshape(cells, count))
 
     for dists, keys in groups:
         mean = np.stack([_mean_vector(data, center, dist.gamma) for dist in dists], axis=1)
         sd = np.array([math.sqrt(dist.sigma2) for dist in dists])
-        group = (dists, keys.reshape(-1, 2), mean, sd, np.empty((len(dists) * B, data.p)))
+        group = (dists, keys.reshape(-1, 2), mean, sd)
         lo = 0
         while lo < len(dists) * B:
             hi = min(len(dists) * B, lo + REPLICATE_CHUNK - width)
@@ -347,13 +355,7 @@ def _finalize_variance(value: float, context: str) -> float:
 
 
 def _check_variance_inputs(fit: PbsFit, data: Dataset, x_rows) -> np.ndarray:
-    """``x_rows`` as finite (m, p) float rows, a (p,) row as one; refuses a fit
-    made without moments and sigma2 = 0."""
-    if fit.cross_moment is None:
-        raise ValueError(
-            "the fit was made with moments=False and has no cross moment; "
-            "refit with moments=True for a delta-method variance"
-        )
+    """``x_rows`` as finite (m, p) float rows, a (p,) row as one; refuses sigma2 = 0."""
     x_rows = np.atleast_2d(_feature_rows(x_rows, data.p))
     if fit.distribution.sigma2 == 0.0:
         raise NumericalError(

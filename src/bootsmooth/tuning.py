@@ -3,7 +3,8 @@
 K-fold CV over a (sigma2, gamma) candidate grid: each cell reruns the whole
 bootstrap-smoothing pipeline on the training block and accumulates squared
 held-out prediction error, scored by its smoothed coefficients alone.  A
-fold's cells are smoothed in one pass (``smoothing._smoothed_cells``) on the
+fold's cells are smoothed in one pass (``smoothing._smoothed_cells``, the
+engine of a study replication too; CV ignores its selection counts) on the
 training block, OLS fit, resampling means and held-out rows memoised on the
 data.  Each cell has its own derived seed, so :func:`cv_cell_error`
 recomputes any cell on its own to the bytes it has in the surface (see the
@@ -140,7 +141,7 @@ def _fold_errors(data, folds, fold_index, groups, b_inner, selector) -> list[flo
     """Squared held-out errors of one fold's cells, given as ``(dists, keys)`` groups, in order."""
     train_data, y_held, X_held = _fold(data, folds, fold_index)
     try:
-        resids = [y_held - X_held @ beta for beta in _smoothed_cells(train_data, groups, b_inner, selector)]
+        resids = [y_held - X_held @ beta for beta, _ in _smoothed_cells(train_data, groups, b_inner, selector)]
     except SingularDesignError as exc:
         raise SingularDesignError(f"fold {fold_index}: {exc}") from exc
     except SelectionFailureError as exc:

@@ -25,7 +25,6 @@ from bootsmooth import (
     draw_replicates,
     gcv_score,
 )
-from bootsmooth.rng import _family
 from bootsmooth.tabular import read_blocks
 
 # HYPOTHESIS_PROFILE=derandomized draws the same examples on every run, so a
@@ -41,12 +40,6 @@ def make_instance(rng: np.random.Generator, n: int, p: int, noise: float = 1.0) 
     beta[: max(1, p // 2)] = rng.normal(0.0, 1.0, size=max(1, p // 2))
     y = X @ beta + noise * rng.standard_normal(n)
     return Dataset(y, X)
-
-
-def forget_cell_family() -> None:
-    """Empty the memo of the last cell family, so that a cell's replicate keys
-    are derived from its seed alone."""
-    _family["rows"] = {}
 
 
 def z_quantile_bisect(alpha: float) -> float:

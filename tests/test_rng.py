@@ -5,13 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import forget_cell_family
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootsmooth import derive_seed, draw_replicates, kfold_split, smoothing
 from bootsmooth import rng
-from bootsmooth.rng import _cell_family, _family, cell_seeds, generator, keyed_generator, replicate_keys
+from bootsmooth.rng import _cell_family, cell_families, generator, keyed_generator, replicate_keys
 
 
 def seed_sequence_keys(seed, lo, hi):
@@ -133,19 +132,21 @@ class TestCellFamily:
 
     @pytest.mark.parametrize("B", [3, 200, rng.FAMILY_KEYS + 1])
     @pytest.mark.parametrize("shape", [(1,), (32,), (33,), (9, 8), (3, 5, 7)])
-    def test_cell_seeds_walk_the_cells_in_c_order(self, shape, B):
-        # every cell's seed, and its keys served from the key pass that is
-        # current when the cell is reached: max(1, FAMILY_KEYS // B) cells,
-        # 32 at B = 200, so the larger shapes take several passes
-        for index, cell in zip(np.ndindex(*shape), cell_seeds(2**64 + 3, (5,), shape, B), strict=True):
-            assert cell == derive_seed(2**64 + 3, 5, *index), index
-            served = replicate_keys(cell, 0, 3)
-            assert np.shares_memory(served, _family["keys"])
-            assert served.tobytes() == seed_sequence_keys(cell, 0, 3).tobytes()
-            assert _family["keys"].shape[:2] == (len(_family["rows"]), B)
-            assert len(_family["rows"]) * B <= max(B, rng.FAMILY_KEYS)
+    def test_cell_families_walk_the_cells_in_c_order(self, shape, B):
+        # every cell's seed and keys, from the key pass that holds the cell:
+        # max(1, FAMILY_KEYS // B) cells, 32 at B = 200, so the larger shapes
+        # take several passes
+        cells = np.ndindex(*shape)
+        for seeds, keys in cell_families(2**64 + 3, (5,), shape, B):
+            assert keys.shape[:2] == (len(seeds), B)
+            assert len(seeds) * B <= max(B, rng.FAMILY_KEYS)
+            for cell, cell_keys in zip(seeds.tolist(), keys, strict=True):
+                index = next(cells)
+                assert cell == derive_seed(2**64 + 3, 5, *index), index
+                assert cell_keys[:3].tobytes() == seed_sequence_keys(cell, 0, 3).tobytes()
+        assert next(cells, None) is None
 
-    def test_cell_seeds_memory_does_not_grow_with_the_cells(self):
+    def test_cell_families_memory_does_not_grow_with_the_cells(self):
         # the default study sweeps, 46 x 4 cells at B = 200: one family of all
         # of them peaked at 1.69 MB; in passes of at most FAMILY_KEYS keys the
         # peak is one pass's working set plus the previous pass's keys
@@ -163,31 +164,24 @@ class TestCellFamily:
 
         whole = peak(lambda: _cell_family(7, (2, 0), shape, B))
         one_batch = peak(lambda: _cell_family(7, (2, 0), shape, B, 0, rng.FAMILY_KEYS // B))
-        batched = peak(lambda: all(True for _ in cell_seeds(7, (2, 0), shape, B)))
+        batched = peak(lambda: all(True for _ in cell_families(7, (2, 0), shape, B)))
         assert batched < whole / 3, (batched, whole)
         assert batched < 2 * one_batch, (batched, one_batch)
 
 
-class TestFamilyMemo:
-    """replicate_keys serves the last family's cells, with the bytes it derives alone."""
+class TestReplicateKeysAlone:
+    """replicate_keys depends on its arguments alone: no key pass is memoised."""
 
     @pytest.mark.parametrize("lo, hi", [(0, 40), (7, 31), (39, 40), (5, 41), (0, 300)])
-    def test_same_bytes_with_and_without_a_family(self, lo, hi):
-        seeds, _ = _cell_family(11, (4,), (3, 2), 40)
-        cell = int(seeds[5])
-        served = replicate_keys(cell, lo, hi)
-        # within the family's B a read-only view of its keys; past it a fresh derivation
-        assert np.shares_memory(served, _family["keys"]) == (hi <= 40)
-        forget_cell_family()
-        alone = replicate_keys(cell, lo, hi)
-        assert not np.shares_memory(alone, _family["keys"])
-        assert served.tobytes() == alone.tobytes() == seed_sequence_keys(cell, lo, hi).tobytes()
-
-    def test_only_the_last_family_is_kept(self):
-        first, _ = _cell_family(11, (), (2,), 8)
-        second, _ = _cell_family(12, (), (2,), 8)
-        assert not np.shares_memory(replicate_keys(int(first[0]), 0, 8), _family["keys"])
-        assert np.shares_memory(replicate_keys(int(second[0]), 0, 8), _family["keys"])
+    def test_same_bytes_before_and_after_a_walk_and_no_shared_memory(self, lo, hi):
+        cell = derive_seed(11, 4, 2, 1)
+        before = replicate_keys(cell, lo, hi)
+        passes = list(cell_families(11, (4,), (3, 2), 40))
+        assert cell in passes[0][0].tolist()
+        after = replicate_keys(cell, lo, hi)
+        assert before.tobytes() == after.tobytes() == seed_sequence_keys(cell, lo, hi).tobytes()
+        for keys in (before, after):
+            assert not any(np.shares_memory(keys, pass_keys) for _, pass_keys in passes)
 
 
 class TestReplicateStreams:

@@ -2,15 +2,17 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import forget_cell_family, read_float_table
+from conftest import read_float_table
 
 from bootsmooth import (
     Dataset,
     NumericalError,
     ResamplingDistribution,
+    SelectionFailureError,
     SelectorConfig,
     StudyConfig,
     derive_seed,
@@ -24,7 +26,7 @@ from bootsmooth import (
     true_coefficients,
     write_study_csvs,
 )
-from bootsmooth import simulation
+from bootsmooth import rng, simulation, smoothing
 
 
 class TestGenerateDesign:
@@ -135,9 +137,9 @@ class TestRunStudy:
         assert res.ridge_baseline_mse == pytest.approx(base, rel=1e-9)
 
     def test_equals_cells_fitted_alone_bitwise(self):
-        # a replication derives its cell seeds and keys together; fitting each
-        # cell from its derived seed alone, with no family to serve its keys,
-        # gives the same bytes
+        # a replication derives its cell seeds and keys together and smooths
+        # its cells in one pass; fitting each cell from its derived seed
+        # alone gives the same bytes
         cfg = StudyConfig(
             n=23, true_model_j=2, reps=2, b=30, sigma2_sweep=(1.0, 9.0), gamma_sweep=(0.0, 0.5, 1.0),
             lambda_grid=(0.0, 1.0), master_seed=8,
@@ -153,7 +155,6 @@ class TestRunStudy:
             data = Dataset(y, np.column_stack([np.ones(23), X]))
             for i, s2 in enumerate(cfg.sigma2_sweep):
                 for j, g in enumerate(cfg.gamma_sweep):
-                    forget_cell_family()
                     dist = ResamplingDistribution(gamma=g, sigma2=s2)
                     fit = pbs_fit(data, dist, 30, selector, derive_seed(8, 2, r, i, j))
                     sq_err[r, i, j] = float(np.sum((fit.beta_pbs - beta_true) ** 2))
@@ -181,20 +182,59 @@ class TestRunStudy:
         res = run_study(cfg)
         assert res.freq_at(1.0, 1.0)[3] >= res.freq_at(100.0, 1.0)[3]
 
+    @pytest.mark.parametrize("b", [20, 300])
+    def test_a_failing_cell_inside_a_block_names_its_replication_cell_and_replicate(self, b):
+        # the cells of sigma2 = 1e308 follow four cells of sigma2 = 1; the
+        # first of them, columns 4b to 5b - 1 of the pass, starts inside a
+        # block (at b = 20, columns 80-99 of the replication's one block) and
+        # is named at the replicate its own pbs_fit names
+        cfg = StudyConfig(n=23, reps=1, b=b, sigma2_sweep=(1.0, 1e308), lambda_grid=(0.0, 1.0), master_seed=4)
+        X = generate_design(23, 20, derive_seed(4, 0, 0))
+        y = generate_response(X, 2, 5.0, derive_seed(4, 1, 0))
+        data = Dataset(y, np.column_stack([np.ones(23), X]))
+        selector = SelectorConfig(candidates=nested_candidates(), lambda_grid=(0.0, 1.0))
+        bad = ResamplingDistribution(gamma=0.0, sigma2=1e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SelectionFailureError) as alone:
+                pbs_fit(data, bad, b, selector, derive_seed(4, 2, 0, 1, 0))
+            with pytest.raises(SelectionFailureError) as err:
+                run_study(cfg)
+        replicate = int(re.fullmatch(r"replicate (\d+): no scoreable \(model, lambda\) pair", str(alone.value))[1])
+        assert err.value.__cause__.__cause__.column == (4 * b + replicate) % smoothing.REPLICATE_CHUNK
+        assert str(err.value) == f"replication 0, sigma2=1e+308, gamma=0.0: {alone.value}"
+
+    def test_a_replication_holds_one_key_pass_at_a_time(self):
+        # 96 cells at B = 200 take three key passes of 32 cells; a replication
+        # reads each pass as its pass reaches it, so its peak exceeds that of
+        # 32 cells, one pass, by less than one pass of keys
+        assert rng.FAMILY_KEYS // 200 == 32
+
+        def peak(cells):
+            cfg = StudyConfig(reps=1, sigma2_sweep=tuple(1.0 + i for i in range(cells // 4)), lambda_grid=(0.0, 1.0))
+            run_study(cfg)  # memos and code paths warmed outside the trace
+            tracemalloc.start()
+            try:
+                run_study(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(32), peak(96)
+        assert three - one < rng.FAMILY_KEYS * 16, (one, three)
+
     @pytest.mark.parametrize(
-        "name, field, message",
-        [
-            ("pbs_fit", "beta_pbs", "MSE is inf at sigma2=1.0, gamma=0.0"),
-            ("select_fit", "coefficients", "ridge baseline MSE is inf"),
-        ],
+        "name, message",
+        [("_smoothed_cells", "MSE is inf at sigma2=1.0, gamma=0.0"), ("select_fit", "ridge baseline MSE is inf")],
         ids=["mse", "ridge_baseline"],
     )
-    def test_overflowing_error_raises(self, monkeypatch, name, field, message):
+    def test_overflowing_error_raises(self, monkeypatch, name, message):
         original = getattr(simulation, name)
 
         def huge(*args, **kwargs):
-            fit = original(*args, **kwargs)
-            return dataclasses.replace(fit, **{field: np.full_like(getattr(fit, field), 1e200)})
+            if name == "select_fit":
+                fit = original(*args, **kwargs)
+                return dataclasses.replace(fit, coefficients=np.full_like(fit.coefficients, 1e200))
+            return ((np.full_like(beta, 1e200), counts) for beta, counts in original(*args, **kwargs))
 
         monkeypatch.setattr(simulation, name, huge)
         cfg = StudyConfig(

@@ -1,5 +1,7 @@
 """Bootstrap smoothing: replicate generation, averaging, variances, intervals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -385,40 +387,6 @@ class TestPbsFit:
             single = select_fit(Dataset(responses[b], data.X), cfg)
             assert (fit.model_ids[b], fit.lambdas[b]) == (single.model_id, single.lam), b
 
-    @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
-    def test_without_moments_the_fit_keeps_its_bytes(self, rng, B):
-        # B straddles the chunk edges; only the two moments are left out
-        data = make_instance(rng, 14, 6)
-        cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
-        dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
-        full = pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17)
-        bare = pbs_fit(Dataset(data.y, data.X), dist, B, cfg, seed=17, moments=False)
-        for name in ("beta_pbs", "coefficients", "lambdas", "mean_vector", "center_coefficients"):
-            assert getattr(bare, name).tobytes() == getattr(full, name).tobytes(), name
-        assert bare.model_ids == full.model_ids
-        assert (bare.distribution, bare.seed, bare.B) == (full.distribution, full.seed, full.B)
-        assert bare.cross_moment is None and bare.ybar_star is None
-        assert full.cross_moment is not None and full.ybar_star is not None
-
-    def test_a_fit_without_moments_has_no_variance(self, rng):
-        data = make_instance(rng, 10, 3)
-        dist = ResamplingDistribution(gamma=0.5, sigma2=1.0)
-        fit = pbs_fit(data, dist, 5, small_selector(3), seed=8, moments=False)
-        message = (
-            "the fit was made with moments=False and has no cross moment; "
-            "refit with moments=True for a delta-method variance"
-        )
-        x = np.ones(3)
-        for call in (
-            lambda: smoothed_variances(fit, data, x[None, :]),
-            lambda: smoothed_variance(fit, data, x),
-            lambda: smoothed_variance_via_gram(fit, data, x),
-            lambda: prediction_interval(fit, data, x, 0.05),
-        ):
-            with pytest.raises(ValueError) as err:
-                call()
-            assert str(err.value) == message
-
     def test_selection_failure_names_replicate(self, rng):
         data = Dataset(rng.standard_normal(3), np.eye(3))
         cfg = SelectorConfig(
@@ -429,8 +397,8 @@ class TestPbsFit:
 
 
 class TestSmoothedCells:
-    """A CV fold's cells smoothed together in full-width blocks, each cell
-    giving the bytes it gives alone."""
+    """A grid of cells smoothed together in full-width blocks, each cell
+    giving the bytes and the selection counts it gives alone."""
 
     @staticmethod
     def groups(cells, B, size=1):
@@ -443,10 +411,11 @@ class TestSmoothedCells:
 
     @classmethod
     def smooth(cls, data, cells, B, cfg, size=1):
-        """The pass's cell means, and each column's selected pair index and
-        coefficients, (cells * B,) and (p, cells * B), read off its blocks,
-        the cells given in groups of ``size``.  Columns past the last cell's
-        are set to NaN as the pass receives them."""
+        """The pass's (cell mean, selection counts) pairs, and each column's
+        selected pair index and coefficients, (cells * B,) and
+        (p, cells * B), read off its blocks, the cells given in groups of
+        ``size``.  Columns past the last cell's are set to NaN as the pass
+        receives them."""
         select = smoothing._PairSelector.select
         picks, coefs, left = [], [], [len(cells) * B]
 
@@ -463,9 +432,9 @@ class TestSmoothedCells:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(smoothing._PairSelector, "select", recording)
-            means = list(smoothing._smoothed_cells(data, iter(cls.groups(cells, B, size)), B, cfg))
+            smoothed = list(smoothing._smoothed_cells(data, iter(cls.groups(cells, B, size)), B, cfg))
         assert left == [0]
-        return means, np.concatenate(picks), np.hstack(coefs)
+        return smoothed, np.concatenate(picks), np.hstack(coefs)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -482,17 +451,22 @@ class TestSmoothedCells:
             (ResamplingDistribution(gamma=(c % 6) / 5, sigma2=0.5 + c), derive_seed(seed, c))
             for c in range(count)
         ]
-        means, picks, coefs = self.smooth(data, cells, B, cfg, size)
-        assert len(means) == count
+        smoothed, picks, coefs = self.smooth(data, cells, B, cfg, size)
+        assert len(smoothed) == count
+        candidate = smoothing._PairSelector.for_data(data, cfg).pair_scorer_index
         for c, cell in enumerate(cells):
             cols = slice(c * B, (c + 1) * B)
-            # padded columns never reach a cell's mean: each is the mean of its
-            # own columns, reduced over a C-ordered (B, p) block as pbs_fit's are
+            # padded columns never reach a cell's mean or counts: each is the
+            # mean of its own columns, reduced over a C-ordered (B, p) block as
+            # pbs_fit's are, and the count of its own columns' candidates
             rows = np.ascontiguousarray(coefs[:, cols].T)
-            assert np.isfinite(means[c]).all()
-            assert means[c].tobytes() == (np.add.reduce(rows, axis=0) / B).tobytes()
-            (alone,), alone_picks, alone_coefs = self.smooth(data, [cell], B, cfg)
-            assert alone.tobytes() == means[c].tobytes()
+            mean, counts = smoothed[c]
+            assert np.isfinite(mean).all()
+            assert mean.tobytes() == (np.add.reduce(rows, axis=0) / B).tobytes()
+            assert counts.tolist() == np.bincount(candidate[picks[cols]], minlength=2).tolist()
+            ((alone, alone_counts),), alone_picks, alone_coefs = self.smooth(data, [cell], B, cfg)
+            assert alone.tobytes() == mean.tobytes()
+            assert alone_counts.tolist() == counts.tolist()
             assert alone_picks.tobytes() == picks[cols].tobytes()
             assert alone_coefs.tobytes() == np.ascontiguousarray(coefs[:, cols]).tobytes()
 
@@ -502,9 +476,27 @@ class TestSmoothedCells:
         cells = [(ResamplingDistribution(gamma=g, sigma2=s2), derive_seed(3, i)) for i, (g, s2) in enumerate(
             [(0.0, 1.0), (0.5, 2.0), (1.0, 0.0), (0.3, 4.0)]
         )]
-        for (dist, seed), mean in zip(cells, smoothing._smoothed_cells(data, self.groups(cells, 300, 3), 300, cfg)):
-            fit = pbs_fit(data, dist, 300, cfg, seed, moments=False)
+        smoothed = smoothing._smoothed_cells(data, self.groups(cells, 300, 3), 300, cfg)
+        for (dist, seed), (mean, counts) in zip(cells, smoothed, strict=True):
+            fit = pbs_fit(data, dist, 300, cfg, seed)
             np.testing.assert_allclose(mean, fit.beta_pbs, rtol=1e-12, atol=1e-14)
+            assert counts.tolist() == [fit.model_ids.count(model.id) for model in cfg.candidates]
+
+    @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
+    def test_one_cell_agrees_with_pbs_fit_and_its_moments(self, rng, B):
+        # B straddles the chunk edges.  The pass solves full 256-column
+        # blocks and pbs_fit a chunk of at most B columns, so the two agree to
+        # rounding, not bitwise (a 1-column chunk takes another BLAS path);
+        # pbs_fit always keeps both moments
+        data = make_instance(rng, 14, 6)
+        cfg = small_selector(6, (0.0, 0.1, 1.0, 10.0))
+        dist = ResamplingDistribution(gamma=0.7, sigma2=2.5)
+        ((mean, counts),) = smoothing._smoothed_cells(data, self.groups([(dist, 17)], B), B, cfg)
+        fit = pbs_fit(data, dist, B, cfg, seed=17)
+        np.testing.assert_allclose(mean, fit.beta_pbs, rtol=1e-12, atol=1e-14)
+        assert counts.tolist() == [fit.model_ids.count(model.id) for model in cfg.candidates]
+        assert fit.cross_moment.shape == (data.n, data.p) and np.isfinite(fit.cross_moment).all()
+        assert fit.ybar_star.shape == (data.n,) and np.isfinite(fit.ybar_star).all()
 
     def test_a_failing_column_names_its_cell_and_replicate(self, rng):
         # n = k = 3 leaves no residual degrees of freedom: every column fails,
@@ -529,12 +521,36 @@ class TestSmoothedCells:
         cells[3] = (bad, derive_seed(9, 3))
         with np.errstate(all="ignore"):
             with pytest.raises(SelectionFailureError) as alone:
-                pbs_fit(data, bad, 100, cfg, derive_seed(9, 3), moments=False)
+                pbs_fit(data, bad, 100, cfg, derive_seed(9, 3))
             replicate = int(str(alone.value).split()[1].rstrip(":"))
             with pytest.raises(SelectionFailureError) as err:
                 list(smoothing._smoothed_cells(data, self.groups(cells, 100, size), 100, cfg))
         assert err.value.__cause__.column == 300 + replicate - smoothing.REPLICATE_CHUNK
         assert str(err.value) == f"sigma2=1e+307, gamma=0.0: {alone.value}"
+
+    def test_memory_does_not_grow_with_the_cells_of_a_group(self):
+        # the pass holds a window of B + REPLICATE_CHUNK rows for the cells
+        # still open, not a row per column of its group: 32 cells in one group
+        # peak less than one cell's rows above 4 cells
+        data = make_instance(np.random.default_rng(2), 30, 21)
+        cfg = small_selector(21)
+        B = 200
+
+        def peak(count):
+            dists = [ResamplingDistribution(gamma=0.5, sigma2=1.0 + c) for c in range(count)]
+            keys = np.stack([replicate_keys(derive_seed(6, c), 0, B) for c in range(count)])
+            for _ in smoothing._smoothed_cells(data, [(dists, keys)], B, cfg):
+                pass  # memos and code paths warmed outside the trace
+            tracemalloc.start()
+            try:
+                for _ in smoothing._smoothed_cells(data, [(dists, keys)], B, cfg):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(4), peak(32)
+        assert many - few < B * data.p * 8, (few, many)
 
 
 class TestGammaInvariance:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import forget_cell_family, make_instance, read_float_table
+from conftest import make_instance, read_float_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,8 +169,8 @@ class TestCvSurface:
     def test_every_cell_recomputed_alone_bitwise(self, rng):
         # a fold's six cells of 100 replicates are smoothed together, the third
         # and the sixth straddling two 256-column blocks; each cell recomputed
-        # alone from its derived seed, with no family to serve its keys, gives
-        # the same bytes, and the folds sum to the surface
+        # alone from its derived seed gives the same bytes, and the folds sum
+        # to the surface
         data = make_instance(rng, 18, 3)
         selector = selector_for(3)
         grid = CvGrid(
@@ -182,7 +182,6 @@ class TestCvSurface:
         for k in range(3):
             for i, s2 in enumerate(grid.sigma2_candidates):
                 for j, g in enumerate(grid.gamma_candidates):
-                    forget_cell_family()
                     dist = ResamplingDistribution(gamma=g, sigma2=s2)
                     parts[k, i, j] = cv_cell_error(data, folds, k, dist, 100, selector, derive_seed(56, k, i, j))
         assert parts.sum(axis=0).tobytes() == surface.errors.tobytes()
@@ -288,7 +287,7 @@ class TestCvSurface:
             for j, gamma in enumerate(grid.gamma_candidates):
                 dist = ResamplingDistribution(gamma=gamma, sigma2=7e306)
                 with pytest.raises(SelectionFailureError) as err:
-                    pbs_fit(train, dist, 100, selector, derive_seed(1, 0, 1, j), moments=False)
+                    pbs_fit(train, dist, 100, selector, derive_seed(1, 0, 1, j))
                 alone.append(str(err.value))
             assert alone == [f"replicate {r}: no scoreable (model, lambda) pair" for r in (19, 13)]
             with pytest.raises(SelectionFailureError) as err:
